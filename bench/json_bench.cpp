@@ -6,22 +6,16 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "arnet/obs/metrics.hpp"
 #include "arnet/runner/experiment.hpp"
+#include "arnet/runner/sweep.hpp"
 
 namespace arnet::benchjson {
 
 namespace {
-
-// Shortest representation that still distinguishes the measured values;
-// bench output is consumed by the schema checker and plotting scripts, not
-// round-tripped, so printf precision is fine here.
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
 
 struct Measurement {
   std::int64_t iterations = 0;
@@ -76,30 +70,20 @@ int run_json(const std::string& suite, const std::vector<Case>& cases,
         std::fprintf(stderr, "running %s...\n", c.name.c_str());
         return measure(c);
       });
-  os << "{\"schema\":\"arnet-bench-v1\",\"suite\":\"" << suite
-     << "\",\"benchmarks\":[";
-  bool first = true;
+  std::vector<runner::BenchRow> rows;
   for (std::size_t i = 0; i < cases.size(); ++i) {
-    const Case& c = cases[i];
     const Measurement& m = measurements[i];
     const obs::Histogram& h = m.latency_ns;
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"" << c.name << "\""
-       << ",\"iterations\":" << m.iterations
-       << ",\"wall_time_s\":" << fmt(m.wall_s)
-       << ",\"ops_per_sec\":"
-       << fmt(static_cast<double>(m.iterations) / m.wall_s)
-       << ",\"sim_events\":" << m.sim_events
-       << ",\"sim_events_per_sec\":"
-       << fmt(static_cast<double>(m.sim_events) / m.wall_s)
-       << ",\"latency_ns\":{"
-       << "\"mean\":" << fmt(h.mean()) << ",\"p50\":" << fmt(h.p50())
-       << ",\"p90\":" << fmt(h.p90()) << ",\"p99\":" << fmt(h.p99())
-       << ",\"min\":" << fmt(h.min()) << ",\"max\":" << fmt(h.max())
-       << "}}";
+    runner::BenchRow row;
+    row.name = cases[i].name;
+    row.iterations = m.iterations;
+    row.wall_time_s = m.wall_s;
+    row.ops_per_sec = static_cast<double>(m.iterations) / m.wall_s;
+    row.sim_events = m.sim_events;
+    row.latency_ns = {h.mean(), h.p50(), h.p90(), h.p99(), h.min(), h.max()};
+    rows.push_back(std::move(row));
   }
-  os << "]}\n";
+  runner::write_bench_json(os, suite, rows);
   return os.good() ? 0 : 1;
 }
 

@@ -15,15 +15,9 @@ struct Case {
   std::function<std::int64_t()> body;
 };
 
-/// Run every case and write an "arnet-bench-v1" JSON document to `path`:
-///
-///   {"schema": "arnet-bench-v1", "suite": "<suite>",
-///    "benchmarks": [{"name": ..., "iterations": N, "wall_time_s": ...,
-///                    "ops_per_sec": ..., "sim_events": ...,
-///                    "sim_events_per_sec": ...,
-///                    "latency_ns": {"mean": ..., "p50": ..., "p90": ...,
-///                                   "p99": ..., "min": ..., "max": ...}},
-///                   ...]}
+/// Run every case and write an "arnet-bench-v1" JSON document to `path`
+/// (runner::write_bench_json; runner/sweep.hpp shows the layout), with host
+/// wall-clock time and per-iteration latencies.
 ///
 /// Per-iteration wall latencies feed an obs::Histogram, so the percentile
 /// semantics match the rest of the observability layer. With `jobs` > 1 the

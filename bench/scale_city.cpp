@@ -13,7 +13,8 @@
 //
 // Each cell is an independent world fanned across an ExperimentRunner pool
 // (`--jobs N`), seeds derived from the root seed by run index — output is
-// byte-identical for any job count. Artifacts land under --out-dir:
+// byte-identical for any job count. runner::write_sweep writes the
+// artifacts under --out-dir:
 //   scale_city_metrics.jsonl   merged arnet-obs-v2 registry (per-cell city.*
 //                              gauges, fluid.* instruments, SLO gauges)
 //   BENCH_scale_city.json      arnet-bench-v1 summary: one entry per cell
@@ -22,18 +23,11 @@
 //   scale_city_samples.jsonl   arnet-sample-v1 header/footer (fluid cells
 //                              carry no spans; keeps arnet_report.py happy)
 // With --report yes, tools/arnet_report.py renders scale_city_report.html.
-//
-// As in scale_fleet, wall_time_s is *simulated* time and iterations are
-// completed frames: the summary reports properties of the model, not the
-// host, which keeps serial and parallel runs byte-identical and diffable.
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,11 +35,8 @@
 #include "arnet/core/table.hpp"
 #include "arnet/fluid/city.hpp"
 #include "arnet/fluid/validate.hpp"
-#include "arnet/obs/export.hpp"
 #include "arnet/runner/experiment.hpp"
-#include "arnet/slo/slo.hpp"
-#include "arnet/trace/sampler.hpp"
-#include "arnet/trace/trace.hpp"
+#include "arnet/runner/sweep.hpp"
 
 using namespace arnet;
 
@@ -65,85 +56,6 @@ fluid::CityConfig make_city(bool smoke) {
   return city;
 }
 
-void json_num(std::ostream& os, double v) {
-  std::ostringstream tmp;
-  tmp << std::setprecision(12) << v;
-  os << tmp.str();
-}
-
-void write_benchmark(std::ostream& os, bool& first, const std::string& name,
-                     const fluid::FluidResult& r) {
-  if (!first) os << ",";
-  first = false;
-  const double sim_s = r.sim_seconds > 0 ? r.sim_seconds : 1.0;
-  os << "\n  {\"name\": \"" << obs::json_escape(name) << "\", \"iterations\": "
-     << r.frames << ", \"wall_time_s\": ";
-  json_num(os, sim_s);
-  os << ", \"ops_per_sec\": ";
-  json_num(os, r.served_fps);
-  os << ", \"sim_events\": " << r.ticks << ", \"sim_events_per_sec\": ";
-  json_num(os, static_cast<double>(r.ticks) / sim_s);
-  os << ", \"latency_ns\": {\"mean\": ";
-  json_num(os, r.mean_ms * 1e6);
-  os << ", \"p50\": ";
-  json_num(os, r.p50_ms * 1e6);
-  os << ", \"p90\": ";
-  json_num(os, r.p90_ms * 1e6);
-  os << ", \"p99\": ";
-  json_num(os, r.p99_ms * 1e6);
-  os << ", \"min\": ";
-  json_num(os, r.min_ms * 1e6);
-  os << ", \"max\": ";
-  json_num(os, r.max_ms * 1e6);
-  os << "}}";
-}
-
-/// arnet-bench-v1 emitter fed from simulation results (fluid cells and both
-/// sides of each validation pair; the packet side reuses its CellResult).
-bool write_summary(const std::string& path,
-                   const std::vector<fluid::CityCellOutcome>& cells,
-                   const std::vector<fluid::ValidationRow>& validation) {
-  std::ofstream os(path);
-  if (!os) return false;
-  os << "{\"schema\": \"arnet-bench-v1\", \"suite\": \"scale_city\", \"benchmarks\": [";
-  bool first = true;
-  for (const fluid::CityCellOutcome& c : cells) {
-    write_benchmark(os, first, c.r.name, c.r);
-  }
-  for (const fluid::ValidationRow& v : validation) {
-    std::ostringstream base;
-    base << "validate/u" << std::setw(3) << std::setfill('0')
-         << static_cast<int>(v.users);
-    const fleet::CellResult& p = v.packet;
-    if (!first) os << ",";
-    first = false;
-    const double sim_s = p.sim_seconds > 0 ? p.sim_seconds : 1.0;
-    os << "\n  {\"name\": \"" << obs::json_escape(base.str() + "/packet")
-       << "\", \"iterations\": " << p.results << ", \"wall_time_s\": ";
-    json_num(os, sim_s);
-    os << ", \"ops_per_sec\": ";
-    json_num(os, p.served_fps);
-    os << ", \"sim_events\": " << p.sim_events << ", \"sim_events_per_sec\": ";
-    json_num(os, static_cast<double>(p.sim_events) / sim_s);
-    os << ", \"latency_ns\": {\"mean\": ";
-    json_num(os, p.mean_ms * 1e6);
-    os << ", \"p50\": ";
-    json_num(os, p.p50_ms * 1e6);
-    os << ", \"p90\": ";
-    json_num(os, p.p90_ms * 1e6);
-    os << ", \"p99\": ";
-    json_num(os, p.p99_ms * 1e6);
-    os << ", \"min\": ";
-    json_num(os, p.min_ms * 1e6);
-    os << ", \"max\": ";
-    json_num(os, p.max_ms * 1e6);
-    os << "}}";
-    write_benchmark(os, first, base.str() + "/fluid", v.fluid);
-  }
-  os << "\n]}\n";
-  return os.good();
-}
-
 struct ArchetypeAgg {
   int cells = 0;
   std::size_t servers = 0;
@@ -159,21 +71,14 @@ struct ArchetypeAgg {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = runner::parse_string_flag(argc, argv, "--smoke", "no") != "no";
-  const bool with_report = runner::parse_string_flag(argc, argv, "--report", "no") != "no";
-  const std::string out_dir = runner::parse_out_dir(argc, argv);
-  const std::string seed_str = runner::parse_string_flag(argc, argv, "--seed", "1");
-  runner::ExperimentRunner::Config pool_cfg;
-  pool_cfg.jobs = runner::parse_jobs_flag(argc, argv, 1);
-  pool_cfg.root_seed = std::strtoull(seed_str.c_str(), nullptr, 10);
-  runner::ExperimentRunner pool(pool_cfg);
-
-  fluid::CityConfig city = make_city(smoke);
+  const runner::SweepFlags flags = runner::parse_sweep_flags(argc, argv);
+  runner::ExperimentRunner pool(flags.pool);
+  fluid::CityConfig city = make_city(flags.smoke);
   city.seed = pool.root_seed();
   const std::size_t n_cells = city.cells();
   // Packet-vs-fluid validation pairs ride the same pool as extra runs.
   const std::vector<double> levels = {25, 50, 100, 200};
-  const sim::Time validate_duration = smoke ? sim::seconds(10) : sim::seconds(30);
+  const sim::Time validate_duration = flags.smoke ? sim::seconds(10) : sim::seconds(30);
   const std::size_t n_runs = n_cells + levels.size();
 
   std::cout << "=== city-scale fluid simulation: " << city.grid_x << "x"
@@ -181,28 +86,23 @@ int main(int argc, char** argv) {
             << " h day ===\n"
             << n_cells << " cells + " << levels.size() << " validation pairs, "
             << pool.jobs() << " jobs, root seed " << pool.root_seed()
-            << (smoke ? " (smoke)" : "") << "\n\n";
+            << (flags.smoke ? " (smoke)" : "") << "\n\n";
 
   // One world per run; results, registries and SLO trackers are indexed by
   // run, so every merge below is in cell order no matter how workers
   // interleave — byte-identical output at any --jobs.
   std::vector<fluid::CityCellOutcome> outcomes(n_cells);
-  std::vector<obs::MetricsRegistry> regs(n_cells);
-  std::vector<std::unique_ptr<slo::SloTracker>> slos(n_cells);
+  runner::SweepTelemetry telemetry(n_cells);
   std::vector<fluid::ValidationRow> validation(levels.size());
-  pool.for_each(n_runs, [&](runner::RunContext& ctx) {
-    if (ctx.run_index < n_cells) {
-      const std::string entity =
-          fluid::make_city_cell(city, ctx.run_index, ctx.seed).entity;
-      slos[ctx.run_index] =
-          std::make_unique<slo::SloTracker>(fluid::city_slo_config(city, entity));
-      outcomes[ctx.run_index] = fluid::run_city_cell(
-          city, ctx.run_index, ctx.seed, &regs[ctx.run_index],
-          slos[ctx.run_index].get());
+  obs::MetricsRegistry merged = pool.run_merged(n_runs, [&](runner::RunContext& ctx) {
+    const std::size_t i = ctx.run_index;
+    if (i < n_cells) {
+      const std::string entity = fluid::make_city_cell(city, i, ctx.seed).entity;
+      telemetry.attach_slo(i, fluid::city_slo_config(city, entity));
+      outcomes[i] = fluid::run_city_cell(city, i, ctx.seed, &ctx.metrics, telemetry.slo(i));
     } else {
-      const std::size_t v = ctx.run_index - n_cells;
-      validation[v] =
-          fluid::run_validation_level(levels[v], validate_duration, ctx.seed);
+      validation[i - n_cells] =
+          fluid::run_validation_level(levels[i - n_cells], validate_duration, ctx.seed);
     }
   });
 
@@ -284,67 +184,29 @@ int main(int argc, char** argv) {
   std::cout << "\nfluid vs packet validation (open loop):\n";
   vt.print(std::cout);
 
-  obs::MetricsRegistry merged;
-  for (const obs::MetricsRegistry& r : regs) merged.merge_from(r);
   merged.gauge("city.concurrent_peak", "city").set(peak_concurrent);
   merged.gauge("city.concurrent_peak_slot", "city")
       .set(static_cast<double>(peak_slot));
   merged.gauge("city.cells_total", "city").set(static_cast<double>(n_cells));
   merged.gauge("city.cells_breached", "city").set(breach_cells);
 
-  const std::string metrics_path = runner::out_path(out_dir, "scale_city_metrics.jsonl");
-  {
-    std::ofstream mf(metrics_path);
-    if (!mf) {
-      std::cerr << "cannot write " << metrics_path << "\n";
-      return 1;
-    }
-    obs::write_jsonl(merged, mf);
+  runner::SweepArtifacts out;
+  out.suite = "scale_city";
+  out.out_dir = flags.out_dir;
+  for (const fluid::CityCellOutcome& c : outcomes) {
+    out.rows.push_back(runner::sim_row(c.r.name, c.r, c.r.frames, c.r.served_fps, c.r.ticks));
   }
-  const std::string summary_path = runner::out_path(out_dir, "BENCH_scale_city.json");
-  if (!write_summary(summary_path, outcomes, validation)) {
-    std::cerr << "cannot write " << summary_path << "\n";
-    return 1;
+  for (const fluid::ValidationRow& v : validation) {
+    std::ostringstream base;
+    base << "validate/u" << std::setw(3) << std::setfill('0') << static_cast<int>(v.users);
+    const fleet::CellResult& p = v.packet;
+    out.rows.push_back(
+        runner::sim_row(base.str() + "/packet", p, p.results, p.served_fps, p.sim_events));
+    out.rows.push_back(runner::sim_row(base.str() + "/fluid", v.fluid, v.fluid.frames,
+                                       v.fluid.served_fps, v.fluid.ticks));
   }
-  const std::string slo_path = runner::out_path(out_dir, "scale_city_slo.jsonl");
-  {
-    std::ofstream sf(slo_path);
-    if (!sf) {
-      std::cerr << "cannot write " << slo_path << "\n";
-      return 1;
-    }
-    std::vector<const slo::SloTracker*> trackers;
-    for (const auto& s : slos) trackers.push_back(s.get());
-    slo::write_slo_jsonl(trackers, sf);
-  }
-  // Fluid cells have no packet traces; an empty arnet-sample-v1 file keeps
-  // the report tool's input contract satisfied.
-  const std::string samples_path = runner::out_path(out_dir, "scale_city_samples.jsonl");
-  {
-    std::ofstream pf(samples_path);
-    if (!pf) {
-      std::cerr << "cannot write " << samples_path << "\n";
-      return 1;
-    }
-    trace::write_samples_header(pf);
-    trace::write_samples_end(pf, 0);
-  }
-  std::cout << "\nwrote " << metrics_path << "\nwrote " << summary_path
-            << "\nwrote " << slo_path << "\nwrote " << samples_path << "\n";
-
-  if (with_report) {
-    const std::string report_path = runner::out_path(out_dir, "scale_city_report.html");
-    const std::string cmd = "python3 tools/arnet_report.py --title scale_city --bench " +
-                            summary_path + " --metrics " + metrics_path + " --slo " +
-                            slo_path + " --samples " + samples_path + " --out " +
-                            report_path;
-    // Best effort: report generation rides an external interpreter, and a
-    // bench run without python available should still produce its JSONL.
-    if (std::system(cmd.c_str()) != 0) {
-      std::cerr << "warning: report generation failed: " << cmd << "\n";
-    } else {
-      std::cout << "wrote " << report_path << "\n";
-    }
-  }
-  return 0;
+  out.metrics = &merged;
+  out.telemetry = &telemetry;
+  out.report = flags.report;
+  return runner::write_sweep(out);
 }

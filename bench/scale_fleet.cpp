@@ -7,38 +7,25 @@
 // Each cell is an independent simulation world fanned across an
 // ExperimentRunner pool (`--jobs N`), with per-cell seeds derived from the
 // root seed by run index — output is byte-identical for any job count.
-// Artifacts land under --out-dir (default bench-out/):
+// Artifacts land under --out-dir (default bench-out/), written by
+// runner::write_sweep (runner/sweep.hpp lists the files):
 //   scale_fleet_metrics.jsonl   merged arnet-obs-v2 registry (all cells)
 //   BENCH_scale_fleet.json      arnet-bench-v1 summary, sim-derived values
 // With --slo yes, each cell additionally runs the full telemetry stack
-// (tracer + tail sampler + SLO tracker; fingerprint-neutral observers):
-//   scale_fleet_slo.jsonl       arnet-slo-v1 burn/alert log, cell order
-//   scale_fleet_samples.jsonl   arnet-sample-v1 retained trace sets
-// With --report yes (implies the files above exist), tools/arnet_report.py
-// is invoked to render bench-out/scale_fleet_report.html.
-//
-// The summary deliberately reports *simulated* time as wall_time_s and
-// completed frames as iterations: the numbers are properties of the model,
-// not of the host machine, which is what keeps serial and parallel runs
-// byte-identical and the file diffable across CI runs.
-#include <cstdint>
-#include <cstdlib>
-#include <fstream>
+// (tracer + tail sampler + SLO tracker; fingerprint-neutral observers) and
+// the sweep also writes scale_fleet_slo.jsonl and scale_fleet_samples.jsonl.
+// With --report yes, tools/arnet_report.py renders scale_fleet_report.html
+// from them.
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "arnet/core/table.hpp"
 #include "arnet/fleet/scenario.hpp"
-#include "arnet/obs/export.hpp"
 #include "arnet/runner/experiment.hpp"
-#include "arnet/slo/slo.hpp"
-#include "arnet/trace/sampler.hpp"
-#include "arnet/trace/trace.hpp"
+#include "arnet/runner/sweep.hpp"
 
 using namespace arnet;
 
@@ -109,96 +96,34 @@ std::vector<fleet::CellConfig> build_cells(bool smoke) {
   return cells;
 }
 
-void json_num(std::ostream& os, double v) {
-  std::ostringstream tmp;
-  tmp << std::setprecision(12) << v;
-  os << tmp.str();
-}
-
-/// arnet-bench-v1 emitter fed from simulation results instead of host
-/// timers (see header comment; json_bench.hpp documents the schema).
-bool write_summary(const std::string& path, const std::vector<fleet::CellResult>& results) {
-  std::ofstream os(path);
-  if (!os) return false;
-  os << "{\"schema\": \"arnet-bench-v1\", \"suite\": \"scale_fleet\", \"benchmarks\": [";
-  bool first = true;
-  for (const fleet::CellResult& r : results) {
-    if (!first) os << ",";
-    first = false;
-    const double sim_s = r.sim_seconds > 0 ? r.sim_seconds : 1.0;
-    os << "\n  {\"name\": \"" << obs::json_escape(r.name) << "\", \"iterations\": "
-       << r.results << ", \"wall_time_s\": ";
-    json_num(os, sim_s);
-    os << ", \"ops_per_sec\": ";
-    json_num(os, r.served_fps);
-    os << ", \"sim_events\": " << r.sim_events << ", \"sim_events_per_sec\": ";
-    json_num(os, static_cast<double>(r.sim_events) / sim_s);
-    os << ", \"latency_ns\": {\"mean\": ";
-    json_num(os, r.mean_ms * 1e6);
-    os << ", \"p50\": ";
-    json_num(os, r.p50_ms * 1e6);
-    os << ", \"p90\": ";
-    json_num(os, r.p90_ms * 1e6);
-    os << ", \"p99\": ";
-    json_num(os, r.p99_ms * 1e6);
-    os << ", \"min\": ";
-    json_num(os, r.min_ms * 1e6);
-    os << ", \"max\": ";
-    json_num(os, r.max_ms * 1e6);
-    os << "}}";
-  }
-  os << "\n]}\n";
-  return os.good();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = runner::parse_string_flag(argc, argv, "--smoke", "no") != "no";
-  const bool with_slo = runner::parse_string_flag(argc, argv, "--slo", "no") != "no";
-  const bool with_report = runner::parse_string_flag(argc, argv, "--report", "no") != "no";
-  const std::string out_dir = runner::parse_out_dir(argc, argv);
-  const std::string seed_str = runner::parse_string_flag(argc, argv, "--seed", "1");
-  runner::ExperimentRunner::Config pool_cfg;
-  pool_cfg.jobs = runner::parse_jobs_flag(argc, argv, 1);
-  pool_cfg.root_seed = std::strtoull(seed_str.c_str(), nullptr, 10);
-  runner::ExperimentRunner pool(pool_cfg);
+  const runner::SweepFlags flags = runner::parse_sweep_flags(argc, argv);
+  runner::ExperimentRunner pool(flags.pool);
 
-  const std::vector<fleet::CellConfig> cells = build_cells(smoke);
+  const std::vector<fleet::CellConfig> cells = build_cells(flags.smoke);
   std::cout << "=== fleet capacity sweep: users vs m2p latency ===\n"
             << cells.size() << " cells, " << pool.jobs() << " jobs, root seed "
-            << pool.root_seed() << (smoke ? " (smoke)" : "") << "\n\n";
+            << pool.root_seed() << (flags.smoke ? " (smoke)" : "") << "\n\n";
 
   // One world per cell; results and registries are indexed by run, so the
-  // merge below is in cell order no matter how workers interleave.
+  // merge is in cell order no matter how workers interleave.
   std::vector<fleet::CellResult> results(cells.size());
-  std::vector<obs::MetricsRegistry> regs(cells.size());
-  // Telemetry attachments are also per-cell (Tracer/TailSampler are
-  // non-copyable: one world, one observer set), constructed inside the
-  // worker from run-index-derived seeds so --jobs N stays byte-identical.
-  // No FlightRecorder here: its check-failure hook is process-global.
-  std::vector<std::unique_ptr<trace::Tracer>> tracers(cells.size());
-  std::vector<std::unique_ptr<trace::TailSampler>> samplers(cells.size());
-  std::vector<std::unique_ptr<slo::SloTracker>> slos(cells.size());
-  pool.for_each(cells.size(), [&](runner::RunContext& ctx) {
+  runner::SweepTelemetry telemetry(cells.size());
+  obs::MetricsRegistry merged = pool.run_merged(cells.size(), [&](runner::RunContext& ctx) {
+    const std::size_t i = ctx.run_index;
     fleet::CellTelemetry t;
-    t.metrics = &regs[ctx.run_index];
-    if (with_slo) {
-      tracers[ctx.run_index] = std::make_unique<trace::Tracer>();
-      // Sampled sweep: the sampler's span budget is the retention store, so
-      // skip the per-entity rings (nothing here exports them).
-      tracers[ctx.run_index]->set_sink_only(true);
-      trace::SamplerConfig sc;
-      sc.seed = runner::derive_seed(ctx.seed, 0x5A3917);
-      samplers[ctx.run_index] = std::make_unique<trace::TailSampler>(sc);
+    t.metrics = &ctx.metrics;
+    if (flags.slo) {
       slo::SloConfig lc;
-      lc.entity = cells[ctx.run_index].name;
-      slos[ctx.run_index] = std::make_unique<slo::SloTracker>(lc);
-      t.tracer = tracers[ctx.run_index].get();
-      t.sampler = samplers[ctx.run_index].get();
-      t.slo = slos[ctx.run_index].get();
+      lc.entity = cells[i].name;
+      telemetry.attach(i, ctx.seed, lc);
+      t.tracer = telemetry.tracer(i);
+      t.sampler = telemetry.sampler(i);
+      t.slo = telemetry.slo(i);
     }
-    results[ctx.run_index] = fleet::run_capacity_cell(cells[ctx.run_index], ctx.seed, t);
+    results[i] = fleet::run_capacity_cell(cells[i], ctx.seed, t);
   });
 
   core::TablePrinter t({"cell", "admit", "downgrade", "reject", "frames", "p50",
@@ -238,67 +163,14 @@ int main(int argc, char** argv) {
   }
   flush();
 
-  obs::MetricsRegistry merged;
-  for (const obs::MetricsRegistry& r : regs) merged.merge_from(r);
-  const std::string metrics_path = runner::out_path(out_dir, "scale_fleet_metrics.jsonl");
-  {
-    std::ofstream mf(metrics_path);
-    if (!mf) {
-      std::cerr << "cannot write " << metrics_path << "\n";
-      return 1;
-    }
-    obs::write_jsonl(merged, mf);
+  runner::SweepArtifacts out;
+  out.suite = "scale_fleet";
+  out.out_dir = flags.out_dir;
+  for (const fleet::CellResult& r : results) {
+    out.rows.push_back(runner::sim_row(r.name, r, r.results, r.served_fps, r.sim_events));
   }
-  const std::string summary_path = runner::out_path(out_dir, "BENCH_scale_fleet.json");
-  if (!write_summary(summary_path, results)) {
-    std::cerr << "cannot write " << summary_path << "\n";
-    return 1;
-  }
-  std::cout << "\nwrote " << metrics_path << "\nwrote " << summary_path << "\n";
-
-  if (with_slo) {
-    const std::string slo_path = runner::out_path(out_dir, "scale_fleet_slo.jsonl");
-    {
-      std::ofstream sf(slo_path);
-      if (!sf) {
-        std::cerr << "cannot write " << slo_path << "\n";
-        return 1;
-      }
-      std::vector<const slo::SloTracker*> trackers;
-      for (const auto& s : slos) trackers.push_back(s.get());
-      slo::write_slo_jsonl(trackers, sf);
-    }
-    const std::string samples_path = runner::out_path(out_dir, "scale_fleet_samples.jsonl");
-    {
-      std::ofstream pf(samples_path);
-      if (!pf) {
-        std::cerr << "cannot write " << samples_path << "\n";
-        return 1;
-      }
-      trace::write_samples_header(pf);
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        trace::append_samples_run(*samplers[i], *tracers[i], cells[i].name, pf);
-      }
-      trace::write_samples_end(pf, cells.size());
-    }
-    std::cout << "wrote " << slo_path << "\nwrote " << samples_path << "\n";
-
-    if (with_report) {
-      const std::string report_path = runner::out_path(out_dir, "scale_fleet_report.html");
-      const std::string cmd = "python3 tools/arnet_report.py --title scale_fleet --bench " +
-                              summary_path + " --metrics " + metrics_path + " --slo " +
-                              slo_path + " --samples " + samples_path + " --out " +
-                              report_path;
-      // Best effort: report generation rides an external interpreter, and a
-      // bench run without python available should still produce its JSONL.
-      if (std::system(cmd.c_str()) != 0) {
-        std::cerr << "warning: report generation failed: " << cmd << "\n";
-      } else {
-        std::cout << "wrote " << report_path << "\n";
-      }
-    }
-  } else if (with_report) {
-    std::cerr << "warning: --report requires --slo yes; skipping report\n";
-  }
-  return 0;
+  out.metrics = &merged;
+  out.telemetry = flags.slo ? &telemetry : nullptr;
+  out.report = flags.report;
+  return runner::write_sweep(out);
 }

@@ -11,36 +11,21 @@
 // root seed by run index — output is byte-identical for any job count.
 // Artifacts land under --out-dir (default bench-out/):
 //   sec_transport_shootout_report.txt   this console report
-//   BENCH_sec_transport_shootout.json   arnet-bench-v1 summary, sim-derived
+//   BENCH_sec_transport_shootout.json   arnet-bench-v1 summary, sim-derived,
+//                                       with the on-time/late/incomplete split
 // With --slo yes, each cell also runs tracer + tail sampler + SLO tracker
-// (fingerprint-neutral observers) and exports:
-//   sec_transport_shootout_slo.jsonl      arnet-slo-v1 burn/alert log
-//   sec_transport_shootout_samples.jsonl  arnet-sample-v1 retained traces
-// With --report yes, tools/arnet_report.py renders
-// bench-out/sec_transport_shootout_report.html from those artifacts.
-//
-// As in scale_fleet, the summary reports *simulated* time as wall_time_s and
-// frames as iterations: the numbers are properties of the model, not of the
-// host machine, which keeps serial and parallel runs byte-identical and the
-// file diffable across CI runs.
-#include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <iomanip>
+// (fingerprint-neutral observers) and runner::write_sweep adds
+// sec_transport_shootout_slo.jsonl and sec_transport_shootout_samples.jsonl;
+// with --report yes, tools/arnet_report.py renders
+// sec_transport_shootout_report.html from them.
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "arnet/core/shootout.hpp"
 #include "arnet/core/table.hpp"
-#include "arnet/obs/export.hpp"
 #include "arnet/runner/experiment.hpp"
-#include "arnet/slo/slo.hpp"
-#include "arnet/trace/sampler.hpp"
-#include "arnet/trace/trace.hpp"
+#include "arnet/runner/sweep.hpp"
 
 using namespace arnet;
 
@@ -65,100 +50,33 @@ std::vector<core::ShootoutCellConfig> build_cells(bool smoke) {
   return cells;
 }
 
-void json_num(std::ostream& os, double v) {
-  std::ostringstream tmp;
-  tmp << std::setprecision(12) << v;
-  os << tmp.str();
-}
-
-/// arnet-bench-v1 emitter fed from simulation results instead of host timers
-/// (json_bench.hpp documents the schema).
-bool write_summary(const std::string& path,
-                   const std::vector<core::ShootoutCellResult>& results) {
-  std::ofstream os(path);
-  if (!os) return false;
-  os << "{\"schema\": \"arnet-bench-v1\", \"suite\": \"sec_transport_shootout\", "
-        "\"benchmarks\": [";
-  bool first = true;
-  for (const core::ShootoutCellResult& r : results) {
-    if (!first) os << ",";
-    first = false;
-    const double sim_s = r.sim_seconds > 0 ? r.sim_seconds : 1.0;
-    os << "\n  {\"name\": \"" << obs::json_escape(r.name)
-       << "\", \"iterations\": " << r.frames_sent << ", \"wall_time_s\": ";
-    json_num(os, sim_s);
-    os << ", \"ops_per_sec\": ";
-    json_num(os, static_cast<double>(r.frames_sent) / sim_s);
-    os << ", \"sim_events\": " << r.sim_events << ", \"sim_events_per_sec\": ";
-    json_num(os, static_cast<double>(r.sim_events) / sim_s);
-    os << ", \"frames_on_time\": " << r.frames_on_time
-       << ", \"frames_late\": " << r.frames_late
-       << ", \"frames_incomplete\": " << r.frames_incomplete << ", \"hit_ratio\": ";
-    json_num(os, r.hit_ratio);
-    os << ", \"goodput_mbps\": ";
-    json_num(os, r.goodput_mbps);
-    os << ", \"latency_ns\": {\"mean\": ";
-    json_num(os, r.mean_ms * 1e6);
-    os << ", \"p50\": ";
-    json_num(os, r.p50_ms * 1e6);
-    os << ", \"p90\": ";
-    json_num(os, r.p90_ms * 1e6);
-    os << ", \"p99\": ";
-    json_num(os, r.p99_ms * 1e6);
-    os << ", \"min\": ";
-    json_num(os, r.min_ms * 1e6);
-    os << ", \"max\": ";
-    json_num(os, r.max_ms * 1e6);
-    os << "}}";
-  }
-  os << "\n]}\n";
-  return os.good();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = runner::parse_string_flag(argc, argv, "--smoke", "no") != "no";
-  const bool with_slo = runner::parse_string_flag(argc, argv, "--slo", "no") != "no";
-  const bool with_report = runner::parse_string_flag(argc, argv, "--report", "no") != "no";
-  const std::string out_dir = runner::parse_out_dir(argc, argv);
-  const std::string seed_str = runner::parse_string_flag(argc, argv, "--seed", "1");
-  runner::ExperimentRunner::Config pool_cfg;
-  pool_cfg.jobs = runner::parse_jobs_flag(argc, argv, 1);
-  pool_cfg.root_seed = std::strtoull(seed_str.c_str(), nullptr, 10);
-  runner::ExperimentRunner pool(pool_cfg);
-  runner::ReportTee tee(runner::out_path(out_dir, "sec_transport_shootout_report.txt"));
+  const runner::SweepFlags flags = runner::parse_sweep_flags(argc, argv);
+  runner::ExperimentRunner pool(flags.pool);
+  runner::ReportTee tee(runner::out_path(flags.out_dir, "sec_transport_shootout_report.txt"));
 
-  const std::vector<core::ShootoutCellConfig> cells = build_cells(smoke);
+  const std::vector<core::ShootoutCellConfig> cells = build_cells(flags.smoke);
   std::cout << "=== transport shootout: frame deadlines over WiFi / LTE / 5G NR ===\n"
             << cells.size() << " cells, " << pool.jobs() << " jobs, root seed "
-            << pool.root_seed() << (smoke ? " (smoke)" : "") << "\n\n";
+            << pool.root_seed() << (flags.smoke ? " (smoke)" : "") << "\n\n";
 
   std::vector<core::ShootoutCellResult> results(cells.size());
-  // Per-cell telemetry (Tracer/TailSampler are non-copyable; one world, one
-  // observer set), constructed inside the worker from run-derived seeds so
-  // --jobs N stays byte-identical.
-  std::vector<std::unique_ptr<trace::Tracer>> tracers(cells.size());
-  std::vector<std::unique_ptr<trace::TailSampler>> samplers(cells.size());
-  std::vector<std::unique_ptr<slo::SloTracker>> slos(cells.size());
+  runner::SweepTelemetry telemetry(cells.size());
   pool.for_each(cells.size(), [&](runner::RunContext& ctx) {
+    const std::size_t i = ctx.run_index;
     core::ShootoutTelemetry t;
-    if (with_slo) {
-      tracers[ctx.run_index] = std::make_unique<trace::Tracer>();
-      // Sampled sweep: retention lives in the sampler, skip the rings.
-      tracers[ctx.run_index]->set_sink_only(true);
-      trace::SamplerConfig sc;
-      sc.seed = runner::derive_seed(ctx.seed, 0x5A3917);
-      samplers[ctx.run_index] = std::make_unique<trace::TailSampler>(sc);
+    if (flags.slo) {
       slo::SloConfig lc;
-      lc.entity = cells[ctx.run_index].name();
-      lc.deadline_ms = sim::to_milliseconds(cells[ctx.run_index].deadline);
-      slos[ctx.run_index] = std::make_unique<slo::SloTracker>(lc);
-      t.tracer = tracers[ctx.run_index].get();
-      t.sampler = samplers[ctx.run_index].get();
-      t.slo = slos[ctx.run_index].get();
+      lc.entity = cells[i].name();
+      lc.deadline_ms = sim::to_milliseconds(cells[i].deadline);
+      telemetry.attach(i, ctx.seed, lc);
+      t.tracer = telemetry.tracer(i);
+      t.sampler = telemetry.sampler(i);
+      t.slo = telemetry.slo(i);
     }
-    results[ctx.run_index] = core::run_shootout_cell(cells[ctx.run_index], ctx.seed, t);
+    results[i] = core::run_shootout_cell(cells[i], ctx.seed, t);
   });
 
   core::TablePrinter t({"cell", "frames", "on-time", "late", "incomp", "hit %", "p50",
@@ -189,59 +107,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string summary_path =
-      runner::out_path(out_dir, "BENCH_sec_transport_shootout.json");
-  if (!write_summary(summary_path, results)) {
-    std::cerr << "cannot write " << summary_path << "\n";
-    return 1;
+  runner::SweepArtifacts out;
+  out.suite = "sec_transport_shootout";
+  out.out_dir = flags.out_dir;
+  for (const core::ShootoutCellResult& r : results) {
+    runner::BenchRow row = runner::sim_row(r.name, r, r.frames_sent, 0.0, r.sim_events);
+    row.ops_per_sec = static_cast<double>(r.frames_sent) / row.wall_time_s;
+    row.extra = {{"frames_on_time", static_cast<double>(r.frames_on_time)},
+                 {"frames_late", static_cast<double>(r.frames_late)},
+                 {"frames_incomplete", static_cast<double>(r.frames_incomplete)},
+                 {"hit_ratio", r.hit_ratio},
+                 {"goodput_mbps", r.goodput_mbps}};
+    out.rows.push_back(std::move(row));
   }
-  std::cout << "\nwrote " << summary_path << "\n";
-
-  if (with_slo) {
-    const std::string slo_path =
-        runner::out_path(out_dir, "sec_transport_shootout_slo.jsonl");
-    {
-      std::ofstream sf(slo_path);
-      if (!sf) {
-        std::cerr << "cannot write " << slo_path << "\n";
-        return 1;
-      }
-      std::vector<const slo::SloTracker*> trackers;
-      for (const auto& s : slos) trackers.push_back(s.get());
-      slo::write_slo_jsonl(trackers, sf);
-    }
-    const std::string samples_path =
-        runner::out_path(out_dir, "sec_transport_shootout_samples.jsonl");
-    {
-      std::ofstream pf(samples_path);
-      if (!pf) {
-        std::cerr << "cannot write " << samples_path << "\n";
-        return 1;
-      }
-      trace::write_samples_header(pf);
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        trace::append_samples_run(*samplers[i], *tracers[i], cells[i].name(), pf);
-      }
-      trace::write_samples_end(pf, cells.size());
-    }
-    std::cout << "wrote " << slo_path << "\nwrote " << samples_path << "\n";
-
-    if (with_report) {
-      const std::string report_path =
-          runner::out_path(out_dir, "sec_transport_shootout_report.html");
-      const std::string cmd =
-          "python3 tools/arnet_report.py --title sec_transport_shootout --bench " +
-          summary_path + " --slo " + slo_path + " --samples " + samples_path + " --out " +
-          report_path;
-      // Best effort: a bench run without python should still produce JSONL.
-      if (std::system(cmd.c_str()) != 0) {
-        std::cerr << "warning: report generation failed: " << cmd << "\n";
-      } else {
-        std::cout << "wrote " << report_path << "\n";
-      }
-    }
-  } else if (with_report) {
-    std::cerr << "warning: --report requires --slo yes; skipping report\n";
-  }
-  return 0;
+  out.telemetry = flags.slo ? &telemetry : nullptr;
+  out.report = flags.report;
+  return runner::write_sweep(out);
 }

@@ -1,0 +1,164 @@
+#include "arnet/runner/sweep.hpp"
+
+#include <cstdlib>
+#include <fstream>
+#include <iomanip>
+#include <iostream>
+#include <sstream>
+
+#include "arnet/obs/export.hpp"
+
+namespace arnet::runner {
+
+namespace {
+
+void json_num(std::ostream& os, double v) {
+  std::ostringstream tmp;
+  tmp << std::setprecision(12) << v;
+  os << tmp.str();
+}
+
+}  // namespace
+
+void write_bench_json(std::ostream& os, const std::string& suite,
+                      const std::vector<BenchRow>& rows) {
+  os << "{\"schema\": \"arnet-bench-v1\", \"suite\": \"" << obs::json_escape(suite)
+     << "\", \"benchmarks\": [";
+  bool first = true;
+  for (const BenchRow& r : rows) {
+    if (!first) os << ",";
+    first = false;
+    os << "\n  {\"name\": \"" << obs::json_escape(r.name) << "\", \"iterations\": "
+       << r.iterations << ", \"wall_time_s\": ";
+    json_num(os, r.wall_time_s);
+    os << ", \"ops_per_sec\": ";
+    json_num(os, r.ops_per_sec);
+    os << ", \"sim_events\": " << r.sim_events << ", \"sim_events_per_sec\": ";
+    json_num(os, static_cast<double>(r.sim_events) / r.wall_time_s);
+    for (const auto& [key, value] : r.extra) {
+      os << ", \"" << obs::json_escape(key) << "\": ";
+      json_num(os, value);
+    }
+    const BenchRow::Latency& l = r.latency_ns;
+    os << ", \"latency_ns\": {\"mean\": ";
+    json_num(os, l.mean);
+    os << ", \"p50\": ";
+    json_num(os, l.p50);
+    os << ", \"p90\": ";
+    json_num(os, l.p90);
+    os << ", \"p99\": ";
+    json_num(os, l.p99);
+    os << ", \"min\": ";
+    json_num(os, l.min);
+    os << ", \"max\": ";
+    json_num(os, l.max);
+    os << "}}";
+  }
+  os << "\n]}\n";
+}
+
+void SweepTelemetry::attach(std::size_t cell, std::uint64_t run_seed,
+                            const slo::SloConfig& slo) {
+  Cell& c = cells_[cell];
+  c.tracer = std::make_unique<trace::Tracer>();
+  c.tracer->set_sink_only(true);
+  trace::SamplerConfig sc;
+  sc.seed = derive_seed(run_seed, 0x5A3917);
+  c.sampler = std::make_unique<trace::TailSampler>(sc);
+  c.slo = std::make_unique<slo::SloTracker>(slo);
+}
+
+void SweepTelemetry::attach_slo(std::size_t cell, const slo::SloConfig& slo) {
+  cells_[cell].slo = std::make_unique<slo::SloTracker>(slo);
+}
+
+void SweepTelemetry::write_slo(std::ostream& os) const {
+  std::vector<const slo::SloTracker*> trackers;
+  for (const Cell& c : cells_) {
+    if (c.slo) trackers.push_back(c.slo.get());
+  }
+  slo::write_slo_jsonl(trackers, os);
+}
+
+void SweepTelemetry::write_samples(std::ostream& os) const {
+  trace::write_samples_header(os);
+  std::size_t runs = 0;
+  for (const Cell& c : cells_) {
+    if (!c.sampler) continue;
+    trace::append_samples_run(*c.sampler, *c.tracer, c.slo->config().entity, os);
+    ++runs;
+  }
+  trace::write_samples_end(os, runs);
+}
+
+int write_sweep(const SweepArtifacts& a) {
+  // Writes one artifact and returns its path, or "" after reporting the
+  // failure. The first announcement of a sweep follows a blank line.
+  bool announced = false;
+  auto write = [&](const std::string& file, auto emit) -> std::string {
+    const std::string path = out_path(a.out_dir, file);
+    std::ofstream os(path);
+    if (os) emit(os);
+    if (!os) {
+      std::cerr << "cannot write " << path << "\n";
+      return "";
+    }
+    std::cout << (announced ? "wrote " : "\nwrote ") << path << "\n";
+    announced = true;
+    return path;
+  };
+
+  std::string metrics_path;
+  if (a.metrics) {
+    metrics_path = write(a.suite + "_metrics.jsonl",
+                         [&](std::ostream& os) { obs::write_jsonl(*a.metrics, os); });
+    if (metrics_path.empty()) return 1;
+  }
+  const std::string summary_path = write(
+      "BENCH_" + a.suite + ".json",
+      [&](std::ostream& os) { write_bench_json(os, a.suite, a.rows); });
+  if (summary_path.empty()) return 1;
+  std::string slo_path, samples_path;
+  if (a.telemetry) {
+    slo_path = write(a.suite + "_slo.jsonl",
+                     [&](std::ostream& os) { a.telemetry->write_slo(os); });
+    if (slo_path.empty()) return 1;
+    samples_path = write(a.suite + "_samples.jsonl",
+                         [&](std::ostream& os) { a.telemetry->write_samples(os); });
+    if (samples_path.empty()) return 1;
+  }
+
+  if (!a.report) return 0;
+  if (!a.telemetry) {
+    std::cerr << "warning: --report requires --slo yes; skipping report\n";
+    return 0;
+  }
+  const std::string report_path = out_path(a.out_dir, a.suite + "_report.html");
+  std::string cmd = "python3 tools/arnet_report.py --title " + a.suite + " --bench " +
+                    summary_path;
+  if (a.metrics) cmd += " --metrics " + metrics_path;
+  cmd += " --slo " + slo_path + " --samples " + samples_path + " --out " + report_path;
+  if (std::system(cmd.c_str()) != 0) {
+    std::cerr << "warning: report generation failed: " << cmd << "\n";
+  } else {
+    std::cout << "wrote " << report_path << "\n";
+  }
+  return 0;
+}
+
+SweepFlags parse_sweep_flags(int argc, char** argv) {
+  auto yes = [&](const char* name) {
+    return parse_string_flag(argc, argv, name, "no") != "no";
+  };
+  SweepFlags f;
+  f.smoke = yes("--smoke");
+  f.slo = yes("--slo");
+  f.report = yes("--report");
+  f.out_dir = parse_out_dir(argc, argv);
+  f.pool.jobs = parse_jobs_flag(argc, argv, 1);
+  const std::string seed = parse_string_flag(argc, argv, "--seed", "1");
+  f.pool.root_seed = std::strtoull(seed.c_str(), nullptr, 10);
+  return f;
+}
+
+}  // namespace arnet::runner

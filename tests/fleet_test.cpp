@@ -337,8 +337,8 @@ TEST(FleetDeterminism, SameSeedSameAdmissionLogAndStats) {
 
 TEST(FleetDeterminism, SerialAndParallelSweepsAreByteIdentical) {
   // Exactly the bench's structure: per-cell registries, merged in run-index
-  // order, exported as arnet-obs-v1 — the merged JSONL must not depend on
-  // the worker count.
+  // order by run_merged and exported as arnet-obs JSONL — the merged JSONL
+  // must not depend on the worker count.
   std::vector<fleet::CellConfig> cells;
   for (double users : {30.0, 60.0, 90.0}) {
     fleet::CellConfig c;
@@ -354,12 +354,9 @@ TEST(FleetDeterminism, SerialAndParallelSweepsAreByteIdentical) {
     pc.jobs = jobs;
     pc.root_seed = 5;
     runner::ExperimentRunner pool(pc);
-    std::vector<obs::MetricsRegistry> regs(cells.size());
-    pool.for_each(cells.size(), [&](runner::RunContext& ctx) {
-      fleet::run_capacity_cell(cells[ctx.run_index], ctx.seed, &regs[ctx.run_index]);
+    const obs::MetricsRegistry merged = pool.run_merged(cells.size(), [&](runner::RunContext& ctx) {
+      fleet::run_capacity_cell(cells[ctx.run_index], ctx.seed, &ctx.metrics);
     });
-    obs::MetricsRegistry merged;
-    for (const obs::MetricsRegistry& r : regs) merged.merge_from(r);
     std::ostringstream os;
     obs::write_jsonl(merged, os);
     return os.str();

@@ -15,6 +15,7 @@
 #include "arnet/obs/export.hpp"
 #include "arnet/obs/registry.hpp"
 #include "arnet/runner/experiment.hpp"
+#include "arnet/runner/sweep.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/slo/slo.hpp"
 
@@ -366,28 +367,22 @@ fluid::CityConfig tiny_city() {
 // indexed by run, merged in cell order after the pool drains.
 std::pair<std::string, std::string> run_city_merged(int jobs) {
   const fluid::CityConfig city = tiny_city();
-  std::vector<obs::MetricsRegistry> regs(city.cells());
-  std::vector<std::unique_ptr<slo::SloTracker>> slos(city.cells());
+  runner::SweepTelemetry telemetry(city.cells());
   runner::ExperimentRunner::Config pc;
   pc.jobs = jobs;
   pc.root_seed = city.seed;
   runner::ExperimentRunner pool(pc);
-  pool.for_each(city.cells(), [&](runner::RunContext& ctx) {
+  const obs::MetricsRegistry merged = pool.run_merged(city.cells(), [&](runner::RunContext& ctx) {
     const std::string entity =
         fluid::make_city_cell(city, ctx.run_index, ctx.seed).entity;
-    slos[ctx.run_index] =
-        std::make_unique<slo::SloTracker>(fluid::city_slo_config(city, entity));
-    fluid::run_city_cell(city, ctx.run_index, ctx.seed, &regs[ctx.run_index],
-                         slos[ctx.run_index].get());
+    telemetry.attach_slo(ctx.run_index, fluid::city_slo_config(city, entity));
+    fluid::run_city_cell(city, ctx.run_index, ctx.seed, &ctx.metrics,
+                         telemetry.slo(ctx.run_index));
   });
-  obs::MetricsRegistry merged;
-  for (const obs::MetricsRegistry& r : regs) merged.merge_from(r);
   std::ostringstream mo;
   obs::write_jsonl(merged, mo);
-  std::vector<const slo::SloTracker*> trackers;
-  for (const auto& s : slos) trackers.push_back(s.get());
   std::ostringstream so;
-  slo::write_slo_jsonl(trackers, so);
+  telemetry.write_slo(so);
   return {mo.str(), so.str()};
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -12,6 +14,7 @@
 #include "arnet/obs/export.hpp"
 #include "arnet/obs/registry.hpp"
 #include "arnet/runner/experiment.hpp"
+#include "arnet/runner/sweep.hpp"
 #include "arnet/sim/rng.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/transport/tcp.hpp"
@@ -170,6 +173,64 @@ TEST(Runner, ForEachRunsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(64);
   pool.for_each(64, [&hits](RunContext& ctx) { hits[ctx.run_index].fetch_add(1); });
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+// Any cell result with the *_ms quantiles and sim_seconds fills a row.
+struct FakeCell {
+  double sim_seconds = 0.0;
+  double mean_ms = 2.0, p50_ms = 1.0, p90_ms = 3.0, p99_ms = 4.5, min_ms = 0.5, max_ms = 9.0;
+};
+
+// The summary layout is an artifact contract: sweep outputs are compared
+// byte for byte across --jobs and across commits.
+TEST(Sweep, BenchJsonLayoutIsPinned) {
+  // No simulated time: wall_time_s falls back to 1 s.
+  BenchRow row = sim_row("u050/\"q\"", FakeCell{}, 12, 0.25, 7);
+  row.extra = {{"frames_late", 3.0}, {"hit_ratio", 1.0 / 3.0}};
+  std::ostringstream os;
+  write_bench_json(os, "demo", {row});
+  EXPECT_EQ(os.str(),
+            "{\"schema\": \"arnet-bench-v1\", \"suite\": \"demo\", \"benchmarks\": [\n"
+            "  {\"name\": \"u050/\\\"q\\\"\", \"iterations\": 12, \"wall_time_s\": 1, "
+            "\"ops_per_sec\": 0.25, \"sim_events\": 7, \"sim_events_per_sec\": 7, "
+            "\"frames_late\": 3, \"hit_ratio\": 0.333333333333, "
+            "\"latency_ns\": {\"mean\": 2000000, \"p50\": 1000000, \"p90\": 3000000, "
+            "\"p99\": 4500000, \"min\": 500000, \"max\": 9000000}}\n]}\n");
+}
+
+TEST(Sweep, WritesEachArtifactNamedAfterTheSuite) {
+  const std::string dir = ::testing::TempDir() + "arnet_sweep_test";
+  auto slurp = [&dir](const std::string& file) {
+    std::ifstream is(dir + "/" + file);
+    return std::string(std::istreambuf_iterator<char>(is), {});
+  };
+  // Cell 0 carries the full stack, cell 1 only an SLO tracker, cell 2 none.
+  SweepTelemetry telemetry(3);
+  slo::SloConfig lc;
+  lc.entity = "cell-0";
+  telemetry.attach(0, derive_seed(1, 0), lc);
+  lc.entity = "cell-1";
+  telemetry.attach_slo(1, lc);
+  obs::MetricsRegistry metrics;
+  metrics.counter("demo.frames", "cell-0").add(3);
+  SweepArtifacts a;
+  a.suite = "demo";
+  a.out_dir = dir;
+  a.rows = {sim_row("cell-0", FakeCell{}, 1, 1.0, 0)};
+  a.metrics = &metrics;
+  a.telemetry = &telemetry;
+  ASSERT_EQ(write_sweep(a), 0);
+
+  EXPECT_NE(slurp("demo_metrics.jsonl").find("\"name\":\"demo.frames\""), std::string::npos);
+  const std::string summary = slurp("BENCH_demo.json");
+  EXPECT_EQ(summary.rfind("{\"schema\": \"arnet-bench-v1\", \"suite\": \"demo\"", 0), 0u);
+  const std::string slo_log = slurp("demo_slo.jsonl");
+  EXPECT_NE(slo_log.find("cell-0"), std::string::npos);
+  EXPECT_NE(slo_log.find("cell-1"), std::string::npos);
+  const std::string samples = slurp("demo_samples.jsonl");
+  EXPECT_NE(samples.find("\"scope\":\"cell-0\""), std::string::npos);
+  EXPECT_EQ(samples.find("cell-1"), std::string::npos);
+  EXPECT_NE(samples.find("\"kind\":\"end\",\"runs\":1"), std::string::npos);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -17,6 +16,7 @@
 #include "arnet/mar/offload.hpp"
 #include "arnet/net/network.hpp"
 #include "arnet/runner/experiment.hpp"
+#include "arnet/runner/sweep.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/slo/slo.hpp"
 #include "arnet/trace/sampler.hpp"
@@ -283,33 +283,21 @@ TEST(TailSamplerDeterminism, SampledSetByteIdenticalSerialVsParallel) {
     pc.jobs = jobs;
     pc.root_seed = 9;
     runner::ExperimentRunner pool(pc);
-    std::vector<std::unique_ptr<trace::Tracer>> tracers(cells.size());
-    std::vector<std::unique_ptr<trace::TailSampler>> samplers(cells.size());
-    std::vector<std::unique_ptr<slo::SloTracker>> slos(cells.size());
+    runner::SweepTelemetry telemetry(cells.size());
     pool.for_each(cells.size(), [&](runner::RunContext& ctx) {
       const std::size_t i = ctx.run_index;
-      tracers[i] = std::make_unique<trace::Tracer>();
-      trace::SamplerConfig sc;
-      sc.seed = runner::derive_seed(ctx.seed, 0x5A3917);
-      samplers[i] = std::make_unique<trace::TailSampler>(sc);
       slo::SloConfig lc;
       lc.entity = cells[i].name;
-      slos[i] = std::make_unique<slo::SloTracker>(lc);
+      telemetry.attach(i, ctx.seed, lc);
       fleet::CellTelemetry t;
-      t.tracer = tracers[i].get();
-      t.sampler = samplers[i].get();
-      t.slo = slos[i].get();
+      t.tracer = telemetry.tracer(i);
+      t.sampler = telemetry.sampler(i);
+      t.slo = telemetry.slo(i);
       fleet::run_capacity_cell(cells[i], ctx.seed, t);
     });
     std::ostringstream samples, slo_log;
-    trace::write_samples_header(samples);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      trace::append_samples_run(*samplers[i], *tracers[i], cells[i].name, samples);
-    }
-    trace::write_samples_end(samples, cells.size());
-    std::vector<const slo::SloTracker*> trackers;
-    for (const auto& s : slos) trackers.push_back(s.get());
-    slo::write_slo_jsonl(trackers, slo_log);
+    telemetry.write_samples(samples);
+    telemetry.write_slo(slo_log);
     return std::pair<std::string, std::string>{samples.str(), slo_log.str()};
   };
   const auto serial = sweep(1);

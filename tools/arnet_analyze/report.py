@@ -1,7 +1,6 @@
 """`arnet-analyze-v1` JSON findings report.
 
-Shape (validated by tools/check_analyze_schema.py, the same posture as the
-existing check_bench_schema.py / check_trace_schema.py gates):
+Shape (validated by tools/check_schema.py, like every other arnet artifact):
 
 {
   "schema": "arnet-analyze-v1",

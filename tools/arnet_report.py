@@ -17,7 +17,7 @@ SVG charts, and per-anomaly Chrome/Perfetto trace-event JSON embedded as
 <script type="application/json"> blobs with a download button (open the
 downloaded file in ui.perfetto.dev). A machine-readable manifest rides in
 <script type="application/json" id="arnet-report-manifest"> with schema
-"arnet-report-v1" — tools/check_report_schema.py validates it in CI.
+"arnet-report-v1" — tools/check_schema.py validates it in CI.
 
 stdlib only; deterministic given deterministic inputs (insertion-ordered
 dicts, stable sorts, no timestamps).
