@@ -264,12 +264,27 @@ DescribedFeatures orb_describe(const Image& img, const std::vector<Feature>& fea
   return out;
 }
 
-std::vector<Match> match_descriptors(const std::vector<Descriptor>& query,
-                                     const std::vector<Descriptor>& train,
-                                     double max_ratio, int max_distance) {
-  std::vector<Match> forward;
-  std::vector<int> best_for_train(train.size(), -1);
-  std::vector<int> best_dist_train(train.size(), 1 << 30);
+// Baseline x86-64 has no popcnt instruction, so std::popcount there is four
+// libgcc calls per 256-bit distance. The matcher is built twice instead, and
+// the loader's ifunc picks the popcnt clone once on hosts that have it. Other
+// ISAs (AArch64 `cnt`) and the ARNET_NO_SIMD build use the one plain body, as
+// does ThreadSanitizer: GCC instruments the ifunc resolver with
+// __tsan_func_entry, which crashes when the loader runs it before the TSan
+// runtime is up.
+#if defined(__x86_64__) && !defined(ARNET_NO_SIMD) && !defined(__SANITIZE_THREAD__)
+#define ARNET_POPCNT_CLONES __attribute__((target_clones("popcnt", "default")))
+#else
+#define ARNET_POPCNT_CLONES
+#endif
+
+ARNET_POPCNT_CLONES
+void match_descriptors(const std::vector<Descriptor>& query,
+                       const std::vector<Descriptor>& train, std::vector<Match>& out,
+                       MatchScratch& scratch, double max_ratio, int max_distance) {
+  std::vector<Match>& forward = scratch.forward;
+  forward.clear();
+  scratch.best_for_train.assign(train.size(), -1);
+  scratch.best_dist_train.assign(train.size(), 1 << 30);
 
   for (std::size_t qi = 0; qi < query.size(); ++qi) {
     int best = 1 << 30, second = 1 << 30, best_ti = -1;
@@ -287,17 +302,25 @@ std::vector<Match> match_descriptors(const std::vector<Descriptor>& query,
     if (second < (1 << 30) && best >= max_ratio * second) continue;  // ambiguous
     forward.push_back({static_cast<int>(qi), best_ti, best});
     auto t = static_cast<std::size_t>(best_ti);
-    if (best < best_dist_train[t]) {
-      best_dist_train[t] = best;
-      best_for_train[t] = static_cast<int>(qi);
+    if (best < scratch.best_dist_train[t]) {
+      scratch.best_dist_train[t] = best;
+      scratch.best_for_train[t] = static_cast<int>(qi);
     }
   }
   // Symmetric cross-check: keep a match only if it is also the train
   // point's best query.
-  std::vector<Match> out;
+  out.clear();
   for (const Match& m : forward) {
-    if (best_for_train[static_cast<std::size_t>(m.train)] == m.query) out.push_back(m);
+    if (scratch.best_for_train[static_cast<std::size_t>(m.train)] == m.query) out.push_back(m);
   }
+}
+
+std::vector<Match> match_descriptors(const std::vector<Descriptor>& query,
+                                     const std::vector<Descriptor>& train,
+                                     double max_ratio, int max_distance) {
+  std::vector<Match> out;
+  MatchScratch scratch;
+  match_descriptors(query, train, out, scratch, max_ratio, max_distance);
   return out;
 }
 

@@ -163,6 +163,22 @@ std::optional<Mat3> estimate_homography_dlt(const std::vector<Correspondence>& p
   return result.normalized();
 }
 
+void homography_inliers(const Mat3& h, const std::vector<Correspondence>& pts,
+                        double threshold_px, std::vector<int>& out) {
+  out.clear();
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const Vec2 mapped = h.apply(pts[i].src);
+    const double dx = mapped.x - pts[i].dst.x;
+    const double dy = mapped.y - pts[i].dst.y;
+    // hypot(dx, dy) >= max(|dx|, |dy|) under faithful rounding, so a point
+    // failing this box test fails `hypot < threshold` too; most of RANSAC's
+    // hypotheses are wrong and reject nearly every point here. The negated
+    // `<` also rejects NaN residuals, as the hypot comparison does.
+    if (!(std::abs(dx) < threshold_px && std::abs(dy) < threshold_px)) continue;
+    if (std::hypot(dx, dy) < threshold_px) out.push_back(static_cast<int>(i));
+  }
+}
+
 std::optional<RansacResult> estimate_homography_ransac(const std::vector<Correspondence>& pts,
                                                        sim::Rng& rng,
                                                        const RansacParams& params) {
@@ -191,14 +207,7 @@ std::optional<RansacResult> estimate_homography_ransac(const std::vector<Corresp
     auto h = homography_from_quad(sample);
     if (!h) continue;
 
-    inliers.clear();
-    for (int i = 0; i < n; ++i) {
-      Vec2 mapped = h->apply(pts[static_cast<std::size_t>(i)].src);
-      if (distance(mapped, pts[static_cast<std::size_t>(i)].dst) <
-          params.inlier_threshold_px) {
-        inliers.push_back(i);
-      }
-    }
+    homography_inliers(*h, pts, params.inlier_threshold_px, inliers);
     if (inliers.size() > best_inliers.size()) {
       std::swap(best_inliers, inliers);
       // Adaptive iteration count from the inlier ratio.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -26,9 +27,8 @@ struct Descriptor {
   std::array<std::uint64_t, 4> bits{};
 
   int hamming(const Descriptor& o) const {
-    int d = 0;
-    for (int i = 0; i < 4; ++i) d += __builtin_popcountll(bits[i] ^ o.bits[i]);
-    return d;
+    return std::popcount(bits[0] ^ o.bits[0]) + std::popcount(bits[1] ^ o.bits[1]) +
+           std::popcount(bits[2] ^ o.bits[2]) + std::popcount(bits[3] ^ o.bits[3]);
   }
 };
 
@@ -66,5 +66,19 @@ struct Match {
 std::vector<Match> match_descriptors(const std::vector<Descriptor>& query,
                                      const std::vector<Descriptor>& train,
                                      double max_ratio = 0.8, int max_distance = 64);
+
+/// Per-call buffers of match_descriptors, kept by a caller that matches many
+/// sets in a row (one frame against every database object) so they are
+/// allocated once rather than once per set.
+struct MatchScratch {
+  std::vector<Match> forward;
+  std::vector<int> best_for_train;
+  std::vector<int> best_dist_train;
+};
+
+/// match_descriptors into `out` (cleared first), reusing `scratch`.
+void match_descriptors(const std::vector<Descriptor>& query,
+                       const std::vector<Descriptor>& train, std::vector<Match>& out,
+                       MatchScratch& scratch, double max_ratio = 0.8, int max_distance = 64);
 
 }  // namespace arnet::vision

@@ -32,6 +32,12 @@ struct RansacParams {
   double confidence = 0.995;  ///< early exit once this is reached
 };
 
+/// RANSAC's consensus test: replace `out` with the indices of the
+/// correspondences that `h` maps strictly within `threshold_px` (Euclidean)
+/// of their destination. NaN or infinite residuals are never inliers.
+void homography_inliers(const Mat3& h, const std::vector<Correspondence>& pts,
+                        double threshold_px, std::vector<int>& out);
+
 /// Robust homography estimation (4-point RANSAC, refined on the consensus
 /// set). This is the "homography" step of the paper's MAR browser model.
 std::optional<RansacResult> estimate_homography_ransac(

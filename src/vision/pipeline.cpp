@@ -25,13 +25,18 @@ std::optional<RecognitionResult> RecognitionPipeline::recognize(
     const DescribedFeatures& frame_features, const ObjectDatabase& db, sim::Rng& rng) const {
   RecognitionResult best;
   bool found = false;
+  // Scratch shared by every object. Objects run in database order through
+  // the one `rng` stream: skipping, reordering or parallelizing them would
+  // change the samples RANSAC draws for the true object.
+  MatchScratch scratch;
+  std::vector<Match> matches;
+  std::vector<Correspondence> corr;
   for (int id = 0; id < static_cast<int>(db.size()); ++id) {
     const auto& obj = db.entry(id);
-    auto matches = match_descriptors(obj.described.descriptors, frame_features.descriptors);
+    match_descriptors(obj.described.descriptors, frame_features.descriptors, matches, scratch);
     if (static_cast<int>(matches.size()) < params_.ransac.min_inliers) continue;
 
-    std::vector<Correspondence> corr;
-    corr.reserve(matches.size());
+    corr.clear();
     for (const Match& m : matches) {
       const Feature& src = obj.described.features[static_cast<std::size_t>(m.query)];
       const Feature& dst = frame_features.features[static_cast<std::size_t>(m.train)];
@@ -58,14 +63,7 @@ std::optional<RecognitionResult> RecognitionPipeline::recognize(
 
 std::optional<RecognitionResult> RecognitionPipeline::recognize_frame(
     const Image& frame, const ObjectDatabase& db, sim::Rng& rng) const {
-  auto feats = extract(frame);
-  auto r = recognize(feats, db, rng);
-  if (r) {
-    r->frame_features = static_cast<int>(feats.features.size());
-    r->feature_upload_bytes =
-        static_cast<std::int64_t>(feats.features.size()) * kSerializedFeatureBytes;
-  }
-  return r;
+  return recognize(extract(frame), db, rng);
 }
 
 }  // namespace arnet::vision

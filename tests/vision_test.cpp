@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "arnet/sim/rng.hpp"
 #include "arnet/vision/features.hpp"
 #include "arnet/vision/geometry.hpp"
@@ -178,6 +185,157 @@ TEST(Match, FindsCorrespondencesUnderTranslation) {
   EXPECT_GT(static_cast<double>(correct) / matches.size(), 0.8);
 }
 
+/// The matcher as it stood before its hardware-popcount build: per-word
+/// `__builtin_popcountll`, fresh per-train arrays on every call. Kept only
+/// as the reference `match_descriptors` must agree with, Match for Match.
+std::vector<Match> naive_match(const std::vector<Descriptor>& query,
+                               const std::vector<Descriptor>& train, double max_ratio = 0.8,
+                               int max_distance = 64) {
+  auto hamming = [](const Descriptor& a, const Descriptor& b) {
+    int d = 0;
+    for (int i = 0; i < 4; ++i) d += __builtin_popcountll(a.bits[i] ^ b.bits[i]);
+    return d;
+  };
+  std::vector<Match> forward;
+  std::vector<int> best_for_train(train.size(), -1);
+  std::vector<int> best_dist_train(train.size(), 1 << 30);
+  for (std::size_t qi = 0; qi < query.size(); ++qi) {
+    int best = 1 << 30, second = 1 << 30, best_ti = -1;
+    for (std::size_t ti = 0; ti < train.size(); ++ti) {
+      int d = hamming(query[qi], train[ti]);
+      if (d < best) {
+        second = best;
+        best = d;
+        best_ti = static_cast<int>(ti);
+      } else if (d < second) {
+        second = d;
+      }
+    }
+    if (best_ti < 0 || best > max_distance) continue;
+    if (second < (1 << 30) && best >= max_ratio * second) continue;
+    forward.push_back({static_cast<int>(qi), best_ti, best});
+    auto t = static_cast<std::size_t>(best_ti);
+    if (best < best_dist_train[t]) {
+      best_dist_train[t] = best;
+      best_for_train[t] = static_cast<int>(qi);
+    }
+  }
+  std::vector<Match> out;
+  for (const Match& m : forward) {
+    if (best_for_train[static_cast<std::size_t>(m.train)] == m.query) out.push_back(m);
+  }
+  return out;
+}
+
+/// A descriptor with exactly the lowest `k` of its 256 bits set.
+Descriptor low_bits(int k) {
+  Descriptor d;
+  for (int b = 0; b < k; ++b) d.bits[static_cast<std::size_t>(b / 64)] |= 1ULL << (b % 64);
+  return d;
+}
+
+std::vector<Descriptor> random_descriptors(sim::Rng& rng, int n) {
+  std::vector<Descriptor> out(static_cast<std::size_t>(n));
+  for (Descriptor& d : out) {
+    for (auto& w : d.bits) w = rng.next_u64();
+  }
+  return out;
+}
+
+/// Checks both entry points against the reference. The scratch-reusing one
+/// keeps its buffers across every case of a test, as the pipeline does
+/// across database objects, so stale per-train state would show.
+struct SameMatches {
+  MatchScratch scratch;
+  std::vector<Match> reused;
+
+  void operator()(const std::vector<Descriptor>& q, const std::vector<Descriptor>& t,
+                  const char* label, double max_ratio = 0.8) {
+    const auto want = naive_match(q, t, max_ratio);
+    match_descriptors(q, t, reused, scratch, max_ratio);
+    for (const auto& got : {match_descriptors(q, t, max_ratio), reused}) {
+      ASSERT_EQ(got.size(), want.size()) << label;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].query, want[i].query) << label << " #" << i;
+        EXPECT_EQ(got[i].train, want[i].train) << label << " #" << i;
+        EXPECT_EQ(got[i].distance, want[i].distance) << label << " #" << i;
+      }
+    }
+  }
+};
+
+TEST(Match, AgreesWithNaiveReference) {
+  SameMatches expect_same_matches;
+  sim::Rng rng(71);
+  // Seeded random sets, plus near-copies so some pairs pass the gates.
+  for (int trial = 0; trial < 6; ++trial) {
+    auto train = random_descriptors(rng, 40 + 37 * trial);
+    auto query = random_descriptors(rng, 30 + 23 * trial);
+    for (std::size_t i = 0; i < query.size() && i < train.size(); i += 2) {
+      query[i] = train[i];
+      for (int flip = 0; flip < 4 * trial; ++flip) {
+        const auto bit = static_cast<std::size_t>(rng.uniform_int(0, 255));
+        query[i].bits[bit / 64] ^= 1ULL << (bit % 64);
+      }
+    }
+    expect_same_matches(query, train, "random");
+    expect_same_matches(train, query, "random, swapped");
+  }
+
+  // Duplicate train descriptors: the first index wins ties, and several
+  // queries landing on one train point leave only its best (first) query.
+  // A tie fails the default ratio test, so a ratio above 1 lets it through.
+  {
+    auto train = random_descriptors(rng, 12);
+    train.push_back(train[3]);
+    train.insert(train.begin(), train[7]);
+    Descriptor near = train[4];  // one bit off the duplicated pair 4 and 13
+    near.bits[2] ^= 1;
+    std::vector<Descriptor> query = {train[0], near, train[4], near, low_bits(5)};
+    expect_same_matches(query, train, "duplicate train");
+    expect_same_matches(query, train, "duplicate train, no ratio test", 2.0);
+    std::vector<Descriptor> unique_train = {low_bits(0), low_bits(100), low_bits(200)};
+    std::vector<Descriptor> repeat_query = {low_bits(3), low_bits(2), low_bits(2), low_bits(90)};
+    expect_same_matches(repeat_query, unique_train, "cross-check ties");
+    const auto tie = match_descriptors({near}, train, 2.0);
+    ASSERT_EQ(tie.size(), 1u);
+    EXPECT_EQ(tie[0].train, 4);
+  }
+
+  // A single train descriptor: the second-best distance stays at its
+  // 1 << 30 sentinel, so only the max_distance gate applies.
+  {
+    std::vector<Descriptor> train = {low_bits(10)};
+    std::vector<Descriptor> query = {low_bits(10), low_bits(74), low_bits(75), low_bits(200)};
+    expect_same_matches(query, train, "single train");
+  }
+
+  // Empty sets.
+  {
+    auto some = random_descriptors(rng, 5);
+    expect_same_matches({}, some, "empty query");
+    expect_same_matches(some, {}, "empty train");
+    expect_same_matches({}, {}, "both empty");
+  }
+
+  // Gate edges: best == max_distance (64) is accepted and 65 is not; the
+  // ratio test rejects best == 0.8 * second exactly (40 vs 50, 64 vs 80).
+  {
+    const Descriptor zero = low_bits(0);
+    for (const auto& [best, second] : std::vector<std::pair<int, int>>{
+             {64, 81}, {64, 80}, {65, 100}, {40, 50}, {40, 51}, {0, 0}, {0, 1}}) {
+      std::vector<Descriptor> train = {low_bits(best), low_bits(second)};
+      if (best == second) train[1] = train[0];
+      expect_same_matches({zero}, train, "gate edge");
+    }
+    const auto edge = match_descriptors({zero}, {low_bits(64), low_bits(81)});
+    ASSERT_EQ(edge.size(), 1u);
+    EXPECT_EQ(edge[0].distance, 64);
+    EXPECT_TRUE(match_descriptors({zero}, {low_bits(40), low_bits(50)}).empty());
+    EXPECT_TRUE(match_descriptors({zero}, {low_bits(65), low_bits(200)}).empty());
+  }
+}
+
 TEST(Dlt, RecoversExactHomographyFromCleanPoints) {
   Mat3 truth = Mat3::similarity(1.1, 0.2, 15, -8);
   truth(2, 0) = 2e-4;
@@ -241,6 +399,87 @@ TEST(Ransac, FailsCleanlyOnPureNoise) {
   params.min_inliers = 12;
   auto r = estimate_homography_ransac(pts, rng, params);
   EXPECT_FALSE(r.has_value());
+}
+
+/// The consensus scan as written before the box pre-reject: one hypot per
+/// point. `homography_inliers` must return exactly these indices.
+std::vector<int> hypot_inliers(const Mat3& h, const std::vector<Correspondence>& pts,
+                               double thr) {
+  std::vector<int> out;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    if (distance(h.apply(pts[i].src), pts[i].dst) < thr) out.push_back(static_cast<int>(i));
+  }
+  return out;
+}
+
+TEST(Ransac, InlierPreRejectMatchesHypotScan) {
+  constexpr double kThr = 3.0;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double under = std::nextafter(kThr, 0.0);
+  const double diag = kThr / std::sqrt(2.0);  // |dx| = |dy|, hypot ~ thr
+  // Residuals (dx, dy) placed exactly: the identity maps the origin to
+  // itself, so dst = -residual gives mapped - dst = residual bit for bit.
+  const std::vector<Vec2> residuals = {
+      {0, 0},          {kThr, 0},      {0, kThr},        {-kThr, 0},     {under, 0},
+      {0, -under},     {under, 0.5},   {under, under},   {2.5, 2.5},     {2.1, 2.1},
+      {diag, diag},    {std::nextafter(diag, 0.0), std::nextafter(diag, 0.0)},
+      {std::nextafter(diag, 9.0), diag},                 {nan, 0},       {0, nan},
+      {inf, 0},        {-inf, nan},    {nan, nan},       {1e300, 1e300}, {1e-300, -1e-300},
+  };
+  std::vector<Correspondence> pts;
+  for (const Vec2& r : residuals) pts.push_back({{0, 0}, {-r.x, -r.y}});
+  std::vector<int> got;
+  homography_inliers(Mat3::identity(), pts, kThr, got);
+  EXPECT_EQ(got, hypot_inliers(Mat3::identity(), pts, kThr));
+  // Exactly at the threshold on an axis is out; just under it is in; a box
+  // hit with hypot over the threshold (indices 6-8) is out; so is every
+  // NaN and infinity. The three near-diagonal points go by their hypot.
+  std::vector<int> want = {0, 4, 5, 9};
+  for (int i : {10, 11, 12}) {
+    const Vec2& r = residuals[static_cast<std::size_t>(i)];
+    if (std::hypot(r.x, r.y) < kThr) want.push_back(i);
+  }
+  want.push_back(19);
+  EXPECT_EQ(got, want);
+
+  // Maps that send points to NaN or infinity: a NaN entry, an infinite
+  // entry, and a projective row whose w vanishes at x = 10 (apply() clamps
+  // it to 1e-12, sending the point far away).
+  std::vector<Correspondence> spread;
+  for (std::size_t i = 0; i < residuals.size(); ++i) {
+    const Vec2 src{static_cast<double>(i), 20.0};
+    spread.push_back({src, {src.x - residuals[i].x, src.y - residuals[i].y}});
+  }
+  Mat3 nan_map;
+  nan_map.m[2] = nan;
+  Mat3 inf_map;
+  inf_map.m[5] = inf;
+  Mat3 horizon;
+  horizon.m = {1, 0, 0, 0, 1, 0, 1, 0, -10};
+  for (const Mat3& h : {Mat3::identity(), nan_map, inf_map, horizon}) {
+    homography_inliers(h, spread, kThr, got);
+    EXPECT_EQ(got, hypot_inliers(h, spread, kThr));
+  }
+
+  // Seeded near-threshold sweep: small projective maps and residuals
+  // spread around the threshold on both axes.
+  sim::Rng rng(89);
+  for (int trial = 0; trial < 200; ++trial) {
+    Mat3 h = Mat3::similarity(rng.uniform(0.8, 1.2), rng.uniform(-0.5, 0.5),
+                              rng.uniform(-20, 20), rng.uniform(-20, 20));
+    h(2, 0) = rng.uniform(-1e-3, 1e-3);
+    h(2, 1) = rng.uniform(-1e-3, 1e-3);
+    std::vector<Correspondence> sweep;
+    for (int i = 0; i < 40; ++i) {
+      const Vec2 src{rng.uniform(0, 320), rng.uniform(0, 240)};
+      const Vec2 mapped = h.apply(src);
+      sweep.push_back({src, {mapped.x + rng.uniform(-4, 4), mapped.y + rng.uniform(-4, 4)}});
+    }
+    const double thr = rng.uniform(0.5, 4.0);
+    homography_inliers(h, sweep, thr, got);
+    ASSERT_EQ(got, hypot_inliers(h, sweep, thr)) << "trial " << trial;
+  }
 }
 
 TEST(Track, FollowsPureTranslation) {
@@ -326,6 +565,52 @@ TEST(Pipeline, FeatureBytesMatchCloudRidArModel) {
   auto feats = pipe.extract(img);
   EXPECT_EQ(static_cast<std::int64_t>(feats.features.size()) * kSerializedFeatureBytes,
             static_cast<std::int64_t>(feats.features.size()) * 36);
+}
+
+/// FNV-1a over the fields a recognition result is judged by.
+struct ResultDigest {
+  std::uint64_t h = 1469598103934665603ULL;
+  void u(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  }
+};
+
+// Pins the one RANSAC RNG stream that runs through every database object in
+// order: matcher or RANSAC changes that skip, reorder or re-draw for any
+// object move the true object's samples, and with them this digest.
+TEST(Pipeline, LargeDatabaseRecognitionGolden) {
+  constexpr int kObjects = 24;
+  sim::Rng rng(73);
+  ObjectDatabase db;
+  std::vector<Image> refs;
+  for (int i = 0; i < kObjects; ++i) {
+    refs.push_back(render_scene(rng, SceneParams{}));
+    db.add_object("object-" + std::to_string(i), refs.back());
+  }
+  RecognitionPipeline pipe;
+  sim::Rng rrng(79);  // shared by every frame's recognition, in order
+  ResultDigest digest;
+  int recognized = 0;
+  for (int f = 0; f < 4; ++f) {
+    const std::uint64_t frame_seed = 83 + static_cast<std::uint64_t>(f);
+    sim::Rng frng(frame_seed);
+    const int truth = static_cast<int>(frng.uniform_int(0, kObjects - 1));
+    Image frame = warp_image(refs[static_cast<std::size_t>(truth)], random_camera_motion(frng));
+    add_noise(frame, frng, 3.0);
+    auto r = pipe.recognize_frame(frame, db, rrng);
+    digest.u(r ? 1 : 0);
+    if (!r) continue;
+    recognized += r->object_id == truth ? 1 : 0;
+    digest.u(static_cast<std::uint64_t>(r->object_id));
+    digest.u(static_cast<std::uint64_t>(r->matches));
+    digest.u(static_cast<std::uint64_t>(r->inliers));
+    for (double v : r->pose.m) digest.u(std::bit_cast<std::uint64_t>(v));
+  }
+  EXPECT_EQ(recognized, 4);
+  EXPECT_EQ(digest.h, 0x7d1f3305bc666d7dULL) << std::hex << "digest 0x" << digest.h;
 }
 
 /// Property sweep: recognition keeps working across motion magnitudes.
