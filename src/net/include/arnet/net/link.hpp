@@ -14,7 +14,6 @@
 #include "arnet/obs/registry.hpp"
 #include "arnet/sim/rng.hpp"
 #include "arnet/sim/simulator.hpp"
-#include "arnet/sim/stats.hpp"
 #include "arnet/trace/trace.hpp"
 
 namespace arnet::net {
@@ -26,29 +25,26 @@ namespace arnet::net {
 /// the new rate applies from the next packet serialization.
 class Link {
  public:
-  /// Hot-path strategy for the serializer/propagation pipeline. All three
-  /// are behaviorally equivalent; they differ in how many simulator events
-  /// and heap allocations a packet costs.
+  /// Hot-path strategy for the serializer/propagation pipeline. Both are
+  /// behaviorally equivalent at the packet level; they differ in how many
+  /// simulator events a packet costs.
   enum class TxPath : std::uint8_t {
-    /// Two events per packet (tx-complete + arrival), each capturing the
-    /// ~200-byte Packet by move (heap-allocated closure). The reference
-    /// implementation the fingerprint tests compare against.
-    kLegacy,
-    /// Same event structure, times, and ordering as kLegacy — sim-level
-    /// fingerprints are identical — but in-flight packets are parked in a
-    /// slab arena and closures capture a 4-byte slot, staying inside the
-    /// simulator's inline callback buffer (no allocation per event).
+    /// Two events per packet (tx-complete + arrival). In-flight packets are
+    /// parked in a slab arena and closures capture a 4-byte slot, staying
+    /// inside the simulator's inline callback buffer (no allocation per
+    /// event). The exact reference the batched path is compared against,
+    /// and its per-transmission fallback.
     kArena,
     /// kArena plus transmit batching: up to kBatchMax queued packets are
     /// dequeued together and their serialization timeline precomputed
     /// (back-to-back), costing one batch-complete event plus one arrival
     /// event per packet instead of two events per packet. Packet-level
-    /// behavior (delivery times/order, drops, metrics totals) is unchanged;
-    /// the simulator-level event stream necessarily differs (fewer events).
-    /// Batching self-disables per transmission — falling back to kArena —
-    /// whenever it could change behavior: time-dependent queue disciplines
-    /// (AQM), a configured loss model (per-packet RNG draw order), or an
-    /// attached tracer (records real event times).
+    /// behavior (delivery times/order, drops, metrics totals, trace events)
+    /// is unchanged; the simulator-level event stream necessarily differs
+    /// (fewer events). Batching self-disables per transmission — falling
+    /// back to kArena — whenever it could change behavior: time-dependent
+    /// queue disciplines (AQM) or a configured loss model (per-packet RNG
+    /// draw order).
     kArenaBatched,
   };
 
@@ -102,7 +98,6 @@ class Link {
   std::int64_t delivered_bytes() const { return delivered_bytes_; }
   std::int64_t delivered_packets() const { return delivered_packets_; }
   std::int64_t lost_packets() const { return lost_packets_; }
-  sim::Summary& queueing_delay_ms() { return queueing_delay_ms_; }
 
   /// Publish this link's behavior into `reg` under `entity` (e.g.
   /// "link:uplink"): per-packet queue sojourn ("queue.sojourn_ms"
@@ -116,8 +111,9 @@ class Link {
   /// life cycle into its ring: kEnqueue on send, kTxStart when serialization
   /// begins (also a WireRecord for pcap export), kRx on delivery, kDrop with
   /// the reason string wherever the packet dies. The tracer must outlive the
-  /// link. Purely observational — no simulator events, no Rng draws — but it
-  /// disables transmit batching (trace events carry real times).
+  /// link. Purely observational — no simulator events, no Rng draws — and it
+  /// leaves transmit batching engaged: a batched packet's kTxStart carries
+  /// its logical serialization start, so the recorded events match kArena's.
   void attach_trace(trace::Tracer& tracer, std::string name);
 
  private:
@@ -137,20 +133,20 @@ class Link {
 
   void start_transmission_if_idle();
   bool batch_eligible() const;
-  void start_transmission_legacy();
   void start_transmission_arena();
   void start_batch();
-  /// Loss roll + arrival scheduling for the kArena path (same timing as the
-  /// legacy on_transmit_complete).
+  /// Loss roll + arrival scheduling for the kArena path.
   void tx_complete_from_arena(std::uint32_t slot);
   /// Final delivery of an arena-parked packet (epoch already checked).
   void deliver_from_arena(std::uint32_t slot);
-  void on_transmit_complete(Packet p);
   /// Batch-complete event: account deferred stats, retire the plan, pump.
   void finish_batch();
   /// Record sojourn/busy-time/utilization for one batch entry using its
   /// logical serialization window (values identical to the un-batched path).
   void record_tx_stats(BatchEntry& e);
+  /// Publish one serialization window [start, tx_end) of a packet queued at
+  /// `enqueued_at` into the attached registry (no-op without attach_obs).
+  void record_tx_stats(sim::Time enqueued_at, sim::Time start, sim::Time tx_end);
   /// Return not-yet-started batch entries (start > now) to the queue head
   /// and re-time the batch-complete event; called when rate or delay changes
   /// invalidate the precomputed timeline. No-op outside a batch.
@@ -194,7 +190,7 @@ class Link {
   std::uint64_t epoch_ = 0;  ///< bumped on set_up(false) to void in-flight packets
   sim::Time last_arrival_ = 0;  ///< FIFO guard when delay shrinks mid-flight
 
-  PacketArena arena_;                ///< in-flight packets (kArena/kArenaBatched)
+  PacketArena arena_;                ///< in-flight packets
   std::vector<BatchEntry> batch_;    ///< active transmit plan (kArenaBatched)
   /// Logical serialization start per arena slot, written at batch-plan time
   /// when a tracer is attached (the arrival lambda stays at 20 captured
@@ -206,7 +202,6 @@ class Link {
   std::int64_t delivered_bytes_ = 0;
   std::int64_t delivered_packets_ = 0;
   std::int64_t lost_packets_ = 0;
-  sim::Summary queueing_delay_ms_;
 
   // Observability (attach_obs): null when not attached.
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -123,11 +123,6 @@ class Network {
     free_port_blocks_[count].push_back(base);
   }
 
-  /// Observation tap invoked for every packet arriving at any node (both
-  /// transit and final delivery). Used by FlowMonitor; keep it cheap.
-  using PacketTap = std::function<void(const Packet&, NodeId at, bool is_destination)>;
-  void set_packet_tap(PacketTap tap) { tap_ = std::move(tap); }
-
   /// Register every link added so far as a trace entity ("link:<name>").
   /// Call after the topology is built; links added later are not traced.
   void attach_trace(trace::Tracer& tracer) {
@@ -167,7 +162,6 @@ class Network {
   // next_hop_[a][dst] -> neighbor
   std::vector<std::vector<NodeId>> next_hop_;
   bool routes_fresh_ = false;
-  PacketTap tap_;
   std::vector<NetworkObserver*> observers_;
 };
 

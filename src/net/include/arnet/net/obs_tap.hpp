@@ -8,9 +8,9 @@
 
 namespace arnet::net {
 
-/// NetworkObserver that publishes packet life-cycle accounting into an
-/// obs::MetricsRegistry, replacing ad-hoc per-experiment FlowMonitor
-/// plumbing. Registers itself on construction, unregisters on destruction.
+/// NetworkObserver that publishes packet life-cycle accounting, network-wide
+/// and per flow, into an obs::MetricsRegistry. Registers itself on
+/// construction, unregisters on destruction.
 ///
 /// Metrics published:
 ///  - "net.injected_packets" / "net.delivered_packets" /

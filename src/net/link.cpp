@@ -141,25 +141,31 @@ void Link::set_up(bool up) {
       sim_.cancel(batch_done_);
       batch_done_ = {};
       // Entries that reached their logical serialization start behave like
-      // legacy in-flight packets; the rest would still be queued un-batched,
+      // un-batched in-flight packets; the rest would still be queued,
       // so they are dropped ahead of the residual queue (FIFO flush order).
       std::size_t started = 0;
       while (started < batch_.size() && batch_[started].start <= now) ++started;
+      // The FIFO guard only advances when a serialization completes, so the
+      // plan's unfinished entries must not hold back packets sent after the
+      // link comes back up.
+      last_arrival_ = batch_prev_arrival_;
       for (std::size_t i = 0; i < started; ++i) {
         BatchEntry& e = batch_[i];
-        record_tx_stats(e);  // it began serializing; legacy accounted it then
+        record_tx_stats(e);  // it began serializing; kArena accounted it then
         record_batched_tx(e.slot);  // ... and traced its tx then, too
         if (e.tx_end > now) {
-          // Mid-serialization: legacy reports this drop when the (stale
+          // Mid-serialization: kArena reports this drop when the (stale
           // epoch) tx-complete event fires at tx_end, not counted as lost.
           sim_.cancel(e.arrival_ev);
           sim_.at(e.tx_end, [this, slot = e.slot] {
             Packet pkt = arena_.take(slot);
             notify_drop(pkt, DropReason::kLinkDown);
           });
+        } else {
+          // Propagating: its arrival event stays scheduled and the
+          // stale-epoch check there reports the drop, exactly like kArena.
+          last_arrival_ = e.arrival;
         }
-        // else: propagating — its arrival event stays scheduled and the
-        // stale-epoch check there reports the drop, exactly like legacy.
       }
       for (std::size_t i = started; i < batch_.size(); ++i) {
         sim_.cancel(batch_[i].arrival_ev);
@@ -183,20 +189,10 @@ void Link::set_up(bool up) {
 
 void Link::start_transmission_if_idle() {
   if (transmitting_ || !up_) return;
-  switch (cfg_.tx_path) {
-    case TxPath::kLegacy:
-      start_transmission_legacy();
-      return;
-    case TxPath::kArena:
-      start_transmission_arena();
-      return;
-    case TxPath::kArenaBatched:
-      if (batch_eligible()) {
-        start_batch();
-      } else {
-        start_transmission_arena();
-      }
-      return;
+  if (batch_eligible()) {
+    start_batch();
+  } else {
+    start_transmission_arena();
   }
 }
 
@@ -212,72 +208,9 @@ bool Link::batch_eligible() const {
          queue_->fifo_time_invariant();
 }
 
-// --------------------------------------------------------------- legacy path
-
-void Link::start_transmission_legacy() {
-  trace::ProfScope prof(tracer_, "Link::tx");
-  auto p = queue_->dequeue(sim_.now());
-  if (!p) return;
-  transmitting_ = true;
-  record_trace(trace::EventKind::kTxStart, *p);
-  if (tracer_ != nullptr && tracer_->wire_capture()) {
-    tracer_->record_wire(make_wire(*p, sim_.now()));
-  }
-  queueing_delay_ms_.add(sim::to_milliseconds(sim_.now() - p->enqueued_at));
-  sim::Time tx = sim::transmission_delay(p->size_bytes, cfg_.rate_bps);
-  if (metrics_) {
-    metrics_->histogram("queue.sojourn_ms", obs_entity_)
-        .record(sim::to_milliseconds(sim_.now() - p->enqueued_at));
-    busy_time_ += tx;
-    sim::Time elapsed = sim_.now() + tx;  // utilization through this frame
-    if (elapsed > 0) {
-      metrics_->gauge("link.utilization", obs_entity_)
-          .set(sim::to_seconds(busy_time_) / sim::to_seconds(elapsed));
-    }
-  }
-  std::uint64_t epoch = epoch_;
-  sim_.after(tx, [this, epoch, pkt = std::move(*p)]() mutable {
-    if (epoch != epoch_) {  // link went down mid-serialization
-      notify_drop(pkt, DropReason::kLinkDown);
-      return;
-    }
-    transmitting_ = false;
-    on_transmit_complete(std::move(pkt));
-    start_transmission_if_idle();
-  });
-}
-
-void Link::on_transmit_complete(Packet p) {
-  if (cfg_.loss && cfg_.loss->lose(rng_, p)) {
-    ++lost_packets_;
-    notify_drop(p, DropReason::kRandomLoss);
-    return;
-  }
-  std::uint64_t epoch = epoch_;
-  // A point-to-point pipe is FIFO: if the (mutable) propagation delay
-  // shrank since the previous packet, do not let this one overtake it.
-  sim::Time arrival = std::max(sim_.now() + cfg_.delay, last_arrival_);
-  last_arrival_ = arrival;
-  sim_.at(arrival, [this, epoch, pkt = std::move(p)]() mutable {
-    if (epoch != epoch_) {  // link went down while propagating
-      notify_drop(pkt, DropReason::kLinkDown);
-      return;
-    }
-    delivered_bytes_ += pkt.size_bytes;
-    ++delivered_packets_;
-    record_trace(trace::EventKind::kRx, pkt);
-    if (metrics_) {
-      metrics_->counter("link.delivered_bytes", obs_entity_).add(pkt.size_bytes);
-      metrics_->counter("link.delivered_packets", obs_entity_).add();
-    }
-    if (sink_) sink_(std::move(pkt));
-  });
-}
-
 // ---------------------------------------------------------------- arena path
 //
-// Event structure, times, and ordering identical to the legacy path (the
-// simulator-level fingerprint is byte-identical); the packet is parked in
+// Two events per packet: tx-complete, then arrival. The packet is parked in
 // the slab arena so each closure captures {this, epoch, slot} — 20 bytes,
 // inside the simulator's inline callback buffer, zero allocations.
 
@@ -290,18 +223,8 @@ void Link::start_transmission_arena() {
   if (tracer_ != nullptr && tracer_->wire_capture()) {
     tracer_->record_wire(make_wire(*p, sim_.now()));
   }
-  queueing_delay_ms_.add(sim::to_milliseconds(sim_.now() - p->enqueued_at));
-  sim::Time tx = sim::transmission_delay(p->size_bytes, cfg_.rate_bps);
-  if (metrics_) {
-    metrics_->histogram("queue.sojourn_ms", obs_entity_)
-        .record(sim::to_milliseconds(sim_.now() - p->enqueued_at));
-    busy_time_ += tx;
-    sim::Time elapsed = sim_.now() + tx;  // utilization through this frame
-    if (elapsed > 0) {
-      metrics_->gauge("link.utilization", obs_entity_)
-          .set(sim::to_seconds(busy_time_) / sim::to_seconds(elapsed));
-    }
-  }
+  const sim::Time tx = sim::transmission_delay(p->size_bytes, cfg_.rate_bps);
+  record_tx_stats(p->enqueued_at, sim_.now(), sim_.now() + tx);
   const std::uint64_t epoch = epoch_;
   const std::uint32_t slot = arena_.acquire(std::move(*p));
   sim_.after(tx, [this, epoch, slot] {
@@ -431,15 +354,17 @@ void Link::record_batched_tx(std::uint32_t slot) {
 void Link::record_tx_stats(BatchEntry& e) {
   if (e.stats_recorded) return;
   e.stats_recorded = true;
-  const double sojourn_ms = sim::to_milliseconds(e.start - e.enqueued_at);
-  queueing_delay_ms_.add(sojourn_ms);
-  if (metrics_) {
-    metrics_->histogram("queue.sojourn_ms", obs_entity_).record(sojourn_ms);
-    busy_time_ += e.tx_end - e.start;
-    if (e.tx_end > 0) {  // utilization through this frame
-      metrics_->gauge("link.utilization", obs_entity_)
-          .set(sim::to_seconds(busy_time_) / sim::to_seconds(e.tx_end));
-    }
+  record_tx_stats(e.enqueued_at, e.start, e.tx_end);
+}
+
+void Link::record_tx_stats(sim::Time enqueued_at, sim::Time start, sim::Time tx_end) {
+  if (!metrics_) return;
+  metrics_->histogram("queue.sojourn_ms", obs_entity_)
+      .record(sim::to_milliseconds(start - enqueued_at));
+  busy_time_ += tx_end - start;
+  if (tx_end > 0) {  // utilization through this frame
+    metrics_->gauge("link.utilization", obs_entity_)
+        .set(sim::to_seconds(busy_time_) / sim::to_seconds(tx_end));
   }
 }
 

@@ -42,7 +42,6 @@ void Node::send(Packet p) {
 
 void Node::on_packet(Packet&& p) {
   ++received_packets_;
-  if (net_.tap_) net_.tap_(p, id_, p.dst == id_);
   if (p.dst == id_) {
     // Reaching the destination node is final delivery for conservation
     // accounting, whether or not a handler consumes the payload.

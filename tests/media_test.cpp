@@ -1,10 +1,14 @@
 // Tests for the §V protocol-survey pieces: jitter buffer + intermedia sync
-// (RTP/RTCP, §V-A2), the DCCP-like datagram socket (§V-B3), and the
-// network-wide FlowMonitor.
+// (RTP/RTCP, §V-A2), the DCCP-like datagram socket (§V-B3), and per-flow
+// accounting over a whole network through ObsTap.
 #include <gtest/gtest.h>
 
-#include "arnet/net/flow_monitor.hpp"
+#include <cstdint>
+#include <string>
+
 #include "arnet/net/network.hpp"
+#include "arnet/net/obs_tap.hpp"
+#include "arnet/obs/registry.hpp"
 #include "arnet/sim/rng.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/transport/dccp_like.hpp"
@@ -160,7 +164,14 @@ namespace {
 using sim::milliseconds;
 using sim::seconds;
 
-TEST(FlowMonitor, TracksPerFlowDeliveryAndDelay) {
+/// Value of counter `name` under `entity`, or -1 if it was never created.
+std::int64_t counter_value(const obs::MetricsRegistry& reg, const std::string& name,
+                           const std::string& entity) {
+  const obs::Counter* c = reg.find_counter(name, entity);
+  return c ? c->value() : -1;
+}
+
+TEST(ObsTap, TracksPerFlowDeliveryAndDelay) {
   sim::Simulator sim;
   Network net(sim, 1);
   auto a = net.add_node("a");
@@ -168,7 +179,8 @@ TEST(FlowMonitor, TracksPerFlowDeliveryAndDelay) {
   auto b = net.add_node("b");
   net.connect(a, r, 10e6, milliseconds(5), 200);
   net.connect(r, b, 10e6, milliseconds(5), 200);
-  FlowMonitor mon(net);
+  obs::MetricsRegistry reg;
+  ObsTap tap(net, reg);
 
   transport::UdpEndpoint src(net, a, 100);
   transport::UdpEndpoint dst(net, b, 200);
@@ -177,31 +189,37 @@ TEST(FlowMonitor, TracksPerFlowDeliveryAndDelay) {
   for (int i = 0; i < 10; ++i) src.send(b, 200, 500, /*flow=*/8);
   sim.run();
 
-  ASSERT_EQ(mon.flow_count(), 2u);
-  const auto& f7 = mon.flow(7);
-  EXPECT_EQ(f7.delivered_packets, 20);
-  EXPECT_EQ(f7.delivered_bytes, 20 * 1028);
-  EXPECT_NEAR(f7.mean_hops(), 2.0, 1e-9);
-  EXPECT_GT(f7.delay_ms.median(), 10.0);  // two 5 ms hops + serialization
-  EXPECT_EQ(mon.flow(8).delivered_packets, 10);
+  // Each packet crosses the router r but is delivered once, at b.
+  EXPECT_EQ(counter_value(reg, "net.injected_packets", "net"), 30);
+  EXPECT_EQ(counter_value(reg, "net.delivered_packets", "net"), 30);
+  EXPECT_EQ(counter_value(reg, "flow.delivered_packets", "flow:7"), 20);
+  EXPECT_EQ(counter_value(reg, "flow.delivered_bytes", "flow:7"), 20 * 1028);
+  EXPECT_EQ(counter_value(reg, "flow.delivered_packets", "flow:8"), 10);
+  const obs::Histogram* delay = reg.find_histogram("flow.delay_ms", "flow:7");
+  ASSERT_NE(delay, nullptr);
+  EXPECT_EQ(delay->count(), 20);
+  EXPECT_GE(delay->min(), 10.0);  // the two 5 ms propagation delays
+  EXPECT_GT(delay->p50(), 10.0);  // ... plus serialization
 }
 
-TEST(FlowMonitor, ThroughputOfBulkTcpFlow) {
+TEST(ObsTap, ThroughputOfBulkTcpFlow) {
   sim::Simulator sim;
   Network net(sim, 1);
   auto a = net.add_node("a");
   auto b = net.add_node("b");
   net.connect(a, b, 10e6, milliseconds(10), 200);
-  FlowMonitor mon(net);
+  obs::MetricsRegistry reg;
+  ObsTap tap(net, reg);
   transport::TcpSink sink(net, b, 80);
   transport::TcpSource src(net, a, 1000, b, 80, /*flow=*/42);
   src.send_forever();
   sim.run_until(seconds(10));
-  EXPECT_GT(mon.flow(42).throughput_mbps(), 8.0);
+  const std::int64_t bytes = counter_value(reg, "flow.delivered_bytes", "flow:42");
+  EXPECT_GT(bytes * 8.0 / 10.0 / 1e6, 8.0);  // Mb/s over the whole run
   // ACKs ride the same flow id, so the flow's packet count exceeds its
   // data-segment count.
-  EXPECT_GT(mon.flow(42).delivered_packets, mon.flow(42).delivered_bytes / 1500);
-  EXPECT_EQ(mon.total_delivered_bytes(), mon.flow(42).delivered_bytes);
+  EXPECT_GT(counter_value(reg, "flow.delivered_packets", "flow:42"), bytes / 1500);
+  EXPECT_EQ(counter_value(reg, "net.delivered_bytes", "net"), bytes);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "arnet/mar/offload.hpp"
 #include "arnet/net/link.hpp"
 #include "arnet/net/network.hpp"
+#include "arnet/obs/registry.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/sim/stats.hpp"
 #include "arnet/transport/tcp.hpp"
@@ -58,6 +59,8 @@ TEST(NetMisc, LinkInstrumentationCounts) {
   cfg.delay = milliseconds(1);
   cfg.name = "probe";
   net::Link link(sim, sim::Rng(1), std::move(cfg));
+  obs::MetricsRegistry reg;
+  link.attach_obs(reg, "link:probe");
   int got = 0;
   link.set_sink([&](net::Packet&&) { ++got; });
   for (int i = 0; i < 5; ++i) {
@@ -71,7 +74,10 @@ TEST(NetMisc, LinkInstrumentationCounts) {
   EXPECT_EQ(link.delivered_bytes(), 5 * 1500);
   EXPECT_EQ(link.lost_packets(), 0);
   // 4 of 5 packets queued behind the first: mean queueing delay > 0.
-  EXPECT_GT(link.queueing_delay_ms().mean(), 0.5);
+  const obs::Histogram* sojourn = reg.find_histogram("queue.sojourn_ms", "link:probe");
+  ASSERT_NE(sojourn, nullptr);
+  EXPECT_EQ(sojourn->count(), 5);
+  EXPECT_GT(sojourn->mean(), 0.5);
 }
 
 TEST(NetMisc, LinkBetweenReturnsNullForMissing) {
