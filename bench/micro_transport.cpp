@@ -10,11 +10,13 @@
 #include <vector>
 
 #include "arnet/fleet/scenario.hpp"
+#include "arnet/fluid/city.hpp"
 #include "arnet/fluid/fluid.hpp"
 #include "arnet/mar/offload.hpp"
 #include "arnet/net/network.hpp"
 #include "arnet/net/packet_arena.hpp"
 #include "arnet/net/queue.hpp"
+#include "arnet/runner/experiment.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/slo/slo.hpp"
 #include "arnet/trace/sampler.hpp"
@@ -223,6 +225,22 @@ std::int64_t run_fluid_step() {
   return r.ticks;
 }
 
+std::int64_t run_fluid_step_admission() {
+  // FluidStep on the admission-controlled path that the city's core and
+  // nightlife cells take: one simulated hour of the default city's downtown
+  // core cell (index 168), shifted to its 09:00 plateau so the controller
+  // trips and rejects. Every tick pays the windowed p99 projection and feeds
+  // the 32-point stencil; FluidStep above runs open loop and pays neither.
+  const fluid::CityConfig city;
+  fluid::FluidConfig f = fluid::make_city_cell(city, 168, runner::derive_seed(city.seed, 168));
+  f.population.profile.phase += sim::seconds(9 * 3600);
+  f.duration = sim::seconds(3600);
+  fluid::FluidCell cell(std::move(f));
+  const fluid::FluidResult r = cell.run();
+  benchmark::DoNotOptimize(r.p99_ms);
+  return r.ticks;
+}
+
 std::int64_t run_telemetry_overhead(bool telemetry_on) {
   // The CI-gated pair: the paper's end-to-end pipeline — one AR offload
   // session shipping frames over a simulated access link — run dark vs with
@@ -364,6 +382,11 @@ void BM_FluidStep(benchmark::State& state) {
 }
 BENCHMARK(BM_FluidStep);
 
+void BM_FluidStepAdmission(benchmark::State& state) {
+  for (auto _ : state) run_fluid_step_admission();
+}
+BENCHMARK(BM_FluidStepAdmission);
+
 void BM_TelemetryOverheadOff(benchmark::State& state) {
   for (auto _ : state) run_telemetry_overhead_off();
 }
@@ -392,6 +415,7 @@ int main(int argc, char** argv) {
       {"WifiCellSaturated", run_wifi_cell_saturated},
       {"FleetSessionChurn", run_fleet_session_churn},
       {"FluidStep", run_fluid_step},
+      {"FluidStepAdmission", run_fluid_step_admission},
       {"TelemetryOverhead/off", run_telemetry_overhead_off},
       {"TelemetryOverhead/on", run_telemetry_overhead_on},
   };

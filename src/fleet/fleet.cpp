@@ -197,8 +197,10 @@ void Fleet::finish_frame(std::uint64_t frame_uid, const Session& snapshot, sim::
   // Keep the sampler's outlier rule tracking the live tail estimate before
   // it sees this frame's completion event (the admission projection is
   // always maintained, even with admission disabled). Refreshed once per 32
-  // frames: the exact-quantile projection costs a window copy plus
-  // nth_element, and the tail estimate moves slowly at that granularity.
+  // frames. The cached projection would be cheap enough to refresh on every
+  // frame, but the cadence is part of the output: the threshold in force when
+  // a frame completes decides whether the sampler retains it, so changing it
+  // changes the retained traces.
   if (cfg_.sampler && (stats_.results & 31) == 1) {
     cfg_.sampler->set_outlier_threshold_ms(admission_.projected_p99_ms());
   }

@@ -108,6 +108,12 @@ struct PopulationConfig {
   std::uint64_t max_sessions = 0;
 };
 
+/// Diurnal intensity multiplier of `cfg` at simulated time `t`: the active
+/// cell-local profile, else the legacy `diurnal` slots (1.0 when flat). The
+/// one slot rule both the packet-level PopulationModel and the fluid cell
+/// use, so the two models agree on the instantaneous arrival rate.
+double diurnal_multiplier(const PopulationConfig& cfg, sim::Time t);
+
 /// Seeded session generator. Determinism contract: the arrival point
 /// process (including MMPP state flips and diurnal thinning) consumes one
 /// dedicated stream derived from (seed, 0); each session's attributes come
@@ -128,9 +134,6 @@ class PopulationModel {
   void stop() { running_ = false; }
 
   std::uint64_t generated() const { return next_id_; }
-
-  /// Diurnal intensity multiplier at simulated time `t` (exposed for tests).
-  double diurnal_multiplier(sim::Time t) const;
 
   /// Instantaneous arrival rate (1/s) including diurnal and MMPP state.
   double rate_at(sim::Time t) const;

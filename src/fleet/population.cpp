@@ -71,18 +71,18 @@ PopulationModel::PopulationModel(sim::Simulator& sim, PopulationConfig cfg,
                     : 1.0);
 }
 
-double PopulationModel::diurnal_multiplier(sim::Time t) const {
-  if (cfg_.profile.active()) return cfg_.profile.multiplier(t);
-  if (cfg_.diurnal.empty() || cfg_.diurnal_period <= 0) return 1.0;
-  sim::Time phase = t % cfg_.diurnal_period;
+double diurnal_multiplier(const PopulationConfig& cfg, sim::Time t) {
+  if (cfg.profile.active()) return cfg.profile.multiplier(t);
+  if (cfg.diurnal.empty() || cfg.diurnal_period <= 0) return 1.0;
+  sim::Time phase = t % cfg.diurnal_period;
   auto slot = static_cast<std::size_t>(
-      static_cast<double>(phase) / static_cast<double>(cfg_.diurnal_period) *
-      static_cast<double>(cfg_.diurnal.size()));
-  return cfg_.diurnal[std::min(slot, cfg_.diurnal.size() - 1)];
+      static_cast<double>(phase) / static_cast<double>(cfg.diurnal_period) *
+      static_cast<double>(cfg.diurnal.size()));
+  return cfg.diurnal[std::min(slot, cfg.diurnal.size() - 1)];
 }
 
 double PopulationModel::rate_at(sim::Time t) const {
-  double rate = cfg_.base_arrivals_per_s * diurnal_multiplier(t);
+  double rate = cfg_.base_arrivals_per_s * diurnal_multiplier(cfg_, t);
   if (cfg_.process == ArrivalProcess::kMmpp && burst_) rate *= cfg_.burst_multiplier;
   return rate;
 }

@@ -1,6 +1,7 @@
 #include "arnet/fluid/fluid.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "arnet/check/assert.hpp"
@@ -12,19 +13,6 @@ namespace arnet::fluid {
 
 namespace {
 
-/// Same slot rule as PopulationModel::diurnal_multiplier: the fluid and
-/// packet models must agree on the instantaneous arrival rate or the
-/// cross-validation would measure the diurnal sampling, not the serving path.
-double diurnal_multiplier(const fleet::PopulationConfig& cfg, sim::Time t) {
-  if (cfg.profile.active()) return cfg.profile.multiplier(t);
-  if (cfg.diurnal.empty() || cfg.diurnal_period <= 0) return 1.0;
-  sim::Time phase = t % cfg.diurnal_period;
-  auto slot = static_cast<std::size_t>(
-      static_cast<double>(phase) / static_cast<double>(cfg.diurnal_period) *
-      static_cast<double>(cfg.diurnal.size()));
-  return cfg.diurnal[std::min(slot, cfg.diurnal.size() - 1)];
-}
-
 /// obs::Histogram's log-bucket rule (bucket_of is private; the layout is a
 /// documented stable export format, kBucketsPerDecade buckets per decade
 /// with bucket 0 as underflow).
@@ -35,18 +23,35 @@ int log_bucket_of(double v) {
   return std::min(idx, obs::Histogram::kBucketCount - 1);
 }
 
-/// Weighted quantile over (value, weight) pairs sorted by value.
-double quantile_sorted(const std::vector<std::pair<double, double>>& sorted,
-                       double total_weight, double p) {
-  if (sorted.empty() || total_weight <= 0.0) return 0.0;
-  const double target = p * total_weight;
-  double cum = 0.0;
-  for (const auto& [v, w] : sorted) {
-    cum += w;
-    if (cum >= target) return v;
+/// Weighted quantiles at the non-decreasing targets `ps` over (value,
+/// weight) pairs sorted by value with total weight 1, in one walk: each
+/// result is the first value whose running weight reaches its target (the
+/// last value if none does). The running sum is accumulated in list order
+/// exactly as a separate scan per target would, and never decreases, so the
+/// results are bit-identical to those scans.
+template <std::size_t N>
+std::array<double, N> quantiles_sorted(const std::vector<std::pair<double, double>>& sorted,
+                                       const std::array<double, N>& ps) {
+  std::array<double, N> out{};
+  std::size_t j = 0;
+  double cum = sorted.front().second;
+  for (std::size_t i = 0; i < N; ++i) {
+    while (cum < ps[i] && j + 1 < sorted.size()) cum += sorted[++j].second;
+    out[i] = sorted[j].first;
   }
-  return sorted.back().first;
+  return out;
 }
+
+/// Admission stencil: 32 quantile points per tick, the tail point at 0.995
+/// so the windowed p99 projection sees the tail, not just the body.
+constexpr std::array<double, 32> kStencil = [] {
+  std::array<double, 32> q{};
+  for (std::size_t i = 0; i + 1 < q.size(); ++i) {
+    q[i] = (static_cast<double>(i) + 0.5) / static_cast<double>(q.size());
+  }
+  q.back() = 0.995;
+  return q;
+}();
 
 }  // namespace
 
@@ -79,6 +84,11 @@ FluidCell::FluidCell(FluidConfig cfg)
   lanes_ = static_cast<int>(cfg_.servers) * std::max(1, cfg_.batch.executors);
   const double b_max = cfg_.batch.enabled ? cfg_.batch.max_batch : 1;
   mu_max_ = static_cast<double>(lanes_) * b_max / (service_ms(b_max) / 1000.0);
+
+  lifetime_s_ = std::max(1e-9, cfg_.population.mean_lifetime_s);
+  decay_ = std::exp(-sim::to_seconds(cfg_.tick) / lifetime_s_);
+  stoch_exponent_ = std::sqrt(2.0 * static_cast<double>(lanes_ + 1));
+  total_ticks_ = std::max<std::int64_t>(1, (cfg_.duration + cfg_.tick - 1) / cfg_.tick);
 
   build_probes();
   occupancy_.assign(static_cast<std::size_t>(std::max(1, cfg_.occupancy_slots)), 0.0);
@@ -121,13 +131,24 @@ void FluidCell::build_probes() {
       }
     }
   }
-  std::sort(rtt_ms.begin(), rtt_ms.end());
+  // Only R order statistics of the sample are used: select each in rank
+  // order on the part above the previous one instead of sorting it all.
+  const int R = cfg_.rtt_quantiles;
+  std::vector<double> rtt_q(static_cast<std::size_t>(R));
+  auto above = rtt_ms.begin();
+  for (int r = 0; r < R; ++r) {
+    const double q = (r + 0.5) / R;
+    const auto nth = rtt_ms.begin() + static_cast<std::ptrdiff_t>(std::min(
+        rtt_ms.size() - 1, static_cast<std::size_t>(q * static_cast<double>(rtt_ms.size()))));
+    std::nth_element(above, nth, rtt_ms.end());
+    rtt_q[static_cast<std::size_t>(r)] = *nth;
+    above = nth;
+  }
 
   double dev_total = 0.0, app_total = 0.0;
   for (const fleet::DeviceMixEntry& d : cfg_.population.device_mix) dev_total += d.weight;
   for (const fleet::AppMixEntry& e : cfg_.population.app_mix) app_total += e.weight;
 
-  const int R = cfg_.rtt_quantiles;
   const int W = cfg_.wait_quantiles;
   for (const fleet::DeviceMixEntry& d : cfg_.population.device_mix) {
     for (std::size_t ai = 0; ai < cfg_.population.app_mix.size(); ++ai) {
@@ -140,11 +161,7 @@ void FluidCell::build_probes() {
                                sim::transmission_delay(e.app.result_bytes,
                                                        cfg_.access_rate_bps));
       for (int r = 0; r < R; ++r) {
-        const double q = (r + 0.5) / R;
-        const double rtt =
-            rtt_ms[std::min(rtt_ms.size() - 1,
-                            static_cast<std::size_t>(q * static_cast<double>(
-                                                             rtt_ms.size())))];
+        const double rtt = rtt_q[static_cast<std::size_t>(r)];
         for (int w = 0; w < W; ++w) {
           Probe p;
           p.weight = (d.weight / dev_total) * (e.weight / app_total) / (R * W);
@@ -221,7 +238,7 @@ void FluidCell::step() {
   // 2. Session arrivals this tick, routed by the live admission projection —
   // the same controller/interface the packet model consults per session,
   // here consulted once per tick for the tick's arriving mass.
-  double rate = pop.base_arrivals_per_s * diurnal_multiplier(pop, t_mid);
+  double rate = pop.base_arrivals_per_s * fleet::diurnal_multiplier(pop, t_mid);
   if (pop.process == fleet::ArrivalProcess::kMmpp && burst_) {
     rate *= pop.burst_multiplier;
   }
@@ -245,10 +262,8 @@ void FluidCell::step() {
 
   // 3. Population ODE, integrated exactly for a constant within-tick rate:
   // n(t+dt) = n e^{-dt/L} + a L (1 - e^{-dt/L}).
-  const double L = std::max(1e-9, pop.mean_lifetime_s);
-  const double decay = std::exp(-dt / L);
-  n_full_ = n_full_ * decay + (a_full / dt) * L * (1.0 - decay);
-  n_deg_ = n_deg_ * decay + (a_deg / dt) * L * (1.0 - decay);
+  n_full_ = n_full_ * decay_ + (a_full / dt) * lifetime_s_ * (1.0 - decay_);
+  n_deg_ = n_deg_ * decay_ + (a_deg / dt) * lifetime_s_ * (1.0 - decay_);
 
   // 4. Offered frame flow and the serving backlog ODE.
   const double lam_f =
@@ -305,8 +320,7 @@ void FluidCell::step() {
   const double rho = lam_f / mu_max_;
   if (rho > 0.0) {
     const double rc = std::min(rho, 0.95);
-    w_stoch_ms = 0.5 * s_ms *
-                 std::pow(rc, std::sqrt(2.0 * static_cast<double>(lanes_ + 1))) /
+    w_stoch_ms = 0.5 * s_ms * std::pow(rc, stoch_exponent_) /
                  (static_cast<double>(lanes_) * (1.0 - rc));
   }
   const double shift_ms = s_ms + w_queue_ms + w_stoch_ms;
@@ -330,21 +344,17 @@ void FluidCell::step() {
     miss_mass_ += miss;
     std::sort(sorted_scratch_.begin(), sorted_scratch_.end());
 
-    const double p99_tick = quantile_sorted(sorted_scratch_, 1.0, 0.99);
+    const double p99_tick = quantiles_sorted(sorted_scratch_, std::array{0.99})[0];
     if (p99_tick <= cfg_.budget_ms) {
       knee_sessions_ = std::max(knee_sessions_, sessions());
     } else if (first_breach_ < 0) {
       first_breach_ = t_end;
     }
 
-    // Keep the admission window tracking the live distribution: a 32-point
-    // quantile stencil per tick (tail point at 0.995 so the windowed p99
-    // projection sees the tail, not just the body).
+    // Keep the admission window tracking the live distribution.
     if (cfg_.admission.enabled && served >= 1.0) {
-      constexpr int kStencil = 32;
-      for (int i = 0; i < kStencil; ++i) {
-        const double q = i == kStencil - 1 ? 0.995 : (i + 0.5) / kStencil;
-        admission_.observe_latency_ms(quantile_sorted(sorted_scratch_, 1.0, q));
+      for (double v : quantiles_sorted(sorted_scratch_, kStencil)) {
+        admission_.observe_latency_ms(v);
       }
     }
   }
@@ -364,20 +374,16 @@ void FluidCell::step() {
 
   // 8. Occupancy bookkeeping.
   peak_sessions_ = std::max(peak_sessions_, sessions());
-  const std::int64_t total_ticks =
-      std::max<std::int64_t>(1, (cfg_.duration + cfg_.tick - 1) / cfg_.tick);
   const auto slot = static_cast<std::size_t>(
       std::min<std::int64_t>(static_cast<std::int64_t>(occupancy_.size()) - 1,
                              ticks_ * static_cast<std::int64_t>(occupancy_.size()) /
-                                 total_ticks));
+                                 total_ticks_));
   occupancy_[slot] += sessions();
   ++ticks_;
 }
 
 FluidResult FluidCell::run() {
-  const std::int64_t total_ticks =
-      std::max<std::int64_t>(1, (cfg_.duration + cfg_.tick - 1) / cfg_.tick);
-  while (ticks_ < total_ticks) step();
+  while (ticks_ < total_ticks_) step();
   return finish();
 }
 
@@ -404,16 +410,14 @@ FluidResult FluidCell::finish() {
   r.first_breach = first_breach_;
   r.backlog_end = backlog_;
   r.ticks = ticks_;
-  const std::int64_t total_ticks =
-      std::max<std::int64_t>(1, (cfg_.duration + cfg_.tick - 1) / cfg_.tick);
   r.occupancy.resize(occupancy_.size());
   for (std::size_t i = 0; i < occupancy_.size(); ++i) {
     // Ticks land in slot i when i = tick * slots / total: count them exactly
     // so partially filled tails stay a proper time mean.
-    const std::int64_t lo = (static_cast<std::int64_t>(i) * total_ticks +
+    const std::int64_t lo = (static_cast<std::int64_t>(i) * total_ticks_ +
                              static_cast<std::int64_t>(occupancy_.size()) - 1) /
                             static_cast<std::int64_t>(occupancy_.size());
-    const std::int64_t hi = (static_cast<std::int64_t>(i + 1) * total_ticks +
+    const std::int64_t hi = (static_cast<std::int64_t>(i + 1) * total_ticks_ +
                              static_cast<std::int64_t>(occupancy_.size()) - 1) /
                             static_cast<std::int64_t>(occupancy_.size());
     const std::int64_t in_slot = std::max<std::int64_t>(1, hi - lo);

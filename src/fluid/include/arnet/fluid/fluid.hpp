@@ -150,6 +150,10 @@ class FluidCell {
   double server_scale_ = 1.0;        ///< server profile compute scale
   double mu_max_ = 1.0;              ///< max drain rate, frames/s, all servers
   int lanes_ = 1;                    ///< total executor lanes
+  double lifetime_s_ = 1.0;          ///< mean session lifetime L (floored)
+  double decay_ = 1.0;               ///< per-tick session survival e^{-dt/L}
+  double stoch_exponent_ = 2.0;      ///< Allen-Cunneen sqrt(2 (lanes + 1))
+  std::int64_t total_ticks_ = 1;     ///< ticks to the configured horizon
   std::vector<Probe> probes_;
   std::vector<std::pair<double, double>> sorted_scratch_;  ///< (latency, weight)
 

@@ -4,10 +4,15 @@
 // capacity cells between serial and parallel sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "arnet/check/assert.hpp"
 #include "arnet/fleet/admission.hpp"
 #include "arnet/fleet/autoscaler.hpp"
 #include "arnet/fleet/balancer.hpp"
@@ -17,6 +22,7 @@
 #include "arnet/fleet/server.hpp"
 #include "arnet/obs/export.hpp"
 #include "arnet/runner/experiment.hpp"
+#include "arnet/sim/rng.hpp"
 #include "arnet/sim/simulator.hpp"
 
 namespace arnet {
@@ -80,9 +86,9 @@ TEST(Population, DiurnalProfileModulatesRate) {
   cfg.diurnal = {0.5, 2.0};
   cfg.diurnal_period = seconds(10);
   fleet::PopulationModel p(sim, cfg, 1);
-  EXPECT_DOUBLE_EQ(p.diurnal_multiplier(seconds(2)), 0.5);
-  EXPECT_DOUBLE_EQ(p.diurnal_multiplier(seconds(7)), 2.0);
-  EXPECT_DOUBLE_EQ(p.diurnal_multiplier(seconds(12)), 0.5);  // wraps
+  EXPECT_DOUBLE_EQ(fleet::diurnal_multiplier(cfg, seconds(2)), 0.5);
+  EXPECT_DOUBLE_EQ(fleet::diurnal_multiplier(cfg, seconds(7)), 2.0);
+  EXPECT_DOUBLE_EQ(fleet::diurnal_multiplier(cfg, seconds(12)), 0.5);  // wraps
   EXPECT_DOUBLE_EQ(p.rate_at(seconds(2)), 5.0);
   EXPECT_DOUBLE_EQ(p.rate_at(seconds(7)), 20.0);
 }
@@ -227,6 +233,109 @@ TEST(Admission, DisabledAdmitsEverythingSilently) {
   for (int i = 0; i < 64; ++i) ac.observe_latency_ms(500.0);
   EXPECT_EQ(ac.decide(seconds(1), 1), fleet::AdmissionDecision::kAdmit);
   EXPECT_TRUE(ac.log().empty());
+}
+
+TEST(Admission, ZeroWindowIsRejected) {
+  check::ScopedFailPolicy policy(check::FailPolicy::kThrow);
+  fleet::AdmissionConfig cfg;
+  cfg.window = 0;
+  EXPECT_THROW(fleet::AdmissionController{cfg}, check::CheckError);
+}
+
+namespace {
+
+/// The projection as a copy of the latency ring plus nth_element: the
+/// definition the controller's cached projection must reproduce bit for bit.
+class P99Reference {
+ public:
+  explicit P99Reference(std::size_t window) : window_(window) {}
+
+  void observe(double ms) {
+    if (ring_.size() < window_) {
+      ring_.push_back(ms);
+    } else {
+      ring_[next_] = ms;
+      next_ = (next_ + 1) % window_;
+    }
+  }
+
+  double p99() const {
+    if (ring_.empty()) return 0.0;
+    std::vector<double> copy = ring_;
+    const auto idx = static_cast<std::size_t>(0.99 * static_cast<double>(copy.size() - 1));
+    std::nth_element(copy.begin(), copy.begin() + static_cast<std::ptrdiff_t>(idx),
+                     copy.end());
+    return copy[idx];
+  }
+
+ private:
+  std::size_t window_;
+  std::vector<double> ring_;
+  std::size_t next_ = 0;
+};
+
+enum class Stream { kAscending, kDescending, kRandom, kRandomTies, kTied, kSortedBlocks };
+
+std::vector<double> make_stream(Stream kind, std::size_t n, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i);
+    switch (kind) {
+      case Stream::kAscending: v[i] = 10.0 + 0.25 * x; break;
+      case Stream::kDescending: v[i] = 5000.0 - 0.25 * x; break;
+      case Stream::kRandom: v[i] = rng.uniform(1.0, 200.0); break;
+      case Stream::kRandomTies: v[i] = std::floor(rng.uniform(0.0, 8.0)) * 12.5; break;
+      case Stream::kTied: v[i] = 75.0; break;
+      case Stream::kSortedBlocks: v[i] = rng.uniform(1.0, 200.0); break;
+    }
+  }
+  // The fluid stencil's pattern: each tick feeds 32 ascending quantiles.
+  if (kind == Stream::kSortedBlocks) {
+    for (std::size_t b = 0; b < n; b += 32) {
+      std::sort(v.begin() + static_cast<std::ptrdiff_t>(b),
+                v.begin() + static_cast<std::ptrdiff_t>(std::min(n, b + 32)));
+    }
+  }
+  return v;
+}
+
+}  // namespace
+
+TEST(Admission, ProjectedP99MatchesNthElementReference) {
+  const std::size_t windows[] = {1, 2, 16, 31, 32, 33, 256, 1000};
+  const Stream streams[] = {Stream::kAscending, Stream::kDescending,
+                            Stream::kRandom,    Stream::kRandomTies,
+                            Stream::kTied,      Stream::kSortedBlocks};
+  // (observations per query round, queries per round): one each, a fluid
+  // tick's 32 observations per query, 31 so that the samples between two
+  // queries straddle block boundaries, and repeated queries of one window.
+  const std::pair<std::size_t, int> mixes[] = {{1, 1}, {32, 1}, {31, 1}, {1, 3}};
+  std::uint64_t seed = 7;
+  for (std::size_t window : windows) {
+    for (Stream kind : streams) {
+      for (const auto& [per_round, queries] : mixes) {
+        fleet::AdmissionConfig cfg;
+        cfg.window = window;
+        fleet::AdmissionController ac(cfg);
+        P99Reference ref(window);
+        ASSERT_EQ(ac.projected_p99_ms(), 0.0);
+        // Fill the ring, then wrap past its start more than once.
+        const std::vector<double> values = make_stream(kind, 2 * window + 97, ++seed);
+        for (std::size_t i = 0; i < values.size(); ++i) {
+          ac.observe_latency_ms(values[i]);
+          ref.observe(values[i]);
+          if ((i + 1) % per_round != 0 && i + 1 != values.size()) continue;
+          for (int q = 0; q < queries; ++q) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(ac.projected_p99_ms()),
+                      std::bit_cast<std::uint64_t>(ref.p99()))
+                << "window " << window << " stream " << static_cast<int>(kind)
+                << " per_round " << per_round << " after " << i + 1 << " observations";
+          }
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------------- balancer

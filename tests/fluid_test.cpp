@@ -2,7 +2,10 @@
 // sharding, and the rng-discipline of per-cell seed streams.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,8 +62,8 @@ TEST(Population, CellLocalProfileOverridesLegacyFields) {
   cfg.profile.curve = {3.0, 1.0};  // cell-local profile wins
   cfg.profile.period = seconds(20);
   fleet::PopulationModel p(s, cfg, 1);
-  EXPECT_DOUBLE_EQ(p.diurnal_multiplier(seconds(2)), 3.0);
-  EXPECT_DOUBLE_EQ(p.diurnal_multiplier(seconds(12)), 1.0);
+  EXPECT_DOUBLE_EQ(fleet::diurnal_multiplier(cfg, seconds(2)), 3.0);
+  EXPECT_DOUBLE_EQ(fleet::diurnal_multiplier(cfg, seconds(12)), 1.0);
   EXPECT_DOUBLE_EQ(p.rate_at(seconds(2)), 30.0);
 }
 
@@ -90,18 +93,16 @@ TEST(Population, InactiveProfileIsBitIdenticalToLegacy) {
 }
 
 TEST(Population, PhaseStaggersIdenticalCurves) {
-  sim::Simulator s;
   fleet::PopulationConfig cfg;
   cfg.base_arrivals_per_s = 1.0;
   cfg.profile.curve = {1.0, 2.0, 3.0, 4.0};
   cfg.profile.period = seconds(40);
   fleet::PopulationConfig shifted = cfg;
   shifted.profile.phase = seconds(10);  // one slot ahead
-  fleet::PopulationModel a(s, cfg, 3), b(s, shifted, 3);
   for (int slot = 0; slot < 4; ++slot) {
     const sim::Time t = seconds(5 + 10 * slot);
-    EXPECT_DOUBLE_EQ(b.diurnal_multiplier(t),
-                     a.diurnal_multiplier(t + seconds(10)));
+    EXPECT_DOUBLE_EQ(fleet::diurnal_multiplier(shifted, t),
+                     fleet::diurnal_multiplier(cfg, t + seconds(10)));
   }
 }
 
@@ -409,4 +410,143 @@ TEST(City, CellGaugesCoverTheGrid) {
   obs::write_jsonl(reg, os);
   EXPECT_NE(os.str().find("city.peak_sessions"), std::string::npos);
   EXPECT_NE(os.str().find("city.first_breach_s"), std::string::npos);
+}
+
+// ------------------------------------------------------------ city goldens
+
+namespace {
+
+/// FNV-1a over the bytes of 64-bit words (little-endian byte order).
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/// Every FluidResult field of one full-day city cell, plus a digest of the
+/// occupancy vector and of the admission log's (decision, projection)
+/// sequence.
+struct CellGolden {
+  std::size_t index;
+  const char* archetype;
+  std::uint64_t arrivals, admitted, downgraded, rejected;
+  std::int64_t frames, misses;
+  double mean_ms, min_ms, max_ms, p50_ms, p90_ms, p99_ms, miss_rate, served_fps;
+  double peak_sessions, knee_sessions;
+  sim::Time first_breach;
+  double backlog_end;
+  std::int64_t ticks;
+  double sim_seconds;
+  std::size_t occupancy_slots;
+  std::uint64_t occupancy_fnv;
+  std::size_t log_size;
+  std::uint64_t log_fnv;
+};
+
+/// Renders a golden as its own initializer (doubles as hex-float literals),
+/// so string equality is bit equality and a failure prints the new row.
+std::string render(const CellGolden& g) {
+  std::string s;
+  char buf[64];
+  auto u = [&](std::uint64_t v) {
+    std::snprintf(buf, sizeof buf, "%llu, ", static_cast<unsigned long long>(v));
+    s += buf;
+  };
+  auto i = [&](std::int64_t v) {
+    std::snprintf(buf, sizeof buf, "%lld, ", static_cast<long long>(v));
+    s += buf;
+  };
+  auto d = [&](double v) {
+    std::snprintf(buf, sizeof buf, "%a, ", v);
+    s += buf;
+  };
+  auto x = [&](std::uint64_t v) {
+    std::snprintf(buf, sizeof buf, "0x%016llxULL, ", static_cast<unsigned long long>(v));
+    s += buf;
+  };
+  s += "{";
+  u(g.index);
+  s += std::string("\"") + g.archetype + "\", ";
+  u(g.arrivals), u(g.admitted), u(g.downgraded), u(g.rejected);
+  i(g.frames), i(g.misses);
+  d(g.mean_ms), d(g.min_ms), d(g.max_ms), d(g.p50_ms), d(g.p90_ms), d(g.p99_ms);
+  d(g.miss_rate), d(g.served_fps), d(g.peak_sessions), d(g.knee_sessions);
+  i(g.first_breach), d(g.backlog_end), i(g.ticks), d(g.sim_seconds);
+  u(g.occupancy_slots), x(g.occupancy_fnv), u(g.log_size), x(g.log_fnv);
+  s.resize(s.size() - 2);
+  return s + "}";
+}
+
+CellGolden observe_city_cell(const fluid::CityConfig& city, std::size_t index,
+                             const char* archetype) {
+  const fluid::FluidConfig f =
+      fluid::make_city_cell(city, index, runner::derive_seed(city.seed, index));
+  EXPECT_EQ(f.entity.substr(f.entity.rfind('/') + 1), archetype);
+  fluid::FluidCell cell(f);
+  const fluid::FluidResult r = cell.run();
+  std::uint64_t occ = kFnvBasis;
+  for (double v : r.occupancy) occ = fnv1a(occ, std::bit_cast<std::uint64_t>(v));
+  std::uint64_t log = kFnvBasis;
+  for (const fleet::AdmissionLogEntry& e : cell.admission().log()) {
+    log = fnv1a(log, static_cast<std::uint64_t>(e.decision));
+    log = fnv1a(log, std::bit_cast<std::uint64_t>(e.projected_p99_ms));
+  }
+  return CellGolden{index,        archetype,       r.arrivals,      r.admitted,
+                    r.downgraded, r.rejected,      r.frames,        r.misses,
+                    r.mean_ms,    r.min_ms,        r.max_ms,        r.p50_ms,
+                    r.p90_ms,     r.p99_ms,        r.miss_rate,     r.served_fps,
+                    r.peak_sessions, r.knee_sessions, r.first_breach, r.backlog_end,
+                    r.ticks,      r.sim_seconds,   r.occupancy.size(), occ,
+                    cell.admission().log().size(), log};
+}
+
+}  // namespace
+
+// One full-day cell per archetype of the default 20x20 city at seed 1, every
+// output pinned bit for bit. Recorded at commit a9674e8 (before the cached
+// p99 projection, the one-pass admission stencil and the hoisted per-cell
+// constants), so any change to the stepper's or the controller's arithmetic
+// shows up here. The two admission cells (core, nightlife) also pin the
+// admission log: cell 168 rejects 13,235 sessions, so its log digest pins
+// the projected p99 of every one of its 86,400 ticks.
+TEST(City, ArchetypeCellGoldens) {
+  const CellGolden goldens[] = {
+      {168, "core", 72270, 57064, 1971, 13235, 1042189879, 569515,
+       0x1.1a0bdd94cfc79p+5, 0x1.3c81b586feb69p+4, 0x1.3b5ad61cf155ep+6,
+       0x1.e266666666667p+4, 0x1.e2ccccccccccdp+5, 0x1.fep+5,
+       0x1.1e80a9bd94c4p-11, 0x1.78f3101a4184bp+13, 0x1.a87782a25da62p+9, 0x1.a87782a25da62p+9,
+       32413000000000, 0x0p+0, 86400, 0x1.518p+16, 96, 0x444495bd4f3bcf2fULL,
+       86400, 0x560e1cd34ba67401ULL},
+      {127, "commercial", 42816, 42816, 0, 0, 768672249, 182832995,
+       0x1.00b43790d2ee6p+14, 0x1.3c81dec7d681p+4, 0x1.0237b2158ac02p+17,
+       0x1.ea66666666667p+4, 0x1.d4cp+15, 0x1.d4cp+15,
+       0x1.e720d585b695dp-3, 0x1.16055b3ecdd04p+13, 0x1.1ffff98677eebp+9, 0x1.1a312d78613b1p+9,
+       40212000000000, 0x0p+0, 86400, 0x1.518p+16, 96, 0xb6d0d1746cc598cbULL,
+       0, 0xcbf29ce484222325ULL},
+      {3, "residential", 32682, 32682, 0, 0, 579464351, 221744141,
+       0x1.680981c4d7bbcp+18, 0x1.3c8c5fe257176p+4, 0x1.a10b761936cbcp+20,
+       0x1.bap+5, 0x1.d4cp+15, 0x1.d4cp+15,
+       0x1.87dae0f3802b9p-2, 0x1.a32c3690d6f9ap+12, 0x1.03ef6b5fd0893p+9, 0x1.a7bc0fc103234p+8,
+       68915000000000, 0x1.f81e67c67b2c2p+21, 86400, 0x1.518p+16, 96, 0xc9b44532b24c30a0ULL,
+       0, 0xcbf29ce484222325ULL},
+      {0, "nightlife", 42336, 38909, 3427, 0, 721912428, 0,
+       0x1.1b61d041daa9cp+5, 0x1.3ca02f666956p+4, 0x1.2b7901e7dd58dp+6,
+       0x1.e266666666667p+4, 0x1.dd33333333334p+5, 0x1.07ccccccccccdp+6,
+       0x0p+0, 0x1.051bbe4c3a832p+13, 0x1.33fff4aeec87cp+9, 0x1.33fff4aeec87cp+9,
+       -1, 0x0p+0, 86400, 0x1.518p+16, 96, 0x716ad6fc9a17c0baULL,
+       86400, 0x69b665798c3b794aULL},
+      {2, "transit", 32899, 32899, 0, 0, 590887407, 242795007,
+       0x1.58e99c381f37dp+18, 0x1.3c8026bed8bc3p+4, 0x1.b878fb701a2c6p+20,
+       0x1.cap+5, 0x1.d4cp+15, 0x1.d4cp+15,
+       0x1.a4c2b0ce955d3p-2, 0x1.ab6f9806e32edp+12, 0x1.40a341157b7e8p+9, 0x1.7a2db11e157e4p+8,
+       26605000000000, 0x0p+0, 86400, 0x1.518p+16, 96, 0xb3b6412376d32192ULL,
+       0, 0xcbf29ce484222325ULL},
+  };
+  const fluid::CityConfig city;
+  for (const CellGolden& g : goldens) {
+    EXPECT_EQ(render(observe_city_cell(city, g.index, g.archetype)), render(g));
+  }
 }
