@@ -98,8 +98,8 @@ int main(int argc, char** argv) {
     const std::size_t i = ctx.run_index;
     if (i < n_cells) {
       const std::string entity = fluid::make_city_cell(city, i, ctx.seed).entity;
-      telemetry.attach_slo(i, fluid::city_slo_config(city, entity));
-      outcomes[i] = fluid::run_city_cell(city, i, ctx.seed, &ctx.metrics, telemetry.slo(i));
+      const trace::Telemetry t = telemetry.attach_slo(i, fluid::city_slo_config(city, entity));
+      outcomes[i] = fluid::run_city_cell(city, i, ctx.seed, &ctx.metrics, t.slo);
     } else {
       validation[i - n_cells] =
           fluid::run_validation_level(levels[i - n_cells], validate_duration, ctx.seed);

@@ -113,16 +113,13 @@ int main(int argc, char** argv) {
   runner::SweepTelemetry telemetry(cells.size());
   obs::MetricsRegistry merged = pool.run_merged(cells.size(), [&](runner::RunContext& ctx) {
     const std::size_t i = ctx.run_index;
-    fleet::CellTelemetry t;
-    t.metrics = &ctx.metrics;
+    trace::Telemetry t;
     if (flags.slo) {
       slo::SloConfig lc;
       lc.entity = cells[i].name;
-      telemetry.attach(i, ctx.seed, lc);
-      t.tracer = telemetry.tracer(i);
-      t.sampler = telemetry.sampler(i);
-      t.slo = telemetry.slo(i);
+      t = telemetry.attach(i, ctx.seed, lc);
     }
+    t.metrics = &ctx.metrics;
     results[i] = fleet::run_capacity_cell(cells[i], ctx.seed, t);
   });
 

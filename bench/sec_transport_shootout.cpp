@@ -66,15 +66,12 @@ int main(int argc, char** argv) {
   runner::SweepTelemetry telemetry(cells.size());
   pool.for_each(cells.size(), [&](runner::RunContext& ctx) {
     const std::size_t i = ctx.run_index;
-    core::ShootoutTelemetry t;
+    trace::Telemetry t;
     if (flags.slo) {
       slo::SloConfig lc;
       lc.entity = cells[i].name();
       lc.deadline_ms = sim::to_milliseconds(cells[i].deadline);
-      telemetry.attach(i, ctx.seed, lc);
-      t.tracer = telemetry.tracer(i);
-      t.sampler = telemetry.sampler(i);
-      t.slo = telemetry.slo(i);
+      t = telemetry.attach(i, ctx.seed, lc);
     }
     results[i] = core::run_shootout_cell(cells[i], ctx.seed, t);
   });

@@ -4,9 +4,7 @@
 #include <string>
 
 #include "arnet/sim/time.hpp"
-#include "arnet/slo/slo.hpp"
-#include "arnet/trace/sampler.hpp"
-#include "arnet/trace/trace.hpp"
+#include "arnet/trace/telemetry.hpp"
 
 namespace arnet::core {
 
@@ -70,26 +68,17 @@ struct ShootoutCellResult {
   std::int64_t sim_events = 0;
 };
 
-/// Per-cell telemetry attachments (all optional, caller-owned, outliving
-/// the call). With a tracer, every submitted frame mints a trace id and
-/// records capture/done/miss events (plus a drop event for frames that never
-/// reassemble), so the tail sampler sees the same span stream the fleet
-/// produces. The SLO tracker observes every frame's classification: on-time
-/// and late frames by latency, incompletes as explicit misses.
-struct ShootoutTelemetry {
-  trace::Tracer* tracer = nullptr;
-  trace::TailSampler* sampler = nullptr;  ///< wired as the tracer's sink
-  slo::SloTracker* slo = nullptr;
-};
-
 /// Builds the cell's topology + transport, runs it for `cfg.duration` (plus a
 /// short drain so in-flight frames classify), and scores every frame.
 /// Deterministic per (cfg, seed): equal inputs give byte-equal results.
-ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_t seed);
-
-/// Telemetry variant: same contract and identical scoring; the telemetry
-/// stream is an observer and never perturbs the cell (fingerprint-neutral).
+///
+/// `telemetry` observes the cell and never perturbs it (fingerprint-
+/// neutral). With a tracer, every submitted frame mints a trace id and
+/// records capture/done/miss events (plus a drop event for frames that never
+/// reassemble), so the tail sampler sees the same span stream the fleet
+/// produces. The SLO tracker observes every frame's one verdict: on-time
+/// and late frames by latency, incompletes as explicit misses.
 ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_t seed,
-                                     const ShootoutTelemetry& telemetry);
+                                     const trace::Telemetry& telemetry = {});
 
 }  // namespace arnet::core

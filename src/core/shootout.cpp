@@ -12,6 +12,8 @@
 #include "arnet/net/network.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/sim/stats.hpp"
+#include "arnet/slo/slo.hpp"
+#include "arnet/trace/trace.hpp"
 #include "arnet/transport/artp.hpp"
 #include "arnet/transport/quic_lite.hpp"
 #include "arnet/transport/tcp.hpp"
@@ -145,12 +147,8 @@ void build_network(const ShootoutCellConfig& cfg, net::Network& net, net::NodeId
 
 }  // namespace
 
-ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_t seed) {
-  return run_shootout_cell(cfg, seed, ShootoutTelemetry{});
-}
-
 ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_t seed,
-                                     const ShootoutTelemetry& telemetry) {
+                                     const trace::Telemetry& telemetry) {
   sim::Simulator sim;
   net::Network net(sim, seed);
   net::NodeId client = net.add_node("ar-client");
@@ -163,46 +161,37 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
 
   // Telemetry is a pure observer: the trace/SLO stream reads completion
   // events the scoring path already produces and feeds nothing back.
-  trace::EntityId ent = trace::kNoEntity;
-  if (telemetry.tracer) {
-    ent = telemetry.tracer->register_entity(cfg.name());
-    if (telemetry.sampler) telemetry.tracer->set_sink(telemetry.sampler);
-  }
-  // Live trace context per in-flight frame id; erased on classification so
-  // whatever remains at the end is provably unclassified.
+  trace::Telemetry observers = telemetry;
+  observers.wire();
+  const trace::Emitter emitter(observers.tracer, cfg.name());
+  // Every submitted frame not yet classified, with its trace context (empty
+  // when untraced); erased on classification, so whatever remains at the
+  // end is provably unclassified.
   std::map<std::uint32_t, trace::TraceContext> frame_ctx;
   auto ctx_of = [&](std::uint32_t fid) {
     auto it = frame_ctx.find(fid);
     return it == frame_ctx.end() ? trace::TraceContext{} : it->second;
   };
-  auto record = [&](trace::EventKind kind, const trace::TraceContext& ctx, std::uint64_t uid,
-                    std::int64_t size, const char* reason = nullptr) {
-    if (!telemetry.tracer) return;
-    trace::TraceEvent e;
-    e.time = sim.now();
-    e.uid = uid;
-    e.size = size;
-    e.trace_id = ctx.trace_id;
-    e.span_id = ctx.span_id;
-    e.kind = kind;
-    e.reason = reason;
-    telemetry.tracer->record(ent, e);
-  };
   // One frame, one verdict: complete frames observe their latency (late ==
-  // miss for the SLO), incompletes record an explicit drop + miss.
+  // miss for the SLO), incompletes record an explicit drop + miss. A frame
+  // already classified stays so: ARTP can report an expired message again
+  // when its late chunks arrive.
   auto classify = [&](std::uint32_t fid, bool complete, sim::Time latency) {
-    const trace::TraceContext ctx = ctx_of(fid);
-    frame_ctx.erase(fid);
+    auto it = frame_ctx.find(fid);
+    if (it == frame_ctx.end()) return;
+    const trace::TraceContext ctx = it->second;
+    frame_ctx.erase(it);
+    const sim::Time now = sim.now();
     if (!complete) {
-      record(trace::EventKind::kDrop, ctx, fid, 0, "incomplete");
-      record(trace::EventKind::kFrameMiss, ctx, fid, 0, "incomplete");
-      if (telemetry.slo) telemetry.slo->observe_miss(sim.now());
+      emitter.emit(now, trace::EventKind::kDrop, ctx, fid, 0, "incomplete");
+      emitter.emit(now, trace::EventKind::kFrameMiss, ctx, fid, 0, "incomplete");
+      if (observers.slo) observers.slo->observe_miss(now);
       return;
     }
     const bool missed = latency > cfg.deadline;
-    record(missed ? trace::EventKind::kFrameMiss : trace::EventKind::kFrameDone, ctx, fid,
-           static_cast<std::int64_t>(latency), missed ? "deadline" : nullptr);
-    if (telemetry.slo) telemetry.slo->observe(sim.now(), sim::to_milliseconds(latency));
+    emitter.emit(now, missed ? trace::EventKind::kFrameMiss : trace::EventKind::kFrameDone, ctx,
+                 fid, static_cast<std::int64_t>(latency), missed ? "deadline" : nullptr);
+    if (observers.slo) observers.slo->observe(now, sim::to_milliseconds(latency));
   };
 
   // Transport plumbing. Exactly one of these sets of endpoints is live; the
@@ -310,11 +299,10 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
   // 33'333'333 ns land 30 ns short of 3 s and a 91st frame sneaks in.)
   std::function<void()> frame_tick = [&] {
     const auto fid = static_cast<std::uint32_t>(score.sent);
-    if (telemetry.tracer) {
-      const trace::TraceContext ctx = telemetry.tracer->new_trace();
-      frame_ctx.emplace(fid, ctx);
-      record(trace::EventKind::kFrameCapture, ctx, fid, cfg.frame_bytes);
-    }
+    const trace::TraceContext ctx =
+        observers.tracer ? observers.tracer->new_trace() : trace::TraceContext{};
+    frame_ctx.emplace(fid, ctx);
+    emitter.emit(sim.now(), trace::EventKind::kFrameCapture, ctx, fid, cfg.frame_bytes);
     submit_frame();
     ++score.sent;
     const sim::Time next =
@@ -345,9 +333,7 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
   // still buffered at the cutoff) are incomplete by subtraction in the
   // scoreboard; mirror that verdict into the telemetry stream so the sampler
   // and SLO see every submitted frame exactly once.
-  if (telemetry.tracer || telemetry.slo) {
-    while (!frame_ctx.empty()) classify(frame_ctx.begin()->first, false, 0);
-  }
+  while (!frame_ctx.empty()) classify(frame_ctx.begin()->first, false, 0);
 
   ShootoutCellResult r;
   r.name = cfg.name();

@@ -14,7 +14,8 @@ Fleet::Fleet(sim::Simulator& sim, FleetConfig cfg)
       balancer_(cfg_.policy),
       autoscaler_(cfg_.autoscaler) {
   ARNET_CHECK(cfg_.initial_servers >= 1, "fleet needs at least one server");
-  if (cfg_.tracer) trace_entity_ = cfg_.tracer->register_entity(cfg_.entity);
+  cfg_.telemetry.wire();
+  trace_ = trace::Emitter(cfg_.telemetry.tracer, cfg_.entity);
   for (std::size_t i = 0; i < cfg_.initial_servers; ++i) add_server();
   active_ = cfg_.initial_servers;
   population_.set_session_callback([this](const SessionSpec& s) { on_arrival(s); });
@@ -44,32 +45,17 @@ void Fleet::add_server() {
   EdgeServerConfig scfg;
   scfg.profile = cfg_.server_profile;
   scfg.batch = cfg_.batch;
-  scfg.metrics = cfg_.metrics;
-  scfg.tracer = cfg_.tracer;
+  scfg.telemetry = {.metrics = cfg_.telemetry.metrics, .tracer = cfg_.telemetry.tracer};
   scfg.entity = cfg_.entity + "/server:" + std::to_string(servers_.size());
   servers_.push_back(std::make_unique<EdgeServer>(sim_, scfg));
   busy_snapshot_.push_back(0);
 }
 
-void Fleet::record_trace(trace::EventKind kind, const trace::TraceContext& ctx,
-                         std::uint64_t uid, std::int64_t size, const char* reason) {
-  if (!cfg_.tracer) return;
-  trace::TraceEvent e;
-  e.time = sim_.now();
-  e.uid = uid;
-  e.size = size;
-  e.trace_id = ctx.trace_id;
-  e.span_id = ctx.span_id;
-  e.kind = kind;
-  e.reason = reason;
-  cfg_.tracer->record(trace_entity_, e);
-}
-
 void Fleet::publish_gauges() {
-  if (!cfg_.metrics) return;
-  cfg_.metrics->gauge("fleet.active_sessions", cfg_.entity)
+  if (!cfg_.telemetry.metrics) return;
+  cfg_.telemetry.metrics->gauge("fleet.active_sessions", cfg_.entity)
       .set(static_cast<double>(sessions_.size()));
-  cfg_.metrics->gauge("fleet.active_servers", cfg_.entity)
+  cfg_.telemetry.metrics->gauge("fleet.active_servers", cfg_.entity)
       .set(static_cast<double>(active_));
 }
 
@@ -89,16 +75,16 @@ void Fleet::stop() {
 void Fleet::on_arrival(const SessionSpec& spec) {
   if (!running_) return;
   ++stats_.arrivals;
-  if (cfg_.metrics) cfg_.metrics->counter("fleet.arrivals", cfg_.entity).add();
+  if (cfg_.telemetry.metrics) cfg_.telemetry.metrics->counter("fleet.arrivals", cfg_.entity).add();
   const AdmissionDecision d = admission_.decide(sim_.now(), spec.id);
-  record_trace(trace::EventKind::kAdmit, trace::TraceContext{}, spec.id, 0, to_string(d));
+  trace_.emit(sim_.now(), trace::EventKind::kAdmit, {}, spec.id, 0, to_string(d));
   // Admission anomalies predate any frame trace, so the sampler keeps them
   // as notes rather than span sets.
-  if (cfg_.sampler && d != AdmissionDecision::kAdmit) {
-    cfg_.sampler->note(spec.id, to_string(d), sim_.now());
+  if (cfg_.telemetry.sampler && d != AdmissionDecision::kAdmit) {
+    cfg_.telemetry.sampler->note(spec.id, to_string(d), sim_.now());
   }
-  if (cfg_.metrics) {
-    cfg_.metrics
+  if (cfg_.telemetry.metrics) {
+    cfg_.telemetry.metrics
         ->counter(d == AdmissionDecision::kReject
                       ? "fleet.rejected"
                       : (d == AdmissionDecision::kDowngrade ? "fleet.downgraded"
@@ -141,11 +127,11 @@ void Fleet::capture_frame(std::uint64_t sid) {
   const sim::Time t0 = sim_.now();
   const std::uint64_t frame_uid = next_frame_uid_++;
   ++stats_.frames;
-  if (cfg_.metrics) cfg_.metrics->counter("fleet.frames", cfg_.entity).add();
+  if (cfg_.telemetry.metrics) cfg_.telemetry.metrics->counter("fleet.frames", cfg_.entity).add();
   trace::TraceContext ctx;
-  if (cfg_.tracer) {
-    ctx = cfg_.tracer->new_trace();
-    record_trace(trace::EventKind::kFrameCapture, ctx, frame_uid, app.request_bytes);
+  if (cfg_.telemetry.tracer) {
+    ctx = cfg_.telemetry.tracer->new_trace();
+    trace_.emit(sim_.now(), trace::EventKind::kFrameCapture, ctx, frame_uid, app.request_bytes);
   }
 
   // Anycast decision at the client: the balancer picks the serving edge
@@ -201,25 +187,24 @@ void Fleet::finish_frame(std::uint64_t frame_uid, const Session& snapshot, sim::
   // frame, but the cadence is part of the output: the threshold in force when
   // a frame completes decides whether the sampler retains it, so changing it
   // changes the retained traces.
-  if (cfg_.sampler && (stats_.results & 31) == 1) {
-    cfg_.sampler->set_outlier_threshold_ms(admission_.projected_p99_ms());
+  if (cfg_.telemetry.sampler && (stats_.results & 31) == 1) {
+    cfg_.telemetry.sampler->set_outlier_threshold_ms(admission_.projected_p99_ms());
   }
-  record_trace(missed ? trace::EventKind::kFrameMiss : trace::EventKind::kFrameDone, ctx,
-               frame_uid, static_cast<std::int64_t>(latency),
-               missed ? "deadline" : nullptr);
-  if (cfg_.slo) cfg_.slo->observe(sim_.now(), ms);
-  if (cfg_.metrics) {
+  trace_.emit(sim_.now(), missed ? trace::EventKind::kFrameMiss : trace::EventKind::kFrameDone,
+              ctx, frame_uid, static_cast<std::int64_t>(latency), missed ? "deadline" : nullptr);
+  if (cfg_.telemetry.slo) cfg_.telemetry.slo->observe(sim_.now(), ms);
+  if (cfg_.telemetry.metrics) {
     // Retention was just decided (the sampler saw the completion event via
     // the tracer sink): retained frames become their bucket's exemplar.
     const std::uint32_t exemplar =
-        (cfg_.sampler && ctx.active() && cfg_.sampler->retained(ctx.trace_id))
+        (cfg_.telemetry.sampler && ctx.active() && cfg_.telemetry.sampler->retained(ctx.trace_id))
             ? ctx.trace_id
             : 0;
     const std::string cls_entity =
         cfg_.entity + "/class:" + mar::device_profile(snapshot.spec.device).name;
-    cfg_.metrics->histogram("fleet.m2p_ms", cls_entity).record(ms, exemplar);
-    cfg_.metrics->histogram("fleet.m2p_ms", cfg_.entity).record(ms, exemplar);
-    cfg_.metrics
+    cfg_.telemetry.metrics->histogram("fleet.m2p_ms", cls_entity).record(ms, exemplar);
+    cfg_.telemetry.metrics->histogram("fleet.m2p_ms", cfg_.entity).record(ms, exemplar);
+    cfg_.telemetry.metrics
         ->counter(missed ? "fleet.deadline_miss" : "fleet.deadline_hit", cfg_.entity)
         .add();
   }
@@ -242,6 +227,7 @@ void Fleet::autoscale_tick() {
   const double util = window_s > 0 ? sim::to_seconds(busy_delta) / window_s : 0.0;
 
   const ScaleAction action = autoscaler_.evaluate(sim_.now(), util, active_);
+  obs::MetricsRegistry* const metrics = cfg_.telemetry.metrics;
   if (action == ScaleAction::kOut) {
     if (active_ < servers_.size()) {
       ++active_;  // reactivate a drained server
@@ -249,20 +235,18 @@ void Fleet::autoscale_tick() {
       add_server();
       ++active_;
     }
-    if (cfg_.metrics) cfg_.metrics->counter("fleet.scale_out", cfg_.entity).add();
+    if (metrics) metrics->counter("fleet.scale_out", cfg_.entity).add();
     autoscaler_.applied(sim_.now(), action, util, active_);
     publish_gauges();
   } else if (action == ScaleAction::kIn) {
     // Deactivate the highest-index server: it stops receiving dispatches
     // and drains whatever it still holds.
     --active_;
-    if (cfg_.metrics) cfg_.metrics->counter("fleet.scale_in", cfg_.entity).add();
+    if (metrics) metrics->counter("fleet.scale_in", cfg_.entity).add();
     autoscaler_.applied(sim_.now(), action, util, active_);
     publish_gauges();
   }
-  if (cfg_.metrics) {
-    cfg_.metrics->gauge("fleet.utilization", cfg_.entity).set(util);
-  }
+  if (metrics) metrics->gauge("fleet.utilization", cfg_.entity).set(util);
   sim_.after(cfg_.autoscaler.tick, [this] { autoscale_tick(); });
 }
 

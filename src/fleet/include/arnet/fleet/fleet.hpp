@@ -16,6 +16,7 @@
 #include "arnet/sim/stats.hpp"
 #include "arnet/slo/slo.hpp"
 #include "arnet/trace/sampler.hpp"
+#include "arnet/trace/telemetry.hpp"
 #include "arnet/trace/trace.hpp"
 
 namespace arnet::fleet {
@@ -39,19 +40,14 @@ struct FleetConfig {
   double access_rate_bps = 25e6;
   /// Downgraded sessions run at fps * this factor.
   double downgrade_fps_factor = 0.5;
-  /// Observability (optional; must outlive the fleet). Metric entities are
-  /// "<entity>", "<entity>/server:N" and "<entity>/class:<device>".
-  obs::MetricsRegistry* metrics = nullptr;
-  trace::Tracer* tracer = nullptr;
-  /// Tail-based trace sampler. The fleet keeps its outlier threshold synced
-  /// to the admission controller's live p99 projection, records m2p
-  /// histogram exemplars for frames the sampler retained, and notes
-  /// admission rejects/downgrades (which carry no trace context). The
-  /// caller is responsible for `tracer->set_sink(sampler)`.
-  trace::TailSampler* sampler = nullptr;
-  /// Per-cell frame-deadline SLO: every completed frame's latency is
-  /// observed (burn-rate windows + alert state machine).
-  slo::SloTracker* slo = nullptr;
+  /// Observers; the fleet wires them (trace::Telemetry::wire) and hands
+  /// its servers the registry and tracer. Metric entities are "<entity>",
+  /// "<entity>/server:N" and "<entity>/class:<device>". The sampler's
+  /// outlier threshold tracks the admission controller's live p99
+  /// projection, frames it retained become m2p histogram exemplars, and
+  /// admission rejects/downgrades (which carry no trace context) become
+  /// its notes. The SLO tracker observes every completed frame's latency.
+  trace::Telemetry telemetry;
   std::string entity = "fleet";
 };
 
@@ -120,8 +116,6 @@ class Fleet {
   void finish_frame(std::uint64_t frame_uid, const Session& snapshot, sim::Time t0,
                     sim::Time deadline, trace::TraceContext ctx);
   void autoscale_tick();
-  void record_trace(trace::EventKind kind, const trace::TraceContext& ctx,
-                    std::uint64_t uid, std::int64_t size, const char* reason = nullptr);
   void publish_gauges();
 
   sim::Simulator& sim_;
@@ -136,7 +130,7 @@ class Fleet {
   std::map<std::uint64_t, Session> sessions_;
   bool running_ = false;
   std::uint64_t next_frame_uid_ = 0;
-  trace::EntityId trace_entity_ = trace::kNoEntity;
+  trace::Emitter trace_;
   FleetStats stats_;
 };
 

@@ -5,7 +5,7 @@
 
 #include "arnet/fleet/fleet.hpp"
 #include "arnet/sim/simulator.hpp"
-#include "arnet/trace/flight.hpp"
+#include "arnet/trace/telemetry.hpp"
 
 namespace arnet::fleet {
 
@@ -48,33 +48,15 @@ struct CellResult {
 /// The FleetConfig a cell resolves to (exposed so tests can perturb it).
 FleetConfig cell_fleet_config(const CellConfig& cell, std::uint64_t seed);
 
-/// Per-cell telemetry attachments (all optional, all owned by the caller
-/// and outliving the call). run_capacity_cell wires them together: the
-/// sampler becomes the tracer's sink, the fleet feeds the SLO tracker, and
-/// an SLO alert triggers `flight->dump` so a burning cell leaves its trace
-/// timeline behind. FlightRecorder installs a process-global failure hook —
-/// attach one only in serial runs.
-struct CellTelemetry {
-  obs::MetricsRegistry* metrics = nullptr;
-  trace::Tracer* tracer = nullptr;
-  trace::TailSampler* sampler = nullptr;
-  slo::SloTracker* slo = nullptr;
-  trace::FlightRecorder* flight = nullptr;
-};
+/// The cell's observer bundle under its historical name.
+using CellTelemetry = trace::Telemetry;
 
-/// Build a fresh world, run the cell, and summarize. When `metrics` is
-/// given, fleet instruments publish under entities prefixed with the cell
-/// name and a per-cell summary is published as "cell.*" gauges — everything
-/// a capacity-curve plot needs straight from the obs JSONL. All outputs are
-/// pure functions of (cell, seed).
+/// Build a fresh world, run the cell, and summarize. The fleet consumes
+/// `telemetry` (see FleetConfig::telemetry); with a registry, it also gets
+/// the cell's SLO tracker totals and a per-cell summary as "cell.*" gauges —
+/// everything a capacity-curve plot needs straight from the obs JSONL. All
+/// outputs are pure functions of (cell, seed); observers never change them.
 CellResult run_capacity_cell(const CellConfig& cell, std::uint64_t seed,
-                             obs::MetricsRegistry* metrics = nullptr,
-                             trace::Tracer* tracer = nullptr);
-
-/// Full-telemetry variant: same contract, plus SLO burn accounting, tail
-/// sampling, and histogram exemplars when the corresponding attachments are
-/// present. Pure function of (cell, seed, telemetry configs).
-CellResult run_capacity_cell(const CellConfig& cell, std::uint64_t seed,
-                             const CellTelemetry& telemetry);
+                             const trace::Telemetry& telemetry = {});
 
 }  // namespace arnet::fleet

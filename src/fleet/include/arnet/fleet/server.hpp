@@ -9,6 +9,7 @@
 #include "arnet/mar/device.hpp"
 #include "arnet/obs/registry.hpp"
 #include "arnet/sim/simulator.hpp"
+#include "arnet/trace/telemetry.hpp"
 #include "arnet/trace/trace.hpp"
 
 namespace arnet::fleet {
@@ -48,9 +49,9 @@ struct ComputeRequest {
 struct EdgeServerConfig {
   mar::DeviceClass profile = mar::DeviceClass::kDesktop;
   BatchConfig batch;
-  /// Observability (both optional; registry/tracer must outlive the server).
-  obs::MetricsRegistry* metrics = nullptr;
-  trace::Tracer* tracer = nullptr;
+  /// Observers; the server publishes into `metrics` and records into
+  /// `tracer`, and reads no other member.
+  trace::Telemetry telemetry;
   std::string entity = "fleet/server:0";
 };
 
@@ -96,8 +97,6 @@ class EdgeServer {
 
   void try_dispatch();
   void run_batch(std::vector<Queued> batch);
-  void record_trace(trace::EventKind kind, const trace::TraceContext& ctx,
-                    std::uint64_t uid, std::int64_t size);
   void publish_depth();
 
   sim::Simulator& sim_;
@@ -112,7 +111,7 @@ class EdgeServer {
   std::int64_t batches_ = 0;
   sim::Time busy_ = 0;
   double sojourn_ewma_ms_ = 0.0;
-  trace::EntityId trace_entity_ = trace::kNoEntity;
+  trace::Emitter trace_;
 };
 
 }  // namespace arnet::fleet

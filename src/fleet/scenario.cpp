@@ -23,33 +23,10 @@ FleetConfig cell_fleet_config(const CellConfig& cell, std::uint64_t seed) {
 }
 
 CellResult run_capacity_cell(const CellConfig& cell, std::uint64_t seed,
-                             obs::MetricsRegistry* metrics, trace::Tracer* tracer) {
-  CellTelemetry t;
-  t.metrics = metrics;
-  t.tracer = tracer;
-  return run_capacity_cell(cell, seed, t);
-}
-
-CellResult run_capacity_cell(const CellConfig& cell, std::uint64_t seed,
-                             const CellTelemetry& telemetry) {
+                             const trace::Telemetry& telemetry) {
   sim::Simulator sim;
   FleetConfig cfg = cell_fleet_config(cell, seed);
-  cfg.metrics = telemetry.metrics;
-  cfg.tracer = telemetry.tracer;
-  // Tail sampling rides the tracer's record stream; without a tracer there
-  // is nothing to sample.
-  if (telemetry.tracer && telemetry.sampler) {
-    cfg.sampler = telemetry.sampler;
-    telemetry.tracer->set_sink(telemetry.sampler);
-  }
-  cfg.slo = telemetry.slo;
-  if (telemetry.slo && telemetry.flight) {
-    // Per-cell p99 drift (burn-rate alert) dumps the flight timeline: the
-    // "why" behind the alert is exactly what the rings still hold.
-    trace::FlightRecorder* flight = telemetry.flight;
-    telemetry.slo->set_alert_callback(
-        [flight](const slo::AlertEvent& e) { flight->dump(to_string(e.state)); });
-  }
+  cfg.telemetry = telemetry;
   Fleet fleet(sim, cfg);
   fleet.start();
   sim.run_until(cell.duration);

@@ -12,25 +12,12 @@ EdgeServer::EdgeServer(sim::Simulator& sim, EdgeServerConfig cfg)
       profile_(mar::device_profile(cfg_.profile)),
       free_lanes_(std::max(1, cfg_.batch.executors)) {
   ARNET_CHECK(cfg_.batch.max_batch >= 1, "max_batch must be >= 1");
-  if (cfg_.tracer) trace_entity_ = cfg_.tracer->register_entity(cfg_.entity);
-}
-
-void EdgeServer::record_trace(trace::EventKind kind, const trace::TraceContext& ctx,
-                              std::uint64_t uid, std::int64_t size) {
-  if (!cfg_.tracer) return;
-  trace::TraceEvent e;
-  e.time = sim_.now();
-  e.uid = uid;
-  e.size = size;
-  e.trace_id = ctx.trace_id;
-  e.span_id = ctx.span_id;
-  e.kind = kind;
-  cfg_.tracer->record(trace_entity_, e);
+  trace_ = trace::Emitter(cfg_.telemetry.tracer, cfg_.entity);
 }
 
 void EdgeServer::publish_depth() {
-  if (!cfg_.metrics) return;
-  cfg_.metrics->gauge("fleet.queue_depth", cfg_.entity)
+  if (!cfg_.telemetry.metrics) return;
+  cfg_.telemetry.metrics->gauge("fleet.queue_depth", cfg_.entity)
       .set(static_cast<double>(queue_.size()));
 }
 
@@ -43,8 +30,10 @@ double EdgeServer::utilization() const {
 
 void EdgeServer::submit(ComputeRequest req) {
   ++requests_;
-  if (cfg_.metrics) cfg_.metrics->counter("fleet.requests", cfg_.entity).add();
-  record_trace(trace::EventKind::kEnqueue, req.trace, req.uid, req.work);
+  if (cfg_.telemetry.metrics) {
+    cfg_.telemetry.metrics->counter("fleet.requests", cfg_.entity).add();
+  }
+  trace_.emit(sim_.now(), trace::EventKind::kEnqueue, req.trace, req.uid, req.work);
   queue_.push_back(Queued{std::move(req), sim_.now()});
   publish_depth();
   try_dispatch();
@@ -98,19 +87,19 @@ void EdgeServer::run_batch(std::vector<Queued> batch) {
   ++batches_;
   --free_lanes_;
   executing_ += static_cast<int>(batch.size());
-  if (cfg_.metrics) {
-    cfg_.metrics->counter("fleet.batches", cfg_.entity).add();
-    cfg_.metrics->histogram("fleet.batch_size", cfg_.entity)
+  if (cfg_.telemetry.metrics) {
+    cfg_.telemetry.metrics->counter("fleet.batches", cfg_.entity).add();
+    cfg_.telemetry.metrics->histogram("fleet.batch_size", cfg_.entity)
         .record(static_cast<double>(occupancy));
   }
   for (const Queued& q : batch) {
-    record_trace(trace::EventKind::kDispatch, q.req.trace, q.req.uid, occupancy);
+    trace_.emit(sim_.now(), trace::EventKind::kDispatch, q.req.trace, q.req.uid, occupancy);
   }
-  record_trace(trace::EventKind::kBatchStart, trace::TraceContext{}, batch_id, occupancy);
+  trace_.emit(sim_.now(), trace::EventKind::kBatchStart, {}, batch_id, occupancy);
 
   sim_.after(service, [this, batch = std::move(batch), batch_id, occupancy, service]() mutable {
     busy_ += service;
-    record_trace(trace::EventKind::kBatchDone, trace::TraceContext{}, batch_id, occupancy);
+    trace_.emit(sim_.now(), trace::EventKind::kBatchDone, {}, batch_id, occupancy);
     ++free_lanes_;
     executing_ -= static_cast<int>(batch.size());
     for (Queued& q : batch) {
@@ -118,8 +107,8 @@ void EdgeServer::run_batch(std::vector<Queued> batch) {
       sojourn_ewma_ms_ = sojourn_ewma_ms_ == 0.0
                              ? sojourn_ms
                              : 0.8 * sojourn_ewma_ms_ + 0.2 * sojourn_ms;
-      if (cfg_.metrics) {
-        cfg_.metrics->histogram("fleet.sojourn_ms", cfg_.entity).record(sojourn_ms);
+      if (cfg_.telemetry.metrics) {
+        cfg_.telemetry.metrics->histogram("fleet.sojourn_ms", cfg_.entity).record(sojourn_ms);
       }
       if (q.req.done) q.req.done();
     }

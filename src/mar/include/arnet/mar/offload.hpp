@@ -160,8 +160,6 @@ class OffloadSession {
   void on_server_message(const transport::ArtpDelivery& d);
   void on_client_result(const transport::ArtpDelivery& d);
   void finish_frame(std::uint32_t frame_id, sim::Time latency);
-  void record_trace(trace::EventKind kind, const trace::TraceContext& ctx, std::uint64_t uid,
-                    std::int64_t size, const char* reason = nullptr);
 
   net::Network& net_;
   net::NodeId client_, server_;
@@ -184,7 +182,7 @@ class OffloadSession {
   double tracking_quality_ = 1.0;
   ComputeResource* server_compute_ = nullptr;
   std::map<std::uint32_t, sim::Time> capture_time_;
-  trace::EntityId trace_entity_ = trace::kNoEntity;
+  trace::Emitter trace_;
   std::map<std::uint32_t, trace::TraceContext> frame_trace_;
   OffloadStats stats_;
   std::function<void(std::uint32_t, sim::Time)> result_cb_;

@@ -41,9 +41,7 @@ OffloadSession::OffloadSession(net::Network& net, net::NodeId client, net::NodeI
   cfg_.artp.header_bytes += crypto_costs(cfg_.crypto).per_packet_overhead_bytes;
   transport::ArtpReceiver::Config server_rx_cfg, client_rx_cfg;
   transport::ArtpSenderConfig reply_cfg;  // results: small, default transport
-  if (cfg_.tracer) {
-    trace_entity_ = cfg_.tracer->register_entity(cfg_.trace_entity);
-  }
+  trace_ = trace::Emitter(cfg_.tracer, cfg_.trace_entity);
   if (cfg_.tracer && cfg_.trace_transport) {
     cfg_.artp.tracer = cfg_.tracer;
     cfg_.artp.trace_entity = cfg_.trace_entity + "/artp-up";
@@ -92,20 +90,6 @@ OffloadSession::~OffloadSession() {
   server_rx_.reset();
   client_tx_.reset();
   net_.release_port_block(port_base_, 4);
-}
-
-void OffloadSession::record_trace(trace::EventKind kind, const trace::TraceContext& ctx,
-                                  std::uint64_t uid, std::int64_t size, const char* reason) {
-  if (!cfg_.tracer) return;
-  trace::TraceEvent e;
-  e.time = net_.sim().now();
-  e.uid = uid;
-  e.size = size;
-  e.trace_id = ctx.trace_id;
-  e.span_id = ctx.span_id;
-  e.kind = kind;
-  e.reason = reason;
-  cfg_.tracer->record(trace_entity_, e);
 }
 
 void OffloadSession::start() {
@@ -208,7 +192,8 @@ void OffloadSession::on_frame() {
   if (cfg_.metrics) cfg_.metrics->counter("mar.frames", cfg_.metrics_entity).add();
   if (cfg_.tracer) {
     frame_trace_[frame_id] = cfg_.tracer->new_trace();
-    record_trace(trace::EventKind::kFrameCapture, frame_trace_[frame_id], frame_id, 0);
+    trace_.emit(net_.sim().now(), trace::EventKind::kFrameCapture, frame_trace_[frame_id],
+                frame_id, 0);
   }
 
   switch (active_strategy_) {
@@ -311,10 +296,10 @@ void OffloadSession::on_server_message(const transport::ArtpDelivery& d) {
                scaled_cost(surrogate_, cfg_.costs.extract);
   }
   std::uint32_t frame_id = d.frame_id;
-  record_trace(trace::EventKind::kComputeStart, d.trace, frame_id,
-               static_cast<std::int64_t>(compute));
+  trace_.emit(net_.sim().now(), trace::EventKind::kComputeStart, d.trace, frame_id,
+              static_cast<std::int64_t>(compute));
   auto reply = [this, frame_id, ctx = d.trace] {
-    record_trace(trace::EventKind::kComputeDone, ctx, frame_id, 0);
+    trace_.emit(net_.sim().now(), trace::EventKind::kComputeDone, ctx, frame_id, 0);
     ArtpMessageSpec r;
     r.bytes = 400;
     r.frame_id = frame_id;
@@ -346,9 +331,10 @@ void OffloadSession::finish_frame(std::uint32_t frame_id, sim::Time latency) {
   stats_.latency_ms.add(sim::to_milliseconds(latency));
   const bool missed = latency > cfg_.deadline;
   if (missed) ++stats_.deadline_misses;
-  record_trace(missed ? trace::EventKind::kFrameMiss : trace::EventKind::kFrameDone,
-               frame_trace(frame_id), frame_id, static_cast<std::int64_t>(latency),
-               missed ? "deadline" : nullptr);
+  trace_.emit(net_.sim().now(),
+              missed ? trace::EventKind::kFrameMiss : trace::EventKind::kFrameDone,
+              frame_trace(frame_id), frame_id, static_cast<std::int64_t>(latency),
+              missed ? "deadline" : nullptr);
   if (missed && cfg_.flight) cfg_.flight->dump("deadline-miss");
   if (cfg_.slo) cfg_.slo->observe(net_.sim().now(), sim::to_milliseconds(latency));
   if (cfg_.metrics) {

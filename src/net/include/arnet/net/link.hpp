@@ -161,21 +161,9 @@ class Link {
   /// time, called from the entry's arrival event while the packet is still
   /// in the arena. Keeps batched trace timestamps identical to un-batched.
   void record_batched_tx(std::uint32_t slot);
-  void record_trace(trace::EventKind kind, const Packet& p, const char* reason = nullptr) {
-    if (tracer_ == nullptr) return;
-    trace::TraceEvent e;
-    e.time = sim_.now();
-    e.uid = p.uid;
-    e.size = p.size_bytes;
-    e.trace_id = p.trace.trace_id;
-    e.span_id = p.trace.span_id;
-    e.kind = kind;
-    e.reason = reason;
-    tracer_->record(trace_entity_, e);
-  }
   void notify_drop(const Packet& p, DropReason r) {
     if (metrics_) metrics_->counter(std::string("link.drop.") + to_string(r), obs_entity_).add();
-    record_trace(trace::EventKind::kDrop, p, to_string(r));
+    trace_.emit(sim_.now(), trace::EventKind::kDrop, p.trace, p.uid, p.size_bytes, to_string(r));
     if (drop_hook_) drop_hook_(p, r);
   }
 
@@ -208,9 +196,7 @@ class Link {
   std::string obs_entity_;
   sim::Time busy_time_ = 0;  ///< cumulative serialization time
 
-  // Causal tracing (attach_trace): null when not attached.
-  trace::Tracer* tracer_ = nullptr;
-  trace::EntityId trace_entity_ = trace::kNoEntity;
+  trace::Emitter trace_;  ///< inert until attach_trace
 };
 
 }  // namespace arnet::net

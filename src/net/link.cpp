@@ -61,8 +61,7 @@ void Link::attach_obs(obs::MetricsRegistry& reg, std::string entity) {
 }
 
 void Link::attach_trace(trace::Tracer& tracer, std::string name) {
-  tracer_ = &tracer;
-  trace_entity_ = tracer.register_entity(std::move(name));
+  trace_ = trace::Emitter(&tracer, std::move(name));
   install_queue_hook();
 }
 
@@ -76,7 +75,7 @@ void Link::install_queue_hook() {
   // "link.drop.<reason>" counter and the trace ring all see them with the
   // discipline's own reason (tail drop vs. AQM vs. shedding).
   queue_->set_drop_hook(
-      (drop_hook_ || metrics_ || tracer_ != nullptr)
+      (drop_hook_ || metrics_ || trace_)
           ? [this](const Packet& p, DropReason r) { notify_drop(p, r); }
           : Queue::DropHook{});
 }
@@ -87,7 +86,7 @@ void Link::send(Packet p) {
     notify_drop(p, DropReason::kLinkDown);
     return;
   }
-  record_trace(trace::EventKind::kEnqueue, p);
+  trace_.emit(sim_.now(), trace::EventKind::kEnqueue, p.trace, p.uid, p.size_bytes);
   if (!queue_->enqueue(std::move(p), sim_.now())) return;  // tail drop
   start_transmission_if_idle();
 }
@@ -215,13 +214,13 @@ bool Link::batch_eligible() const {
 // inside the simulator's inline callback buffer, zero allocations.
 
 void Link::start_transmission_arena() {
-  trace::ProfScope prof(tracer_, "Link::tx");
+  trace::ProfScope prof(trace_.tracer(), "Link::tx");
   auto p = queue_->dequeue(sim_.now());
   if (!p) return;
   transmitting_ = true;
-  record_trace(trace::EventKind::kTxStart, *p);
-  if (tracer_ != nullptr && tracer_->wire_capture()) {
-    tracer_->record_wire(make_wire(*p, sim_.now()));
+  trace_.emit(sim_.now(), trace::EventKind::kTxStart, p->trace, p->uid, p->size_bytes);
+  if (trace_ && trace_.tracer()->wire_capture()) {
+    trace_.tracer()->record_wire(make_wire(*p, sim_.now()));
   }
   const sim::Time tx = sim::transmission_delay(p->size_bytes, cfg_.rate_bps);
   record_tx_stats(p->enqueued_at, sim_.now(), sim_.now() + tx);
@@ -265,7 +264,7 @@ void Link::deliver_from_arena(std::uint32_t slot) {
   Packet pkt = arena_.take(slot);
   delivered_bytes_ += pkt.size_bytes;
   ++delivered_packets_;
-  record_trace(trace::EventKind::kRx, pkt);
+  trace_.emit(sim_.now(), trace::EventKind::kRx, pkt.trace, pkt.uid, pkt.size_bytes);
   if (metrics_) {
     metrics_->counter("link.delivered_bytes", obs_entity_).add(pkt.size_bytes);
     metrics_->counter("link.delivered_packets", obs_entity_).add();
@@ -335,20 +334,13 @@ void Link::finish_batch() {
 }
 
 void Link::record_batched_tx(std::uint32_t slot) {
-  if (tracer_ == nullptr || slot >= batch_tx_start_.size()) return;
+  if (!trace_ || slot >= batch_tx_start_.size()) return;
   const sim::Time start = batch_tx_start_[slot];
   if (start < 0) return;  // planned before the tracer attached
   batch_tx_start_[slot] = -1;  // each entry serializes (and records) once
   const Packet& p = arena_.at(slot);
-  trace::TraceEvent e;
-  e.time = start;
-  e.uid = p.uid;
-  e.size = p.size_bytes;
-  e.trace_id = p.trace.trace_id;
-  e.span_id = p.trace.span_id;
-  e.kind = trace::EventKind::kTxStart;
-  tracer_->record(trace_entity_, e);
-  if (tracer_->wire_capture()) tracer_->record_wire(make_wire(p, start));
+  trace_.emit(start, trace::EventKind::kTxStart, p.trace, p.uid, p.size_bytes);
+  if (trace_.tracer()->wire_capture()) trace_.tracer()->record_wire(make_wire(p, start));
 }
 
 void Link::record_tx_stats(BatchEntry& e) {

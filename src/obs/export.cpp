@@ -11,16 +11,14 @@
 
 namespace arnet::obs {
 
-namespace {
-
-/// Shortest round-trip formatting of a double (std::to_chars), so an
-/// export -> import cycle reproduces values bit-exactly.
 std::string fmt_double(double v) {
   char buf[64];
   auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
   if (ec != std::errc{}) return "0";
   return std::string(buf, ptr);
 }
+
+namespace {
 
 void write_id(std::ostream& os, const char* kind, const MetricId& id) {
   os << "{\"kind\":\"" << kind << "\",\"name\":\"" << json_escape(id.name)

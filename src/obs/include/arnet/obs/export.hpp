@@ -41,4 +41,9 @@ void write_csv(const TimeSeriesRecorder& rec, std::ostream& os);
 /// JSON string escaping (exposed for the bench JSON emitter).
 std::string json_escape(const std::string& s);
 
+/// Shortest round-trip formatting of a double (std::to_chars), so an
+/// export -> import cycle reproduces values bit-exactly and equal values
+/// print equal bytes in every JSONL export.
+std::string fmt_double(double v);
+
 }  // namespace arnet::obs

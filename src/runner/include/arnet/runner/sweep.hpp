@@ -11,6 +11,7 @@
 #include "arnet/runner/experiment.hpp"
 #include "arnet/slo/slo.hpp"
 #include "arnet/trace/sampler.hpp"
+#include "arnet/trace/telemetry.hpp"
 #include "arnet/trace/trace.hpp"
 
 namespace arnet::runner {
@@ -72,17 +73,15 @@ class SweepTelemetry {
  public:
   explicit SweepTelemetry(std::size_t cells) : cells_(cells) {}
 
-  /// The full stack for `cell`: a sink-only tracer (the sampler's span
-  /// budget is the retention store, so the per-entity rings are skipped), a
-  /// TailSampler seeded from `run_seed` for the cell to wire as its sink,
-  /// and an SLO tracker. `slo.entity` also names the cell's samples run.
-  void attach(std::size_t cell, std::uint64_t run_seed, const slo::SloConfig& slo);
+  /// Build the full stack for `cell` and return it as the cell's bundle:
+  /// a sink-only tracer (the sampler's span budget is the retention store,
+  /// so the per-entity rings are skipped), a TailSampler seeded from
+  /// `run_seed`, and an SLO tracker. `slo.entity` also names the cell's
+  /// samples run. The caller adds its own `metrics`.
+  trace::Telemetry attach(std::size_t cell, std::uint64_t run_seed,
+                          const slo::SloConfig& slo);
   /// SLO tracker only, for cells that emit no spans.
-  void attach_slo(std::size_t cell, const slo::SloConfig& slo);
-
-  trace::Tracer* tracer(std::size_t cell) const { return cells_[cell].tracer.get(); }
-  trace::TailSampler* sampler(std::size_t cell) const { return cells_[cell].sampler.get(); }
-  slo::SloTracker* slo(std::size_t cell) const { return cells_[cell].slo.get(); }
+  trace::Telemetry attach_slo(std::size_t cell, const slo::SloConfig& slo);
 
   /// `arnet-slo-v1` log of every attached tracker, cell order.
   void write_slo(std::ostream& os) const;

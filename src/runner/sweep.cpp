@@ -57,8 +57,8 @@ void write_bench_json(std::ostream& os, const std::string& suite,
   os << "\n]}\n";
 }
 
-void SweepTelemetry::attach(std::size_t cell, std::uint64_t run_seed,
-                            const slo::SloConfig& slo) {
+trace::Telemetry SweepTelemetry::attach(std::size_t cell, std::uint64_t run_seed,
+                                        const slo::SloConfig& slo) {
   Cell& c = cells_[cell];
   c.tracer = std::make_unique<trace::Tracer>();
   c.tracer->set_sink_only(true);
@@ -66,10 +66,12 @@ void SweepTelemetry::attach(std::size_t cell, std::uint64_t run_seed,
   sc.seed = derive_seed(run_seed, 0x5A3917);
   c.sampler = std::make_unique<trace::TailSampler>(sc);
   c.slo = std::make_unique<slo::SloTracker>(slo);
+  return {.tracer = c.tracer.get(), .sampler = c.sampler.get(), .slo = c.slo.get()};
 }
 
-void SweepTelemetry::attach_slo(std::size_t cell, const slo::SloConfig& slo) {
+trace::Telemetry SweepTelemetry::attach_slo(std::size_t cell, const slo::SloConfig& slo) {
   cells_[cell].slo = std::make_unique<slo::SloTracker>(slo);
+  return {.slo = cells_[cell].slo.get()};
 }
 
 void SweepTelemetry::write_slo(std::ostream& os) const {

@@ -1,7 +1,6 @@
 #include "arnet/slo/slo.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <ostream>
 
 #include "arnet/check/assert.hpp"
@@ -9,19 +8,6 @@
 #include "arnet/obs/registry.hpp"
 
 namespace arnet::slo {
-
-namespace {
-
-/// Shortest round-trip formatting (same contract as the obs exporter): the
-/// SLO log must be byte-identical across serial and parallel sweeps.
-std::string fmt_double(double v) {
-  char buf[64];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf, ptr);
-}
-
-}  // namespace
 
 const char* to_string(AlertState s) {
   switch (s) {
@@ -207,24 +193,24 @@ void write_slo_jsonl(const std::vector<const SloTracker*>& trackers, std::ostrea
     if (!t) continue;
     const SloConfig& c = t->config();
     os << "{\"kind\":\"objective\",\"entity\":\"" << obs::json_escape(c.entity)
-       << "\",\"deadline_ms\":" << fmt_double(c.deadline_ms)
-       << ",\"objective\":" << fmt_double(c.objective) << ",\"good\":" << t->good()
-       << ",\"miss\":" << t->miss() << ",\"burn_fast\":" << fmt_double(t->burn_fast())
-       << ",\"burn_slow\":" << fmt_double(t->burn_slow()) << ",\"state\":\""
+       << "\",\"deadline_ms\":" << obs::fmt_double(c.deadline_ms)
+       << ",\"objective\":" << obs::fmt_double(c.objective) << ",\"good\":" << t->good()
+       << ",\"miss\":" << t->miss() << ",\"burn_fast\":" << obs::fmt_double(t->burn_fast())
+       << ",\"burn_slow\":" << obs::fmt_double(t->burn_slow()) << ",\"state\":\""
        << to_string(t->state()) << "\",\"alerts\":" << t->alerts().size()
        << ",\"alerts_dropped\":" << t->alerts_dropped()
        << ",\"episodes\":" << t->alert_episodes() << "}\n";
     for (const AlertEvent& a : t->alerts()) {
       os << "{\"kind\":\"alert\",\"entity\":\"" << obs::json_escape(c.entity)
          << "\",\"t_ns\":" << a.time << ",\"state\":\"" << to_string(a.state)
-         << "\",\"burn_fast\":" << fmt_double(a.burn_fast)
-         << ",\"burn_slow\":" << fmt_double(a.burn_slow) << "}\n";
+         << "\",\"burn_fast\":" << obs::fmt_double(a.burn_fast)
+         << ",\"burn_slow\":" << obs::fmt_double(a.burn_slow) << "}\n";
       ++alerts_total;
     }
     for (const BurnSample& b : t->burn_samples()) {
       os << "{\"kind\":\"burn\",\"entity\":\"" << obs::json_escape(c.entity)
-         << "\",\"t_ns\":" << b.time << ",\"fast\":" << fmt_double(b.fast)
-         << ",\"slow\":" << fmt_double(b.slow) << ",\"state\":\""
+         << "\",\"t_ns\":" << b.time << ",\"fast\":" << obs::fmt_double(b.fast)
+         << ",\"slow\":" << obs::fmt_double(b.slow) << ",\"state\":\""
          << to_string(b.state) << "\"}\n";
     }
   }

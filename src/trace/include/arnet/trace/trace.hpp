@@ -273,4 +273,37 @@ class Tracer {
   TraceSink* sink_ = nullptr;
 };
 
+/// One component's recording handle: the tracer it records into and the
+/// entity it registered as. Built from a null tracer (or defaulted) it is
+/// inert, so a component holds one unconditionally and emits without
+/// checking; the check it makes is the untraced fast path.
+class Emitter {
+ public:
+  Emitter() = default;
+  Emitter(Tracer* tracer, std::string name)
+      : tracer_(tracer),
+        entity_(tracer ? tracer->register_entity(std::move(name)) : kNoEntity) {}
+
+  explicit operator bool() const { return tracer_ != nullptr; }
+  Tracer* tracer() const { return tracer_; }
+
+  void emit(sim::Time time, EventKind kind, TraceContext ctx, std::uint64_t uid,
+            std::int64_t size, const char* reason = nullptr) const {
+    if (tracer_ == nullptr) return;
+    TraceEvent e;
+    e.time = time;
+    e.uid = uid;
+    e.size = size;
+    e.trace_id = ctx.trace_id;
+    e.span_id = ctx.span_id;
+    e.kind = kind;
+    e.reason = reason;
+    tracer_->record(entity_, e);
+  }
+
+ private:
+  Tracer* tracer_ = nullptr;
+  EntityId entity_ = kNoEntity;
+};
+
 }  // namespace arnet::trace

@@ -44,23 +44,9 @@ ArtpSender::ArtpSender(net::Network& net, net::NodeId local, net::Port local_por
     p.min_owd.set_window(cfg_.min_owd_window);
     paths_.push_back(std::move(p));
   }
-  if (cfg_.tracer) trace_entity_ = cfg_.tracer->register_entity(cfg_.trace_entity);
+  trace_ = trace::Emitter(cfg_.tracer, cfg_.trace_entity);
   net_.node(local_).bind(local_port_, [this](Packet&& p) { on_packet(std::move(p)); });
   pace_timer_.arm(cfg_.pace_interval);
-}
-
-void ArtpSender::record_trace(trace::EventKind kind, const trace::TraceContext& ctx,
-                              std::uint64_t uid, std::int64_t size, const char* reason) {
-  if (!cfg_.tracer) return;
-  trace::TraceEvent e;
-  e.time = net_.sim().now();
-  e.uid = uid;
-  e.size = size;
-  e.trace_id = ctx.trace_id;
-  e.span_id = ctx.span_id;
-  e.kind = kind;
-  e.reason = reason;
-  cfg_.tracer->record(trace_entity_, e);
 }
 
 ArtpSender::~ArtpSender() { net_.node(local_).unbind(local_port_); }
@@ -116,7 +102,7 @@ std::uint64_t ArtpSender::send_message(const ArtpMessageSpec& spec) {
     staged.push_back(std::move(c));
   }
 
-  record_trace(trace::EventKind::kEnqueue, spec.trace, id, spec.bytes);
+  trace_.emit(net_.sim().now(), trace::EventKind::kEnqueue, spec.trace, id, spec.bytes);
 
   // Insert the whole message before the first queued message of strictly
   // lower importance (greater sub_priority), never splitting a message:
@@ -243,8 +229,8 @@ void ArtpSender::update_congestion_level() {
 
 void ArtpSender::shed_front_message(std::deque<Chunk>& q) {
   std::uint64_t msg = q.front().msg_id;
-  record_trace(trace::EventKind::kShed, q.front().trace, msg, 0,
-               congestion_level_ >= 2 ? "congestion" : "stale");
+  trace_.emit(net_.sim().now(), trace::EventKind::kShed, q.front().trace, msg, 0,
+              congestion_level_ >= 2 ? "congestion" : "stale");
   while (!q.empty() && q.front().msg_id == msg) {
     backlog_bytes_ -= q.front().payload;
     shed_bytes_ += q.front().payload;
@@ -410,8 +396,9 @@ void ArtpSender::transmit(const Chunk& c, Path& path) {
   p.header = h;
   p.trace = c.trace;
 
-  record_trace(c.retransmission ? trace::EventKind::kRetx : trace::EventKind::kTx, c.trace,
-               c.msg_id, p.size_bytes);
+  trace_.emit(net_.sim().now(),
+              c.retransmission ? trace::EventKind::kRetx : trace::EventKind::kTx, c.trace,
+              c.msg_id, p.size_bytes);
 
   path.budget_bytes -= p.size_bytes;
   path.sent_bytes += p.size_bytes;
@@ -461,7 +448,8 @@ void ArtpSender::transmit(const Chunk& c, Path& path) {
       fh.msg_submitted_at = c.submitted_at;
       fp.header = fh;
       fp.trace = c.trace;
-      record_trace(trace::EventKind::kTx, c.trace, c.msg_id, fp.size_bytes, "fec-parity");
+      trace_.emit(net_.sim().now(), trace::EventKind::kTx, c.trace, c.msg_id, fp.size_bytes,
+                  "fec-parity");
       path.budget_bytes -= fp.size_bytes;
       path.sent_bytes += fp.size_bytes;
       sent_bytes_ += fp.size_bytes;
@@ -484,8 +472,8 @@ void ArtpSender::on_packet(Packet&& p) {
 
 void ArtpSender::on_feedback(const ArtpHeader& h) {
   if (h.path_id >= paths_.size()) return;
-  record_trace(trace::EventKind::kAck, trace::TraceContext{}, h.fb_highest_seen,
-               static_cast<std::int64_t>(h.fb_nacks.size()));
+  trace_.emit(net_.sim().now(), trace::EventKind::kAck, trace::TraceContext{},
+              h.fb_highest_seen, static_cast<std::int64_t>(h.fb_nacks.size()));
   Path& path = paths_[h.path_id];
   path.last_owd = h.fb_owd;
   path.min_owd.update(h.fb_min_owd, net_.sim().now());
@@ -527,26 +515,12 @@ ArtpReceiver::ArtpReceiver(net::Network& net, net::NodeId local, net::Port local
       local_port_(local_port),
       cfg_(cfg),
       feedback_timer_(net.sim(), [this] { feedback_tick(); }) {
-  if (cfg_.tracer) trace_entity_ = cfg_.tracer->register_entity(cfg_.trace_entity);
+  trace_ = trace::Emitter(cfg_.tracer, cfg_.trace_entity);
   net_.node(local_).bind(local_port_, [this](Packet&& p) { on_packet(std::move(p)); });
   feedback_timer_.arm(cfg_.feedback_interval);
 }
 
 ArtpReceiver::~ArtpReceiver() { net_.node(local_).unbind(local_port_); }
-
-void ArtpReceiver::record_trace(trace::EventKind kind, const trace::TraceContext& ctx,
-                                std::uint64_t uid, std::int64_t size, const char* reason) {
-  if (!cfg_.tracer) return;
-  trace::TraceEvent e;
-  e.time = net_.sim().now();
-  e.uid = uid;
-  e.size = size;
-  e.trace_id = ctx.trace_id;
-  e.span_id = ctx.span_id;
-  e.kind = kind;
-  e.reason = reason;
-  cfg_.tracer->record(trace_entity_, e);
-}
 
 void ArtpReceiver::on_packet(Packet&& p) {
   const auto* h = std::get_if<ArtpHeader>(&p.header);
@@ -616,7 +590,7 @@ void ArtpReceiver::on_packet(Packet&& p) {
     m.have_count = m.chunk_count;
     m.fec_recovered = true;
     fec_recoveries_ += recovered;
-    record_trace(trace::EventKind::kFecRepair, m.trace, h->msg_id, recovered);
+    trace_.emit(net_.sim().now(), trace::EventKind::kFecRepair, m.trace, h->msg_id, recovered);
   }
 
   try_deliver(h->msg_id);
@@ -665,8 +639,8 @@ void ArtpReceiver::try_deliver(std::uint64_t msg_id) {
 }
 
 void ArtpReceiver::note_delivery(const ArtpDelivery& d) {
-  record_trace(trace::EventKind::kDeliver, d.trace, d.msg_id, d.bytes,
-               d.fec_recovered ? "fec-recovered" : nullptr);
+  trace_.emit(net_.sim().now(), trace::EventKind::kDeliver, d.trace, d.msg_id, d.bytes,
+              d.fec_recovered ? "fec-recovered" : nullptr);
   if (!cfg_.metrics) return;
   cfg_.metrics->counter("artp.delivered_messages", cfg_.metrics_entity).add();
   cfg_.metrics
@@ -722,7 +696,8 @@ void ArtpReceiver::expire_stale(sim::Time now) {
       d.complete = false;
       d.completeness = m.chunk_count ? static_cast<double>(m.have_count) / m.chunk_count : 0.0;
       d.trace = m.trace;
-      record_trace(trace::EventKind::kDeliver, m.trace, it->first, m.bytes, "expired");
+      trace_.emit(net_.sim().now(), trace::EventKind::kDeliver, m.trace, it->first, m.bytes,
+                  "expired");
       ++expired_messages_;
       it = pending_.erase(it);
       if (message_cb_) message_cb_(d);

@@ -213,8 +213,6 @@ class ArtpSender {
   /// Drop the band-front chunk and every following chunk of the same message
   /// (a message missing chunks is useless to the application).
   void shed_front_message(std::deque<Chunk>& q);
-  void record_trace(trace::EventKind kind, const trace::TraceContext& ctx, std::uint64_t uid,
-                    std::int64_t size, const char* reason = nullptr);
 
   net::Network& net_;
   net::NodeId local_, remote_;
@@ -247,7 +245,7 @@ class ArtpSender {
   std::int64_t retransmitted_chunks_ = 0;
   std::array<sim::RateMeter, net::kAppDataCount> app_meters_;
   std::function<void(const ArtpQosReport&)> qos_cb_;
-  trace::EntityId trace_entity_ = trace::kNoEntity;
+  trace::Emitter trace_;
 };
 
 /// ARTP receiver: reassembles messages, recovers FEC-protected chunks,
@@ -331,8 +329,6 @@ class ArtpReceiver {
   void flush_critical_in_order();
   void feedback_tick();
   void expire_stale(sim::Time now);
-  void record_trace(trace::EventKind kind, const trace::TraceContext& ctx, std::uint64_t uid,
-                    std::int64_t size, const char* reason = nullptr);
 
   net::Network& net_;
   net::NodeId local_;
@@ -358,7 +354,7 @@ class ArtpReceiver {
   std::int64_t expired_messages_ = 0;
   sim::RateMeter goodput_;
   std::function<void(const ArtpDelivery&)> message_cb_;
-  trace::EntityId trace_entity_ = trace::kNoEntity;
+  trace::Emitter trace_;
 };
 
 }  // namespace arnet::transport

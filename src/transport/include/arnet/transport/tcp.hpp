@@ -140,8 +140,6 @@ class TcpSource {
   void update_rtt(sim::Time sample);
   void arm_rto();
   void trace();
-  void record_trace(trace::EventKind kind, std::uint64_t uid, std::int64_t size,
-                    const char* reason = nullptr);
   std::int64_t flight_size() const {
     return static_cast<std::int64_t>(next_seq_ - highest_ack_);
   }
@@ -256,7 +254,7 @@ class TcpSource {
   sim::Time vegas_min_rtt_epoch_ = sim::kNever;  ///< min sample this RTT
   std::uint64_t vegas_next_tick_seq_ = 0;        ///< ends the current RTT epoch
 
-  trace::EntityId trace_entity_ = trace::kNoEntity;
+  trace::Emitter trace_;
   trace::TraceContext trace_ctx_;
 
   int timeouts_ = 0;

@@ -72,24 +72,8 @@ TcpSource::TcpSource(net::Network& net, net::NodeId local, net::Port local_port,
       ssthresh_(cfg.initial_ssthresh_segments * cfg.mss),
       rto_(cfg.initial_rto) {
   net_.node(local_).bind(local_port_, [this](Packet&& p) { on_packet(std::move(p)); });
-  if (cfg_.tracer) {
-    trace_entity_ = cfg_.tracer->register_entity(cfg_.trace_entity);
-    trace_ctx_ = cfg_.trace_ctx.active() ? cfg_.trace_ctx : cfg_.tracer->new_trace();
-  }
-}
-
-void TcpSource::record_trace(trace::EventKind kind, std::uint64_t uid, std::int64_t size,
-                             const char* reason) {
-  if (!cfg_.tracer) return;
-  trace::TraceEvent e;
-  e.time = net_.sim().now();
-  e.uid = uid;
-  e.size = size;
-  e.trace_id = trace_ctx_.trace_id;
-  e.span_id = trace_ctx_.span_id;
-  e.kind = kind;
-  e.reason = reason;
-  cfg_.tracer->record(trace_entity_, e);
+  trace_ = trace::Emitter(cfg_.tracer, cfg_.trace_entity);
+  if (trace_) trace_ctx_ = cfg_.trace_ctx.active() ? cfg_.trace_ctx : cfg_.tracer->new_trace();
 }
 
 void TcpSource::send(std::int64_t bytes) {
@@ -139,8 +123,8 @@ void TcpSource::send_segment(std::uint64_t seq, bool retransmission) {
   h.seq = seq;
   p.header = h;
   p.trace = trace_ctx_;
-  record_trace(retransmission ? trace::EventKind::kRetx : trace::EventKind::kTx, seq,
-               p.size_bytes);
+  trace_.emit(net_.sim().now(), retransmission ? trace::EventKind::kRetx : trace::EventKind::kTx,
+              trace_ctx_, seq, p.size_bytes);
   if (cfg_.first_hop) {
     p.src = local_;
     net_.send_via(*cfg_.first_hop, std::move(p));
@@ -339,7 +323,8 @@ void TcpSource::on_ack(std::uint64_t ack) {
   // beyond next_seq_ means sender/receiver sequence state diverged.
   ARNET_ASSERT(ack <= next_seq_, "ACK for byte ", ack, " but only ", next_seq_,
                " bytes were ever sent (flow ", flow_, ")");
-  record_trace(trace::EventKind::kAck, ack, 0, ack > highest_ack_ ? nullptr : "dup");
+  trace_.emit(net_.sim().now(), trace::EventKind::kAck, trace_ctx_, ack, 0,
+              ack > highest_ack_ ? nullptr : "dup");
   if (cfg_.sack) {
     // Any ACK demonstrates liveness: restart the probe clock, and a
     // cumulative advance opens a new flight (one probe per flight).

@@ -108,7 +108,6 @@ class WifiCell {
 
   void try_start_transmission();
   void finish_transmission(std::uint32_t from, std::uint32_t to, net::Packet p);
-  void record_trace(trace::EventKind kind, const net::Packet& p, const char* reason = nullptr);
   void drop_frame(const net::Packet& p, const char* reason);
   std::string entity_label(std::uint32_t id, const Entity& e) const;
   void publish_obs(std::uint32_t id, const Entity& e);
@@ -126,9 +125,7 @@ class WifiCell {
   obs::MetricsRegistry* metrics_ = nullptr;
   std::string obs_entity_;
 
-  // Tracing (attach_trace): null when not attached.
-  trace::Tracer* tracer_ = nullptr;
-  trace::EntityId trace_entity_ = trace::kNoEntity;
+  trace::Emitter trace_;  ///< inert until attach_trace
 };
 
 }  // namespace arnet::wireless

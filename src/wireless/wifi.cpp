@@ -44,26 +44,12 @@ void WifiCell::attach_obs(obs::MetricsRegistry& reg, std::string entity) {
 }
 
 void WifiCell::attach_trace(trace::Tracer& tracer, std::string name) {
-  tracer_ = &tracer;
-  trace_entity_ = tracer.register_entity(std::move(name));
-}
-
-void WifiCell::record_trace(trace::EventKind kind, const net::Packet& p, const char* reason) {
-  if (tracer_ == nullptr) return;
-  trace::TraceEvent e;
-  e.time = sim_.now();
-  e.uid = p.uid;
-  e.size = p.size_bytes;
-  e.trace_id = p.trace.trace_id;
-  e.span_id = p.trace.span_id;
-  e.kind = kind;
-  e.reason = reason;
-  tracer_->record(trace_entity_, e);
+  trace_ = trace::Emitter(&tracer, std::move(name));
 }
 
 void WifiCell::drop_frame(const net::Packet& p, const char* reason) {
   ++dropped_;
-  record_trace(trace::EventKind::kDrop, p, reason);
+  trace_.emit(sim_.now(), trace::EventKind::kDrop, p.trace, p.uid, p.size_bytes, reason);
   if (metrics_) {
     metrics_->counter(std::string("wifi.drop.") + reason, obs_entity_).add();
   }
@@ -89,7 +75,7 @@ void WifiCell::send(std::uint32_t from, std::uint32_t to, net::Packet p) {
     drop_frame(p, "queue-full");
     return;
   }
-  record_trace(trace::EventKind::kEnqueue, p);
+  trace_.emit(sim_.now(), trace::EventKind::kEnqueue, p.trace, p.uid, p.size_bytes);
   e.queue.emplace_back(to, std::move(p));
   try_start_transmission();
 }
@@ -117,7 +103,7 @@ void WifiCell::try_start_transmission() {
   busy_ = true;
   auto [to, pkt] = std::move(winner->queue.front());
   winner->queue.pop_front();
-  record_trace(trace::EventKind::kTxStart, pkt);
+  trace_.emit(sim_.now(), trace::EventKind::kTxStart, pkt.trace, pkt.uid, pkt.size_bytes);
 
   // Occupancy = airtime of the frame at the sender's PHY rate, plus full
   // retries on corruption (up to the retry limit).
@@ -160,7 +146,7 @@ void WifiCell::finish_transmission(std::uint32_t from, std::uint32_t to, net::Pa
   }
   auto it = entities_.find(to);
   if (it == entities_.end()) return;
-  record_trace(trace::EventKind::kRx, p);
+  trace_.emit(sim_.now(), trace::EventKind::kRx, p.trace, p.uid, p.size_bytes);
   it->second.delivered_bytes += p.size_bytes;
   ++it->second.delivered_packets;
   if (metrics_) {

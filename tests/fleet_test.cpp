@@ -132,7 +132,7 @@ TEST(EdgeServer, BatchCapsAtMaxSize) {
   fleet::EdgeServerConfig cfg;
   cfg.batch.max_batch = 8;
   cfg.batch.executors = 1;
-  cfg.metrics = &f.reg;
+  cfg.telemetry.metrics = &f.reg;
   fleet::EdgeServer srv(f.sim, cfg);
 
   // 20 requests at t=0 on one lane: batches of 8, 8, then the 4-tail.
@@ -464,7 +464,7 @@ TEST(FleetDeterminism, SerialAndParallelSweepsAreByteIdentical) {
     pc.root_seed = 5;
     runner::ExperimentRunner pool(pc);
     const obs::MetricsRegistry merged = pool.run_merged(cells.size(), [&](runner::RunContext& ctx) {
-      fleet::run_capacity_cell(cells[ctx.run_index], ctx.seed, &ctx.metrics);
+      fleet::run_capacity_cell(cells[ctx.run_index], ctx.seed, {.metrics = &ctx.metrics});
     });
     std::ostringstream os;
     obs::write_jsonl(merged, os);

@@ -376,9 +376,9 @@ std::pair<std::string, std::string> run_city_merged(int jobs) {
   const obs::MetricsRegistry merged = pool.run_merged(city.cells(), [&](runner::RunContext& ctx) {
     const std::string entity =
         fluid::make_city_cell(city, ctx.run_index, ctx.seed).entity;
-    telemetry.attach_slo(ctx.run_index, fluid::city_slo_config(city, entity));
-    fluid::run_city_cell(city, ctx.run_index, ctx.seed, &ctx.metrics,
-                         telemetry.slo(ctx.run_index));
+    const trace::Telemetry t =
+        telemetry.attach_slo(ctx.run_index, fluid::city_slo_config(city, entity));
+    fluid::run_city_cell(city, ctx.run_index, ctx.seed, &ctx.metrics, t.slo);
   });
   std::ostringstream mo;
   obs::write_jsonl(merged, mo);

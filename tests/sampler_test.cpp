@@ -2,25 +2,36 @@
 // priority order, the span-budget eviction policy, per-frame truncation,
 // the seeded healthy-frame reservoir, the traceless note log, the stats
 // invariant, overload-cell retention acceptance, export determinism across
-// worker counts, and sampler fingerprint neutrality.
+// worker counts, sampler fingerprint neutrality, and digests pinning every
+// telemetry stream a fleet cell, a shootout cell, an offload session and a
+// WiFi cell export.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "arnet/check/determinism.hpp"
+#include "arnet/core/scenarios.hpp"
+#include "arnet/core/shootout.hpp"
 #include "arnet/fleet/scenario.hpp"
 #include "arnet/mar/offload.hpp"
 #include "arnet/net/network.hpp"
+#include "arnet/obs/registry.hpp"
 #include "arnet/runner/experiment.hpp"
 #include "arnet/runner/sweep.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/slo/slo.hpp"
+#include "arnet/trace/flight.hpp"
 #include "arnet/trace/sampler.hpp"
+#include "arnet/trace/telemetry.hpp"
 #include "arnet/trace/trace.hpp"
+#include "arnet/wireless/wifi.hpp"
 
 namespace arnet {
 namespace {
@@ -239,11 +250,8 @@ TEST(TailSamplerAcceptance, OverloadCellKeepsEveryMissInFull) {
   slo::SloConfig lcfg;
   lcfg.entity = cell.name;
   slo::SloTracker slo(lcfg);
-  fleet::CellTelemetry t;
-  t.tracer = &tracer;
-  t.sampler = &sampler;
-  t.slo = &slo;
-  const fleet::CellResult res = fleet::run_capacity_cell(cell, 5, t);
+  const fleet::CellResult res =
+      fleet::run_capacity_cell(cell, 5, {.tracer = &tracer, .sampler = &sampler, .slo = &slo});
 
   ASSERT_GT(res.misses, 10) << "cell not overloaded; test is vacuous";
   const auto& st = sampler.stats();
@@ -288,12 +296,7 @@ TEST(TailSamplerDeterminism, SampledSetByteIdenticalSerialVsParallel) {
       const std::size_t i = ctx.run_index;
       slo::SloConfig lc;
       lc.entity = cells[i].name;
-      telemetry.attach(i, ctx.seed, lc);
-      fleet::CellTelemetry t;
-      t.tracer = telemetry.tracer(i);
-      t.sampler = telemetry.sampler(i);
-      t.slo = telemetry.slo(i);
-      fleet::run_capacity_cell(cells[i], ctx.seed, t);
+      fleet::run_capacity_cell(cells[i], ctx.seed, telemetry.attach(i, ctx.seed, lc));
     });
     std::ostringstream samples, slo_log;
     telemetry.write_samples(samples);
@@ -366,6 +369,184 @@ TEST(TailSamplerExport, JsonlCarriesRunFrameSpanNoteLines) {
   EXPECT_NE(doc.find("\"entity\":\"dev\""), std::string::npos);
   EXPECT_NE(doc.find("\"reason\":\"admission-downgrade\""), std::string::npos);
   EXPECT_NE(doc.find("\"kind\":\"end\",\"runs\":1"), std::string::npos);
+}
+
+// ------------------------------------------------------- stream goldens
+
+/// FNV-1a, 64-bit, over raw bytes.
+std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::uint64_t fnv1a_word(std::uint64_t h, std::uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xFF;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Digest of the tracer's merged event sequence: every field an exporter
+/// reads, in collect() order; a null reason hashes apart from "".
+std::uint64_t events_digest(const trace::Tracer& tracer) {
+  std::uint64_t h = kFnvBasis;
+  for (const trace::TraceEvent& e : tracer.collect()) {
+    h = fnv1a_word(h, static_cast<std::uint64_t>(e.time));
+    h = fnv1a_word(h, e.entity);
+    h = fnv1a_word(h, static_cast<std::uint64_t>(e.kind));
+    h = fnv1a_word(h, e.uid);
+    h = fnv1a_word(h, static_cast<std::uint64_t>(e.size));
+    h = fnv1a_word(h, e.trace_id);
+    h = fnv1a_word(h, e.span_id);
+    h = e.reason ? fnv1a(fnv1a_word(h, 1), e.reason) : fnv1a_word(h, 0);
+  }
+  return h;
+}
+
+struct ExportDigests {
+  std::uint64_t samples = 0;
+  std::uint64_t slo = 0;
+  std::uint64_t events = 0;
+};
+
+ExportDigests export_digests(const trace::TailSampler& sampler, const trace::Tracer& tracer,
+                             const slo::SloTracker& slo, const std::string& run) {
+  std::ostringstream samples, slo_log;
+  trace::write_samples_header(samples);
+  trace::append_samples_run(sampler, tracer, run, samples);
+  trace::write_samples_end(samples, 1);
+  slo::write_slo_jsonl({&slo}, slo_log);
+  return {fnv1a(kFnvBasis, samples.str()), fnv1a(kFnvBasis, slo_log.str()),
+          events_digest(tracer)};
+}
+
+/// Rings large enough that collect() returns every event of these runs.
+const trace::Tracer::Config kGoldenRings{.ring_capacity = 16384};
+
+// Pins the telemetry streams byte for byte: the sampler and SLO exports and
+// the recorded event sequence of every component that traces. The digests
+// were recorded at commit f55066b; a changed digest is a change to what a
+// run exports.
+TEST(Telemetry, StreamGoldens) {
+  // One overloaded fleet capacity cell with every observer attached.
+  {
+    fleet::CellConfig cell;
+    cell.name = "golden-overload";
+    cell.offered_users = 140.0;
+    cell.duration = seconds(8);
+    cell.mean_lifetime_s = 4.0;
+    obs::MetricsRegistry metrics;
+    trace::Tracer tracer(kGoldenRings);
+    trace::SamplerConfig sc;
+    sc.seed = 11;
+    trace::TailSampler sampler(sc);
+    slo::SloConfig lc;
+    lc.entity = cell.name;
+    slo::SloTracker slo(lc);
+    const std::string flight_path = ::testing::TempDir() + "stream_goldens_flight.jsonl";
+    std::remove(flight_path.c_str());
+    trace::FlightRecorder flight(tracer, flight_path);
+    const fleet::CellResult res = fleet::run_capacity_cell(
+        cell, 3,
+        {.metrics = &metrics, .tracer = &tracer, .sampler = &sampler, .slo = &slo,
+         .flight = &flight});
+    ASSERT_GT(res.misses, 10) << "cell not overloaded; golden is vacuous";
+    ASSERT_TRUE(flight.dumped()) << "no SLO alert; the flight hook is untested";
+    std::ifstream in(flight_path);
+    std::stringstream flight_doc;
+    flight_doc << in.rdbuf();
+    const ExportDigests d = export_digests(sampler, tracer, slo, cell.name);
+    EXPECT_EQ(d.samples, 7074668111879433719ULL);
+    EXPECT_EQ(d.slo, 14667201643411631033ULL);
+    EXPECT_EQ(d.events, 17040976682244783623ULL);
+    EXPECT_EQ(fnv1a(kFnvBasis, flight_doc.str()), 2278764584227761369ULL);
+  }
+  // Two shootout cells at seed 1 with every observer the shootout takes.
+  const std::pair<core::ShootoutTransport, core::ShootoutNetwork> shootout_cells[] = {
+      {core::ShootoutTransport::kArtp, core::ShootoutNetwork::kWifi},
+      {core::ShootoutTransport::kReno, core::ShootoutNetwork::kNr5g},
+  };
+  const ExportDigests shootout_golden[] = {
+      {3218781127975972869ULL, 7847020769458580928ULL, 14471073094980911897ULL},
+      {9994790553444467585ULL, 6942860705776926572ULL, 9083223725574485398ULL},
+  };
+  for (std::size_t i = 0; i < 2; ++i) {
+    core::ShootoutCellConfig cfg;
+    cfg.transport = shootout_cells[i].first;
+    cfg.network = shootout_cells[i].second;
+    trace::Tracer tracer(kGoldenRings);
+    trace::SamplerConfig sc;
+    sc.seed = 5;
+    trace::TailSampler sampler(sc);
+    slo::SloConfig lc;
+    lc.entity = cfg.name();
+    lc.deadline_ms = sim::to_milliseconds(cfg.deadline);
+    slo::SloTracker slo(lc);
+    (void)core::run_shootout_cell(cfg, 1,
+                                  {.tracer = &tracer, .sampler = &sampler, .slo = &slo});
+    const ExportDigests d = export_digests(sampler, tracer, slo, cfg.name());
+    EXPECT_EQ(d.samples, shootout_golden[i].samples) << cfg.name();
+    EXPECT_EQ(d.slo, shootout_golden[i].slo) << cfg.name();
+    EXPECT_EQ(d.events, shootout_golden[i].events) << cfg.name();
+  }
+  // A traced Table II offload session: links, ARTP endpoints and the session.
+  {
+    auto sc = core::make_table2_scenario(core::Table2Setup::kCloudServerWifi, 43);
+    sc.start_dynamics();
+    trace::Tracer tracer(kGoldenRings);
+    sc.net->attach_trace(tracer);
+    mar::OffloadConfig cfg;
+    cfg.strategy = mar::OffloadStrategy::kCloudRidAR;
+    cfg.device = mar::DeviceClass::kSmartphone;
+    cfg.tracer = &tracer;
+    mar::OffloadSession session(*sc.net, sc.client, sc.server, cfg);
+    session.start();
+    sc.sim->run_until(seconds(3));
+    session.stop();
+    ASSERT_GT(session.stats().results, 0);
+    EXPECT_EQ(events_digest(tracer), 17774140689896794828ULL);
+  }
+  // A saturated WiFi cell: enqueue, tx, rx and every drop reason.
+  {
+    sim::Simulator sim;
+    wireless::WifiCell::Config wc;
+    wc.queue_packets = 6;
+    wc.frame_loss = 0.6;
+    wireless::WifiCell cell(sim, sim::Rng(3), wc);
+    trace::Tracer tracer(kGoldenRings);
+    cell.attach_trace(tracer, "wifi");
+    std::vector<std::uint32_t> stas;
+    for (int i = 0; i < 4; ++i) stas.push_back(cell.add_station(i == 0 ? 6e6 : 54e6));
+    std::uint64_t next_uid = 1;
+    auto packet = [&](std::uint32_t trace_id) {
+      net::Packet p;
+      p.uid = next_uid++;
+      p.size_bytes = 1200 + static_cast<std::int32_t>(p.uid % 300);
+      p.trace = trace::TraceContext{trace_id, static_cast<std::uint32_t>(p.uid)};
+      return p;
+    };
+    for (std::uint32_t s : stas) {
+      cell.set_sink(s, [&, s](net::Packet&&, std::uint32_t) {
+        cell.send(s, wireless::WifiCell::kApId, packet(s));
+      });
+    }
+    cell.set_sink(wireless::WifiCell::kApId, [&](net::Packet&& p, std::uint32_t from) {
+      // Station-to-station relays fill the AP queue past its bound.
+      const std::uint32_t to = stas[(from + p.uid) % stas.size()];
+      for (int k = 0; k < 2; ++k) cell.send(from, to == from ? stas[0] : to, packet(from));
+    });
+    for (std::uint32_t s : stas) {
+      for (int i = 0; i < 8; ++i) cell.send(s, wireless::WifiCell::kApId, packet(s));
+    }
+    sim.run_until(milliseconds(400));
+    ASSERT_GT(cell.dropped_frames(), 0);
+    EXPECT_EQ(events_digest(tracer), 9027665195624884334ULL);
+  }
 }
 
 }  // namespace

@@ -1,13 +1,20 @@
 // Tests for the transport-shootout cell runner: frame accounting invariants
 // across every transport x network cell, and byte-identical results whether
 // cells run serially or fanned across an ExperimentRunner pool (the property
-// the CI smoke sweep checks end to end on the bench binary's artifacts).
+// the CI smoke sweep checks end to end on the bench binary's artifacts),
+// and observers that see every frame exactly once without perturbing it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "arnet/core/shootout.hpp"
 #include "arnet/runner/experiment.hpp"
+#include "arnet/slo/slo.hpp"
+#include "arnet/trace/sampler.hpp"
+#include "arnet/trace/telemetry.hpp"
+#include "arnet/trace/trace.hpp"
 
 namespace arnet::core {
 namespace {
@@ -90,6 +97,43 @@ TEST(Shootout, SerialAndParallelPoolsAgreeExactly) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_identical(serial[i], parallel[i]);
+  }
+}
+
+// The telemetry stream sees every submitted frame exactly once, whatever
+// the cell, the seed or the observer set: the SLO tracker's good count is
+// the on-time count, good + miss is the frames sent (shed and still-buffered
+// frames are misses), and attaching observers changes nothing the cell
+// reports.
+TEST(Shootout, TelemetryCountsEveryFrameOnce) {
+  for (std::uint64_t seed : {1ULL, 7ULL, 90210ULL}) {
+    for (const ShootoutCellConfig& cfg : small_grid(ShootoutCellConfig{}.duration)) {
+      const ShootoutCellResult dark = run_shootout_cell(cfg, seed);
+      for (bool full : {false, true}) {
+        SCOPED_TRACE(cfg.name() + " seed " + std::to_string(seed) +
+                     (full ? " full bundle" : " SLO only"));
+        slo::SloConfig lc;
+        lc.entity = cfg.name();
+        lc.deadline_ms = sim::to_milliseconds(cfg.deadline);
+        slo::SloTracker slo(lc);
+        trace::Tracer tracer;
+        tracer.set_sink_only(true);
+        trace::TailSampler sampler(trace::SamplerConfig{});
+        trace::Telemetry t;
+        t.slo = &slo;
+        if (full) {
+          t.tracer = &tracer;
+          t.sampler = &sampler;
+        }
+        const ShootoutCellResult r = run_shootout_cell(cfg, seed, t);
+        expect_identical(dark, r);
+        EXPECT_EQ(slo.good(), r.frames_on_time);
+        EXPECT_EQ(slo.good() + slo.miss(), r.frames_sent);
+        if (full) {
+          EXPECT_EQ(sampler.stats().frames_seen, static_cast<std::uint64_t>(r.frames_sent));
+        }
+      }
+    }
   }
 }
 

@@ -18,7 +18,10 @@ Each file is recognised by its container (extension) and its schema tag:
 
 The summary of a scale_fleet or scale_city sweep is also checked against
 the <suite>_metrics.jsonl written next to it: every cell must have its
-gauge family, counters and latency histogram there.
+gauge family, counters and latency histogram there. The summary of a
+sec_transport_shootout sweep is checked against the <suite>_slo.jsonl next
+to it, when the sweep ran with --slo: every cell's SLO objective must count
+each frame sent exactly once, its on-time frames as good.
 
 Prints "FILE: OK (...)" per valid file and "FILE: <problem>" on stderr for
 the first problem in an invalid one, so CI archives only coherent
@@ -177,6 +180,9 @@ def check_bench(doc, path):
     sweep = SWEEPS.get(doc["suite"])
     if sweep:
         check_sweep(doc["suite"], names, sweep, path)
+    good_field = SLO_LEDGERS.get(doc["suite"])
+    if good_field:
+        check_slo_ledger(doc["suite"], doc["benchmarks"], good_field, path)
     return f"{len(names)} benchmarks"
 
 
@@ -283,6 +289,32 @@ def check_sweep(suite, cells, sweep, summary_path):
              f"{cell}: {sweep['histogram']} histogram missing")
         need(hist.get("count", 0) >= 1, f"{cell}: {sweep['histogram']} histogram is empty")
     sweep["aggregate"](cells, metrics)
+
+
+# Sweeps whose <suite>_slo.jsonl must conserve frames against the summary:
+# per cell, the objective's good count is the summary field named here and
+# good + miss is the cell's iterations (frames sent).
+SLO_LEDGERS = {"sec_transport_shootout": "frames_on_time"}
+
+
+def check_slo_ledger(suite, benchmarks, good_field, summary_path):
+    slo_path = os.path.join(os.path.dirname(summary_path), f"{suite}_slo.jsonl")
+    if not os.path.exists(slo_path):
+        return  # a sweep run without --slo writes no log
+    try:
+        _, body, _ = framed(read_jsonl(slo_path)[1])
+    except Invalid as e:
+        raise Invalid(f"{slo_path}: {e}")
+    objectives = {d.get("entity"): d for d in body if d.get("kind") == "objective"}
+    for b in benchmarks:
+        cell = b["name"]
+        o = objectives.get(cell)
+        need(o is not None, f"{cell}: no objective line in {slo_path}")
+        need(o.get("good") == b.get(good_field),
+             f"{cell}: SLO good {o.get('good')} != {good_field} {b.get(good_field)}")
+        need(o.get("good", 0) + o.get("miss", 0) == b["iterations"],
+             f"{cell}: SLO good + miss {o.get('good', 0) + o.get('miss', 0)} != "
+             f"{b['iterations']} frames sent")
 
 
 def check_analyze(doc, path):

@@ -81,6 +81,17 @@ def fixtures():
                                                      bench_row("validate/u025/fluid")]},
             "scale_city_metrics.jsonl": city_metrics,
         },
+        "shootout": {
+            "BENCH_sec_transport_shootout.json": {
+                "schema": "arnet-bench-v1", "suite": "sec_transport_shootout",
+                "benchmarks": [dict(bench_row("ARTP/WiFi"), iterations=6, frames_on_time=4,
+                                    frames_late=1, frames_incomplete=1)]},
+            "sec_transport_shootout_slo.jsonl": [
+                {"kind": "meta", "schema": "arnet-slo-v1", "objectives": 1},
+                {"kind": "objective", "entity": "ARTP/WiFi", "objective": 0.99, "good": 4,
+                 "miss": 2, "state": "ok"},
+                {"kind": "end", "objectives": 1, "alerts": 0}],
+        },
         "analyze": {"findings.json": {
             "schema": "arnet-analyze-v1", "tool": "arnet-analyze", "files_scanned": 2,
             "rules": [{"id": "wall-clock", "description": "no host clocks"}],
@@ -154,6 +165,12 @@ DEFECTS = [
      "gauge slo.state missing"),
     ("city", "BENCH_scale_city.json",
      lambda d: {**d, "benchmarks": d["benchmarks"][:2]}, "unpaired"),
+    ("shootout", "sec_transport_shootout_slo.jsonl",
+     lambda l: [l[0], dict(l[1], good=3, miss=3), l[2]], "SLO good 3 != frames_on_time 4"),
+    ("shootout", "sec_transport_shootout_slo.jsonl",
+     lambda l: [l[0], dict(l[1], miss=1), l[2]], "good + miss 5 != 6 frames sent"),
+    ("shootout", "sec_transport_shootout_slo.jsonl",
+     lambda l: [l[0], dict(l[1], entity="Reno/WiFi"), l[2]], "ARTP/WiFi: no objective line"),
     ("analyze", "findings.json", lambda d: {**d, "summary": {}}, "disagrees"),
     ("analyze", "findings.json",
      lambda d: {**d, "findings": [dict(d["findings"][0], rule="nope")]}, "rule catalog"),
