@@ -119,9 +119,7 @@ int main(int argc, char** argv) {
     if (c.r.first_breach >= 0) ++a.breached;
     a.worst_p99 = std::max(a.worst_p99, c.r.p99_ms);
   }
-  const std::vector<fluid::CityArchetype> archetypes =
-      city.archetypes.empty() ? fluid::default_city_archetypes() : city.archetypes;
-  for (const fluid::CityArchetype& arch : archetypes) {
+  for (const fluid::CityArchetype& arch : city.archetypes) {
     auto it = by_arch.find(arch.name);
     if (it != by_arch.end()) it->second.servers = arch.servers;
   }

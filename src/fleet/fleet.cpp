@@ -13,25 +13,16 @@ Fleet::Fleet(sim::Simulator& sim, FleetConfig cfg)
       admission_(cfg_.admission),
       balancer_(cfg_.policy),
       autoscaler_(cfg_.autoscaler) {
-  ARNET_CHECK(cfg_.initial_servers >= 1, "fleet needs at least one server");
+  ARNET_CHECK(cfg_.servers >= 1, "fleet needs at least one server");
   cfg_.telemetry.wire();
   trace_ = trace::Emitter(cfg_.telemetry.tracer, cfg_.entity);
-  for (std::size_t i = 0; i < cfg_.initial_servers; ++i) add_server();
-  active_ = cfg_.initial_servers;
+  for (std::size_t i = 0; i < cfg_.servers; ++i) add_server();
+  active_ = cfg_.servers;
   population_.set_session_callback([this](const SessionSpec& s) { on_arrival(s); });
 }
 
 const AppProfile& Fleet::app_of(const Session& s) const {
   return cfg_.population.app_mix.at(static_cast<std::size_t>(s.spec.app)).app;
-}
-
-edge::GeoPoint Fleet::site_pos(std::size_t server_index) const {
-  if (!cfg_.sites.empty()) return cfg_.sites[server_index % cfg_.sites.size()].pos;
-  // Default deployment: a 2x2 grid inside the population area, cycled.
-  const double a = cfg_.population.area_km;
-  const std::size_t cell = server_index % 4;
-  return {a * (0.25 + 0.5 * static_cast<double>(cell % 2)),
-          a * (0.25 + 0.5 * static_cast<double>(cell / 2))};
 }
 
 std::vector<EdgeServer*> Fleet::active_set() {
@@ -139,20 +130,17 @@ void Fleet::capture_frame(std::uint64_t sid) {
   // chosen site.
   const std::size_t pick = balancer_.pick(active_set());
   EdgeServer* srv = servers_[pick].get();
-  const sim::Time rtt = cfg_.latency.rtt(s.spec.pos, site_pos(pick));
-  const sim::Time device_stage =
-      mar::scaled_cost(mar::device_profile(s.spec.device), app.device_cost);
-  const sim::Time uplink =
-      rtt / 2 + sim::transmission_delay(app.request_bytes, cfg_.access_rate_bps);
-  const sim::Time downlink =
-      rtt / 2 + sim::transmission_delay(app.result_bytes, cfg_.access_rate_bps);
+  const sim::Time rtt = cfg_.latency.rtt(s.spec.pos, site_pos(cfg_, pick));
+  const FrameCost cost = frame_cost(cfg_, s.spec.device, app);
+  const sim::Time uplink = rtt / 2 + cost.request_tx;
+  const sim::Time downlink = rtt / 2 + cost.result_tx;
   const sim::Time deadline = app.deadline;
   // Snapshot what finish_frame needs: the session may retire while this
   // frame is still in flight, and late results must still be accounted.
   const Session snapshot = s;
 
-  sim_.after(device_stage + uplink, [this, srv, frame_uid, snapshot, t0, deadline,
-                                     downlink, ctx, work = app.server_cost] {
+  sim_.after(cost.device_stage + uplink, [this, srv, frame_uid, snapshot, t0, deadline,
+                                          downlink, ctx, work = app.server_cost] {
     ComputeRequest req;
     req.uid = frame_uid;
     req.session = snapshot.spec.id;

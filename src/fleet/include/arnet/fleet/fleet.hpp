@@ -6,10 +6,10 @@
 #include <string>
 #include <vector>
 
-#include "arnet/edge/placement.hpp"
 #include "arnet/fleet/admission.hpp"
 #include "arnet/fleet/autoscaler.hpp"
 #include "arnet/fleet/balancer.hpp"
+#include "arnet/fleet/cell.hpp"
 #include "arnet/fleet/population.hpp"
 #include "arnet/fleet/server.hpp"
 #include "arnet/obs/registry.hpp"
@@ -21,25 +21,11 @@
 
 namespace arnet::fleet {
 
-struct FleetConfig {
-  std::uint64_t seed = 1;
-  PopulationConfig population;
-  /// Edge deployment: servers are anchored to `sites` (cycled when more
-  /// servers than sites; a deterministic in-area grid when empty), and
-  /// user<->server network delay follows the edge::placement latency model.
-  std::vector<edge::CandidateSite> sites;
-  edge::LatencyModel latency;
-  std::size_t initial_servers = 2;
-  mar::DeviceClass server_profile = mar::DeviceClass::kDesktop;
-  BatchConfig batch;
+/// A packet-level edge cell: the shared cell description plus what only the
+/// event model has — a balancer, an autoscaler and observers.
+struct FleetConfig : EdgeCell {
   BalancerPolicy policy = BalancerPolicy::kLeastOutstanding;
-  AdmissionConfig admission;
   AutoscalerConfig autoscaler;
-  /// Access-network throughput for per-frame payload serialization (uplink
-  /// request and downlink result both ride it).
-  double access_rate_bps = 25e6;
-  /// Downgraded sessions run at fps * this factor.
-  double downgrade_fps_factor = 0.5;
   /// Observers; the fleet wires them (trace::Telemetry::wire) and hands
   /// its servers the registry and tracer. Metric entities are "<entity>",
   /// "<entity>/server:N" and "<entity>/class:<device>". The sampler's
@@ -107,7 +93,6 @@ class Fleet {
   };
 
   const AppProfile& app_of(const Session& s) const;
-  edge::GeoPoint site_pos(std::size_t server_index) const;
   std::vector<EdgeServer*> active_set();
   void add_server();
   void on_arrival(const SessionSpec& spec);

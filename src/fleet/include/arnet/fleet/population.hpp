@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -64,10 +65,9 @@ struct SessionSpec {
 /// A cell-local diurnal intensity profile: piecewise multipliers cycled over
 /// `period`, sampled at `(t + phase) % period`. The phase offset lets a city
 /// of cells share one canonical day shape while each cell lives in its own
-/// part of it (staggered rush hours across neighborhoods); a subpopulation
-/// with an active profile ignores the legacy global diurnal fields entirely.
+/// part of it (staggered rush hours across neighborhoods).
 struct DiurnalProfile {
-  std::vector<double> curve;  ///< empty = inactive (use the legacy fields)
+  std::vector<double> curve;  ///< empty = inactive (flat 1.0)
   sim::Time period = sim::seconds(86400);
   sim::Time phase = 0;
 
@@ -75,7 +75,7 @@ struct DiurnalProfile {
   /// Intensity multiplier at simulated time `t` (1.0 when inactive).
   double multiplier(sim::Time t) const;
   /// Largest multiplier (floored at 1.0: the thinning envelope must always
-  /// dominate the instantaneous rate, matching the legacy peak rule).
+  /// dominate the instantaneous rate).
   double peak() const;
 };
 
@@ -87,13 +87,7 @@ struct PopulationConfig {
   double burst_multiplier = 3.0;
   double burst_dwell_mean_s = 10.0;
   double calm_dwell_mean_s = 30.0;
-  /// Piecewise diurnal intensity multipliers cycled over `diurnal_period`
-  /// (a day compressed to simulation scale). {1.0} = flat.
-  std::vector<double> diurnal = {1.0};
-  sim::Time diurnal_period = sim::seconds(60);
-  /// Cell-local diurnal profile. When `profile.active()` it replaces the
-  /// `diurnal`/`diurnal_period` pair above; left inactive (the default), the
-  /// legacy fields apply and existing single-cell behavior is bit-identical.
+  /// Diurnal intensity profile; inactive (the default) is flat.
   DiurnalProfile profile;
   double mean_lifetime_s = 20.0;
   std::vector<DeviceMixEntry> device_mix = {
@@ -108,11 +102,33 @@ struct PopulationConfig {
   std::uint64_t max_sessions = 0;
 };
 
-/// Diurnal intensity multiplier of `cfg` at simulated time `t`: the active
-/// cell-local profile, else the legacy `diurnal` slots (1.0 when flat). The
-/// one slot rule both the packet-level PopulationModel and the fluid cell
-/// use, so the two models agree on the instantaneous arrival rate.
-double diurnal_multiplier(const PopulationConfig& cfg, sim::Time t);
+/// The MMPP calm/burst phase of an arrival process, advanced lazily: every
+/// flip due by `now` draws its dwell from `rng`, and a Poisson process never
+/// leaves calm. The one dwell loop both the packet-level PopulationModel and
+/// the fluid cell run, each on its own derive_seed(seed, 0) stream.
+/// Defined inline because the fluid cell runs it on every tick.
+struct MmppPhase {
+  bool burst = false;
+  sim::Time until = 0;  ///< next state flip
+
+  void advance(sim::Time now, sim::Rng& rng, const PopulationConfig& cfg) {
+    while (cfg.process == ArrivalProcess::kMmpp && now >= until) {
+      burst = until == 0 ? false : !burst;
+      const double dwell =
+          rng.exponential(burst ? cfg.burst_dwell_mean_s : cfg.calm_dwell_mean_s);
+      until = std::max(now, until) + sim::from_seconds(dwell);
+    }
+  }
+};
+
+/// Instantaneous session arrival rate (1/s) of `cfg` at simulated time `t`:
+/// base x diurnal multiplier x burst multiplier while `phase` is in burst.
+/// The one rate rule both models use, so they agree on the arrival rate.
+inline double arrival_rate(const PopulationConfig& cfg, sim::Time t, const MmppPhase& phase) {
+  double rate = cfg.base_arrivals_per_s * cfg.profile.multiplier(t);
+  if (phase.burst) rate *= cfg.burst_multiplier;
+  return rate;
+}
 
 /// Seeded session generator. Determinism contract: the arrival point
 /// process (including MMPP state flips and diurnal thinning) consumes one
@@ -151,9 +167,8 @@ class PopulationModel {
   sim::Rng arrivals_;  ///< interarrival + thinning + MMPP dwell draws
   std::uint64_t next_id_ = 0;
   bool running_ = false;
-  bool burst_ = false;
-  sim::Time state_until_ = 0;  ///< next MMPP state flip
-  double peak_rate_ = 0.0;     ///< thinning envelope
+  MmppPhase phase_;
+  double peak_rate_ = 0.0;  ///< thinning envelope
   std::function<void(const SessionSpec&)> cb_;
 };
 

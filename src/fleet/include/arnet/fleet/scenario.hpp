@@ -45,6 +45,12 @@ struct CellResult {
   double sim_seconds = 0.0;
 };
 
+/// The edge cell a capacity cell describes: population, servers, batching
+/// and admission. Both models of the cell start from it — the packet fleet
+/// through cell_fleet_config, the fluid cell through
+/// fluid::fluid_cell_config.
+EdgeCell edge_cell(const CellConfig& cell, std::uint64_t seed);
+
 /// The FleetConfig a cell resolves to (exposed so tests can perturb it).
 FleetConfig cell_fleet_config(const CellConfig& cell, std::uint64_t seed);
 

@@ -59,33 +59,14 @@ PopulationModel::PopulationModel(sim::Simulator& sim, PopulationConfig cfg,
       arrivals_(runner::derive_seed(seed, 0)) {
   ARNET_CHECK(!cfg_.device_mix.empty(), "population needs a device mix");
   ARNET_CHECK(!cfg_.app_mix.empty(), "population needs an app mix");
-  double peak_diurnal = 1.0;
-  if (cfg_.profile.active()) {
-    peak_diurnal = cfg_.profile.peak();
-  } else {
-    for (double m : cfg_.diurnal) peak_diurnal = std::max(peak_diurnal, m);
-  }
+  const double peak_diurnal = cfg_.profile.active() ? cfg_.profile.peak() : 1.0;
   peak_rate_ = cfg_.base_arrivals_per_s * peak_diurnal *
                (cfg_.process == ArrivalProcess::kMmpp
                     ? std::max(1.0, cfg_.burst_multiplier)
                     : 1.0);
 }
 
-double diurnal_multiplier(const PopulationConfig& cfg, sim::Time t) {
-  if (cfg.profile.active()) return cfg.profile.multiplier(t);
-  if (cfg.diurnal.empty() || cfg.diurnal_period <= 0) return 1.0;
-  sim::Time phase = t % cfg.diurnal_period;
-  auto slot = static_cast<std::size_t>(
-      static_cast<double>(phase) / static_cast<double>(cfg.diurnal_period) *
-      static_cast<double>(cfg.diurnal.size()));
-  return cfg.diurnal[std::min(slot, cfg.diurnal.size() - 1)];
-}
-
-double PopulationModel::rate_at(sim::Time t) const {
-  double rate = cfg_.base_arrivals_per_s * diurnal_multiplier(cfg_, t);
-  if (cfg_.process == ArrivalProcess::kMmpp && burst_) rate *= cfg_.burst_multiplier;
-  return rate;
-}
+double PopulationModel::rate_at(sim::Time t) const { return arrival_rate(cfg_, t, phase_); }
 
 SessionSpec PopulationModel::make_session(std::uint64_t id, sim::Time now) const {
   // Every attribute from the session's own stream: arrival interleaving
@@ -118,13 +99,8 @@ void PopulationModel::schedule_next() {
   double dt_s = arrivals_.exponential(1.0 / peak_rate_);
   sim_.after(sim::from_seconds(dt_s), [this] {
     if (!running_) return;
-    sim::Time now = sim_.now();
-    while (cfg_.process == ArrivalProcess::kMmpp && now >= state_until_) {
-      burst_ = state_until_ == 0 ? false : !burst_;
-      double dwell = arrivals_.exponential(burst_ ? cfg_.burst_dwell_mean_s
-                                                  : cfg_.calm_dwell_mean_s);
-      state_until_ = std::max(now, state_until_) + sim::from_seconds(dwell);
-    }
+    const sim::Time now = sim_.now();
+    phase_.advance(now, arrivals_, cfg_);
     if (arrivals_.uniform() * peak_rate_ < rate_at(now)) {
       SessionSpec s = make_session(next_id_++, now);
       if (cb_) cb_(s);

@@ -4,18 +4,23 @@
 
 namespace arnet::fleet {
 
+EdgeCell edge_cell(const CellConfig& cell, std::uint64_t seed) {
+  EdgeCell e;
+  e.seed = seed;
+  e.population.process = cell.process;
+  e.population.mean_lifetime_s = cell.mean_lifetime_s;
+  e.population.base_arrivals_per_s = cell.offered_users / std::max(1e-9, cell.mean_lifetime_s);
+  e.servers = cell.servers;
+  e.batch.enabled = cell.batched;
+  e.admission.enabled = cell.admit;
+  return e;
+}
+
 FleetConfig cell_fleet_config(const CellConfig& cell, std::uint64_t seed) {
   FleetConfig cfg;
-  cfg.seed = seed;
+  static_cast<EdgeCell&>(cfg) = edge_cell(cell, seed);
   cfg.entity = cell.name;
-  cfg.population.process = cell.process;
-  cfg.population.mean_lifetime_s = cell.mean_lifetime_s;
-  cfg.population.base_arrivals_per_s =
-      cell.offered_users / std::max(1e-9, cell.mean_lifetime_s);
-  cfg.initial_servers = cell.servers;
   cfg.policy = cell.policy;
-  cfg.batch.enabled = cell.batched;
-  cfg.admission.enabled = cell.admit;
   cfg.autoscaler.enabled = cell.autoscale;
   cfg.autoscaler.min_servers = cell.servers;
   cfg.autoscaler.max_servers = cell.servers + 4;

@@ -53,8 +53,8 @@ std::vector<CityArchetype> default_city_archetypes() {
 }
 
 std::size_t archetype_index(const CityConfig& city, int cx, int cy) {
-  const std::size_t n =
-      city.archetypes.empty() ? std::size_t{5} : city.archetypes.size();
+  ARNET_CHECK(!city.archetypes.empty(), "city needs at least one archetype");
+  const std::size_t n = city.archetypes.size();
   if (n == 1) return 0;
   const double dx = cx + 0.5 - static_cast<double>(city.grid_x) / 2.0;
   const double dy = cy + 0.5 - static_cast<double>(city.grid_y) / 2.0;
@@ -71,14 +71,9 @@ std::size_t archetype_index(const CityConfig& city, int cx, int cy) {
 FluidConfig make_city_cell(const CityConfig& city, std::size_t index,
                            std::uint64_t seed) {
   ARNET_CHECK(index < city.cells(), "city cell index out of range");
-  const std::vector<CityArchetype> defaults =
-      city.archetypes.empty() ? default_city_archetypes()
-                              : std::vector<CityArchetype>{};
-  const std::vector<CityArchetype>& archetypes =
-      city.archetypes.empty() ? defaults : city.archetypes;
   const int cx = static_cast<int>(index) % city.grid_x;
   const int cy = static_cast<int>(index) / city.grid_x;
-  const CityArchetype& arch = archetypes[archetype_index(city, cx, cy)];
+  const CityArchetype& arch = city.archetypes[archetype_index(city, cx, cy)];
 
   FluidConfig f;
   f.seed = seed;

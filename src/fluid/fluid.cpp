@@ -13,16 +13,6 @@ namespace arnet::fluid {
 
 namespace {
 
-/// obs::Histogram's log-bucket rule (bucket_of is private; the layout is a
-/// documented stable export format, kBucketsPerDecade buckets per decade
-/// with bucket 0 as underflow).
-int log_bucket_of(double v) {
-  if (!(v >= 1.0)) return 0;
-  int idx = 1 + static_cast<int>(
-                    std::floor(std::log10(v) * obs::Histogram::kBucketsPerDecade));
-  return std::min(idx, obs::Histogram::kBucketCount - 1);
-}
-
 /// Weighted quantiles at the non-decreasing targets `ps` over (value,
 /// weight) pairs sorted by value with total weight 1, in one walk: each
 /// result is the first value whose running weight reaches its target (the
@@ -105,15 +95,6 @@ double FluidCell::service_ms(double occupancy) const {
          (setup_ms + server_work_ms_ * (1.0 + cfg_.batch.marginal * (b - 1.0)));
 }
 
-edge::GeoPoint FluidCell::site_pos(std::size_t server_index) const {
-  if (!cfg_.sites.empty()) return cfg_.sites[server_index % cfg_.sites.size()].pos;
-  // Same default deployment as Fleet::site_pos: a 2x2 grid, cycled.
-  const double a = cfg_.population.area_km;
-  const std::size_t cell = server_index % 4;
-  return {a * (0.25 + 0.5 * static_cast<double>(cell % 2)),
-          a * (0.25 + 0.5 * static_cast<double>(cell / 2))};
-}
-
 void FluidCell::build_probes() {
   // RTT distribution of a uniformly placed user against the (cycled) server
   // sites. The balancer picks by queue depth, not proximity, so the serving
@@ -127,7 +108,8 @@ void FluidCell::build_probes() {
     for (int j = 0; j < kGrid; ++j) {
       const edge::GeoPoint pos{a * (i + 0.5) / kGrid, a * (j + 0.5) / kGrid};
       for (std::size_t s = 0; s < cfg_.servers; ++s) {
-        rtt_ms.push_back(sim::to_milliseconds(cfg_.latency.rtt(pos, site_pos(s))));
+        rtt_ms.push_back(
+            sim::to_milliseconds(cfg_.latency.rtt(pos, fleet::site_pos(cfg_, s))));
       }
     }
   }
@@ -153,13 +135,9 @@ void FluidCell::build_probes() {
   for (const fleet::DeviceMixEntry& d : cfg_.population.device_mix) {
     for (std::size_t ai = 0; ai < cfg_.population.app_mix.size(); ++ai) {
       const fleet::AppMixEntry& e = cfg_.population.app_mix[ai];
-      const double stage_ms = sim::to_milliseconds(
-          mar::scaled_cost(mar::device_profile(d.cls), e.app.device_cost));
-      const double tx_ms =
-          sim::to_milliseconds(sim::transmission_delay(e.app.request_bytes,
-                                                       cfg_.access_rate_bps) +
-                               sim::transmission_delay(e.app.result_bytes,
-                                                       cfg_.access_rate_bps));
+      const fleet::FrameCost cost = fleet::frame_cost(cfg_, d.cls, e.app);
+      const double stage_ms = sim::to_milliseconds(cost.device_stage);
+      const double tx_ms = sim::to_milliseconds(cost.request_tx + cost.result_tx);
       for (int r = 0; r < R; ++r) {
         const double rtt = rtt_q[static_cast<std::size_t>(r)];
         for (int w = 0; w < W; ++w) {
@@ -223,26 +201,15 @@ void FluidCell::step() {
   const sim::Time t_mid = t0 + cfg_.tick / 2;
   const sim::Time t_end = t0 + cfg_.tick;
 
-  // 1. MMPP state, advanced lazily on the cell's derived stream (same dwell
-  // distributions as the packet model; trajectories differ because the
-  // packet model interleaves dwell and interarrival draws).
-  if (pop.process == fleet::ArrivalProcess::kMmpp) {
-    while (t0 >= state_until_) {
-      burst_ = state_until_ == 0 ? false : !burst_;
-      const double dwell = arrivals_.exponential(burst_ ? pop.burst_dwell_mean_s
-                                                        : pop.calm_dwell_mean_s);
-      state_until_ = std::max(t0, state_until_) + sim::from_seconds(dwell);
-    }
-  }
+  // 1. MMPP state, advanced lazily on the cell's derived stream (the packet
+  // model's dwell loop; trajectories differ because the packet model
+  // interleaves dwell and interarrival draws).
+  phase_.advance(t0, arrivals_, pop);
 
   // 2. Session arrivals this tick, routed by the live admission projection —
   // the same controller/interface the packet model consults per session,
   // here consulted once per tick for the tick's arriving mass.
-  double rate = pop.base_arrivals_per_s * fleet::diurnal_multiplier(pop, t_mid);
-  if (pop.process == fleet::ArrivalProcess::kMmpp && burst_) {
-    rate *= pop.burst_multiplier;
-  }
-  const double arrive = rate * dt;
+  const double arrive = fleet::arrival_rate(pop, t_mid, phase_) * dt;
   arrivals_mass_ += arrive;
   const fleet::AdmissionDecision d = admission_.decide(t0, static_cast<std::uint64_t>(ticks_));
   double a_full = 0.0, a_deg = 0.0;
@@ -442,8 +409,8 @@ FluidResult FluidCell::finish() {
     std::vector<double> accf(obs::Histogram::kBucketCount, 0.0);
     for (std::size_t i = 0; i < lat_mass_.size(); ++i) {
       if (lat_mass_[i] <= 0.0) continue;
-      accf[static_cast<std::size_t>(log_bucket_of(lat_bin_mid(static_cast<int>(i))))] +=
-          lat_mass_[i];
+      const int bucket = obs::Histogram::bucket_of(lat_bin_mid(static_cast<int>(i)));
+      accf[static_cast<std::size_t>(bucket)] += lat_mass_[i];
     }
     std::vector<std::pair<int, std::int64_t>> buckets;
     for (int i = 0; i < obs::Histogram::kBucketCount; ++i) {

@@ -27,6 +27,11 @@ struct CityArchetype {
   std::size_t servers = 2;
 };
 
+/// The five default neighborhood classes (core / commercial / residential /
+/// nightlife / transit) with curves shaped so rush hours, evenings, and
+/// transit bursts breach their respective knees.
+std::vector<CityArchetype> default_city_archetypes();
+
 /// The sharded city: grid_x * grid_y cells, each an independent FluidCell
 /// whose population stream is derive_seed(seed, cell_index) — one cell per
 /// ExperimentRunner run, merged in cell order, byte-identical at any --jobs.
@@ -41,20 +46,15 @@ struct CityConfig {
   int rtt_quantiles = 2;
   int wait_quantiles = 2;
   int occupancy_slots = 96;
-  /// Empty = default_city_archetypes(). Assignment is a pure function of the
-  /// grid position (core downtown, commercial ring, residential/nightlife/
-  /// transit mix outside), see archetype_index().
-  std::vector<CityArchetype> archetypes;
+  /// Neighborhood classes (at least one). Assignment is a pure function of
+  /// the grid position (core downtown, commercial ring, residential/
+  /// nightlife/transit mix outside), see archetype_index().
+  std::vector<CityArchetype> archetypes = default_city_archetypes();
 
   std::size_t cells() const {
     return static_cast<std::size_t>(grid_x) * static_cast<std::size_t>(grid_y);
   }
 };
-
-/// The five default neighborhood classes (core / commercial / residential /
-/// nightlife / transit) with curves shaped so rush hours, evenings, and
-/// transit bursts breach their respective knees.
-std::vector<CityArchetype> default_city_archetypes();
 
 /// Deterministic archetype assignment for grid position (cx, cy): downtown
 /// core inside the central radius, a commercial ring around it, and a hashed

@@ -5,10 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "arnet/edge/placement.hpp"
 #include "arnet/fleet/admission.hpp"
+#include "arnet/fleet/cell.hpp"
 #include "arnet/fleet/population.hpp"
-#include "arnet/fleet/server.hpp"
 #include "arnet/sim/rng.hpp"
 #include "arnet/sim/time.hpp"
 
@@ -33,8 +32,9 @@ namespace arnet::fluid {
 /// at the tick's expected batch occupancy. Latency is reconstructed per tick
 /// from a deterministic grid of quantile probes (device class x RTT quantile
 /// x batch-formation-wait quantile) shifted by the shared backlog wait, so
-/// the cell still produces full latency distributions (p50/p99 through the
-/// mergeable obs::Histogram), deadline-miss counts for the SLO tracker, and
+/// the cell still produces full latency distributions (p50/p99 from a private
+/// fine-bin mass histogram, folded into the mergeable obs::Histogram at
+/// finish()), deadline-miss counts for the SLO tracker, and
 /// live samples for an embedded fleet::AdmissionController — the same
 /// admission interface the packet model uses, driving per-tick
 /// admit/downgrade/reject routing of arriving session mass.
@@ -42,23 +42,10 @@ namespace arnet::fluid {
 /// Everything is pure double arithmetic in tick order: a cell's outputs are
 /// a pure function of its config (bit-identical across serial and --jobs
 /// sweeps), and a simulated day costs ~86k ticks instead of ~10^8 events.
-struct FluidConfig {
-  std::uint64_t seed = 1;
-  /// Arrival process, mixes, lifetime, diurnal shape (profile or legacy
-  /// fields) — the same config the packet-level PopulationModel consumes.
-  fleet::PopulationConfig population;
-  /// Edge deployment mirror of FleetConfig: servers anchored to `sites`
-  /// (cycled; default 2x2 grid in the population area when empty).
-  std::vector<edge::CandidateSite> sites;
-  edge::LatencyModel latency;
-  std::size_t servers = 2;
-  mar::DeviceClass server_profile = mar::DeviceClass::kDesktop;
-  fleet::BatchConfig batch;
-  /// Open loop by default (CellConfig::admit=false semantics); flip
-  /// `admission.enabled` to gate arriving mass through the controller.
-  fleet::AdmissionConfig admission{.enabled = false};
-  double access_rate_bps = 25e6;
-  double downgrade_fps_factor = 0.5;
+///
+/// What the cell is comes from fleet::EdgeCell, the description the packet
+/// model reads too; the members below only say how to integrate and report.
+struct FluidConfig : fleet::EdgeCell {
   /// Integration step. 10 ms tracks the packet model through the knee for
   /// validation; 1 s is ample for city-scale diurnal runs (the fastest
   /// population dynamics are session lifetimes of minutes).
@@ -135,7 +122,6 @@ class FluidCell {
     int app = 0;
   };
 
-  edge::GeoPoint site_pos(std::size_t server_index) const;
   void build_probes();
   double service_ms(double occupancy) const;
   void record_mass(double latency_ms, double mass);
@@ -159,8 +145,7 @@ class FluidCell {
 
   // Population / serving state.
   std::int64_t ticks_ = 0;
-  bool burst_ = false;
-  sim::Time state_until_ = 0;
+  fleet::MmppPhase phase_;
   double n_full_ = 0.0;
   double n_deg_ = 0.0;
   double backlog_ = 0.0;  ///< queued frame mass

@@ -7,11 +7,10 @@
 
 namespace arnet::fluid {
 
-/// The FluidConfig that mirrors a packet-level capacity cell: identical
-/// population, serving-path, and admission parameters (the fluid counterpart
-/// of fleet::cell_fleet_config), so a paired run compares the two *models*,
-/// not two configurations. Autoscaling has no fluid counterpart and is
-/// rejected by ARNET_CHECK.
+/// The FluidConfig of a packet-level capacity cell: the same
+/// fleet::edge_cell that fleet::cell_fleet_config starts from, so a paired
+/// run compares the two *models*, not two configurations. Autoscaling has no
+/// fluid counterpart and is rejected by ARNET_CHECK.
 FluidConfig fluid_cell_config(const fleet::CellConfig& cell, std::uint64_t seed);
 
 /// One fluid-vs-packet comparison point of the 25-200 user validation range.

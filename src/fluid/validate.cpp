@@ -8,18 +8,8 @@ namespace arnet::fluid {
 
 FluidConfig fluid_cell_config(const fleet::CellConfig& cell, std::uint64_t seed) {
   ARNET_CHECK(!cell.autoscale, "fluid cells have no autoscaler counterpart");
-  const fleet::FleetConfig packet = fleet::cell_fleet_config(cell, seed);
   FluidConfig cfg;
-  cfg.seed = seed;
-  cfg.population = packet.population;
-  cfg.sites = packet.sites;
-  cfg.latency = packet.latency;
-  cfg.servers = packet.initial_servers;
-  cfg.server_profile = packet.server_profile;
-  cfg.batch = packet.batch;
-  cfg.admission = packet.admission;
-  cfg.access_rate_bps = packet.access_rate_bps;
-  cfg.downgrade_fps_factor = packet.downgrade_fps_factor;
+  static_cast<fleet::EdgeCell&>(cfg) = fleet::edge_cell(cell, seed);
   cfg.duration = cell.duration;
   cfg.tick = sim::milliseconds(10);
   cfg.entity = cell.name + "/fluid";

@@ -286,13 +286,4 @@ bool read_jsonl(std::istream& is, MetricsRegistry& out) {
   return true;
 }
 
-void write_csv(const TimeSeriesRecorder& rec, std::ostream& os) {
-  os << "name,entity,t_ns,value\n";
-  for (const auto& [id, ts] : rec.all()) {
-    for (const auto& [t, v] : ts.points()) {
-      os << id.name << "," << id.entity << "," << t << "," << fmt_double(v) << "\n";
-    }
-  }
-}
-
 }  // namespace arnet::obs

@@ -33,11 +33,6 @@ void write_jsonl(const MetricsRegistry& reg, std::ostream& os);
 /// parser.
 bool read_jsonl(std::istream& is, MetricsRegistry& out);
 
-/// CSV export of every recorded time series: `name,entity,t_ns,value` with a
-/// header row — the format the plotting scripts and spreadsheet spot checks
-/// consume.
-void write_csv(const TimeSeriesRecorder& rec, std::ostream& os);
-
 /// JSON string escaping (exposed for the bench JSON emitter).
 std::string json_escape(const std::string& s);
 

@@ -127,8 +127,11 @@ class Histogram {
   /// interpolation); exposed for tests.
   static double bucket_lower(int i);
 
- private:
+  /// Bucket index of value `v`: 0 for underflow (v < 1, NaN), then
+  /// kBucketsPerDecade log buckets per decade, clamped at the last bucket.
   static int bucket_of(double v);
+
+ private:
 
   std::vector<std::int64_t> counts_;  ///< lazily sized to kBucketCount
   std::map<int, Exemplar> exemplars_;

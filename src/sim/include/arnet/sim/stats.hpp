@@ -1,42 +1,13 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
 #include "arnet/sim/time.hpp"
 
 namespace arnet::sim {
-
-/// Streaming summary statistics (Welford's algorithm).
-class Summary {
- public:
-  void add(double x) {
-    ++n_;
-    double d = x - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  std::int64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
- private:
-  std::int64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Sample store with exact quantiles; fine at simulation scales.
 class Samples {

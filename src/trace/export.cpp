@@ -7,25 +7,10 @@
 #include <system_error>
 #include <utility>
 
+#include "arnet/obs/export.hpp"
+
 namespace arnet::trace {
 namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xF] << "0123456789abcdef"[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 /// Microsecond timestamp with nanosecond fraction, Perfetto's unit.
 void write_us(std::ostream& os, sim::Time ns) {
@@ -37,9 +22,7 @@ void write_common_args(std::ostream& os, const TraceEvent& e) {
   os << "\"trace\":" << e.trace_id << ",\"span\":" << e.span_id << ",\"uid\":" << e.uid
      << ",\"bytes\":" << e.size;
   if (e.reason != nullptr) {
-    os << ",\"reason\":\"";
-    json_escape(os, e.reason);
-    os << "\"";
+    os << ",\"reason\":\"" << obs::json_escape(e.reason) << "\"";
   }
 }
 
@@ -90,9 +73,8 @@ void write_perfetto_json(const Tracer& tracer, std::ostream& os) {
   for (EntityId id = 0; id < tracer.entity_count(); ++id) {
     sep();
     os << "{\"ph\":\"M\",\"pid\":1,\"tid\":" << id + 1
-       << ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    json_escape(os, tracer.entity_name(id));
-    os << "\"}}";
+       << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
+       << obs::json_escape(tracer.entity_name(id)) << "\"}}";
   }
 
   auto emit_complete = [&](const OpenSpan& o, const char* name, sim::Time end) {
@@ -180,28 +162,24 @@ bool write_perfetto_json_file(const Tracer& tracer, const std::string& path) {
 }
 
 void write_flight_jsonl(const Tracer& tracer, std::ostream& os, const std::string& cause) {
-  os << "{\"kind\":\"header\",\"schema\":\"arnet-trace-v1\",\"cause\":\"";
-  json_escape(os, cause);
-  os << "\",\"entities\":[";
+  os << "{\"kind\":\"header\",\"schema\":\"arnet-trace-v1\",\"cause\":\""
+     << obs::json_escape(cause) << "\",\"entities\":[";
   for (EntityId id = 0; id < tracer.entity_count(); ++id) {
     if (id != 0) os << ",";
     const EventRing& r = tracer.ring(id);
-    os << "{\"id\":" << id << ",\"name\":\"";
-    json_escape(os, tracer.entity_name(id));
-    os << "\",\"recorded\":" << r.recorded() << ",\"overflowed\":" << r.overflowed() << "}";
+    os << "{\"id\":" << id << ",\"name\":\"" << obs::json_escape(tracer.entity_name(id))
+       << "\",\"recorded\":" << r.recorded() << ",\"overflowed\":" << r.overflowed() << "}";
   }
   os << "]}\n";
 
   std::uint64_t written = 0;
   for (const TraceEvent& e : tracer.collect()) {
-    os << "{\"kind\":\"event\",\"t_ns\":" << e.time << ",\"entity\":\"";
-    json_escape(os, tracer.entity_name(e.entity));
-    os << "\",\"event\":\"" << to_string(e.kind) << "\",\"trace\":" << e.trace_id
-       << ",\"span\":" << e.span_id << ",\"uid\":" << e.uid << ",\"size\":" << e.size;
+    os << "{\"kind\":\"event\",\"t_ns\":" << e.time << ",\"entity\":\""
+       << obs::json_escape(tracer.entity_name(e.entity)) << "\",\"event\":\""
+       << to_string(e.kind) << "\",\"trace\":" << e.trace_id << ",\"span\":" << e.span_id
+       << ",\"uid\":" << e.uid << ",\"size\":" << e.size;
     if (e.reason != nullptr) {
-      os << ",\"reason\":\"";
-      json_escape(os, e.reason);
-      os << "\"";
+      os << ",\"reason\":\"" << obs::json_escape(e.reason) << "\"";
     }
     os << "}\n";
     ++written;

@@ -3,21 +3,11 @@
 #include <cstring>
 #include <ostream>
 
+#include "arnet/obs/export.hpp"
+
 namespace arnet::trace {
 
 namespace {
-
-/// Minimal JSON string escaping (scope/reason strings are ASCII identifiers
-/// in practice; this keeps the exporter safe if one ever carries a quote).
-std::string esc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    out += ch;
-  }
-  return out;
-}
 
 constexpr const char* kVerdictMiss = "miss";
 constexpr const char* kVerdictDrop = "drop";
@@ -229,7 +219,8 @@ void write_samples_header(std::ostream& os) {
 void append_samples_run(const TailSampler& sampler, const Tracer& tracer,
                         const std::string& scope, std::ostream& os) {
   const TailSampler::Stats& st = sampler.stats();
-  os << "{\"kind\":\"run\",\"scope\":\"" << esc(scope)
+  const std::string scope_json = obs::json_escape(scope);
+  os << "{\"kind\":\"run\",\"scope\":\"" << scope_json
      << "\",\"frames_seen\":" << st.frames_seen
      << ",\"retained\":" << sampler.retained_count()
      << ",\"miss\":" << st.retained_miss << ",\"drop\":" << st.retained_drop
@@ -243,24 +234,25 @@ void append_samples_run(const TailSampler& sampler, const Tracer& tracer,
      << ",\"span_budget\":" << sampler.config().span_budget
      << ",\"notes\":" << sampler.notes().size() << "}\n";
   for (const auto& [tid, f] : sampler.retained_frames()) {
-    os << "{\"kind\":\"frame\",\"scope\":\"" << esc(scope) << "\",\"trace\":" << tid
+    os << "{\"kind\":\"frame\",\"scope\":\"" << scope_json << "\",\"trace\":" << tid
        << ",\"verdict\":\"" << f.verdict << "\",\"t0_ns\":" << f.first_time
        << ",\"t1_ns\":" << f.last_time << ",\"latency_ns\":" << f.latency_ns
        << ",\"spans\":" << f.spans.size() << ",\"truncated\":" << f.truncated
        << "}\n";
     for (const TraceEvent& e : f.spans) {
-      os << "{\"kind\":\"span\",\"scope\":\"" << esc(scope) << "\",\"trace\":" << tid
+      os << "{\"kind\":\"span\",\"scope\":\"" << scope_json << "\",\"trace\":" << tid
          << ",\"t_ns\":" << e.time << ",\"entity\":\""
-         << (e.entity < tracer.entity_count() ? esc(tracer.entity_name(e.entity)) : "")
+         << (e.entity < tracer.entity_count() ? obs::json_escape(tracer.entity_name(e.entity))
+                                               : "")
          << "\",\"event\":\"" << to_string(e.kind) << "\",\"span\":" << e.span_id
          << ",\"uid\":" << e.uid << ",\"size\":" << e.size;
-      if (e.reason) os << ",\"reason\":\"" << e.reason << "\"";
+      if (e.reason) os << ",\"reason\":\"" << obs::json_escape(e.reason) << "\"";
       os << "}\n";
     }
   }
   for (const TailSampler::Note& n : sampler.notes()) {
-    os << "{\"kind\":\"note\",\"scope\":\"" << esc(scope) << "\",\"t_ns\":" << n.time
-       << ",\"uid\":" << n.uid << ",\"reason\":\"" << n.reason << "\"}\n";
+    os << "{\"kind\":\"note\",\"scope\":\"" << scope_json << "\",\"t_ns\":" << n.time
+       << ",\"uid\":" << n.uid << ",\"reason\":\"" << obs::json_escape(n.reason) << "\"}\n";
   }
 }
 

@@ -67,7 +67,6 @@ class TcpSource {
     /// scoreboard of SACKed ranges and retransmits only true holes during
     /// recovery — one lost *burst* no longer costs one RTT per segment.
     bool sack = false;
-    bool trace_cwnd = false;
     /// Pin all segments to this first-hop link (multipath subflows);
     /// nullptr = default routing.
     net::Link* first_hop = nullptr;
@@ -119,7 +118,6 @@ class TcpSource {
   sim::Time bbr_min_rtt() const { return bbr_min_rtt_.get_or(0); }
   int timeouts() const { return timeouts_; }
   int fast_retransmits() const { return fast_retransmits_; }
-  const sim::TimeSeries& cwnd_trace() const { return cwnd_trace_; }
 
   /// Invoked when `complete()` first becomes true.
   void set_on_complete(std::function<void()> cb) { on_complete_ = std::move(cb); }
@@ -259,7 +257,6 @@ class TcpSource {
 
   int timeouts_ = 0;
   int fast_retransmits_ = 0;
-  sim::TimeSeries cwnd_trace_;
   std::function<void()> on_complete_;
   bool completion_reported_ = false;
 };

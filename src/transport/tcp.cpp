@@ -757,7 +757,6 @@ void TcpSource::on_rto() {
 }
 
 void TcpSource::trace() {
-  if (cfg_.trace_cwnd) cwnd_trace_.add(net_.sim().now(), cwnd_);
   if (cfg_.metrics) {
     auto& rec = cfg_.metrics->recorder();
     rec.record("tcp.cwnd", cfg_.metrics_entity, net_.sim().now(), cwnd_);

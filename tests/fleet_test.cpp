@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "arnet/fleet/population.hpp"
 #include "arnet/fleet/scenario.hpp"
 #include "arnet/fleet/server.hpp"
+#include "arnet/fluid/validate.hpp"
 #include "arnet/obs/export.hpp"
 #include "arnet/runner/experiment.hpp"
 #include "arnet/sim/rng.hpp"
@@ -83,12 +85,12 @@ TEST(Population, DiurnalProfileModulatesRate) {
   sim::Simulator sim;
   fleet::PopulationConfig cfg;
   cfg.base_arrivals_per_s = 10.0;
-  cfg.diurnal = {0.5, 2.0};
-  cfg.diurnal_period = seconds(10);
+  cfg.profile.curve = {0.5, 2.0};
+  cfg.profile.period = seconds(10);
   fleet::PopulationModel p(sim, cfg, 1);
-  EXPECT_DOUBLE_EQ(fleet::diurnal_multiplier(cfg, seconds(2)), 0.5);
-  EXPECT_DOUBLE_EQ(fleet::diurnal_multiplier(cfg, seconds(7)), 2.0);
-  EXPECT_DOUBLE_EQ(fleet::diurnal_multiplier(cfg, seconds(12)), 0.5);  // wraps
+  EXPECT_DOUBLE_EQ(cfg.profile.multiplier(seconds(2)), 0.5);
+  EXPECT_DOUBLE_EQ(cfg.profile.multiplier(seconds(7)), 2.0);
+  EXPECT_DOUBLE_EQ(cfg.profile.multiplier(seconds(12)), 0.5);  // wraps
   EXPECT_DOUBLE_EQ(p.rate_at(seconds(2)), 5.0);
   EXPECT_DOUBLE_EQ(p.rate_at(seconds(7)), 20.0);
 }
@@ -420,6 +422,7 @@ TEST(FleetDeterminism, SameSeedSameAdmissionLogAndStats) {
     cfg.population.base_arrivals_per_s = 12.0;
     cfg.population.mean_lifetime_s = 5.0;
     cfg.population.process = fleet::ArrivalProcess::kMmpp;
+    cfg.admission.enabled = true;
     fleet::Fleet fl(sim, cfg);
     fl.start();
     sim.run_until(seconds(12));
@@ -482,7 +485,7 @@ TEST(Fleet, AutoscalerAddsServersUnderOverload) {
   cfg.seed = 3;
   cfg.population.base_arrivals_per_s = 15.0;
   cfg.population.mean_lifetime_s = 10.0;
-  cfg.initial_servers = 1;
+  cfg.servers = 1;
   cfg.admission.enabled = false;
   cfg.autoscaler.enabled = true;
   cfg.autoscaler.min_servers = 1;
@@ -493,6 +496,150 @@ TEST(Fleet, AutoscalerAddsServersUnderOverload) {
   fl.stop();
   EXPECT_GT(fl.active_servers(), 1u);
   EXPECT_FALSE(fl.autoscaler().events().empty());
+}
+
+// ------------------------------------------------------ capacity goldens
+
+namespace {
+
+/// FNV-1a over the bytes of 64-bit words (little-endian byte order).
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/// Space-separated fields, doubles as hex floats: string equality is bit
+/// equality, and a failure prints the new row.
+class Row {
+ public:
+  Row& s(const std::string& v) { return put("%s", v.c_str()); }
+  Row& u(std::uint64_t v) { return put("%llu", static_cast<unsigned long long>(v)); }
+  Row& i(std::int64_t v) { return put("%lld", static_cast<long long>(v)); }
+  Row& d(double v) { return put("%a", v); }
+  Row& x(std::uint64_t v) { return put("%016llx", static_cast<unsigned long long>(v)); }
+  std::string str() const { return out_; }
+
+ private:
+  template <typename T>
+  Row& put(const char* fmt, T v) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, fmt, v);
+    if (!out_.empty()) out_ += ' ';
+    out_ += buf;
+    return *this;
+  }
+  std::string out_;
+};
+
+std::string render(const fleet::CellResult& r) {
+  return Row{}
+      .s(r.name).u(r.arrivals).u(r.admitted).u(r.downgraded).u(r.rejected)
+      .i(r.frames).i(r.results).i(r.misses)
+      .d(r.mean_ms).d(r.min_ms).d(r.max_ms).d(r.p50_ms).d(r.p90_ms).d(r.p99_ms)
+      .d(r.miss_rate).d(r.served_fps).u(r.servers_final).i(r.sim_events).d(r.sim_seconds)
+      .str();
+}
+
+std::string render(const fluid::FluidResult& r) {
+  std::uint64_t occ = kFnvBasis;
+  for (double v : r.occupancy) occ = fnv1a(occ, std::bit_cast<std::uint64_t>(v));
+  return Row{}
+      .s(r.name).u(r.arrivals).u(r.admitted).u(r.downgraded).u(r.rejected)
+      .i(r.frames).i(r.misses)
+      .d(r.mean_ms).d(r.min_ms).d(r.max_ms).d(r.p50_ms).d(r.p90_ms).d(r.p99_ms)
+      .d(r.miss_rate).d(r.served_fps).d(r.peak_sessions).d(r.knee_sessions)
+      .i(r.first_breach).d(r.backlog_end).i(r.ticks).d(r.sim_seconds)
+      .u(r.occupancy.size()).x(occ)
+      .str();
+}
+
+fleet::CellConfig golden_cell(const std::string& name, double users) {
+  fleet::CellConfig c;
+  c.name = name;
+  c.offered_users = users;
+  return c;
+}
+
+}  // namespace
+
+// Every CellResult field of four capacity cells (open-loop batched,
+// admission on, autoscale on, MMPP arrivals), the arrival times of an MMPP
+// population under an active phase-shifted profile, and the packet/fluid
+// ValidationRow at 50 users. Recorded at commit 8d836ef, before the packet
+// fleet and the fluid cell shared one edge-cell description; any change to
+// the population, frame-cost or site-layout arithmetic shows up here.
+TEST(Fleet, CapacityCellGoldens) {
+  fleet::CellConfig open = golden_cell("open", 80);
+  fleet::CellConfig admit = golden_cell("admit", 160);
+  admit.admit = true;
+  fleet::CellConfig scale = golden_cell("autoscale", 160);
+  scale.autoscale = true;
+  fleet::CellConfig mmpp = golden_cell("mmpp", 60);
+  mmpp.process = fleet::ArrivalProcess::kMmpp;
+  struct Golden {
+    fleet::CellConfig cell;
+    std::uint64_t seed;
+    const char* row;
+  };
+  // Seed 9 puts the MMPP cell through a burst: 215 arrivals where its
+  // Poisson twin sees 191.
+  const Golden cells[] = {
+      {open, 7,
+       "open 254 254 0 0 52284 52180 355 0x1.3385356696f69p+5 0x1.402dfa43fe5c9p+4 "
+       "0x1.527cd31769a91p+6 0x1.0e7afc04c8bcap+5 0x1.e300e30446b6ap+5 0x1.20b779207d4e1p+6 "
+       "0x1.bddda8476ec79p-8 0x1.b2d5555555555p+10 2 171774 0x1.ep+4"},
+      {admit, 7,
+       "admit 469 204 13 252 42731 42657 17 0x1.242bc0e1326edp+5 0x1.3dd8a222d5172p+4 "
+       "0x1.41359ff4fd6d8p+6 0x1.fec6aa087ca64p+4 0x1.db02c19637e55p+5 0x1.08f14cec41dd2p+6 "
+       "0x1.a1e2fd4b1b657p-12 0x1.637999999999ap+10 2 143553 0x1.ep+4"},
+      {scale, 7,
+       "autoscale 469 469 0 0 97149 96994 152 0x1.41e47e14de49bp+5 0x1.42baf74cd3177p+4 "
+       "0x1.625fe69270b07p+6 0x1.298c20d5629d8p+5 0x1.dd7530a690f8ep+5 0x1.0fee13e3e293p+6 "
+       "0x1.9acec971e3306p-10 0x1.9424444444444p+11 5 315903 0x1.ep+4"},
+      {mmpp, 9,
+       "mmpp 215 215 0 0 52274 52203 1095 0x1.45b4789c3afa4p+5 0x1.409fa97e132b5p+4 "
+       "0x1.8ead27c393682p+6 0x1.1c432d2bb2357p+5 0x1.eaee0daa0cae6p+5 0x1.4170e4fb97bb5p+6 "
+       "0x1.57aae82e7d41ap-6 0x1.b306666666666p+10 2 171106 0x1.ep+4"},
+  };
+  for (const Golden& g : cells) {
+    EXPECT_EQ(render(fleet::run_capacity_cell(g.cell, g.seed)), g.row);
+  }
+
+  sim::Simulator sim;
+  fleet::PopulationConfig pop;
+  pop.process = fleet::ArrivalProcess::kMmpp;
+  pop.base_arrivals_per_s = 6.0;
+  pop.burst_dwell_mean_s = 2.0;
+  pop.calm_dwell_mean_s = 4.0;
+  pop.profile.curve = {0.5, 2.0, 1.0, 1.5};
+  pop.profile.period = seconds(20);
+  pop.profile.phase = seconds(7);
+  fleet::PopulationModel model(sim, pop, 23);
+  std::uint64_t arrivals = kFnvBasis;
+  model.set_session_callback([&](const fleet::SessionSpec& s) {
+    arrivals = fnv1a(fnv1a(arrivals, s.id), static_cast<std::uint64_t>(s.arrival));
+  });
+  model.start();
+  sim.run_until(seconds(60));
+  model.stop();
+  EXPECT_EQ(Row{}.u(model.generated()).x(arrivals).str(), "876 689b0ad70a8c0ff1");
+
+  const fluid::ValidationRow row = fluid::run_validation_level(50, seconds(10), 11);
+  EXPECT_EQ(render(row.packet),
+            "validate/u50 50 50 0 0 5152 5106 0 0x1.4aa7627f85177p+5 0x1.5097ca2120e1fp+4 "
+            "0x1.ff49f2778140ep+5 0x1.f1bdda8bd230cp+4 0x1.ecb8d3f1843c4p+5 0x1.fb7a719b4dcecp+5 "
+            "0x0p+0 0x1.fe9999999999ap+8 2 18727 0x1.4p+3");
+  EXPECT_EQ(render(row.fluid),
+            "validate/u50/fluid 50 50 0 0 5523 0 0x1.f7b9ba21db8bfp+4 0x1.35bffa279e821p+4 "
+            "0x1.d5b6d38a4adb5p+5 0x1.a59999999999ap+4 0x1.c39999999999ap+5 0x1.d2ccccccccccdp+5 "
+            "0x0p+0 0x1.142586b2b9b64p+9 0x1.f9b24a5ace442p+4 0x1.f9b24a5ace442p+4 -1 0x0p+0 1000 "
+            "0x1.4p+3 96 989f366896929d57");
+  EXPECT_EQ(Row{}.d(row.users).d(row.p99_delta_pct).d(row.goodput_delta_pct).str(),
+            "0x1.9p+5 0x1.00813152e349fp+3 0x1.054bfc1dbfd2bp+3");
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ using sim::seconds;
 
 TEST(DiurnalProfile, SlotsWrapAndPhaseShifts) {
   fleet::DiurnalProfile d;
-  EXPECT_FALSE(d.active());  // empty curve = legacy fields stay in charge
+  EXPECT_FALSE(d.active());  // empty curve = flat
   d.curve = {0.5, 2.0};
   d.period = seconds(10);
   ASSERT_TRUE(d.active());
@@ -57,39 +57,12 @@ TEST(Population, CellLocalProfileOverridesLegacyFields) {
   sim::Simulator s;
   fleet::PopulationConfig cfg;
   cfg.base_arrivals_per_s = 10.0;
-  cfg.diurnal = {0.5, 2.0};  // legacy shape, would give 5 / 20
-  cfg.diurnal_period = seconds(10);
-  cfg.profile.curve = {3.0, 1.0};  // cell-local profile wins
+  cfg.profile.curve = {3.0, 1.0};
   cfg.profile.period = seconds(20);
   fleet::PopulationModel p(s, cfg, 1);
-  EXPECT_DOUBLE_EQ(fleet::diurnal_multiplier(cfg, seconds(2)), 3.0);
-  EXPECT_DOUBLE_EQ(fleet::diurnal_multiplier(cfg, seconds(12)), 1.0);
+  EXPECT_DOUBLE_EQ(cfg.profile.multiplier(seconds(2)), 3.0);
+  EXPECT_DOUBLE_EQ(cfg.profile.multiplier(seconds(12)), 1.0);
   EXPECT_DOUBLE_EQ(p.rate_at(seconds(2)), 30.0);
-}
-
-TEST(Population, InactiveProfileIsBitIdenticalToLegacy) {
-  // Single-cell (no profile) behavior must not move: same seed, same config
-  // modulo the inactive profile member, same arrival stream.
-  sim::Simulator s1, s2;
-  fleet::PopulationConfig legacy;
-  legacy.base_arrivals_per_s = 8.0;
-  legacy.diurnal = {0.5, 2.0, 1.0};
-  legacy.diurnal_period = seconds(30);
-  fleet::PopulationConfig with_default = legacy;  // profile present, inactive
-  with_default.profile = fleet::DiurnalProfile{};
-  fleet::PopulationModel a(s1, legacy, 42), b(s2, with_default, 42);
-  std::vector<sim::Time> ta, tb;
-  a.set_session_callback([&](const fleet::SessionSpec&) { ta.push_back(s1.now()); });
-  b.set_session_callback([&](const fleet::SessionSpec&) { tb.push_back(s2.now()); });
-  a.start();
-  b.start();
-  s1.run_until(seconds(60));
-  s2.run_until(seconds(60));
-  a.stop();
-  b.stop();
-  ASSERT_GT(ta.size(), 100u);
-  ASSERT_EQ(ta.size(), tb.size());
-  for (std::size_t i = 0; i < ta.size(); ++i) ASSERT_EQ(ta[i], tb[i]) << i;
 }
 
 TEST(Population, PhaseStaggersIdenticalCurves) {
@@ -101,8 +74,7 @@ TEST(Population, PhaseStaggersIdenticalCurves) {
   shifted.profile.phase = seconds(10);  // one slot ahead
   for (int slot = 0; slot < 4; ++slot) {
     const sim::Time t = seconds(5 + 10 * slot);
-    EXPECT_DOUBLE_EQ(fleet::diurnal_multiplier(shifted, t),
-                     fleet::diurnal_multiplier(cfg, t + seconds(10)));
+    EXPECT_DOUBLE_EQ(shifted.profile.multiplier(t), cfg.profile.multiplier(t + seconds(10)));
   }
 }
 

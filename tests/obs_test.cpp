@@ -264,21 +264,6 @@ TEST(ObsExport, ReadRejectsMalformedLines) {
   EXPECT_FALSE(obs::read_jsonl(garbage, reg));
 }
 
-TEST(ObsExport, CsvHasHeaderAndOneRowPerPoint) {
-  obs::TimeSeriesRecorder rec;
-  rec.record("rate", "a", seconds(1), 1.5);
-  rec.record("rate", "a", seconds(2), 2.5);
-  rec.record("cwnd", "tcp", seconds(1), 10.0);
-  std::stringstream ss;
-  obs::write_csv(rec, ss);
-  std::string line;
-  int lines = 0;
-  ASSERT_TRUE(std::getline(ss, line));
-  EXPECT_EQ(line, "name,entity,t_ns,value");
-  while (std::getline(ss, line)) ++lines;
-  EXPECT_EQ(lines, 3);
-}
-
 // ------------------------------------------------------ subsystem wiring
 
 TEST(ObsWiring, ObsTapAndLinkPublishNetworkBehavior) {

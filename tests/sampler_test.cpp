@@ -41,8 +41,8 @@ using sim::seconds;
 
 // A tracer+sampler pair wired the way every caller wires them.
 struct Rig {
-  explicit Rig(trace::SamplerConfig cfg) : sampler(cfg) {
-    ent = tracer.register_entity("dev");
+  explicit Rig(trace::SamplerConfig cfg, std::string entity = "dev") : sampler(cfg) {
+    ent = tracer.register_entity(std::move(entity));
     tracer.set_sink(&sampler);
   }
   trace::Tracer tracer;
@@ -369,6 +369,28 @@ TEST(TailSamplerExport, JsonlCarriesRunFrameSpanNoteLines) {
   EXPECT_NE(doc.find("\"entity\":\"dev\""), std::string::npos);
   EXPECT_NE(doc.find("\"reason\":\"admission-downgrade\""), std::string::npos);
   EXPECT_NE(doc.find("\"kind\":\"end\",\"runs\":1"), std::string::npos);
+}
+
+TEST(TailSamplerExport, NamesAreJsonEscapedOneRecordPerLine) {
+  // A quote, a backslash or a newline in a scope or entity name must neither
+  // end the JSON string early nor split a record across lines.
+  const std::string name = "a\"b\\c\nd";
+  Rig r(trace::SamplerConfig{}, name);
+  emit_frame(r, milliseconds(1), milliseconds(90), true);
+  std::ostringstream os;
+  trace::append_samples_run(r.sampler, r.tracer, name, os);
+  const std::string escaped = R"(a\"b\\c\nd)";
+  std::istringstream lines(os.str());
+  std::string line;
+  int records = 0;
+  while (std::getline(lines, line)) {
+    ++records;
+    EXPECT_EQ(line.rfind("{\"kind\":", 0), 0u) << line;
+    EXPECT_EQ(line.back(), '}') << line;
+    EXPECT_NE(line.find("\"scope\":\"" + escaped + "\""), std::string::npos) << line;
+  }
+  EXPECT_EQ(records, 4);  // run, frame, and the frame's capture and miss spans
+  EXPECT_NE(os.str().find("\"entity\":\"" + escaped + "\""), std::string::npos);
 }
 
 // ------------------------------------------------------- stream goldens

@@ -186,16 +186,6 @@ TEST(Rng, NormalAtLeastClamps) {
   for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.normal_at_least(0.0, 10.0, 0.5), 0.5);
 }
 
-TEST(Stats, SummaryMatchesClosedForm) {
-  Summary s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
 TEST(Stats, SamplesPercentiles) {
   Samples s;
   for (int i = 100; i >= 1; --i) s.add(i);
@@ -209,9 +199,6 @@ TEST(Stats, SamplesPercentiles) {
 TEST(Stats, EmptySamplesAreZero) {
   Samples s;
   EXPECT_DOUBLE_EQ(s.percentile(0.5), 0.0);
-  Summary sm;
-  EXPECT_DOUBLE_EQ(sm.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(sm.stddev(), 0.0);
 }
 
 TEST(Stats, TimeSeriesWindowMean) {

@@ -4,6 +4,7 @@
 
 #include "arnet/net/loss.hpp"
 #include "arnet/net/network.hpp"
+#include "arnet/obs/registry.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/transport/tcp.hpp"
 #include "arnet/transport/udp.hpp"
@@ -71,14 +72,18 @@ TEST(Tcp, ThroughputApproachesLinkRate) {
 TEST(Tcp, SlowStartDoublesPerRtt) {
   Dumbbell d(100e6, 100e6, milliseconds(50), 10000);
   TcpSink sink(d.net, d.server, 80);
+  obs::MetricsRegistry reg;
   TcpSource::Config cfg;
-  cfg.trace_cwnd = true;
+  cfg.metrics = &reg;
   TcpSource src(d.net, d.client, 1000, d.server, 80, 1, cfg);
   src.send_forever();
   // After ~5 RTTs (500 ms) of slow start cwnd should have grown
   // exponentially: 2 -> ~64 segments, far beyond linear growth.
   d.sim.run_until(milliseconds(520));
   EXPECT_GT(src.cwnd_bytes(), 30.0 * 1460);
+  const sim::TimeSeries* cwnd = reg.recorder().find("tcp.cwnd", "tcp");
+  ASSERT_NE(cwnd, nullptr);
+  EXPECT_GT(cwnd->points().back().second, 30.0 * 1460);
 }
 
 TEST(Tcp, LossTriggersFastRetransmitNotTimeout) {
@@ -97,14 +102,17 @@ TEST(Tcp, LossTriggersFastRetransmitNotTimeout) {
 TEST(Tcp, SawtoothUnderPeriodicLoss) {
   Dumbbell d(10e6, 10e6, milliseconds(20), 50);
   TcpSink sink(d.net, d.server, 80);
+  obs::MetricsRegistry reg;
   TcpSource::Config cfg;
-  cfg.trace_cwnd = true;
+  cfg.metrics = &reg;
   TcpSource src(d.net, d.client, 1000, d.server, 80, 1, cfg);
   src.send_forever();
   d.sim.run_until(seconds(20));
   // Queue overflow losses must have produced multiplicative decreases: the
-  // cwnd trace has at least a few drops of >= 30%.
-  const auto& pts = src.cwnd_trace().points();
+  // cwnd series has at least a few drops of >= 30%.
+  const sim::TimeSeries* cwnd = reg.recorder().find("tcp.cwnd", "tcp");
+  ASSERT_NE(cwnd, nullptr);
+  const auto& pts = cwnd->points();
   int big_drops = 0;
   for (std::size_t i = 1; i < pts.size(); ++i) {
     if (pts[i].second < 0.7 * pts[i - 1].second) ++big_drops;
