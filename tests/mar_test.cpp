@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
+#include <string>
+
+#include "arnet/core/scenarios.hpp"
 #include "arnet/mar/cost_model.hpp"
 #include "arnet/mar/device.hpp"
 #include "arnet/mar/offload.hpp"
@@ -238,6 +243,65 @@ TEST(OffloadSession, EnergyAccountingIsPositiveAndStrategyDependent) {
   EXPECT_GT(so.energy_j, 0.0);
   // Local runs extract+recognize on-device; offload only extract.
   EXPECT_GT(sl.energy_j, so.energy_j);
+}
+
+// Counts, uplink bytes, energy, latency summary and miss rate of the four
+// Table II CloudRidAR sessions (seed 43, 10 s), doubles as hex floats.
+// Recorded at commit 06c5a9a, before OffloadStats counted frames through
+// sim::FrameLedger.
+TEST(Offload, SessionStatsGoldens) {
+  struct Golden {
+    core::Table2Setup setup;
+    const char* row;
+  };
+  const Golden goldens[] = {
+      {core::Table2Setup::kLocalServerWifi,
+       "301 297 16 299 4305600 0x1.8147ae147ade7p+5 0x1.d279e91888504p+5 "
+       "0x1.a5b4d37c1376dp+5 0x1.3f4cfa69be09cp+7 0x1.b2cf4adbc664dp+5 "
+       "0x1.c05faa39facd9p+5 0x1.11338fd0c2fbep+7 0x1.b951e2b18ff23p-5"},
+      {core::Table2Setup::kCloudServerWifi,
+       "301 296 296 299 4305600 0x1.8147ae147ade7p+5 0x1.5920f9588bb82p+6 "
+       "0x1.407f7b5aea316p+6 0x1.8a1f8316a0557p+7 0x1.470cb6e935b92p+6 "
+       "0x1.4dd4e6c093d96p+6 0x1.5c6fc1000ff04p+7 0x1p+0"},
+      {core::Table2Setup::kUniversityServerWifi,
+       "301 293 293 299 4305600 0x1.8147ae147ade7p+5 0x1.f4c648bf4f9d1p+6 "
+       "0x1.e081c68ec52a4p+6 0x1.b8e3e6c4c5975p+7 0x1.e70f023e9ea14p+6 "
+       "0x1.edd731c574e9bp+6 0x1.9d89106a3075p+7 0x1p+0"},
+      {core::Table2Setup::kCloudServerLte,
+       "301 288 288 299 4305600 0x1.8147ae147ade7p+5 0x1.95295455219a6p+7 "
+       "0x1.5b9f062d40aafp+7 0x1.23c5de37585bep+8 0x1.83c4a4e379b78p+7 "
+       "0x1.e3260f619cd3p+7 0x1.105a731d2e0e2p+8 0x1p+0"},
+  };
+  for (const Golden& g : goldens) {
+    core::Scenario sc = core::make_table2_scenario(g.setup, 43);
+    sc.start_dynamics();
+    OffloadConfig cfg;
+    cfg.strategy = OffloadStrategy::kCloudRidAR;
+    cfg.device = DeviceClass::kSmartphone;
+    OffloadSession session(*sc.net, sc.client, sc.server, cfg);
+    session.start();
+    sc.sim->run_until(seconds(10));
+    session.stop();
+    const OffloadStats& st = session.stats();
+    std::string row;
+    auto put = [&row](const char* fmt, auto v) {
+      char buf[64];
+      std::snprintf(buf, sizeof buf, fmt, v);
+      if (!row.empty()) row += ' ';
+      row += buf;
+    };
+    for (std::int64_t n : {st.frames, st.results, st.deadline_misses, st.offloaded_frames,
+                           st.uplink_bytes}) {
+      put("%lld", static_cast<long long>(n));
+    }
+    for (double v : {st.energy_j, st.latency_ms.mean(), st.latency_ms.min(),
+                     st.latency_ms.max(), st.latency_ms.median(),
+                     st.latency_ms.percentile(0.90), st.latency_ms.percentile(0.99),
+                     st.miss_rate()}) {
+      put("%a", v);
+    }
+    EXPECT_EQ(row, g.row) << core::to_string(g.setup);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,35 @@ std::vector<ShootoutCellConfig> small_grid(sim::Time duration) {
     }
   }
   return cells;
+}
+
+/// Space-separated fields, doubles as hex floats: string equality is bit
+/// equality, and a failure prints the new row.
+class Row {
+ public:
+  Row& s(const std::string& v) { return put("%s", v.c_str()); }
+  Row& i(std::int64_t v) { return put("%lld", static_cast<long long>(v)); }
+  Row& d(double v) { return put("%a", v); }
+  std::string str() const { return out_; }
+
+ private:
+  template <typename T>
+  Row& put(const char* fmt, T v) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, fmt, v);
+    if (!out_.empty()) out_ += ' ';
+    out_ += buf;
+    return *this;
+  }
+  std::string out_;
+};
+
+std::string render(const ShootoutCellResult& r) {
+  return Row{}
+      .s(r.name).i(r.frames_sent).i(r.frames_on_time).i(r.frames_late).i(r.frames_incomplete)
+      .d(r.hit_ratio).d(r.mean_ms).d(r.p50_ms).d(r.p90_ms).d(r.p99_ms).d(r.min_ms).d(r.max_ms)
+      .d(r.goodput_mbps).d(r.sim_seconds).i(r.sim_events)
+      .str();
 }
 
 void expect_identical(const ShootoutCellResult& a, const ShootoutCellResult& b) {
@@ -97,6 +127,62 @@ TEST(Shootout, SerialAndParallelPoolsAgreeExactly) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_identical(serial[i], parallel[i]);
+  }
+}
+
+// Every ShootoutCellResult field of the 15-cell grid at 5 s, seed 7.
+// Recorded at commit 06c5a9a, before the shootout scored frames through
+// sim::FrameLedger; any change to how a frame is counted or summarized
+// shows up here.
+TEST(Shootout, CellResultGoldens) {
+  const char* const rows[] = {
+      "ARTP/WiFi 150 150 0 0 0x1p+0 0x1.f40a26aa38ce6p+3 0x1.b399e30014f8bp+3 "
+      "0x1.321bfc4a68d9dp+4 0x1.34d0baff6fe22p+5 0x1.48ef36ef8056p+3 0x1.42f26b723ee1cp+5 "
+      "0x1.ccccccccccccdp+2 0x1.4p+2 56197",
+      "Reno/WiFi 150 150 0 0 0x1p+0 0x1.04963024a79b7p+4 0x1.b55556084a516p+3 0x1.9p+4 "
+      "0x1.9p+4 0x1.4aaaac1094a2cp+3 0x1.9000010c6f7a1p+4 0x1.ccccccccccccdp+2 0x1.4p+2 64450",
+      "CUBIC/WiFi 150 150 0 0 0x1p+0 0x1.04963024a79b7p+4 0x1.b55556084a516p+3 0x1.9p+4 "
+      "0x1.9p+4 0x1.4aaaac1094a2cp+3 0x1.9000010c6f7a1p+4 0x1.ccccccccccccdp+2 0x1.4p+2 64450",
+      "BBR/WiFi 150 150 0 0 0x1p+0 0x1.f147aecb041f1p+3 0x1.655556084a516p+3 0x1.9p+4 "
+      "0x1.9p+4 0x1.4aaaac1094a2cp+3 0x1.9000010c6f7a1p+4 0x1.ccccccccccccdp+2 0x1.4p+2 65574",
+      "QUIC-lite/WiFi 150 150 0 0 0x1p+0 0x1.6e81f05372fep+3 0x1.4aeb1c432ca58p+3 "
+      "0x1.b5af9873ffac2p+3 0x1.b5af9873ffac2p+3 0x1.4aeb1c432ca58p+3 0x1.b5af9873ffac2p+3 "
+      "0x1.ccccccccccccdp+2 0x1.4p+2 58674",
+      "ARTP/LTE 150 0 7 143 0x0p+0 0x1.3f14f065399bbp+7 0x1.0b5fe260b2c84p+7 "
+      "0x1.fdab3079448fap+7 0x1.65e8bd667d626p+8 0x1.41b9068986fcep+6 0x1.715ca515ce9e6p+8 "
+      "0x1.5810624dd2f1ap-2 0x1.4p+2 1725",
+      "Reno/LTE 150 0 150 0 0x0p+0 0x1.ce62fca1985d9p+7 0x1.15p+8 0x1.91aaaab042529p+8 "
+      "0x1.ad570a404ac8dp+8 0x1.a2aaab042528bp+5 0x1.ae55556084a51p+8 0x1.ccccccccccccdp+2 "
+      "0x1.4p+2 15382",
+      "CUBIC/LTE 150 0 150 0 0x0p+0 0x1.d7369d0ed2646p+7 0x1.1c000008637bdp+8 "
+      "0x1.91aaaab042529p+8 0x1.ad570a404ac8dp+8 0x1.a2aaab042528bp+5 0x1.ae55556084a51p+8 "
+      "0x1.ccccccccccccdp+2 0x1.4p+2 15433",
+      "BBR/LTE 150 0 150 0 0x0p+0 0x1.9cd70a48d937fp+7 0x1.de000010c6f7ap+7 "
+      "0x1.6f111111a03b8p+8 0x1.85340dacbbe04p+8 0x1.a2aaab042528bp+5 0x1.8b55556084a51p+8 "
+      "0x1.ccccccccccccdp+2 0x1.4p+2 15289",
+      "QUIC-lite/LTE 150 0 150 0 0x0p+0 0x1.a3ffec24ba2cep+6 0x1.1d965e8922531p+6 "
+      "0x1.9d984d551d68cp+7 0x1.c89ed1c7de508p+7 0x1.a182ce4649907p+5 0x1.d31489b0ee49fp+7 "
+      "0x1.ccccccccccccdp+2 0x1.4p+2 8717",
+      "ARTP/5G-NR 150 44 5 101 0x1.2c5f92c5f92c6p-2 0x1.c446a9ed18754p+4 0x1.346c258d5842bp+4 "
+      "0x1.929306a2b1713p+5 0x1.987b21d740432p+6 0x1.36c0fcb4f1e4bp+3 0x1.a20fb9bed30fp+6 "
+      "0x1.2d0e560418937p+1 0x1.4p+2 3291",
+      "Reno/5G-NR 150 121 29 0 0x1.9d0369d0369dp-1 0x1.b64b183ff61d2p+4 0x1.eaaaac1094a2cp+2 "
+      "0x1.bccccccccccccp+6 0x1.fe111132d8447p+6 0x1.6aaaac1094a2cp+2 0x1.02p+7 "
+      "0x1.ccccccccccccdp+2 0x1.4p+2 15545",
+      "CUBIC/5G-NR 150 121 29 0 0x1.9d0369d0369dp-1 0x1.b64b183ff61d2p+4 0x1.eaaaac1094a2cp+2 "
+      "0x1.bccccccccccccp+6 0x1.fe111132d8447p+6 0x1.6aaaac1094a2cp+2 0x1.02p+7 "
+      "0x1.ccccccccccccdp+2 0x1.4p+2 15548",
+      "BBR/5G-NR 150 58 92 0 0x1.8bf258bf258bfp-2 0x1.be851ebe06352p+8 0x1.212aaab042529p+8 "
+      "0x1.12d999999999ap+10 0x1.3536d3a11c9acp+10 0x1.9555582129457p+2 0x1.36d5555821294p+10 "
+      "0x1.ccccccccccccdp+2 0x1.4p+2 16669",
+      "QUIC-lite/5G-NR 150 121 29 0 0x1.9d0369d0369dp-1 0x1.cffcb4dc6b259p+4 "
+      "0x1.3dac083126e98p+3 0x1.bc68a2d806bcap+6 0x1.ffe02b5d25f5dp+6 0x1.1ba8f7db6e504p+3 "
+      "0x1.02307485e3da3p+7 0x1.ccccccccccccdp+2 0x1.4p+2 11200",
+  };
+  const std::vector<ShootoutCellConfig> cells = small_grid(sim::seconds(5));
+  ASSERT_EQ(cells.size(), std::size(rows));
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    EXPECT_EQ(render(run_shootout_cell(cells[i], 7)), rows[i]);
   }
 }
 
