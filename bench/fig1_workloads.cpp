@@ -78,8 +78,8 @@ int main() {
     session.stop();
     const auto& st = session.stats();
     double mos = core::qoe_mos(core::qoe_inputs(st, 30.0, w.video.fps));
-    t3.add_row({w.name, core::fmt(st.uplink_bytes / 1e6, 1),
-                core::fmt_ms(st.latency_ms.median()), core::fmt(st.miss_rate() * 100, 1) + " %",
+    const core::FrameCells cells = core::fmt_frames(st);
+    t3.add_row({w.name, core::fmt(st.uplink_bytes / 1e6, 1), cells.median, cells.miss,
                 core::fmt(mos, 2) + " (" + core::qoe_grade(mos) + ")"});
   }
   t3.print(std::cout);

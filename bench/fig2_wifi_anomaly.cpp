@@ -176,8 +176,7 @@ int main(int argc, char** argv) {
   const double neighbor_phys[] = {54e6, 6e6, 1e6};
   struct MarRow {
     double uplink_bps = 0;
-    double median_ms = 0;
-    double miss_pct = 0;
+    core::FrameCells frames;
     double mos = 0;
   };
   const std::vector<MarRow> mar_rows = pool.map<MarRow>(
@@ -203,14 +202,12 @@ int main(int argc, char** argv) {
         sim.run_until(sim::seconds(20));
         session.stop();
         const auto& st = session.stats();
-        return MarRow{uplink_bps, st.latency_ms.median(), st.miss_rate() * 100,
-                      core::qoe_mos(core::qoe_inputs(st, 20.0))};
+        return MarRow{uplink_bps, core::fmt_frames(st), core::qoe_mos(core::qoe_inputs(st, 20.0))};
       });
   for (std::size_t i = 0; i < std::size(neighbor_phys); ++i) {
     const MarRow& r = mar_rows[i];
     t2.add_row({"neighbor at " + core::fmt_mbps(neighbor_phys[i], 0),
-                core::fmt_mbps(r.uplink_bps, 1), core::fmt_ms(r.median_ms),
-                core::fmt(r.miss_pct, 1) + " %",
+                core::fmt_mbps(r.uplink_bps, 1), r.frames.median, r.frames.miss,
                 core::fmt(r.mos, 2) + " (" + core::qoe_grade(r.mos) + ")"});
   }
   t2.print(std::cout);

@@ -192,16 +192,18 @@ int main(int argc, char** argv) {
   out.suite = "scale_city";
   out.out_dir = flags.out_dir;
   for (const fluid::CityCellOutcome& c : outcomes) {
-    out.rows.push_back(runner::sim_row(c.r.name, c.r, c.r.frames, c.r.served_fps, c.r.ticks));
+    out.rows.push_back(runner::sim_row(c.r.name, c.r, c.r.sim_seconds, c.r.frames,
+                                       c.r.served_fps, c.r.ticks));
   }
   for (const fluid::ValidationRow& v : validation) {
     std::ostringstream base;
     base << "validate/u" << std::setw(3) << std::setfill('0') << static_cast<int>(v.users);
     const fleet::CellResult& p = v.packet;
     out.rows.push_back(
-        runner::sim_row(base.str() + "/packet", p, p.results, p.served_fps, p.sim_events));
-    out.rows.push_back(runner::sim_row(base.str() + "/fluid", v.fluid, v.fluid.frames,
-                                       v.fluid.served_fps, v.fluid.ticks));
+        runner::sim_row(base.str() + "/packet", p, p.sim_seconds, p.results, p.served_fps,
+                        p.sim_events));
+    out.rows.push_back(runner::sim_row(base.str() + "/fluid", v.fluid, v.fluid.sim_seconds,
+                                       v.fluid.frames, v.fluid.served_fps, v.fluid.ticks));
   }
   out.metrics = &merged;
   out.telemetry = &telemetry;

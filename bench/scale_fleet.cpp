@@ -164,7 +164,8 @@ int main(int argc, char** argv) {
   out.suite = "scale_fleet";
   out.out_dir = flags.out_dir;
   for (const fleet::CellResult& r : results) {
-    out.rows.push_back(runner::sim_row(r.name, r, r.results, r.served_fps, r.sim_events));
+    out.rows.push_back(
+        runner::sim_row(r.name, r, r.sim_seconds, r.results, r.served_fps, r.sim_events));
   }
   out.metrics = &merged;
   out.telemetry = flags.slo ? &telemetry : nullptr;

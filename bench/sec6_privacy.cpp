@@ -91,10 +91,9 @@ int main(int argc, char** argv) {
         if (crypto == mar::CryptoProfile::kNone) plain_bytes = wire;
         double overhead =
             plain_bytes ? (static_cast<double>(wire) / plain_bytes - 1.0) * 100 : 0.0;
-        t.add_row({mar::device_profile(device).name, mar::to_string(crypto),
-                   core::fmt_ms(st.latency_ms.median()),
-                   core::fmt(st.miss_rate() * 100, 1) + " %",
-                   "+" + core::fmt(overhead, 1) + " %"});
+        const core::FrameCells cells = core::fmt_frames(st);
+        t.add_row({mar::device_profile(device).name, mar::to_string(crypto), cells.median,
+                   cells.miss, "+" + core::fmt(overhead, 1) + " %"});
       }
     }
     t.print(std::cout);

@@ -108,7 +108,8 @@ int main(int argc, char** argv) {
   out.suite = "sec_transport_shootout";
   out.out_dir = flags.out_dir;
   for (const core::ShootoutCellResult& r : results) {
-    runner::BenchRow row = runner::sim_row(r.name, r, r.frames_sent, 0.0, r.sim_events);
+    runner::BenchRow row =
+        runner::sim_row(r.name, r, r.sim_seconds, r.frames_sent, 0.0, r.sim_events);
     row.ops_per_sec = static_cast<double>(r.frames_sent) / row.wall_time_s;
     row.extra = {{"frames_on_time", static_cast<double>(r.frames_on_time)},
                  {"frames_late", static_cast<double>(r.frames_late)},

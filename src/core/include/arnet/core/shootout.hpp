@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 
+#include "arnet/sim/stats.hpp"
 #include "arnet/sim/time.hpp"
 #include "arnet/trace/telemetry.hpp"
 
@@ -45,22 +46,16 @@ struct ShootoutCellConfig {
   std::string name() const;
 };
 
-/// Per-cell outcome. `frames_incomplete` counts every submitted frame that
-/// never fully arrived (shed, expired, or still in flight at the end), so
-/// on_time + late + incomplete == sent.
-struct ShootoutCellResult {
+/// Per-cell outcome; the latency summary covers completed frames.
+/// `frames_incomplete` counts every submitted frame that never fully arrived
+/// (shed, expired, or still in flight at the end): on_time + late + incomplete == sent.
+struct ShootoutCellResult : sim::LatencySummary {
   std::string name;
   std::int64_t frames_sent = 0;
   std::int64_t frames_on_time = 0;
   std::int64_t frames_late = 0;
   std::int64_t frames_incomplete = 0;
   double hit_ratio = 0.0;  ///< on_time / sent
-  double mean_ms = 0.0;    ///< completed-frame delivery latency
-  double p50_ms = 0.0;
-  double p90_ms = 0.0;
-  double p99_ms = 0.0;
-  double min_ms = 0.0;
-  double max_ms = 0.0;
   /// Application bytes delivered per second of simulated time, in Mb/s
   /// (completed frames for ARTP/QUIC-lite, stream bytes for TCP).
   double goodput_mbps = 0.0;

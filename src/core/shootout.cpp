@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "arnet/check/assert.hpp"
 #include "arnet/net/link.hpp"
 #include "arnet/net/network.hpp"
 #include "arnet/sim/simulator.hpp"
@@ -52,26 +53,6 @@ namespace {
 constexpr net::Port kArClientPort = 5000;
 constexpr net::Port kArServerPort = 6000;
 constexpr net::FlowId kArFlow = 1;
-
-/// Frame-level scoreboard shared by all five transports: completion events
-/// flow in here, and whatever never completes is incomplete by subtraction.
-struct FrameScore {
-  std::int64_t sent = 0;
-  std::int64_t on_time = 0;
-  std::int64_t late = 0;
-  std::int64_t delivered_app_bytes = 0;
-  sim::Samples latency_ms;
-
-  void complete(sim::Time latency, sim::Time deadline, std::int64_t bytes) {
-    if (latency <= deadline) {
-      ++on_time;
-    } else {
-      ++late;
-    }
-    latency_ms.add(sim::to_milliseconds(latency));
-    delivered_app_bytes += bytes;
-  }
-};
 
 /// Everything that must stay alive while the cell runs.
 struct CellPlant {
@@ -157,7 +138,9 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
   CellPlant plant;
   build_network(cfg, net, client, server, seed, plant);
 
-  FrameScore score;
+  // Frame-level scoreboard shared by all five transports: completion events
+  // feed it, and whatever never completes is incomplete by subtraction.
+  sim::FrameLedger ledger;
 
   // Telemetry is a pure observer: the trace/SLO stream reads completion
   // events the scoring path already produces and feeds nothing back.
@@ -172,11 +155,12 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
     auto it = frame_ctx.find(fid);
     return it == frame_ctx.end() ? trace::TraceContext{} : it->second;
   };
-  // One frame, one verdict: complete frames observe their latency (late ==
+  // Every completion a transport reports is scored; the telemetry stream gives
+  // each frame one verdict: complete frames observe their latency (late ==
   // miss for the SLO), incompletes record an explicit drop + miss. A frame
-  // already classified stays so: ARTP can report an expired message again
-  // when its late chunks arrive.
-  auto classify = [&](std::uint32_t fid, bool complete, sim::Time latency) {
+  // already classified stays so: ARTP can re-report an expired message.
+  auto score = [&](std::uint32_t fid, bool complete, sim::Time latency) {
+    const bool missed = complete && ledger.complete(latency, cfg.deadline);
     auto it = frame_ctx.find(fid);
     if (it == frame_ctx.end()) return;
     const trace::TraceContext ctx = it->second;
@@ -188,9 +172,7 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
       if (observers.slo) observers.slo->observe_miss(now);
       return;
     }
-    const bool missed = latency > cfg.deadline;
-    emitter.emit(now, missed ? trace::EventKind::kFrameMiss : trace::EventKind::kFrameDone, ctx,
-                 fid, static_cast<std::int64_t>(latency), missed ? "deadline" : nullptr);
+    emitter.verdict(now, ctx, fid, latency, missed);
     if (observers.slo) observers.slo->observe(now, sim::to_milliseconds(latency));
   };
 
@@ -234,8 +216,7 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
       artp_rx = std::make_unique<transport::ArtpReceiver>(net, server, kArServerPort);
       artp_rx->set_message_callback([&](const transport::ArtpDelivery& d) {
         // Incomplete (expired) deliveries stay in the incomplete bucket.
-        if (d.complete) score.complete(d.latency(), cfg.deadline, cfg.frame_bytes);
-        classify(d.frame_id, d.complete, d.latency());
+        score(d.frame_id, d.complete, d.latency());
       });
       submit_frame = [&] {
         transport::ArtpMessageSpec spec;
@@ -249,7 +230,7 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
         // shed mid-flight before the rate ramps. Keep frames eligible until
         // the receiver's own 250 ms expiry would reclassify them anyway.
         spec.stale_after = sim::milliseconds(250);
-        spec.frame_id = static_cast<std::uint32_t>(score.sent);
+        spec.frame_id = static_cast<std::uint32_t>(ledger.frames);
         spec.trace = ctx_of(spec.frame_id);
         artp_tx->send_message(spec);
       };
@@ -269,7 +250,7 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
       submit_frame = [&] {
         tcp_submitted_bytes += cfg.frame_bytes;
         tcp_frames.push_back(
-            {static_cast<std::uint32_t>(score.sent), tcp_submitted_bytes, sim.now()});
+            {static_cast<std::uint32_t>(ledger.frames), tcp_submitted_bytes, sim.now()});
         tcp_tx->send(cfg.frame_bytes);
       };
       break;
@@ -282,12 +263,10 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
       qr.deadline = cfg.deadline;
       quic_rx = std::make_unique<transport::QuicLiteReceiver>(net, server, kArServerPort, qr);
       quic_rx->set_frame_callback([&](const transport::QuicFrameResult& r) {
-        if (r.complete) score.complete(r.latency(), cfg.deadline, cfg.frame_bytes);
-        classify(r.frame_id, r.complete, r.latency());
+        score(r.frame_id, r.complete, r.latency());
       });
       submit_frame = [&] {
-        quic_tx->send_frame(cfg.frame_bytes,
-                            ctx_of(static_cast<std::uint32_t>(score.sent)));
+        quic_tx->send_frame(cfg.frame_bytes, ctx_of(static_cast<std::uint32_t>(ledger.frames)));
       };
       break;
     }
@@ -298,15 +277,15 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
   // `after(1/fps)` chain accumulates integer-ns truncation — 90 ticks of
   // 33'333'333 ns land 30 ns short of 3 s and a 91st frame sneaks in.)
   std::function<void()> frame_tick = [&] {
-    const auto fid = static_cast<std::uint32_t>(score.sent);
+    const auto fid = static_cast<std::uint32_t>(ledger.frames);
     const trace::TraceContext ctx =
         observers.tracer ? observers.tracer->new_trace() : trace::TraceContext{};
     frame_ctx.emplace(fid, ctx);
     emitter.emit(sim.now(), trace::EventKind::kFrameCapture, ctx, fid, cfg.frame_bytes);
     submit_frame();
-    ++score.sent;
+    ++ledger.frames;
     const sim::Time next =
-        sim::from_seconds(static_cast<double>(score.sent) / std::max(1e-9, cfg.fps));
+        sim::from_seconds(static_cast<double>(ledger.frames) / std::max(1e-9, cfg.fps));
     if (next < cfg.duration) sim.at(next, frame_tick);
   };
   frame_tick();
@@ -317,8 +296,7 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
   std::function<void()> tcp_poll = [&] {
     while (!tcp_frames.empty() && tcp_rx->received_bytes() >= tcp_frames.front().boundary) {
       const TcpFrame& front = tcp_frames.front();
-      score.complete(sim.now() - front.submitted_at, cfg.deadline, cfg.frame_bytes);
-      classify(front.frame_id, true, sim.now() - front.submitted_at);
+      score(front.frame_id, true, sim.now() - front.submitted_at);
       tcp_frames.pop_front();
     }
     sim.after(sim::milliseconds(1), tcp_poll);
@@ -331,26 +309,22 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
 
   // Frames the transports never classified (shed at the sender, stream bytes
   // still buffered at the cutoff) are incomplete by subtraction in the
-  // scoreboard; mirror that verdict into the telemetry stream so the sampler
+  // ledger; mirror that verdict into the telemetry stream so the sampler
   // and SLO see every submitted frame exactly once.
-  while (!frame_ctx.empty()) classify(frame_ctx.begin()->first, false, 0);
+  while (!frame_ctx.empty()) score(frame_ctx.begin()->first, false, 0);
+  ARNET_CHECK(ledger.consistent(), "shootout cell ", cfg.name(), ": ", ledger.frames,
+              " frames, ", ledger.results, " results, ", ledger.deadline_misses, " misses");
 
   ShootoutCellResult r;
+  static_cast<sim::LatencySummary&>(r) = ledger.summary();
   r.name = cfg.name();
-  r.frames_sent = score.sent;
-  r.frames_on_time = score.on_time;
-  r.frames_late = score.late;
-  r.frames_incomplete = score.sent - score.on_time - score.late;
-  r.hit_ratio = score.sent > 0 ? static_cast<double>(score.on_time) / score.sent : 0.0;
-  r.mean_ms = score.latency_ms.mean();
-  r.p50_ms = score.latency_ms.median();
-  r.p90_ms = score.latency_ms.percentile(0.90);
-  r.p99_ms = score.latency_ms.percentile(0.99);
-  r.min_ms = score.latency_ms.min();
-  r.max_ms = score.latency_ms.max();
+  r.frames_sent = ledger.frames;
+  r.frames_on_time = ledger.results - ledger.deadline_misses;
+  r.frames_late = ledger.deadline_misses;
+  r.frames_incomplete = ledger.frames - ledger.results;
+  r.hit_ratio = ledger.frames > 0 ? static_cast<double>(r.frames_on_time) / ledger.frames : 0.0;
   r.sim_seconds = sim::to_seconds(cfg.duration);
-  std::int64_t app_bytes =
-      tcp_rx ? tcp_rx->received_bytes() : score.delivered_app_bytes;
+  std::int64_t app_bytes = tcp_rx ? tcp_rx->received_bytes() : ledger.results * cfg.frame_bytes;
   r.goodput_mbps = r.sim_seconds > 0 ? app_bytes * 8.0 / 1e6 / r.sim_seconds : 0.0;
   r.sim_events = static_cast<std::int64_t>(sim.events_executed());
   return r;

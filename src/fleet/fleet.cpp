@@ -163,11 +163,8 @@ void Fleet::finish_frame(std::uint64_t frame_uid, const Session& snapshot, sim::
                          sim::Time deadline, trace::TraceContext ctx) {
   const sim::Time latency = sim_.now() - t0;
   const double ms = sim::to_milliseconds(latency);
-  ++stats_.results;
-  stats_.latency_ms.add(ms);
+  const bool missed = stats_.complete(latency, deadline);
   admission_.observe_latency_ms(ms);
-  const bool missed = latency > deadline;
-  if (missed) ++stats_.deadline_misses;
   // Keep the sampler's outlier rule tracking the live tail estimate before
   // it sees this frame's completion event (the admission projection is
   // always maintained, even with admission disabled). Refreshed once per 32
@@ -178,8 +175,7 @@ void Fleet::finish_frame(std::uint64_t frame_uid, const Session& snapshot, sim::
   if (cfg_.telemetry.sampler && (stats_.results & 31) == 1) {
     cfg_.telemetry.sampler->set_outlier_threshold_ms(admission_.projected_p99_ms());
   }
-  trace_.emit(sim_.now(), missed ? trace::EventKind::kFrameMiss : trace::EventKind::kFrameDone,
-              ctx, frame_uid, static_cast<std::int64_t>(latency), missed ? "deadline" : nullptr);
+  trace_.verdict(sim_.now(), ctx, frame_uid, latency, missed);
   if (cfg_.telemetry.slo) cfg_.telemetry.slo->observe(sim_.now(), ms);
   if (cfg_.telemetry.metrics) {
     // Retention was just decided (the sampler saw the completion event via

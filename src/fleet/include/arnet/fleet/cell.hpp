@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "arnet/edge/placement.hpp"
@@ -9,6 +10,7 @@
 #include "arnet/fleet/population.hpp"
 #include "arnet/fleet/server.hpp"
 #include "arnet/mar/device.hpp"
+#include "arnet/sim/stats.hpp"
 #include "arnet/sim/time.hpp"
 
 namespace arnet::fleet {
@@ -37,6 +39,19 @@ struct EdgeCell {
   double access_rate_bps = 25e6;
   /// Downgraded sessions run at fps * this factor.
   double downgrade_fps_factor = 0.5;
+};
+
+/// What one run of an edge cell produced, in either model. fleet::CellResult
+/// and fluid::FluidResult derive from it; each adds its own `frames`, which
+/// counts captured frames in the packet model and served (rounded) frame
+/// mass in the fluid one.
+struct CellOutcome : sim::LatencySummary {
+  std::string name;
+  std::uint64_t arrivals = 0, admitted = 0, downgraded = 0, rejected = 0;
+  std::int64_t misses = 0;
+  double miss_rate = 0.0;  ///< misses per completed frame
+  double served_fps = 0.0;  ///< completed frames per simulated second
+  double sim_seconds = 0.0;
 };
 
 /// Anchor of server `server_index`: `cell.sites` cycled, or when empty a

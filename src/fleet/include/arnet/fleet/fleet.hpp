@@ -37,20 +37,13 @@ struct FleetConfig : EdgeCell {
   std::string entity = "fleet";
 };
 
-struct FleetStats {
+/// Session admission counts plus the ledger of frames captured by admitted
+/// sessions (motion-to-photon latency, all device classes).
+struct FleetStats : sim::FrameLedger {
   std::uint64_t arrivals = 0;
   std::uint64_t admitted = 0;    ///< full quality
   std::uint64_t downgraded = 0;  ///< admitted degraded
   std::uint64_t rejected = 0;
-  std::int64_t frames = 0;   ///< captured by admitted sessions
-  std::int64_t results = 0;  ///< completed round trips
-  std::int64_t deadline_misses = 0;
-  sim::Samples latency_ms;  ///< motion-to-photon, all classes
-
-  double miss_rate() const {
-    return results ? static_cast<double>(deadline_misses) / static_cast<double>(results)
-                   : 0.0;
-  }
 };
 
 /// The multi-user edge serving layer: a seeded population arrives, admission

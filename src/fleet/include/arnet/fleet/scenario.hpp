@@ -33,16 +33,11 @@ struct CellConfig {
   ArrivalProcess process = ArrivalProcess::kPoisson;
 };
 
-struct CellResult {
-  std::string name;
-  std::uint64_t arrivals = 0, admitted = 0, downgraded = 0, rejected = 0;
-  std::int64_t frames = 0, results = 0, misses = 0;
-  double mean_ms = 0.0, min_ms = 0.0, max_ms = 0.0;
-  double p50_ms = 0.0, p90_ms = 0.0, p99_ms = 0.0, miss_rate = 0.0;
-  double served_fps = 0.0;  ///< completed frames per simulated second
+struct CellResult : CellOutcome {
+  std::int64_t frames = 0;   ///< captured by admitted sessions
+  std::int64_t results = 0;  ///< completed round trips
   std::size_t servers_final = 0;
   std::int64_t sim_events = 0;
-  double sim_seconds = 0.0;
 };
 
 /// The edge cell a capacity cell describes: population, servers, batching

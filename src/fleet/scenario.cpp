@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "arnet/check/assert.hpp"
+
 namespace arnet::fleet {
 
 EdgeCell edge_cell(const CellConfig& cell, std::uint64_t seed) {
@@ -38,7 +40,10 @@ CellResult run_capacity_cell(const CellConfig& cell, std::uint64_t seed,
   fleet.stop();
 
   const FleetStats& st = fleet.stats();
+  ARNET_CHECK(st.consistent(), "capacity cell ", cell.name, ": ", st.frames, " frames, ",
+              st.results, " results, ", st.deadline_misses, " misses");
   CellResult r;
+  static_cast<sim::LatencySummary&>(r) = st.summary();
   r.name = cell.name;
   r.arrivals = st.arrivals;
   r.admitted = st.admitted;
@@ -47,12 +52,6 @@ CellResult run_capacity_cell(const CellConfig& cell, std::uint64_t seed,
   r.frames = st.frames;
   r.results = st.results;
   r.misses = st.deadline_misses;
-  r.mean_ms = st.latency_ms.mean();
-  r.min_ms = st.latency_ms.min();
-  r.max_ms = st.latency_ms.max();
-  r.p50_ms = st.latency_ms.median();
-  r.p90_ms = st.latency_ms.percentile(0.90);
-  r.p99_ms = st.latency_ms.percentile(0.99);
   r.miss_rate = st.miss_rate();
   r.sim_seconds = sim::to_seconds(cell.duration);
   r.served_fps = r.sim_seconds > 0 ? static_cast<double>(st.results) / r.sim_seconds : 0.0;

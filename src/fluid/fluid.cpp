@@ -356,6 +356,9 @@ FluidResult FluidCell::run() {
 
 FluidResult FluidCell::finish() {
   FluidResult r;
+  static_cast<sim::LatencySummary&>(r) = {
+      served_mass_ > 0.0 ? lat_sum_ / served_mass_ : 0.0, lat_any_ ? lat_min_ : 0.0,
+      lat_any_ ? lat_max_ : 0.0, lat_quantile(0.50), lat_quantile(0.90), lat_quantile(0.99)};
   r.name = cfg_.entity;
   r.arrivals = static_cast<std::uint64_t>(std::llround(arrivals_mass_));
   r.admitted = static_cast<std::uint64_t>(std::llround(admitted_mass_));
@@ -363,12 +366,6 @@ FluidResult FluidCell::finish() {
   r.rejected = static_cast<std::uint64_t>(std::llround(rejected_mass_));
   r.frames = std::llround(served_mass_);
   r.misses = std::llround(miss_mass_);
-  r.mean_ms = served_mass_ > 0.0 ? lat_sum_ / served_mass_ : 0.0;
-  r.min_ms = lat_any_ ? lat_min_ : 0.0;
-  r.max_ms = lat_any_ ? lat_max_ : 0.0;
-  r.p50_ms = lat_quantile(0.50);
-  r.p90_ms = lat_quantile(0.90);
-  r.p99_ms = lat_quantile(0.99);
   r.miss_rate = served_mass_ > 0.0 ? miss_mass_ / served_mass_ : 0.0;
   r.sim_seconds = sim::to_seconds(static_cast<sim::Time>(ticks_) * cfg_.tick);
   r.served_fps = r.sim_seconds > 0.0 ? served_mass_ / r.sim_seconds : 0.0;

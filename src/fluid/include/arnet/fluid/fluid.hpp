@@ -68,17 +68,10 @@ struct FluidConfig : fleet::EdgeCell {
   std::string entity = "fluid";
 };
 
-/// Summary of one fluid-cell run; field meanings match fleet::CellResult so
-/// validation tables and the bench summary can compare the two directly.
-/// Session/frame "counts" are rounded flow mass.
-struct FluidResult {
-  std::string name;
-  std::uint64_t arrivals = 0, admitted = 0, downgraded = 0, rejected = 0;
-  std::int64_t frames = 0;  ///< completed (served) frames
-  std::int64_t misses = 0;
-  double mean_ms = 0.0, min_ms = 0.0, max_ms = 0.0;
-  double p50_ms = 0.0, p90_ms = 0.0, p99_ms = 0.0, miss_rate = 0.0;
-  double served_fps = 0.0;       ///< completed frames per simulated second
+/// One fluid-cell run: the outcome both models share, plus the fluid model's
+/// own readings. Session and frame counts are rounded flow mass.
+struct FluidResult : fleet::CellOutcome {
+  std::int64_t frames = 0;       ///< completed (served) frame mass
   double peak_sessions = 0.0;    ///< max concurrent session mass
   double knee_sessions = 0.0;    ///< largest concurrency whose tick p99 met budget
   sim::Time first_breach = -1;   ///< first tick whose p99 broke budget (-1 = never)

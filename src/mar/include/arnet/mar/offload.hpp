@@ -89,19 +89,12 @@ struct OffloadConfig {
   slo::SloTracker* slo = nullptr;
 };
 
-/// End-to-end per-frame statistics of one offloading run.
-struct OffloadStats {
-  sim::Samples latency_ms;       ///< capture -> result available on device
-  std::int64_t frames = 0;
-  std::int64_t results = 0;      ///< frames with a recognition result
-  std::int64_t deadline_misses = 0;
+/// Per-frame statistics of one offloading run: the ledger counts frames with
+/// a recognition result, at capture -> result-on-device latency.
+struct OffloadStats : sim::FrameLedger {
   std::int64_t offloaded_frames = 0;
   std::int64_t uplink_bytes = 0;
-  double energy_j = 0.0;         ///< device-side compute energy
-
-  double miss_rate() const {
-    return results ? static_cast<double>(deadline_misses) / static_cast<double>(results) : 0.0;
-  }
+  double energy_j = 0.0;  ///< device-side compute energy
 };
 
 /// One client/server offloading session wired over a Network: the client

@@ -1,5 +1,6 @@
 #include "arnet/mar/offload.hpp"
 
+#include "arnet/check/assert.hpp"
 #include "arnet/vision/features.hpp"
 
 namespace arnet::mar {
@@ -159,7 +160,11 @@ void OffloadSession::adapt_tick() {
   net_.sim().after(cfg_.adapt_interval, [this] { adapt_tick(); });
 }
 
-void OffloadSession::stop() { running_ = false; }
+void OffloadSession::stop() {
+  running_ = false;
+  ARNET_CHECK(stats_.consistent(), "offload session: ", stats_.frames, " frames, ",
+              stats_.results, " results, ", stats_.deadline_misses, " misses");
+}
 
 void OffloadSession::on_sensor_batch() {
   if (!running_) return;
@@ -327,22 +332,14 @@ void OffloadSession::finish_frame(std::uint32_t frame_id, sim::Time latency) {
   auto it = capture_time_.find(frame_id);
   if (it == capture_time_.end()) return;
   capture_time_.erase(it);
-  ++stats_.results;
-  stats_.latency_ms.add(sim::to_milliseconds(latency));
-  const bool missed = latency > cfg_.deadline;
-  if (missed) ++stats_.deadline_misses;
-  trace_.emit(net_.sim().now(),
-              missed ? trace::EventKind::kFrameMiss : trace::EventKind::kFrameDone,
-              frame_trace(frame_id), frame_id, static_cast<std::int64_t>(latency),
-              missed ? "deadline" : nullptr);
+  const bool missed = stats_.complete(latency, cfg_.deadline);
+  trace_.verdict(net_.sim().now(), frame_trace(frame_id), frame_id, latency, missed);
   if (missed && cfg_.flight) cfg_.flight->dump("deadline-miss");
   if (cfg_.slo) cfg_.slo->observe(net_.sim().now(), sim::to_milliseconds(latency));
   if (cfg_.metrics) {
     cfg_.metrics->histogram("mar.frame_latency_ms", cfg_.metrics_entity)
         .record(sim::to_milliseconds(latency));
-    cfg_.metrics
-        ->counter(latency > cfg_.deadline ? "mar.deadline_miss" : "mar.deadline_hit",
-                  cfg_.metrics_entity)
+    cfg_.metrics->counter(missed ? "mar.deadline_miss" : "mar.deadline_hit", cfg_.metrics_entity)
         .add();
   }
   if (result_cb_) result_cb_(frame_id, latency);

@@ -9,6 +9,7 @@
 
 #include "arnet/obs/registry.hpp"
 #include "arnet/runner/experiment.hpp"
+#include "arnet/sim/stats.hpp"
 #include "arnet/slo/slo.hpp"
 #include "arnet/trace/sampler.hpp"
 #include "arnet/trace/telemetry.hpp"
@@ -45,22 +46,20 @@ void write_bench_json(std::ostream& os, const std::string& suite,
                       const std::vector<BenchRow>& rows);
 
 /// The row for one simulated sweep cell. A sweep summary reports properties
-/// of the model, not of the host: simulated seconds stand in for wall_time_s
-/// (1 s for a cell that simulated none) and `r`'s *_ms quantiles for the
-/// latencies, which keeps serial and `--jobs N` summaries byte-identical and
-/// diffable across runs. `Result` is any cell result with `sim_seconds` and
-/// mean/p50/p90/p99/min/max `_ms` fields.
-template <typename Result>
-BenchRow sim_row(std::string name, const Result& r, std::int64_t iterations,
-                 double ops_per_sec, std::int64_t sim_events) {
+/// of the model, not of the host: `sim_seconds` stands in for wall_time_s
+/// (1 s for a cell that simulated none) and the cell's latency summary for
+/// the latencies, which keeps serial and `--jobs N` summaries byte-identical
+/// and diffable across runs.
+inline BenchRow sim_row(std::string name, const sim::LatencySummary& l, double sim_seconds,
+                        std::int64_t iterations, double ops_per_sec, std::int64_t sim_events) {
   BenchRow row;
   row.name = std::move(name);
   row.iterations = iterations;
-  row.wall_time_s = r.sim_seconds > 0 ? r.sim_seconds : 1.0;
+  row.wall_time_s = sim_seconds > 0 ? sim_seconds : 1.0;
   row.ops_per_sec = ops_per_sec;
   row.sim_events = sim_events;
-  row.latency_ns = {r.mean_ms * 1e6, r.p50_ms * 1e6, r.p90_ms * 1e6,
-                    r.p99_ms * 1e6,  r.min_ms * 1e6, r.max_ms * 1e6};
+  row.latency_ns = {l.mean_ms * 1e6, l.p50_ms * 1e6, l.p90_ms * 1e6,
+                    l.p99_ms * 1e6,  l.min_ms * 1e6, l.max_ms * 1e6};
   return row;
 }
 

@@ -301,6 +301,13 @@ class Emitter {
     tracer_->record(entity_, e);
   }
 
+  /// A completed frame's verdict, sized by its latency: kFrameMiss ("deadline") or kFrameDone.
+  void verdict(sim::Time time, TraceContext ctx, std::uint64_t uid, sim::Time latency,
+               bool missed) const {
+    emit(time, missed ? EventKind::kFrameMiss : EventKind::kFrameDone, ctx, uid,
+         static_cast<std::int64_t>(latency), missed ? "deadline" : nullptr);
+  }
+
  private:
   Tracer* tracer_ = nullptr;
   EntityId entity_ = kNoEntity;

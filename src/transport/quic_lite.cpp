@@ -139,13 +139,8 @@ void QuicLiteReceiver::on_packet(Packet&& p) {
     r.completed_at = now;
     r.trace = f.trace;
     r.complete = true;
-    r.on_time = r.latency() <= cfg_.deadline;
-    if (r.on_time) {
-      ++on_time_;
-    } else {
-      ++late_;
-    }
-    latency_ms_.add(sim::to_milliseconds(r.latency()));
+    ++ledger_.frames;
+    r.on_time = !ledger_.complete(r.latency(), cfg_.deadline);
     if (frame_cb_) frame_cb_(r);
   }
 }
@@ -162,14 +157,13 @@ void QuicLiteReceiver::sweep() {
       continue;
     }
     if (!f.delivered) {
-      ++incomplete_;
+      ++ledger_.frames;
       QuicFrameResult r;
       r.frame_id = it->first;
       r.bytes = f.bytes;
       r.submitted_at = f.submitted_at;
       r.trace = f.trace;
       r.complete = false;
-      r.on_time = false;
       if (frame_cb_) frame_cb_(r);
     }
     it = pending_.erase(it);

@@ -175,17 +175,15 @@ TEST(Runner, ForEachRunsEveryIndexExactlyOnce) {
   for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-// Any cell result with the *_ms quantiles and sim_seconds fills a row.
-struct FakeCell {
-  double sim_seconds = 0.0;
-  double mean_ms = 2.0, p50_ms = 1.0, p90_ms = 3.0, p99_ms = 4.5, min_ms = 0.5, max_ms = 9.0;
-};
+// Any cell's latency summary fills a row.
+const sim::LatencySummary kFakeLatency{.mean_ms = 2.0, .min_ms = 0.5, .max_ms = 9.0,
+                                       .p50_ms = 1.0, .p90_ms = 3.0, .p99_ms = 4.5};
 
 // The summary layout is an artifact contract: sweep outputs are compared
 // byte for byte across --jobs and across commits.
 TEST(Sweep, BenchJsonLayoutIsPinned) {
   // No simulated time: wall_time_s falls back to 1 s.
-  BenchRow row = sim_row("u050/\"q\"", FakeCell{}, 12, 0.25, 7);
+  BenchRow row = sim_row("u050/\"q\"", kFakeLatency, 0.0, 12, 0.25, 7);
   row.extra = {{"frames_late", 3.0}, {"hit_ratio", 1.0 / 3.0}};
   std::ostringstream os;
   write_bench_json(os, "demo", {row});
@@ -216,7 +214,7 @@ TEST(Sweep, WritesEachArtifactNamedAfterTheSuite) {
   SweepArtifacts a;
   a.suite = "demo";
   a.out_dir = dir;
-  a.rows = {sim_row("cell-0", FakeCell{}, 1, 1.0, 0)};
+  a.rows = {sim_row("cell-0", kFakeLatency, 0.0, 1, 1.0, 0)};
   a.metrics = &metrics;
   a.telemetry = &telemetry;
   ASSERT_EQ(write_sweep(a), 0);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "arnet/check/assert.hpp"
 #include "arnet/sim/rng.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/sim/stats.hpp"
@@ -199,6 +201,47 @@ TEST(Stats, SamplesPercentiles) {
 TEST(Stats, EmptySamplesAreZero) {
   Samples s;
   EXPECT_DOUBLE_EQ(s.percentile(0.5), 0.0);
+}
+
+TEST(Stats, FrameLedgerScoresEachCompletionOnce) {
+  FrameLedger l;
+  l.frames = 4;
+  EXPECT_FALSE(l.complete(milliseconds(10), milliseconds(75)));
+  EXPECT_FALSE(l.complete(milliseconds(75), milliseconds(75)));  // on the deadline is on time
+  EXPECT_TRUE(l.complete(milliseconds(90), milliseconds(75)));
+  EXPECT_EQ(l.results, 3);
+  EXPECT_EQ(l.deadline_misses, 1);
+  EXPECT_DOUBLE_EQ(l.miss_rate(), 1.0 / 3.0);
+  EXPECT_TRUE(l.consistent());
+  const LatencySummary s = l.summary();
+  EXPECT_DOUBLE_EQ(s.min_ms, 10.0);
+  EXPECT_DOUBLE_EQ(s.p50_ms, 75.0);
+  EXPECT_DOUBLE_EQ(s.max_ms, 90.0);
+  EXPECT_DOUBLE_EQ(s.mean_ms, 175.0 / 3.0);
+}
+
+// A ledger that completed more frames than it captured breaks conservation,
+// and the check every frame-counting run ends with reports it through the
+// check-failure hook.
+TEST(Stats, LedgerWithMoreResultsThanFramesTripsTheCheck) {
+  FrameLedger l;
+  l.frames = 1;
+  l.complete(milliseconds(10), milliseconds(75));
+  EXPECT_TRUE(l.consistent());
+  l.complete(milliseconds(20), milliseconds(75));
+  EXPECT_FALSE(l.consistent());
+
+  std::string diagnostic;
+  auto prev = check::set_failure_hook([&](const std::string& d) { diagnostic = d; });
+  {
+    check::ScopedFailPolicy policy(check::FailPolicy::kCountAndLog);
+    check::reset_failures();
+    ARNET_CHECK(l.consistent(), "ledger: ", l.frames, " frames, ", l.results, " results");
+    EXPECT_EQ(check::failure_count(), 1u);
+    check::reset_failures();
+  }
+  check::set_failure_hook(std::move(prev));
+  EXPECT_NE(diagnostic.find("1 frames, 2 results"), std::string::npos) << diagnostic;
 }
 
 TEST(Stats, TimeSeriesWindowMean) {
