@@ -8,7 +8,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "arnet/runner/experiment.hpp"
 #include "arnet/sim/rng.hpp"
 #include "arnet/sim/simulator.hpp"
+#include "golden.hpp"
 
 namespace arnet {
 namespace {
@@ -502,38 +502,9 @@ TEST(Fleet, AutoscalerAddsServersUnderOverload) {
 
 namespace {
 
-/// FNV-1a over the bytes of 64-bit words (little-endian byte order).
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-/// Space-separated fields, doubles as hex floats: string equality is bit
-/// equality, and a failure prints the new row.
-class Row {
- public:
-  Row& s(const std::string& v) { return put("%s", v.c_str()); }
-  Row& u(std::uint64_t v) { return put("%llu", static_cast<unsigned long long>(v)); }
-  Row& i(std::int64_t v) { return put("%lld", static_cast<long long>(v)); }
-  Row& d(double v) { return put("%a", v); }
-  Row& x(std::uint64_t v) { return put("%016llx", static_cast<unsigned long long>(v)); }
-  std::string str() const { return out_; }
-
- private:
-  template <typename T>
-  Row& put(const char* fmt, T v) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, fmt, v);
-    if (!out_.empty()) out_ += ' ';
-    out_ += buf;
-    return *this;
-  }
-  std::string out_;
-};
+using golden::fnv1a_word;
+using golden::kFnvBasis;
+using golden::Row;
 
 std::string render(const fleet::CellResult& r) {
   return Row{}
@@ -546,7 +517,7 @@ std::string render(const fleet::CellResult& r) {
 
 std::string render(const fluid::FluidResult& r) {
   std::uint64_t occ = kFnvBasis;
-  for (double v : r.occupancy) occ = fnv1a(occ, std::bit_cast<std::uint64_t>(v));
+  for (double v : r.occupancy) occ = fnv1a_word(occ, std::bit_cast<std::uint64_t>(v));
   return Row{}
       .s(r.name).u(r.arrivals).u(r.admitted).u(r.downgraded).u(r.rejected)
       .i(r.frames).i(r.misses)
@@ -621,7 +592,7 @@ TEST(Fleet, CapacityCellGoldens) {
   fleet::PopulationModel model(sim, pop, 23);
   std::uint64_t arrivals = kFnvBasis;
   model.set_session_callback([&](const fleet::SessionSpec& s) {
-    arrivals = fnv1a(fnv1a(arrivals, s.id), static_cast<std::uint64_t>(s.arrival));
+    arrivals = fnv1a_word(fnv1a_word(arrivals, s.id), static_cast<std::uint64_t>(s.arrival));
   });
   model.start();
   sim.run_until(seconds(60));

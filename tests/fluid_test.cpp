@@ -21,6 +21,7 @@
 #include "arnet/runner/sweep.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/slo/slo.hpp"
+#include "golden.hpp"
 
 using namespace arnet;
 using sim::seconds;
@@ -388,15 +389,8 @@ TEST(City, CellGaugesCoverTheGrid) {
 
 namespace {
 
-/// FNV-1a over the bytes of 64-bit words (little-endian byte order).
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+using golden::fnv1a_word;
+using golden::kFnvBasis;
 
 /// Every FluidResult field of one full-day city cell, plus a digest of the
 /// occupancy vector and of the admission log's (decision, projection)
@@ -460,11 +454,11 @@ CellGolden observe_city_cell(const fluid::CityConfig& city, std::size_t index,
   fluid::FluidCell cell(f);
   const fluid::FluidResult r = cell.run();
   std::uint64_t occ = kFnvBasis;
-  for (double v : r.occupancy) occ = fnv1a(occ, std::bit_cast<std::uint64_t>(v));
+  for (double v : r.occupancy) occ = fnv1a_word(occ, std::bit_cast<std::uint64_t>(v));
   std::uint64_t log = kFnvBasis;
   for (const fleet::AdmissionLogEntry& e : cell.admission().log()) {
-    log = fnv1a(log, static_cast<std::uint64_t>(e.decision));
-    log = fnv1a(log, std::bit_cast<std::uint64_t>(e.projected_p99_ms));
+    log = fnv1a_word(log, static_cast<std::uint64_t>(e.decision));
+    log = fnv1a_word(log, std::bit_cast<std::uint64_t>(e.projected_p99_ms));
   }
   return CellGolden{index,        archetype,       r.arrivals,      r.admitted,
                     r.downgraded, r.rejected,      r.frames,        r.misses,

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <iterator>
 #include <string>
 
@@ -11,6 +10,7 @@
 #include "arnet/mar/traffic.hpp"
 #include "arnet/net/network.hpp"
 #include "arnet/sim/simulator.hpp"
+#include "golden.hpp"
 
 namespace arnet::mar {
 namespace {
@@ -283,24 +283,18 @@ TEST(Offload, SessionStatsGoldens) {
     sc.sim->run_until(seconds(10));
     session.stop();
     const OffloadStats& st = session.stats();
-    std::string row;
-    auto put = [&row](const char* fmt, auto v) {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, fmt, v);
-      if (!row.empty()) row += ' ';
-      row += buf;
-    };
+    golden::Row row;
     for (std::int64_t n : {st.frames, st.results, st.deadline_misses, st.offloaded_frames,
                            st.uplink_bytes}) {
-      put("%lld", static_cast<long long>(n));
+      row.i(n);
     }
     for (double v : {st.energy_j, st.latency_ms.mean(), st.latency_ms.min(),
                      st.latency_ms.max(), st.latency_ms.median(),
                      st.latency_ms.percentile(0.90), st.latency_ms.percentile(0.99),
                      st.miss_rate()}) {
-      put("%a", v);
+      row.d(v);
     }
-    EXPECT_EQ(row, g.row) << core::to_string(g.setup);
+    EXPECT_EQ(row.str(), g.row) << core::to_string(g.setup);
   }
 }
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "arnet/trace/sampler.hpp"
 #include "arnet/trace/telemetry.hpp"
 #include "arnet/trace/trace.hpp"
+#include "golden.hpp"
 
 namespace arnet::core {
 namespace {
@@ -37,26 +37,7 @@ std::vector<ShootoutCellConfig> small_grid(sim::Time duration) {
   return cells;
 }
 
-/// Space-separated fields, doubles as hex floats: string equality is bit
-/// equality, and a failure prints the new row.
-class Row {
- public:
-  Row& s(const std::string& v) { return put("%s", v.c_str()); }
-  Row& i(std::int64_t v) { return put("%lld", static_cast<long long>(v)); }
-  Row& d(double v) { return put("%a", v); }
-  std::string str() const { return out_; }
-
- private:
-  template <typename T>
-  Row& put(const char* fmt, T v) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, fmt, v);
-    if (!out_.empty()) out_ += ' ';
-    out_ += buf;
-    return *this;
-  }
-  std::string out_;
-};
+using golden::Row;
 
 std::string render(const ShootoutCellResult& r) {
   return Row{}

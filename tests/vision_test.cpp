@@ -15,6 +15,7 @@
 #include "arnet/vision/pipeline.hpp"
 #include "arnet/vision/synth.hpp"
 #include "arnet/vision/track.hpp"
+#include "golden.hpp"
 
 namespace arnet::vision {
 namespace {
@@ -567,15 +568,11 @@ TEST(Pipeline, FeatureBytesMatchCloudRidArModel) {
             static_cast<std::int64_t>(feats.features.size()) * 36);
 }
 
-/// FNV-1a over the fields a recognition result is judged by.
+/// FNV-1a over the fields a recognition result is judged by. The start value
+/// is not the FNV offset basis; it stays as pinned.
 struct ResultDigest {
   std::uint64_t h = 1469598103934665603ULL;
-  void u(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  }
+  void u(std::uint64_t v) { h = golden::fnv1a_word(h, v); }
 };
 
 // Pins the one RANSAC RNG stream that runs through every database object in
