@@ -79,7 +79,7 @@ void run_traced_exemplar(const std::string& trace_path, const std::string& pcap_
   wireless::WifiCell cell(sim, sim::Rng(1), wireless::WifiCell::Config{});
   auto user_sta = cell.add_station(54e6, "user");
   auto neighbor = cell.add_station(6e6, "neighbor");
-  cell.attach_trace(tracer, "wifi:cell");
+  cell.attach({.tracer = &tracer}, "wifi:cell");
   auto frame = [] {
     net::Packet p;
     p.size_bytes = 1500;

@@ -61,8 +61,7 @@ ArtpRun run_artp(obs::MetricsRegistry& reg, trace::Tracer* tracer) {
   if (tracer) net.attach_trace(*tracer);
 
   transport::ArtpReceiver::Config rx_cfg;
-  rx_cfg.metrics = &reg;
-  rx_cfg.tracer = tracer;
+  rx_cfg.telemetry = {.metrics = &reg, .tracer = tracer};
   transport::ArtpReceiver rx(net, server, 80, rx_cfg);
   std::array<sim::RateMeter, net::kAppDataCount> delivered;
   ArtpRun result;
@@ -77,8 +76,8 @@ ArtpRun run_artp(obs::MetricsRegistry& reg, trace::Tracer* tracer) {
     }
   });
   transport::ArtpSenderConfig tx_cfg;
-  tx_cfg.metrics = &reg;
-  tx_cfg.tracer = tracer;
+  tx_cfg.telemetry = {.metrics = &reg, .tracer = tracer};
+  tx_cfg.entity = "artp";  // the report reads artp.shed_messages under "artp"
   transport::ArtpSender tx(net, client, 1000, server, 80, 1, tx_cfg);
 
   // Application adaptation from QoS feedback (the "adjustable variables" of
@@ -165,7 +164,7 @@ void run_tcp_cwnd(obs::MetricsRegistry& reg) {
   sim.at(2 * kPhaseLen, [l = up] { l->set_rate(kPhase3Bps); });
   transport::TcpSink sink(net, server, 80);
   transport::TcpSource::Config cfg;
-  cfg.metrics = &reg;  // publishes the dense tcp.cwnd trace + RTT histogram
+  cfg.telemetry.metrics = &reg;  // publishes the dense tcp.cwnd trace + RTT histogram
   transport::TcpSource src(net, client, 1000, server, 80, 1, cfg);
   src.send_forever();
   for (int t = 1; t <= 30; ++t) {

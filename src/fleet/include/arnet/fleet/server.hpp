@@ -56,7 +56,7 @@ struct EdgeServerConfig {
 };
 
 /// A batched compute queue in front of `executors` parallel lanes — the
-/// multi-tenant replacement for the single-tenant mar::ComputeModel path.
+/// multi-tenant replacement for the single-tenant mar::ComputeResource path.
 /// Requests queue FIFO; batches form on max-size or oldest-request timeout;
 /// every request of a batch completes when the batch does. Deterministic:
 /// formation depends only on arrival order and simulated time.

@@ -44,14 +44,14 @@ OffloadSession::OffloadSession(net::Network& net, net::NodeId client, net::NodeI
   transport::ArtpSenderConfig reply_cfg;  // results: small, default transport
   trace_ = trace::Emitter(cfg_.tracer, cfg_.trace_entity);
   if (cfg_.tracer && cfg_.trace_transport) {
-    cfg_.artp.tracer = cfg_.tracer;
-    cfg_.artp.trace_entity = cfg_.trace_entity + "/artp-up";
-    server_rx_cfg.tracer = cfg_.tracer;
-    server_rx_cfg.trace_entity = cfg_.trace_entity + "/artp-up-rx";
-    reply_cfg.tracer = cfg_.tracer;
-    reply_cfg.trace_entity = cfg_.trace_entity + "/artp-down";
-    client_rx_cfg.tracer = cfg_.tracer;
-    client_rx_cfg.trace_entity = cfg_.trace_entity + "/artp-down-rx";
+    auto observe = [this](auto& endpoint, const char* role) {
+      endpoint.telemetry.tracer = cfg_.tracer;
+      endpoint.entity = cfg_.trace_entity + role;
+    };
+    observe(cfg_.artp, "/artp-up");
+    observe(server_rx_cfg, "/artp-up-rx");
+    observe(reply_cfg, "/artp-down");
+    observe(client_rx_cfg, "/artp-down-rx");
   }
   // Sessions may share nodes (many users offloading to one edge server), so
   // each instance claims its own block of ports and flow ids — from the

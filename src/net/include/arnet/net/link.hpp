@@ -14,6 +14,7 @@
 #include "arnet/obs/registry.hpp"
 #include "arnet/sim/rng.hpp"
 #include "arnet/sim/simulator.hpp"
+#include "arnet/trace/telemetry.hpp"
 #include "arnet/trace/trace.hpp"
 
 namespace arnet::net {
@@ -99,22 +100,19 @@ class Link {
   std::int64_t delivered_packets() const { return delivered_packets_; }
   std::int64_t lost_packets() const { return lost_packets_; }
 
-  /// Publish this link's behavior into `reg` under `entity` (e.g.
-  /// "link:uplink"): per-packet queue sojourn ("queue.sojourn_ms"
-  /// histogram), drops by reason ("link.drop.<reason>" counters), delivered
-  /// bytes/packets counters, and a running "link.utilization" gauge
-  /// (serialization busy-time / elapsed time). The registry must outlive
-  /// the link.
-  void attach_obs(obs::MetricsRegistry& reg, std::string entity);
-
-  /// Register this link as a trace entity under `name` and record the packet
-  /// life cycle into its ring: kEnqueue on send, kTxStart when serialization
-  /// begins (also a WireRecord for pcap export), kRx on delivery, kDrop with
-  /// the reason string wherever the packet dies. The tracer must outlive the
-  /// link. Purely observational — no simulator events, no Rng draws — and it
+  /// Observe this link under `entity` (e.g. "link:uplink"), replacing any
+  /// earlier attachment; the observers must outlive the link. With a
+  /// registry the link publishes per-packet queue sojourn
+  /// ("queue.sojourn_ms" histogram), drops by reason ("link.drop.<reason>"
+  /// counters), delivered bytes/packets counters, and a running
+  /// "link.utilization" gauge (serialization busy-time / elapsed time).
+  /// With a tracer it records the packet life cycle: kEnqueue on send,
+  /// kTxStart when serialization begins (also a WireRecord for pcap export),
+  /// kRx on delivery, kDrop with the reason string wherever the packet dies.
+  /// Purely observational — no simulator events, no Rng draws — and it
   /// leaves transmit batching engaged: a batched packet's kTxStart carries
   /// its logical serialization start, so the recorded events match kArena's.
-  void attach_trace(trace::Tracer& tracer, std::string name);
+  void attach(const trace::Telemetry& telemetry, std::string entity);
 
  private:
   /// One packet of a precomputed batch timeline. `start`/`tx_end` are the
@@ -145,7 +143,7 @@ class Link {
   /// logical serialization window (values identical to the un-batched path).
   void record_tx_stats(BatchEntry& e);
   /// Publish one serialization window [start, tx_end) of a packet queued at
-  /// `enqueued_at` into the attached registry (no-op without attach_obs).
+  /// `enqueued_at` into the attached registry (no-op without one).
   void record_tx_stats(sim::Time enqueued_at, sim::Time start, sim::Time tx_end);
   /// Return not-yet-started batch entries (start > now) to the queue head
   /// and re-time the batch-complete event; called when rate or delay changes
@@ -191,12 +189,12 @@ class Link {
   std::int64_t delivered_packets_ = 0;
   std::int64_t lost_packets_ = 0;
 
-  // Observability (attach_obs): null when not attached.
+  // Observability (attach): null when no registry is attached.
   obs::MetricsRegistry* metrics_ = nullptr;
   std::string obs_entity_;
   sim::Time busy_time_ = 0;  ///< cumulative serialization time
 
-  trace::Emitter trace_;  ///< inert until attach_trace
+  trace::Emitter trace_;  ///< inert until a tracer is attached
 };
 
 }  // namespace arnet::net

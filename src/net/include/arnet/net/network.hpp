@@ -123,10 +123,11 @@ class Network {
     free_port_blocks_[count].push_back(base);
   }
 
-  /// Register every link added so far as a trace entity ("link:<name>").
-  /// Call after the topology is built; links added later are not traced.
+  /// Register every link added so far as a trace entity ("link:<name>"),
+  /// replacing each link's earlier attachment. Call after the topology is
+  /// built; links added later are not traced.
   void attach_trace(trace::Tracer& tracer) {
-    for (auto& link : links_) link->attach_trace(tracer, "link:" + link->name());
+    for (auto& link : links_) link->attach({.tracer = &tracer}, "link:" + link->name());
   }
 
   /// Life-cycle observers (inject/deliver/drop); see NetworkObserver. Several

@@ -54,14 +54,10 @@ Link::Link(sim::Simulator& sim, sim::Rng rng, Config cfg)
   }
 }
 
-void Link::attach_obs(obs::MetricsRegistry& reg, std::string entity) {
-  metrics_ = &reg;
+void Link::attach(const trace::Telemetry& telemetry, std::string entity) {
+  metrics_ = telemetry.metrics;
+  trace_ = trace::Emitter(telemetry.tracer, entity);
   obs_entity_ = std::move(entity);
-  install_queue_hook();
-}
-
-void Link::attach_trace(trace::Tracer& tracer, std::string name) {
-  trace_ = trace::Emitter(&tracer, std::move(name));
   install_queue_hook();
 }
 

@@ -174,17 +174,6 @@ class Tracer {
   struct Config {
     std::size_t ring_capacity = 1024;   ///< events retained per entity
     std::size_t wire_capacity = 8192;   ///< wire records retained (pcap)
-    /// Wire capture (pcap synthesis) is opt-in: cycling the wire ring costs
-    /// a cache-cold ~100 B store per transmitted packet, so only runs that
-    /// actually export a capture should pay for it.
-    bool capture_wire = false;
-    /// Sink-only mode: record() forwards events to the attached TraceSink
-    /// and skips the per-entity rings entirely. This is the city-scale
-    /// sampled operating point — the tail sampler's span budget *is* the
-    /// retention store, so paying a second (ring) copy per event buys
-    /// nothing. Ring-based exporters (Perfetto/pcap/flight) see no events
-    /// in this mode; deep-dive runs keep it off.
-    bool sink_only = false;
   };
 
   Tracer() : Tracer(Config{}) {}
@@ -216,7 +205,7 @@ class Tracer {
   }
 
   void record(EntityId entity, const TraceEvent& e) {
-    if (cfg_.sink_only) {
+    if (sink_only_) {
       if (sink_ == nullptr) return;
       TraceEvent forwarded = e;
       forwarded.entity = entity;
@@ -229,17 +218,24 @@ class Tracer {
   }
 
   void record_wire(const WireRecord& w) {
-    if (cfg_.capture_wire) wire_.push(w);
+    if (capture_wire_) wire_.push(w);
   }
-  /// Flip wire capture on post-construction (pcap-exporting drivers do).
-  void set_wire_capture(bool on) { cfg_.capture_wire = on; }
-  /// Flip sink-only mode post-construction (sampled sweeps do, right after
-  /// set_sink). See Config::sink_only.
-  void set_sink_only(bool on) { cfg_.sink_only = on; }
-  bool sink_only() const { return cfg_.sink_only; }
+  /// Wire capture (pcap synthesis) is opt-in, off by default: cycling the
+  /// wire ring costs a cache-cold ~100 B store per transmitted packet, so
+  /// only runs that actually export a capture should pay for it.
+  void set_wire_capture(bool on) { capture_wire_ = on; }
+  /// Sink-only mode, off by default: record() forwards events to the
+  /// attached TraceSink and skips the per-entity rings entirely. This is
+  /// the city-scale sampled operating point — the tail sampler's span
+  /// budget *is* the retention store, so paying a second (ring) copy per
+  /// event buys nothing. Ring-based exporters (Perfetto/pcap/flight) see no
+  /// events in this mode; deep-dive runs keep it off. Sampled sweeps flip
+  /// it right after set_sink.
+  void set_sink_only(bool on) { sink_only_ = on; }
+  bool sink_only() const { return sink_only_; }
   /// Call sites check this before *building* a WireRecord: assembling the
   /// ~100 B record is itself too expensive for non-capturing runs.
-  bool wire_capture() const { return cfg_.capture_wire; }
+  bool wire_capture() const { return capture_wire_; }
 
   /// All surviving events of every ring, merged and sorted by (time, entity,
   /// ring order). Exporters consume this.
@@ -265,6 +261,8 @@ class Tracer {
   };
 
   Config cfg_;
+  bool capture_wire_ = false;
+  bool sink_only_ = false;
   std::vector<Entity> entities_;
   WireRing wire_;
   std::uint32_t last_trace_id_ = 0;

@@ -44,7 +44,7 @@ ArtpSender::ArtpSender(net::Network& net, net::NodeId local, net::Port local_por
     p.min_owd.set_window(cfg_.min_owd_window);
     paths_.push_back(std::move(p));
   }
-  trace_ = trace::Emitter(cfg_.tracer, cfg_.trace_entity);
+  trace_ = trace::Emitter(cfg_.telemetry.tracer, cfg_.entity);
   net_.node(local_).bind(local_port_, [this](Packet&& p) { on_packet(std::move(p)); });
   pace_timer_.arm(cfg_.pace_interval);
 }
@@ -218,12 +218,9 @@ void ArtpSender::update_congestion_level() {
       congestion_level_ = 3;
     }
   }
-  if (cfg_.metrics) {
-    cfg_.metrics->gauge("artp.congestion_level", cfg_.metrics_entity)
-        .set(static_cast<double>(congestion_level_));
-    if (congestion_level_ > before) {
-      cfg_.metrics->counter("artp.degradation_events", cfg_.metrics_entity).add();
-    }
+  if (auto* m = cfg_.telemetry.metrics) {
+    m->gauge("artp.congestion_level", cfg_.entity).set(static_cast<double>(congestion_level_));
+    if (congestion_level_ > before) m->counter("artp.degradation_events", cfg_.entity).add();
   }
 }
 
@@ -237,9 +234,7 @@ void ArtpSender::shed_front_message(std::deque<Chunk>& q) {
     q.pop_front();
   }
   ++shed_messages_;
-  if (cfg_.metrics) {
-    cfg_.metrics->counter("artp.shed_messages", cfg_.metrics_entity).add();
-  }
+  if (auto* m = cfg_.telemetry.metrics) m->counter("artp.shed_messages", cfg_.entity).add();
   // Shedding must never double-subtract a chunk: a negative backlog would
   // silently disable graceful degradation (it gates on backlog thresholds).
   ARNET_ASSERT(backlog_bytes_ >= 0, "ARTP backlog went negative (", backlog_bytes_,
@@ -277,7 +272,7 @@ void ArtpSender::check_critical_tail() {
 }
 
 void ArtpSender::pace_tick() {
-  trace::ProfScope prof(cfg_.tracer, "ArtpSender::pace_tick");
+  trace::ProfScope prof(cfg_.telemetry.tracer, "ArtpSender::pace_tick");
   sim::Time now = net_.sim().now();
   check_critical_tail();
   double dt = sim::to_seconds(cfg_.pace_interval);
@@ -363,11 +358,10 @@ void ArtpSender::pace_tick() {
 }
 
 void ArtpSender::note_sent(const Chunk& c, std::int32_t wire_bytes) {
-  if (!cfg_.metrics) return;
-  cfg_.metrics
-      ->counter("artp.sent_bytes",
-                cfg_.metrics_entity + "/band:" + std::to_string(band_of(c)))
-      .add(wire_bytes);
+  if (auto* m = cfg_.telemetry.metrics) {
+    m->counter("artp.sent_bytes", cfg_.entity + "/band:" + std::to_string(band_of(c)))
+        .add(wire_bytes);
+  }
 }
 
 void ArtpSender::transmit(const Chunk& c, Path& path) {
@@ -515,7 +509,7 @@ ArtpReceiver::ArtpReceiver(net::Network& net, net::NodeId local, net::Port local
       local_port_(local_port),
       cfg_(cfg),
       feedback_timer_(net.sim(), [this] { feedback_tick(); }) {
-  trace_ = trace::Emitter(cfg_.tracer, cfg_.trace_entity);
+  trace_ = trace::Emitter(cfg_.telemetry.tracer, cfg_.entity);
   net_.node(local_).bind(local_port_, [this](Packet&& p) { on_packet(std::move(p)); });
   feedback_timer_.arm(cfg_.feedback_interval);
 }
@@ -641,20 +635,15 @@ void ArtpReceiver::try_deliver(std::uint64_t msg_id) {
 void ArtpReceiver::note_delivery(const ArtpDelivery& d) {
   trace_.emit(net_.sim().now(), trace::EventKind::kDeliver, d.trace, d.msg_id, d.bytes,
               d.fec_recovered ? "fec-recovered" : nullptr);
-  if (!cfg_.metrics) return;
-  cfg_.metrics->counter("artp.delivered_messages", cfg_.metrics_entity).add();
-  cfg_.metrics
-      ->counter("artp.goodput_bytes",
-                cfg_.metrics_entity + "/app:" + net::to_string(d.app))
-      .add(d.bytes);
-  cfg_.metrics->histogram("artp.msg_latency_ms", cfg_.metrics_entity)
-      .record(sim::to_milliseconds(d.latency()));
+  obs::MetricsRegistry* m = cfg_.telemetry.metrics;
+  if (!m) return;
+  m->counter("artp.delivered_messages", cfg_.entity).add();
+  m->counter("artp.goodput_bytes", cfg_.entity + "/app:" + net::to_string(d.app)).add(d.bytes);
+  m->histogram("artp.msg_latency_ms", cfg_.entity).record(sim::to_milliseconds(d.latency()));
   // Per-band end-to-end delay: lets per-priority latency be compared against
   // the per-band bytes the sender publishes (and against trace timelines).
-  cfg_.metrics
-      ->histogram("artp.band_delay_ms",
-                  cfg_.metrics_entity + "/band:" +
-                      std::to_string(static_cast<int>(d.priority)))
+  m->histogram("artp.band_delay_ms",
+               cfg_.entity + "/band:" + std::to_string(static_cast<int>(d.priority)))
       .record(sim::to_milliseconds(d.latency()));
 }
 
@@ -708,7 +697,7 @@ void ArtpReceiver::expire_stale(sim::Time now) {
 }
 
 void ArtpReceiver::feedback_tick() {
-  trace::ProfScope prof(cfg_.tracer, "ArtpReceiver::feedback_tick");
+  trace::ProfScope prof(cfg_.telemetry.tracer, "ArtpReceiver::feedback_tick");
   sim::Time now = net_.sim().now();
   expire_stale(now);
   if (peer_) {

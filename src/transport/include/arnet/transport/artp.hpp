@@ -16,6 +16,7 @@
 #include "arnet/obs/registry.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/sim/stats.hpp"
+#include "arnet/trace/telemetry.hpp"
 #include "arnet/trace/trace.hpp"
 #include "arnet/transport/congestion.hpp"
 #include "arnet/transport/windowed_filter.hpp"
@@ -105,17 +106,13 @@ struct ArtpSenderConfig {
   sim::Time min_owd_window = sim::seconds(10);
   MultipathPolicy policy = MultipathPolicy::kSingle;
   bool duplicate_critical_on_two_paths = false;
-  /// When set, the sender publishes per-band "artp.sent_bytes" counters
-  /// (entity "<metrics_entity>/band:N"), shed counters, an
-  /// "artp.congestion_level" gauge, and an "artp.degradation_events" counter
-  /// (level escalations) under `metrics_entity`. The registry must outlive
-  /// the sender.
-  obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_entity = "artp";
-  /// When set, the sender registers `trace_entity` and records message
-  /// enqueue/tx/retx/shed/ack events into its ring. Must outlive the sender.
-  trace::Tracer* tracer = nullptr;
-  std::string trace_entity = "artp-tx";
+  /// Observers, named `entity`; each must outlive the sender. With a
+  /// registry the sender publishes per-band "artp.sent_bytes" counters
+  /// (entity "<entity>/band:N"), shed counters, an "artp.congestion_level"
+  /// gauge, and an "artp.degradation_events" counter (level escalations).
+  /// With a tracer it records message enqueue/tx/retx/shed/ack events.
+  trace::Telemetry telemetry;
+  std::string entity = "artp-tx";
 };
 
 /// One transmission path of a (possibly multipath) ARTP connection.
@@ -263,16 +260,13 @@ class ArtpReceiver {
     /// later base-delay increase into a phantom standing queue that pins the
     /// sender's controller at its floor rate (see windowed_filter.hpp).
     sim::Time min_owd_window = sim::seconds(10);
-    /// When set, the receiver publishes "artp.delivered_messages", per-app
-    /// goodput counters ("artp.goodput_bytes" under
-    /// "<metrics_entity>/app:<name>"), and an "artp.msg_latency_ms"
-    /// histogram under `metrics_entity`.
-    obs::MetricsRegistry* metrics = nullptr;
-    std::string metrics_entity = "artp-rx";
-    /// When set, the receiver registers `trace_entity` and records message
-    /// deliver/FEC-repair events into its ring. Must outlive the receiver.
-    trace::Tracer* tracer = nullptr;
-    std::string trace_entity = "artp-rx";
+    /// Observers, named `entity`; each must outlive the receiver. With a
+    /// registry the receiver publishes "artp.delivered_messages", per-app
+    /// goodput counters ("artp.goodput_bytes" under "<entity>/app:<name>"),
+    /// and an "artp.msg_latency_ms" histogram. With a tracer it records
+    /// message deliver/FEC-repair events.
+    trace::Telemetry telemetry;
+    std::string entity = "artp-rx";
   };
 
   ArtpReceiver(net::Network& net, net::NodeId local, net::Port local_port);

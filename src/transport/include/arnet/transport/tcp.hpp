@@ -12,6 +12,7 @@
 #include "arnet/obs/registry.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/sim/stats.hpp"
+#include "arnet/trace/telemetry.hpp"
 #include "arnet/trace/trace.hpp"
 #include "arnet/transport/windowed_filter.hpp"
 
@@ -74,19 +75,16 @@ class TcpSource {
     /// controllers shrink this so N subflows grow like one flow at a
     /// shared bottleneck.
     double ca_growth_scale = 1.0;
-    /// When set, the source publishes "tcp.cwnd"/"tcp.ssthresh" time series,
+    /// Observers, named `entity`; each must outlive the source. With a
+    /// registry the source publishes "tcp.cwnd"/"tcp.ssthresh" time series,
     /// a "tcp.rtt_ms" histogram, and "tcp.rto_timeouts"/
-    /// "tcp.fast_retransmits" counters under `metrics_entity`. The registry
-    /// must outlive the source.
-    obs::MetricsRegistry* metrics = nullptr;
-    std::string metrics_entity = "tcp";
-    /// When set, the source registers `trace_entity` and records kTx/kRetx/
+    /// "tcp.fast_retransmits" counters. With a tracer it records kTx/kRetx/
     /// kAck span events plus a per-connection TraceContext stamped on every
     /// segment (so the causal chain survives the net layer). If `trace_ctx`
     /// is inactive a fresh trace id is minted at construction. MPTCP subflows
-    /// inherit this via the subflow config template.
-    trace::Tracer* tracer = nullptr;
-    std::string trace_entity = "tcp";
+    /// inherit both via the subflow config template.
+    trace::Telemetry telemetry;
+    std::string entity = "tcp";
     trace::TraceContext trace_ctx;
   };
 

@@ -72,8 +72,8 @@ TcpSource::TcpSource(net::Network& net, net::NodeId local, net::Port local_port,
       ssthresh_(cfg.initial_ssthresh_segments * cfg.mss),
       rto_(cfg.initial_rto) {
   net_.node(local_).bind(local_port_, [this](Packet&& p) { on_packet(std::move(p)); });
-  trace_ = trace::Emitter(cfg_.tracer, cfg_.trace_entity);
-  if (trace_) trace_ctx_ = cfg_.trace_ctx.active() ? cfg_.trace_ctx : cfg_.tracer->new_trace();
+  trace_ = trace::Emitter(cfg_.telemetry.tracer, cfg_.entity);
+  if (trace_) trace_ctx_ = cfg_.trace_ctx.active() ? cfg_.trace_ctx : trace_.tracer()->new_trace();
 }
 
 void TcpSource::send(std::int64_t bytes) {
@@ -93,7 +93,7 @@ std::int32_t TcpSource::segment_payload(std::uint64_t seq) const {
 }
 
 void TcpSource::try_send() {
-  trace::ProfScope prof(cfg_.tracer, "TcpSource::try_send");
+  trace::ProfScope prof(cfg_.telemetry.tracer, "TcpSource::try_send");
   while (true) {
     std::int32_t payload = segment_payload(next_seq_);
     if (payload <= 0) break;  // app-limited
@@ -172,7 +172,7 @@ void TcpSource::on_tlp() {
   // over — no RTO, no backoff.
   if (!cfg_.sack || complete() || flight_size() == 0 || tlp_fired_) return;
   tlp_fired_ = true;
-  if (cfg_.metrics) cfg_.metrics->counter("tcp.tlp_probes", cfg_.metrics_entity).add();
+  if (auto* m = cfg_.telemetry.metrics) m->counter("tcp.tlp_probes", cfg_.entity).add();
   std::int32_t payload = segment_payload(next_seq_);
   if (payload > 0) {
     send_segment(next_seq_, /*retransmission=*/false);
@@ -208,9 +208,8 @@ void TcpSource::update_rtt(sim::Time sample) {
   }
   rto_ = std::max(cfg_.min_rto, srtt_ + 4 * rttvar_);
   rto_ = std::min(rto_, cfg_.max_rto);
-  if (cfg_.metrics) {
-    cfg_.metrics->histogram("tcp.rtt_ms", cfg_.metrics_entity)
-        .record(sim::to_milliseconds(sample));
+  if (auto* m = cfg_.telemetry.metrics) {
+    m->histogram("tcp.rtt_ms", cfg_.entity).record(sim::to_milliseconds(sample));
   }
 }
 
@@ -719,7 +718,7 @@ void TcpSource::on_loss_window_reduction() {
 
 void TcpSource::enter_recovery() {
   ++fast_retransmits_;
-  if (cfg_.metrics) cfg_.metrics->counter("tcp.fast_retransmits", cfg_.metrics_entity).add();
+  if (auto* m = cfg_.telemetry.metrics) m->counter("tcp.fast_retransmits", cfg_.entity).add();
   on_loss_window_reduction();
   if (cfg_.flavor != TcpFlavor::kBbr) cwnd_ = ssthresh_ + 3 * cfg_.mss;
   in_recovery_ = true;
@@ -735,7 +734,7 @@ void TcpSource::enter_recovery() {
 void TcpSource::on_rto() {
   if (complete() || flight_size() == 0) return;
   ++timeouts_;
-  if (cfg_.metrics) cfg_.metrics->counter("tcp.rto_timeouts", cfg_.metrics_entity).add();
+  if (auto* m = cfg_.telemetry.metrics) m->counter("tcp.rto_timeouts", cfg_.entity).add();
   on_loss_window_reduction();
   cwnd_ = cfg_.mss;
   dupacks_ = 0;
@@ -757,10 +756,10 @@ void TcpSource::on_rto() {
 }
 
 void TcpSource::trace() {
-  if (cfg_.metrics) {
-    auto& rec = cfg_.metrics->recorder();
-    rec.record("tcp.cwnd", cfg_.metrics_entity, net_.sim().now(), cwnd_);
-    rec.record("tcp.ssthresh", cfg_.metrics_entity, net_.sim().now(), ssthresh_);
+  if (auto* m = cfg_.telemetry.metrics) {
+    auto& rec = m->recorder();
+    rec.record("tcp.cwnd", cfg_.entity, net_.sim().now(), cwnd_);
+    rec.record("tcp.ssthresh", cfg_.entity, net_.sim().now(), ssthresh_);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "arnet/sim/simulator.hpp"
 #include "arnet/sim/stats.hpp"
 #include "arnet/sim/time.hpp"
+#include "arnet/trace/telemetry.hpp"
 #include "arnet/trace/trace.hpp"
 
 namespace arnet::wireless {
@@ -35,6 +36,11 @@ struct WifiMacParams {
   sim::Time rts_duration = sim::microseconds(52);
   sim::Time cts_duration = sim::microseconds(44);
 };
+
+/// Mean medium occupancy of one `bytes`-sized 802.11 frame sent at
+/// `phy_bps`: DIFS + mean backoff + optional RTS/CTS exchange + preamble +
+/// payload + SIFS + ACK.
+sim::Time frame_airtime(const WifiMacParams& mac, std::int32_t bytes, double phy_bps);
 
 /// Shared-medium 802.11 DCF cell: one AP plus stations, each with its own
 /// PHY rate. DCF gives every backlogged transmitter an (approximately) equal
@@ -80,20 +86,21 @@ class WifiCell {
   std::int64_t dropped_frames() const { return dropped_; }
 
   /// Mean medium occupancy of one `bytes`-sized frame at `phy_bps`.
-  sim::Time frame_airtime(std::int32_t bytes, double phy_bps) const;
+  sim::Time frame_airtime(std::int32_t bytes, double phy_bps) const {
+    return wireless::frame_airtime(cfg_.mac, bytes, phy_bps);
+  }
 
-  /// Publish the cell's behavior into `reg`: per-entity
-  /// "wifi.airtime_share" gauges (fraction of elapsed time this sender held
-  /// the medium, entity "<entity>/<name>"), "wifi.sta_rate_bps" gauges, and
-  /// delivered bytes/packets counters. The registry must outlive the cell.
-  void attach_obs(obs::MetricsRegistry& reg, std::string entity);
-
-  /// Record span events for every frame crossing the cell: kEnqueue on
-  /// send(), kTxStart when the frame wins contention, kRx on delivery, and
-  /// kDrop with a distinct reason for each discard path ("queue-full",
-  /// "retry-limit", "relay-queue-full"). Drops also surface as
-  /// "wifi.drop.<reason>" counters when attach_obs is active.
-  void attach_trace(trace::Tracer& tracer, std::string name);
+  /// Observe the cell under `entity`, replacing any earlier attachment; the
+  /// observers must outlive the cell. With a registry the cell publishes
+  /// per-sender "wifi.airtime_share" gauges (fraction of elapsed time this
+  /// sender held the medium, entity "<entity>/<name>:<id>"),
+  /// "wifi.sta_rate_bps" gauges, delivered bytes/packets counters and
+  /// "wifi.drop.<reason>" counters. With a tracer it records span events
+  /// for every frame crossing the cell: kEnqueue on send(), kTxStart when
+  /// the frame wins contention, kRx on delivery, and kDrop with a distinct
+  /// reason for each discard path ("queue-full", "retry-limit",
+  /// "relay-queue-full").
+  void attach(const trace::Telemetry& telemetry, std::string entity);
 
  private:
   struct Entity {
@@ -121,11 +128,11 @@ class WifiCell {
   std::uint32_t rr_cursor_ = 0;  ///< round-robin fairness over entity ids
   std::int64_t dropped_ = 0;
 
-  // Observability (attach_obs): null when not attached.
+  // Observability (attach): null when no registry is attached.
   obs::MetricsRegistry* metrics_ = nullptr;
   std::string obs_entity_;
 
-  trace::Emitter trace_;  ///< inert until attach_trace
+  trace::Emitter trace_;  ///< inert until a tracer is attached
 };
 
 }  // namespace arnet::wireless

@@ -58,7 +58,6 @@ class WifiSharedMedium {
   };
 
   void tick();
-  sim::Time frame_airtime(double phy_bps) const;
 
   sim::Simulator& sim_;
   Config cfg_;

@@ -4,6 +4,13 @@
 
 namespace arnet::wireless {
 
+sim::Time frame_airtime(const WifiMacParams& m, std::int32_t bytes, double phy_bps) {
+  sim::Time backoff = m.slot * (m.cw_min_slots / 2);
+  sim::Time payload = sim::transmission_delay(bytes + m.mac_header_bytes, phy_bps);
+  sim::Time handshake = m.rts_cts ? m.rts_duration + m.sifs + m.cts_duration + m.sifs : 0;
+  return m.difs + backoff + handshake + m.phy_preamble + payload + m.sifs + m.ack_duration;
+}
+
 WifiCell::WifiCell(sim::Simulator& sim, sim::Rng rng, Config cfg)
     : sim_(sim), rng_(std::move(rng)), cfg_(cfg) {
   Entity ap;
@@ -29,22 +36,10 @@ void WifiCell::set_sink(std::uint32_t entity, Sink sink) {
   entities_.at(entity).sink = std::move(sink);
 }
 
-sim::Time WifiCell::frame_airtime(std::int32_t bytes, double phy_bps) const {
-  const WifiMacParams& m = cfg_.mac;
-  sim::Time backoff = m.slot * (m.cw_min_slots / 2);
-  sim::Time payload =
-      sim::transmission_delay(bytes + m.mac_header_bytes, phy_bps);
-  sim::Time handshake = m.rts_cts ? m.rts_duration + m.sifs + m.cts_duration + m.sifs : 0;
-  return m.difs + backoff + handshake + m.phy_preamble + payload + m.sifs + m.ack_duration;
-}
-
-void WifiCell::attach_obs(obs::MetricsRegistry& reg, std::string entity) {
-  metrics_ = &reg;
+void WifiCell::attach(const trace::Telemetry& telemetry, std::string entity) {
+  metrics_ = telemetry.metrics;
+  trace_ = trace::Emitter(telemetry.tracer, entity);
   obs_entity_ = std::move(entity);
-}
-
-void WifiCell::attach_trace(trace::Tracer& tracer, std::string name) {
-  trace_ = trace::Emitter(&tracer, std::move(name));
 }
 
 void WifiCell::drop_frame(const net::Packet& p, const char* reason) {

@@ -12,17 +12,9 @@ void WifiSharedMedium::attach(net::Link& uplink, double phy_bps, std::string nam
   stations_.push_back(std::move(s));
 }
 
-sim::Time WifiSharedMedium::frame_airtime(double phy_bps) const {
-  const WifiMacParams& m = cfg_.mac;
-  sim::Time backoff = m.slot * (m.cw_min_slots / 2);
-  sim::Time payload =
-      sim::transmission_delay(cfg_.reference_frame_bytes + m.mac_header_bytes, phy_bps);
-  sim::Time handshake = m.rts_cts ? m.rts_duration + m.sifs + m.cts_duration + m.sifs : 0;
-  return m.difs + backoff + handshake + m.phy_preamble + payload + m.sifs + m.ack_duration;
-}
-
 double WifiSharedMedium::solo_goodput_bps(double phy_bps) const {
-  return cfg_.reference_frame_bytes * 8.0 / sim::to_seconds(frame_airtime(phy_bps));
+  const sim::Time airtime = frame_airtime(cfg_.mac, cfg_.reference_frame_bytes, phy_bps);
+  return cfg_.reference_frame_bytes * 8.0 / sim::to_seconds(airtime);
 }
 
 void WifiSharedMedium::tick() {
@@ -34,7 +26,7 @@ void WifiSharedMedium::tick() {
   std::size_t backlogged = 0;
   for (const Station& s : stations_) {
     if (s.uplink->is_up() && !s.uplink->queue().empty()) {
-      round += frame_airtime(s.phy_bps);
+      round += frame_airtime(cfg_.mac, cfg_.reference_frame_bytes, s.phy_bps);
       ++backlogged;
     }
   }

@@ -60,7 +60,7 @@ TEST(NetMisc, LinkInstrumentationCounts) {
   cfg.name = "probe";
   net::Link link(sim, sim::Rng(1), std::move(cfg));
   obs::MetricsRegistry reg;
-  link.attach_obs(reg, "link:probe");
+  link.attach({.metrics = &reg}, "link:probe");
   int got = 0;
   link.set_sink([&](net::Packet&&) { ++got; });
   for (int i = 0; i < 5; ++i) {

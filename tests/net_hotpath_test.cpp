@@ -348,10 +348,9 @@ TEST(HotPathEquivalence, TracerLeavesBatchingEngaged) {
   };
   for (const Case& c : cases) {
     auto traced = [&c](Link::TxPath path, EventLog& log) {
-      trace::Tracer::Config cfg;
-      cfg.sink_only = true;
-      trace::Tracer tracer(cfg);
+      trace::Tracer tracer;
       tracer.set_sink(&log);
+      tracer.set_sink_only(true);
       return run_scenario(c.scenario, c.make_ab(), c.make_ba(), path, false, &tracer);
     };
     EventLog arena_log;
@@ -484,7 +483,7 @@ TEST(PacketArena, BatchedLinkMetricsMatchLegacy) {
     auto [link, rev] = net.connect(a, b, std::move(ab), std::move(ba));
     (void)rev;
     obs::MetricsRegistry reg;
-    link->attach_obs(reg, "link:ab");
+    link->attach({.metrics = &reg}, "link:ab");
     for (int i = 0; i < 40; ++i) {
       net::Packet p;
       p.src = a;

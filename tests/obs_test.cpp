@@ -274,7 +274,7 @@ TEST(ObsWiring, ObsTapAndLinkPublishNetworkBehavior) {
   auto [ab, ba] = net.connect(a, b, 1e6, milliseconds(5), 4);  // tiny queue
   (void)ba;
   obs::MetricsRegistry reg;
-  ab->attach_obs(reg, "link:ab");
+  ab->attach({.metrics = &reg}, "link:ab");
   net::ObsTap tap(net, reg);
 
   // Burst of 20 one-KB packets into a 4-packet queue: some deliver, some
@@ -335,8 +335,8 @@ TEST(ObsWiring, TcpPublishesCwndSeriesAndRttHistogram) {
   obs::MetricsRegistry reg;
   transport::TcpSink sink(net, s, 80);
   transport::TcpSource::Config cfg;
-  cfg.metrics = &reg;
-  cfg.metrics_entity = "tcp:1";
+  cfg.telemetry.metrics = &reg;
+  cfg.entity = "tcp:1";
   transport::TcpSource src(net, c, 1000, s, 80, 1, cfg);
   src.send(200'000);
   sim.run_until(seconds(10));
@@ -355,7 +355,7 @@ TEST(ObsWiring, WifiCellPublishesAirtimeShares) {
   sim::Simulator sim;
   wireless::WifiCell cell(sim, sim::Rng(1), wireless::WifiCell::Config{});
   obs::MetricsRegistry reg;
-  cell.attach_obs(reg, "cell0");
+  cell.attach({.metrics = &reg}, "cell0");
   auto fast = cell.add_station(54e6, "fast");
   auto slow = cell.add_station(1e6, "slow");
   // Keep both stations backlogged for a simulated second.

@@ -89,9 +89,9 @@ TEST(TracePropagation, ArtpContextSurvivesTransportAndNet) {
   net.attach_trace(tracer);
 
   transport::ArtpSenderConfig scfg;
-  scfg.tracer = &tracer;
+  scfg.telemetry.tracer = &tracer;
   transport::ArtpReceiver::Config rcfg;
-  rcfg.tracer = &tracer;
+  rcfg.telemetry.tracer = &tracer;
   transport::ArtpReceiver rx(net, server, 80, rcfg);
   std::vector<transport::ArtpDelivery> deliveries;
   rx.set_message_callback(
@@ -135,7 +135,7 @@ TEST(TracePropagation, TcpSourceRecordsTxAndAck) {
 
   transport::TcpSink sink(net, server, 80);
   transport::TcpSource::Config cfg;
-  cfg.tracer = &tracer;
+  cfg.telemetry.tracer = &tracer;
   transport::TcpSource src(net, client, 1000, server, 80, 1, cfg);
   src.send(50'000);
   sim.run_until(seconds(2));
@@ -219,8 +219,7 @@ TEST(TraceDropReasons, LinkDropEventsCarryReasonString) {
   up.queue_packets = 2;  // tiny: bursts must tail-drop
   Link& link = net.add_link(a, b, std::move(up));
   net.compute_routes();
-  link.attach_trace(tracer, "link:a->b");
-  link.attach_obs(reg, "a->b");
+  link.attach({.metrics = &reg, .tracer = &tracer}, "link:a->b");
 
   for (int i = 0; i < 50; ++i) {
     net::Packet p;
@@ -250,8 +249,7 @@ TEST(TraceDropReasons, WifiCellDropsGetDistinctReasonsAndCounters) {
   cfg.queue_packets = 2;  // force queue-full drops under a burst
   wireless::WifiCell cell(sim, sim::Rng(1), cfg);
   auto sta = cell.add_station(54e6, "sta");
-  cell.attach_trace(tracer, "wifi:cell");
-  cell.attach_obs(reg, "cell");
+  cell.attach({.metrics = &reg, .tracer = &tracer}, "wifi:cell");
   for (int i = 0; i < 20; ++i) {
     net::Packet p;
     p.uid = static_cast<std::uint64_t>(i) + 1;
@@ -268,7 +266,7 @@ TEST(TraceDropReasons, WifiCellDropsGetDistinctReasonsAndCounters) {
     }
   }
   EXPECT_GT(queue_full, 0);
-  const obs::Counter* c = reg.find_counter("wifi.drop.queue-full", "cell");
+  const obs::Counter* c = reg.find_counter("wifi.drop.queue-full", "wifi:cell");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->value(), queue_full);
 }
@@ -554,8 +552,8 @@ TEST(TraceObs, ArtpPerBandDelayHistogramsPublished) {
   net.compute_routes();
 
   transport::ArtpReceiver::Config rcfg;
-  rcfg.metrics = &reg;
-  rcfg.metrics_entity = "artp";
+  rcfg.telemetry.metrics = &reg;
+  rcfg.entity = "artp";
   transport::ArtpReceiver rx(net, server, 80, rcfg);
   transport::ArtpSender tx(net, client, 1000, server, 80, 1, {});
 

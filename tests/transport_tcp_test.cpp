@@ -74,7 +74,7 @@ TEST(Tcp, SlowStartDoublesPerRtt) {
   TcpSink sink(d.net, d.server, 80);
   obs::MetricsRegistry reg;
   TcpSource::Config cfg;
-  cfg.metrics = &reg;
+  cfg.telemetry.metrics = &reg;
   TcpSource src(d.net, d.client, 1000, d.server, 80, 1, cfg);
   src.send_forever();
   // After ~5 RTTs (500 ms) of slow start cwnd should have grown
@@ -104,7 +104,7 @@ TEST(Tcp, SawtoothUnderPeriodicLoss) {
   TcpSink sink(d.net, d.server, 80);
   obs::MetricsRegistry reg;
   TcpSource::Config cfg;
-  cfg.metrics = &reg;
+  cfg.telemetry.metrics = &reg;
   TcpSource src(d.net, d.client, 1000, d.server, 80, 1, cfg);
   src.send_forever();
   d.sim.run_until(seconds(20));
