@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "arnet/core/table.hpp"
+#include "arnet/fleet/server.hpp"
 #include "arnet/mar/offload.hpp"
 #include "arnet/net/network.hpp"
 #include "arnet/sim/simulator.hpp"
@@ -31,8 +32,17 @@ CrowdResult run_crowd(int users, const mar::VideoModel& video, int server_cores 
   net::Network net(sim, 2030);
   auto bs = net.add_node("gnb");
   auto server = net.add_node("edge-server");
-  std::unique_ptr<mar::ComputeResource> pool;
-  if (server_cores > 0) pool = std::make_unique<mar::ComputeResource>(sim, server_cores);
+  // The shared worker pool: an unbatched edge server whose lanes are the
+  // cores. Desktop silicon (compute_scale 1) serves the already-scaled work.
+  std::unique_ptr<fleet::EdgeServer> pool;
+  if (server_cores > 0) {
+    fleet::EdgeServerConfig pc;
+    pc.profile = mar::DeviceClass::kDesktop;
+    pc.batch.enabled = false;
+    pc.batch.setup = 0;
+    pc.batch.executors = server_cores;
+    pool = std::make_unique<fleet::EdgeServer>(sim, pc);
+  }
   // Shared cell uplink: the NGMN aggregate; per-user radio legs at the
   // 50 Mb/s KPI with ~4 ms of radio latency.
   auto [cell_up, cell_down] = net.connect(bs, server, 500e6, milliseconds(3), 2000);
@@ -55,7 +65,14 @@ CrowdResult run_crowd(int users, const mar::VideoModel& video, int server_cores 
     cfg.send_sensor_stream = false;  // keep the sweep about video load
     auto s = std::make_unique<mar::OffloadSession>(net, clients[static_cast<std::size_t>(u)],
                                                    server, cfg);
-    if (pool) s->set_server_compute(pool.get());
+    if (pool) {
+      s->set_server_compute([raw = pool.get()](sim::Time work, std::function<void()> done) {
+        fleet::ComputeRequest req;
+        req.work = work;
+        req.done = std::move(done);
+        raw->submit(std::move(req));
+      });
+    }
     // Stagger starts across one frame interval to avoid phase artifacts.
     sim.at(milliseconds(3) * u % milliseconds(33), [raw = s.get()] { raw->start(); });
     sessions.push_back(std::move(s));

@@ -55,9 +55,10 @@ struct EdgeServerConfig {
   std::string entity = "fleet/server:0";
 };
 
-/// A batched compute queue in front of `executors` parallel lanes — the
-/// multi-tenant replacement for the single-tenant mar::ComputeResource path.
-/// Requests queue FIFO; batches form on max-size or oldest-request timeout;
+/// A batched compute queue in front of `executors` parallel lanes, and the
+/// one server-queue model: with `batch.enabled = false`, `batch.setup = 0`
+/// and the desktop profile it is the plain FIFO worker pool an
+/// OffloadSession's server-compute hook submits to. Requests queue FIFO; batches form on max-size or oldest-request timeout;
 /// every request of a batch completes when the batch does. Deterministic:
 /// formation depends only on arrival order and simulated time.
 class EdgeServer {

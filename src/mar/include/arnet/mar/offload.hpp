@@ -6,7 +6,6 @@
 #include <optional>
 #include <vector>
 
-#include "arnet/mar/compute.hpp"
 #include "arnet/mar/device.hpp"
 #include "arnet/mar/security.hpp"
 #include "arnet/mar/traffic.hpp"
@@ -41,35 +40,30 @@ struct OffloadConfig {
   MetadataModel metadata;
   VisionCosts costs;
   int features_per_frame = 400;        ///< CloudRidAR upload = features x 36 B
-  int glimpse_offload_interval = 5;    ///< offload every Nth frame (fixed mode)
+  int glimpse_offload_interval = 5;    ///< offload every Nth frame (fixed mode), >= 1
   /// Glimpse with a dynamic trigger: track locally while the simulated
   /// tracking quality holds, offload a fresh recognition frame when it
-  /// drops below `glimpse_quality_threshold` (the actual Glimpse policy).
+  /// drops below a fixed threshold (the actual Glimpse policy).
   bool glimpse_adaptive = false;
-  double glimpse_quality_threshold = 0.6;
   /// Mean per-frame tracking-quality decay (scene/camera motion level).
   double glimpse_motion_level = 0.04;
   sim::Time deadline = sim::milliseconds(75);
   transport::ArtpSenderConfig artp;    ///< uplink transport settings
   bool send_sensor_stream = true;
-  bool send_metadata_stream = true;
   /// §VI-G: encrypt everything leaving the device. Adds per-packet wire
   /// overhead and device-scaled AEAD compute time per offloaded payload.
   CryptoProfile crypto = CryptoProfile::kNone;
-  /// kAdaptive: how often the runtime re-evaluates its strategy choice.
-  sim::Time adapt_interval = sim::milliseconds(500);
   /// When set, the session publishes "mar.frames" / "mar.deadline_hit" /
   /// "mar.deadline_miss" counters and a "mar.frame_latency_ms" histogram
-  /// under `metrics_entity`. The registry must outlive the session.
+  /// under entity "mar". The registry must outlive the session.
   obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_entity = "mar";
   /// When set, every captured frame mints a fresh trace id that is stamped
   /// on all of its uplink chunks, the server compute span and the downlink
   /// result — so one frame's full causal chain can be extracted from the
-  /// rings (frame_breakdown). Propagated into the session's ARTP endpoints
-  /// as "<trace_entity>/..." entities. The tracer must outlive the session.
+  /// rings (frame_breakdown). Recorded under entity "mar" and propagated
+  /// into the session's ARTP endpoints as "mar/..." entities. The tracer
+  /// must outlive the session.
   trace::Tracer* tracer = nullptr;
-  std::string trace_entity = "mar";
   /// Instrumentation granularity. True (deep-dive default) propagates the
   /// tracer into the session's ARTP endpoints, so every chunk/ack/repair
   /// emits an event — the stream frame_breakdown and the pcap/Perfetto
@@ -125,10 +119,16 @@ class OffloadSession {
   OffloadStrategy active_strategy() const { return active_strategy_; }
   int strategy_switches() const { return strategy_switches_; }
 
+  /// Hands `work` of already device-scaled surrogate time to a queue that
+  /// calls `done` when the work completes.
+  using ComputeSubmit = std::function<void(sim::Time work, std::function<void()> done)>;
+
   /// Route the surrogate's vision work through a shared worker pool so
-  /// concurrent sessions contend for server compute (nullptr = dedicated
-  /// capacity, the default). Call before start().
-  void set_server_compute(ComputeResource* compute) { server_compute_ = compute; }
+  /// concurrent sessions contend for server compute (empty = dedicated
+  /// capacity, the default). The pool is an unbatched fleet::EdgeServer in
+  /// every caller; arnet_mar links below arnet_fleet, so it takes a hook.
+  /// Call before start().
+  void set_server_compute(ComputeSubmit submit) { server_compute_ = std::move(submit); }
 
   /// Invoked on every recognition result with its end-to-end latency.
   void set_result_callback(std::function<void(std::uint32_t frame, sim::Time latency)> cb) {
@@ -148,8 +148,17 @@ class OffloadSession {
   void on_sensor_batch();
   void on_metadata_beat();
   void adapt_tick();
+  /// One frame's cost under a concrete strategy: device compute before the
+  /// upload (AEAD excluded), bytes uploaded and surrogate compute. Glimpse
+  /// reports its trigger frames; kAdaptive runs as CloudRidAR.
+  struct Stages {
+    sim::Time device = 0;
+    std::int64_t upload_bytes = 0;
+    sim::Time surrogate = 0;
+  };
+  Stages stages(OffloadStrategy s, std::uint32_t frame_id) const;
   sim::Time expected_latency(OffloadStrategy s, double rate_bps, sim::Time owd) const;
-  void offload_frame(std::uint32_t frame_id, bool as_features);
+  void offload_frame(std::uint32_t frame_id, OffloadStrategy s);
   void on_server_message(const transport::ArtpDelivery& d);
   void on_client_result(const transport::ArtpDelivery& d);
   void finish_frame(std::uint32_t frame_id, sim::Time latency);
@@ -173,7 +182,7 @@ class OffloadSession {
   // Glimpse dynamic-trigger state.
   sim::Rng track_rng_;
   double tracking_quality_ = 1.0;
-  ComputeResource* server_compute_ = nullptr;
+  ComputeSubmit server_compute_;
   std::map<std::uint32_t, sim::Time> capture_time_;
   trace::Emitter trace_;
   std::map<std::uint32_t, trace::TraceContext> frame_trace_;

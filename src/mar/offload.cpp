@@ -10,6 +10,17 @@ using net::Priority;
 using net::TrafficClass;
 using transport::ArtpMessageSpec;
 
+namespace {
+
+/// Metrics and trace entity of every session; its ARTP endpoints are "mar/...".
+const std::string kEntity = "mar";
+/// kAdaptive: how often the runtime re-evaluates its strategy choice.
+constexpr sim::Time kAdaptInterval = sim::milliseconds(500);
+/// Adaptive Glimpse offloads a fresh recognition frame below this quality.
+constexpr double kGlimpseQualityThreshold = 0.6;
+
+}  // namespace
+
 const char* to_string(OffloadStrategy s) {
   switch (s) {
     case OffloadStrategy::kLocalOnly:
@@ -39,14 +50,18 @@ OffloadSession::OffloadSession(net::Network& net, net::NodeId client, net::NodeI
                            ? OffloadStrategy::kCloudRidAR
                            : cfg.strategy),
       track_rng_(net.fork_rng("glimpse-tracking")) {
+  // Both reach `frame_id % n`: the fixed Glimpse trigger and the GOP phase.
+  ARNET_CHECK(cfg_.glimpse_offload_interval >= 1, "glimpse_offload_interval must be >= 1, got ",
+              cfg_.glimpse_offload_interval);
+  ARNET_CHECK(cfg_.video.gop >= 1, "video.gop must be >= 1, got ", cfg_.video.gop);
   cfg_.artp.header_bytes += crypto_costs(cfg_.crypto).per_packet_overhead_bytes;
   transport::ArtpReceiver::Config server_rx_cfg, client_rx_cfg;
   transport::ArtpSenderConfig reply_cfg;  // results: small, default transport
-  trace_ = trace::Emitter(cfg_.tracer, cfg_.trace_entity);
+  trace_ = trace::Emitter(cfg_.tracer, kEntity);
   if (cfg_.tracer && cfg_.trace_transport) {
     auto observe = [this](auto& endpoint, const char* role) {
       endpoint.telemetry.tracer = cfg_.tracer;
-      endpoint.entity = cfg_.trace_entity + role;
+      endpoint.entity = kEntity + role;
     };
     observe(cfg_.artp, "/artp-up");
     observe(server_rx_cfg, "/artp-up-rx");
@@ -97,36 +112,39 @@ void OffloadSession::start() {
   running_ = true;
   on_frame();
   if (cfg_.send_sensor_stream) on_sensor_batch();
-  if (cfg_.send_metadata_stream) on_metadata_beat();
+  on_metadata_beat();
   if (cfg_.strategy == OffloadStrategy::kAdaptive) {
-    net_.sim().after(cfg_.adapt_interval, [this] { adapt_tick(); });
+    net_.sim().after(kAdaptInterval, [this] { adapt_tick(); });
   }
+}
+
+OffloadSession::Stages OffloadSession::stages(OffloadStrategy s, std::uint32_t frame_id) const {
+  const VisionCosts& c = cfg_.costs;
+  switch (s) {
+    case OffloadStrategy::kLocalOnly:
+      return {scaled_cost(device_, c.extract) + scaled_cost(device_, c.recognize), 0, 0};
+    case OffloadStrategy::kFullOffload:
+      return {scaled_cost(device_, c.decode_frame), cfg_.video.frame_bytes(frame_id),
+              scaled_cost(surrogate_, c.decode_frame) + scaled_cost(surrogate_, c.extract) +
+                  scaled_cost(surrogate_, c.recognize)};
+    case OffloadStrategy::kCloudRidAR:
+    case OffloadStrategy::kGlimpse:
+    case OffloadStrategy::kAdaptive:
+      break;
+  }
+  return {scaled_cost(device_, c.extract),
+          static_cast<std::int64_t>(cfg_.features_per_frame) * vision::kSerializedFeatureBytes,
+          scaled_cost(surrogate_, c.recognize)};
 }
 
 sim::Time OffloadSession::expected_latency(OffloadStrategy s, double rate_bps,
                                            sim::Time owd) const {
-  sim::Time network_rt = 2 * owd;
-  auto tx = [&](std::int64_t bytes) {
-    return rate_bps > 0 ? sim::transmission_delay(bytes, rate_bps) : sim::kNever / 4;
-  };
-  switch (s) {
-    case OffloadStrategy::kLocalOnly:
-      return scaled_cost(device_, cfg_.costs.extract) +
-             scaled_cost(device_, cfg_.costs.recognize);
-    case OffloadStrategy::kCloudRidAR:
-    case OffloadStrategy::kGlimpse:  // latency of its *trigger* frames
-      return scaled_cost(device_, cfg_.costs.extract) +
-             tx(static_cast<std::int64_t>(cfg_.features_per_frame) * 36) + network_rt +
-             scaled_cost(surrogate_, cfg_.costs.recognize);
-    case OffloadStrategy::kFullOffload:
-      return scaled_cost(device_, cfg_.costs.decode_frame) + tx(cfg_.video.ref_frame_bytes()) +
-             network_rt + scaled_cost(surrogate_, cfg_.costs.decode_frame) +
-             scaled_cost(surrogate_, cfg_.costs.extract) +
-             scaled_cost(surrogate_, cfg_.costs.recognize);
-    case OffloadStrategy::kAdaptive:
-      break;
-  }
-  return sim::kNever / 4;
+  // Frame 0 is a reference frame: FullOffload is sized by its largest frame.
+  const Stages st = stages(s, 0);
+  if (s == OffloadStrategy::kLocalOnly) return st.device;
+  sim::Time tx =
+      rate_bps > 0 ? sim::transmission_delay(st.upload_bytes, rate_bps) : sim::kNever / 4;
+  return st.device + tx + 2 * owd + st.surrogate;
 }
 
 void OffloadSession::adapt_tick() {
@@ -157,7 +175,7 @@ void OffloadSession::adapt_tick() {
     ++strategy_switches_;
     active_strategy_ = pick;
   }
-  net_.sim().after(cfg_.adapt_interval, [this] { adapt_tick(); });
+  net_.sim().after(kAdaptInterval, [this] { adapt_tick(); });
 }
 
 void OffloadSession::stop() {
@@ -194,83 +212,52 @@ void OffloadSession::on_frame() {
   sim::Time capture = net_.sim().now();
   capture_time_[frame_id] = capture;
   ++stats_.frames;
-  if (cfg_.metrics) cfg_.metrics->counter("mar.frames", cfg_.metrics_entity).add();
+  if (cfg_.metrics) cfg_.metrics->counter("mar.frames", kEntity).add();
   if (cfg_.tracer) {
     frame_trace_[frame_id] = cfg_.tracer->new_trace();
     trace_.emit(net_.sim().now(), trace::EventKind::kFrameCapture, frame_trace_[frame_id],
                 frame_id, 0);
   }
 
-  switch (active_strategy_) {
-    case OffloadStrategy::kLocalOnly: {
-      sim::Time compute = scaled_cost(device_, cfg_.costs.extract) +
-                          scaled_cost(device_, cfg_.costs.recognize);
-      stats_.energy_j += device_.active_power_w * sim::to_seconds(compute);
-      net_.sim().after(compute, [this, frame_id, capture] {
-        finish_frame(frame_id, net_.sim().now() - capture);
-      });
-      break;
-    }
-    case OffloadStrategy::kFullOffload: {
-      sim::Time encode = scaled_cost(device_, cfg_.costs.decode_frame) +
-                         crypto_delay(device_, cfg_.crypto, cfg_.video.frame_bytes(frame_id));
-      stats_.energy_j += device_.active_power_w * sim::to_seconds(encode);
-      net_.sim().after(encode, [this, frame_id] { offload_frame(frame_id, false); });
-      break;
-    }
-    case OffloadStrategy::kAdaptive:  // resolved to a concrete mode already
-    case OffloadStrategy::kCloudRidAR: {
-      sim::Time extract =
-          scaled_cost(device_, cfg_.costs.extract) +
-          crypto_delay(device_, cfg_.crypto,
-                       static_cast<std::int64_t>(cfg_.features_per_frame) * 36);
-      stats_.energy_j += device_.active_power_w * sim::to_seconds(extract);
-      net_.sim().after(extract, [this, frame_id] { offload_frame(frame_id, true); });
-      break;
-    }
-    case OffloadStrategy::kGlimpse: {
-      bool trigger;
-      if (cfg_.glimpse_adaptive) {
-        // Tracking confidence decays with scene/camera motion; a fresh
-        // recognition frame is offloaded when it falls below threshold.
-        double motion = std::max(
-            0.0, track_rng_.normal(cfg_.glimpse_motion_level, cfg_.glimpse_motion_level / 2));
-        tracking_quality_ *= 1.0 - std::min(motion, 0.9);
-        trigger = tracking_quality_ < cfg_.glimpse_quality_threshold;
-        if (trigger) tracking_quality_ = 1.0;  // refreshed by the new result
-      } else {
-        trigger = frame_id % static_cast<std::uint32_t>(cfg_.glimpse_offload_interval) == 0;
-      }
-      if (trigger) {
-        sim::Time extract =
-            scaled_cost(device_, cfg_.costs.extract) +
-            crypto_delay(device_, cfg_.crypto,
-                         static_cast<std::int64_t>(cfg_.features_per_frame) * 36);
-        stats_.energy_j += device_.active_power_w * sim::to_seconds(extract);
-        net_.sim().after(extract, [this, frame_id] { offload_frame(frame_id, true); });
-      } else {
-        // Tracked locally: the augmentation is updated from the last server
-        // result within the tracking budget.
-        sim::Time track = scaled_cost(device_, cfg_.costs.track);
-        stats_.energy_j += device_.active_power_w * sim::to_seconds(track);
-        net_.sim().after(track, [this, frame_id, capture] {
-          finish_frame(frame_id, net_.sim().now() - capture);
-        });
-      }
-      break;
-    }
+  const OffloadStrategy strategy = active_strategy_;
+  bool tracked = false;  // a Glimpse frame between two offloaded triggers
+  if (strategy == OffloadStrategy::kGlimpse && cfg_.glimpse_adaptive) {
+    // Tracking confidence decays with scene/camera motion; a fresh
+    // recognition frame is offloaded when it falls below threshold.
+    double motion = std::max(
+        0.0, track_rng_.normal(cfg_.glimpse_motion_level, cfg_.glimpse_motion_level / 2));
+    tracking_quality_ *= 1.0 - std::min(motion, 0.9);
+    tracked = tracking_quality_ >= kGlimpseQualityThreshold;
+    if (!tracked) tracking_quality_ = 1.0;  // refreshed by the new result
+  } else if (strategy == OffloadStrategy::kGlimpse) {
+    tracked = frame_id % static_cast<std::uint32_t>(cfg_.glimpse_offload_interval) != 0;
+  }
+
+  if (strategy == OffloadStrategy::kLocalOnly || tracked) {
+    // Tracked Glimpse frames update the augmentation from the last server
+    // result within the tracking budget.
+    sim::Time compute =
+        tracked ? scaled_cost(device_, cfg_.costs.track) : stages(strategy, frame_id).device;
+    stats_.energy_j += device_.active_power_w * sim::to_seconds(compute);
+    net_.sim().after(compute, [this, frame_id, capture] {
+      finish_frame(frame_id, net_.sim().now() - capture);
+    });
+  } else {
+    const Stages st = stages(strategy, frame_id);
+    sim::Time device = st.device + crypto_delay(device_, cfg_.crypto, st.upload_bytes);
+    stats_.energy_j += device_.active_power_w * sim::to_seconds(device);
+    net_.sim().after(device, [this, frame_id, strategy] { offload_frame(frame_id, strategy); });
   }
 
   net_.sim().after(cfg_.video.frame_interval(), [this] { on_frame(); });
 }
 
-void OffloadSession::offload_frame(std::uint32_t frame_id, bool as_features) {
+void OffloadSession::offload_frame(std::uint32_t frame_id, OffloadStrategy s) {
   ArtpMessageSpec m;
   m.frame_id = frame_id;
   m.trace = frame_trace(frame_id);
-  if (as_features) {
-    m.bytes = static_cast<std::int64_t>(cfg_.features_per_frame) *
-              vision::kSerializedFeatureBytes;
+  m.bytes = stages(s, frame_id).upload_bytes;
+  if (s != OffloadStrategy::kFullOffload) {
     m.app = AppData::kFeaturePayload;
     // Features are per-frame ephemeral: protect them with FEC but let the
     // sender shed stale ones — late features are worthless ("new data is
@@ -279,7 +266,6 @@ void OffloadSession::offload_frame(std::uint32_t frame_id, bool as_features) {
     m.priority = Priority::kMediumNoDelay;
     m.stale_after = cfg_.deadline;
   } else {
-    m.bytes = cfg_.video.frame_bytes(frame_id);
     m.app = cfg_.video.frame_kind(frame_id);
     bool ref = cfg_.video.is_reference(frame_id);
     m.tclass = ref ? TrafficClass::kBestEffortLossRecovery : TrafficClass::kFullBestEffort;
@@ -295,11 +281,10 @@ void OffloadSession::on_server_message(const transport::ArtpDelivery& d) {
                   d.app == AppData::kVideoInterFrame || d.app == AppData::kFeaturePayload;
   if (!is_frame || !d.complete) return;
 
-  sim::Time compute = scaled_cost(surrogate_, cfg_.costs.recognize);
-  if (d.app != AppData::kFeaturePayload) {
-    compute += scaled_cost(surrogate_, cfg_.costs.decode_frame) +
-               scaled_cost(surrogate_, cfg_.costs.extract);
-  }
+  const OffloadStrategy sent_as = d.app == AppData::kFeaturePayload
+                                     ? OffloadStrategy::kCloudRidAR
+                                     : OffloadStrategy::kFullOffload;
+  sim::Time compute = stages(sent_as, d.frame_id).surrogate;
   std::uint32_t frame_id = d.frame_id;
   trace_.emit(net_.sim().now(), trace::EventKind::kComputeStart, d.trace, frame_id,
               static_cast<std::int64_t>(compute));
@@ -315,7 +300,7 @@ void OffloadSession::on_server_message(const transport::ArtpDelivery& d) {
     server_tx_->send_message(r);
   };
   if (server_compute_) {
-    server_compute_->submit(compute, std::move(reply));
+    server_compute_(compute, std::move(reply));
   } else {
     net_.sim().after(compute, std::move(reply));
   }
@@ -337,10 +322,9 @@ void OffloadSession::finish_frame(std::uint32_t frame_id, sim::Time latency) {
   if (missed && cfg_.flight) cfg_.flight->dump("deadline-miss");
   if (cfg_.slo) cfg_.slo->observe(net_.sim().now(), sim::to_milliseconds(latency));
   if (cfg_.metrics) {
-    cfg_.metrics->histogram("mar.frame_latency_ms", cfg_.metrics_entity)
+    cfg_.metrics->histogram("mar.frame_latency_ms", kEntity)
         .record(sim::to_milliseconds(latency));
-    cfg_.metrics->counter(missed ? "mar.deadline_miss" : "mar.deadline_hit", cfg_.metrics_entity)
-        .add();
+    cfg_.metrics->counter(missed ? "mar.deadline_miss" : "mar.deadline_hit", kEntity).add();
   }
   if (result_cb_) result_cb_(frame_id, latency);
 }

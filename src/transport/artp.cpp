@@ -397,7 +397,6 @@ void ArtpSender::transmit(const Chunk& c, Path& path) {
   path.budget_bytes -= p.size_bytes;
   path.sent_bytes += p.size_bytes;
   sent_bytes_ += p.size_bytes;
-  app_meters_[static_cast<std::size_t>(c.app)].on_bytes(p.size_bytes);
   note_sent(c, p.size_bytes);
 
   if (path.cfg.first_hop) {
@@ -447,7 +446,6 @@ void ArtpSender::transmit(const Chunk& c, Path& path) {
       path.budget_bytes -= fp.size_bytes;
       path.sent_bytes += fp.size_bytes;
       sent_bytes_ += fp.size_bytes;
-      app_meters_[static_cast<std::size_t>(c.app)].on_bytes(fp.size_bytes);
       note_sent(c, fp.size_bytes);
       if (path.cfg.first_hop) {
         net_.send_via(*path.cfg.first_hop, std::move(fp));
@@ -536,7 +534,6 @@ void ArtpReceiver::on_packet(Packet&& p) {
   ps.bytes_in_epoch += p.size_bytes;
   ps.last_owd = now - h->sent_at;
   ps.min_owd.update(ps.last_owd, now);
-  goodput_.on_bytes(p.size_bytes);
 
   // Critical-sequence gap tracking: any arrival of cseq X reveals every
   // unseen cseq below it (full-loss detection, independent of chunk state).

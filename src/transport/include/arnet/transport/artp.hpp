@@ -15,7 +15,6 @@
 #include "arnet/net/packet.hpp"
 #include "arnet/obs/registry.hpp"
 #include "arnet/sim/simulator.hpp"
-#include "arnet/sim/stats.hpp"
 #include "arnet/trace/telemetry.hpp"
 #include "arnet/trace/trace.hpp"
 #include "arnet/transport/congestion.hpp"
@@ -154,9 +153,6 @@ class ArtpSender {
   std::int64_t shed_bytes() const { return shed_bytes_; }
   std::int64_t retransmitted_chunks() const { return retransmitted_chunks_; }
 
-  /// Per-application-type wire-rate meters (Fig. 4 traces). Callers sample().
-  sim::RateMeter& app_meter(net::AppData app) { return app_meters_[static_cast<std::size_t>(app)]; }
-
   /// Sum of controller rates currently allowed (bps), per path.
   std::size_t path_count() const { return paths_.size(); }
   double path_rate_bps(std::size_t i) const { return paths_[i].cfg.controller->rate_bps(); }
@@ -240,7 +236,6 @@ class ArtpSender {
   std::int64_t shed_messages_ = 0;
   std::int64_t shed_bytes_ = 0;
   std::int64_t retransmitted_chunks_ = 0;
-  std::array<sim::RateMeter, net::kAppDataCount> app_meters_;
   std::function<void(const ArtpQosReport&)> qos_cb_;
   trace::Emitter trace_;
 };
@@ -283,7 +278,6 @@ class ArtpReceiver {
   std::int64_t delivered_messages() const { return delivered_messages_; }
   std::int64_t fec_recoveries() const { return fec_recoveries_; }
   std::int64_t expired_messages() const { return expired_messages_; }
-  sim::RateMeter& goodput() { return goodput_; }
 
  private:
   struct PathState {
@@ -346,7 +340,6 @@ class ArtpReceiver {
   std::int64_t delivered_messages_ = 0;
   std::int64_t fec_recoveries_ = 0;
   std::int64_t expired_messages_ = 0;
-  sim::RateMeter goodput_;
   std::function<void(const ArtpDelivery&)> message_cb_;
   trace::Emitter trace_;
 };

@@ -126,7 +126,6 @@ class QuicLiteReceiver {
   std::int64_t fragments_received() const { return fragments_received_; }
   std::int64_t duplicate_fragments() const { return duplicate_fragments_; }
   const sim::Samples& frame_latency_ms() const { return ledger_.latency_ms; }
-  sim::RateMeter& goodput() { return goodput_; }
 
  private:
   struct PendingFrame {
@@ -153,7 +152,6 @@ class QuicLiteReceiver {
   sim::FrameLedger ledger_;  ///< counts a frame once it completes or expires
   std::int64_t fragments_received_ = 0;
   std::int64_t duplicate_fragments_ = 0;
-  sim::RateMeter goodput_;
   std::function<void(const QuicFrameResult&)> frame_cb_;
 };
 

@@ -128,7 +128,6 @@ void QuicLiteReceiver::on_packet(Packet&& p) {
   f.have[h->frag] = true;
   ++f.have_count;
   f.bytes += p.size_bytes;
-  goodput_.on_bytes(p.size_bytes);
 
   if (f.have_count == f.frag_count) {
     f.delivered = true;  // tombstone until the sweep forgets the frame

@@ -33,10 +33,6 @@ class WifiSharedMedium {
   /// Register a station's uplink (station->AP Link) with its PHY rate.
   void attach(net::Link& uplink, double phy_bps, std::string name = "sta");
 
-  void set_phy_rate(std::size_t station, double phy_bps) {
-    stations_[station].phy_bps = phy_bps;
-  }
-
   void start() {
     running_ = true;
     tick();
@@ -45,9 +41,6 @@ class WifiSharedMedium {
 
   /// Goodput of one station transmitting alone (for calibration).
   double solo_goodput_bps(double phy_bps) const;
-
-  std::size_t stations() const { return stations_.size(); }
-  double current_rate_bps(std::size_t station) const { return stations_[station].last_rate; }
 
  private:
   struct Station {

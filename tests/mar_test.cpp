@@ -3,6 +3,7 @@
 #include <iterator>
 #include <string>
 
+#include "arnet/check/assert.hpp"
 #include "arnet/core/scenarios.hpp"
 #include "arnet/mar/cost_model.hpp"
 #include "arnet/mar/device.hpp"
@@ -194,6 +195,21 @@ TEST(OffloadSession, GlimpseReducesUplinkVsCloudRidAr) {
   EXPECT_LT(sb.offloaded_frames, sa.offloaded_frames / 3);
   // Tracked frames respond almost instantly, so Glimpse's median is lower.
   EXPECT_LT(sb.latency_ms.median(), sa.latency_ms.median());
+}
+
+TEST(OffloadSession, NonPositiveModuliAreRejected) {
+  // The fixed Glimpse trigger and the GOP phase both take `frame_id % n`:
+  // 0 would divide by zero and a negative n would wrap to a huge modulus.
+  check::ScopedFailPolicy policy(check::FailPolicy::kThrow);
+  SessionFixture f;
+  for (int bad : {0, -1}) {
+    OffloadConfig interval;
+    interval.glimpse_offload_interval = bad;
+    EXPECT_THROW(OffloadSession(f.net, f.client, f.server, interval), check::CheckError) << bad;
+    OffloadConfig gop;
+    gop.video.gop = bad;
+    EXPECT_THROW(OffloadSession(f.net, f.client, f.server, gop), check::CheckError) << bad;
+  }
 }
 
 TEST(OffloadSession, FullOffloadNeedsMoreBandwidth) {
