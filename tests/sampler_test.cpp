@@ -451,7 +451,8 @@ const trace::Tracer::Config kGoldenRings{.ring_capacity = 16384};
 // the recorded event sequence of every component that traces, and the
 // registry export of every packet-path component that publishes metrics.
 // The digests were recorded at commit f55066b (the WiFi registry and the
-// fig4-style bottleneck at cf5df04); a changed digest is a change to what a
+// fig4-style bottleneck at cf5df04, the fleet registries and the unbatched
+// and autoscaled cells at b09ae52); a changed digest is a change to what a
 // run exports.
 TEST(Telemetry, StreamGoldens) {
   // One overloaded fleet capacity cell with every observer attached.
@@ -486,6 +487,58 @@ TEST(Telemetry, StreamGoldens) {
     EXPECT_EQ(d.slo, 14667201643411631033ULL);
     EXPECT_EQ(d.events, 17040976682244783623ULL);
     EXPECT_EQ(fnv1a(kFnvBasis, flight_doc.str()), 2278764584227761369ULL);
+    EXPECT_EQ(registry_digest(metrics), 5517250128236066177ULL);
+  }
+  // Two more fleet cells past their knee, pinned through the registry export
+  // as well: an unbatched overload (one-request batches on every lane) and
+  // an autoscaled crowd that grows and shrinks its active set.
+  {
+    struct GoldenCell {
+      const char* name;
+      double users;
+      bool batched;
+      bool autoscale;
+      sim::Time duration;
+      ExportDigests streams;
+      std::uint64_t registry;
+    };
+    const GoldenCell cells[] = {
+        {"golden-unbatched", 200.0, false, false, seconds(8),
+         {7426890711266436712ULL, 3551776804138805855ULL, 9559472684702992972ULL},
+         14242044273831654271ULL},
+        {"golden-autoscale", 160.0, true, true, seconds(12),
+         {1233370375302497436ULL, 14341389866938746221ULL, 362056085539131406ULL},
+         12214575806435712107ULL},
+    };
+    for (const GoldenCell& g : cells) {
+      fleet::CellConfig cell;
+      cell.name = g.name;
+      cell.offered_users = g.users;
+      cell.batched = g.batched;
+      cell.autoscale = g.autoscale;
+      cell.duration = g.duration;
+      cell.mean_lifetime_s = 4.0;
+      obs::MetricsRegistry metrics;
+      trace::Tracer tracer(kGoldenRings);
+      trace::SamplerConfig sc;
+      sc.seed = 13;
+      trace::TailSampler sampler(sc);
+      slo::SloConfig lc;
+      lc.entity = cell.name;
+      slo::SloTracker slo(lc);
+      const fleet::CellResult res = fleet::run_capacity_cell(
+          cell, 5, {.metrics = &metrics, .tracer = &tracer, .sampler = &sampler, .slo = &slo});
+      ASSERT_GT(res.misses, 10) << g.name << ": cell not overloaded; golden is vacuous";
+      if (g.autoscale) {
+        ASSERT_NE(metrics.find_counter("fleet.scale_out", cell.name), nullptr)
+            << "no scale-out; golden is vacuous";
+      }
+      const ExportDigests d = export_digests(sampler, tracer, slo, cell.name);
+      EXPECT_EQ(d.samples, g.streams.samples) << g.name;
+      EXPECT_EQ(d.slo, g.streams.slo) << g.name;
+      EXPECT_EQ(d.events, g.streams.events) << g.name;
+      EXPECT_EQ(registry_digest(metrics), g.registry) << g.name;
+    }
   }
   // Two shootout cells at seed 1 with every observer the shootout takes.
   const std::pair<core::ShootoutTransport, core::ShootoutNetwork> shootout_cells[] = {
