@@ -16,7 +16,7 @@ const char* to_string(BalancerPolicy p) {
   return "?";
 }
 
-std::size_t LoadBalancer::pick(const std::vector<EdgeServer*>& servers) {
+std::size_t LoadBalancer::pick(std::span<const std::unique_ptr<EdgeServer>> servers) {
   ARNET_CHECK(!servers.empty(), "balancer needs at least one active server");
   switch (policy_) {
     case BalancerPolicy::kRoundRobin:

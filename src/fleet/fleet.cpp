@@ -1,6 +1,7 @@
 #include "arnet/fleet/fleet.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "arnet/check/assert.hpp"
 
@@ -12,7 +13,8 @@ Fleet::Fleet(sim::Simulator& sim, FleetConfig cfg)
       population_(sim, cfg_.population, cfg_.seed),
       admission_(cfg_.admission),
       balancer_(cfg_.policy),
-      autoscaler_(cfg_.autoscaler) {
+      autoscaler_(cfg_.autoscaler),
+      metrics_(cfg_.telemetry.metrics) {
   ARNET_CHECK(cfg_.servers >= 1, "fleet needs at least one server");
   cfg_.telemetry.wire();
   trace_ = trace::Emitter(cfg_.telemetry.tracer, cfg_.entity);
@@ -23,13 +25,6 @@ Fleet::Fleet(sim::Simulator& sim, FleetConfig cfg)
 
 const AppProfile& Fleet::app_of(const Session& s) const {
   return cfg_.population.app_mix.at(static_cast<std::size_t>(s.spec.app)).app;
-}
-
-std::vector<EdgeServer*> Fleet::active_set() {
-  std::vector<EdgeServer*> out;
-  out.reserve(active_);
-  for (std::size_t i = 0; i < active_; ++i) out.push_back(servers_[i].get());
-  return out;
 }
 
 void Fleet::add_server() {
@@ -43,10 +38,10 @@ void Fleet::add_server() {
 }
 
 void Fleet::publish_gauges() {
-  if (!cfg_.telemetry.metrics) return;
-  cfg_.telemetry.metrics->gauge("fleet.active_sessions", cfg_.entity)
+  if (!metrics_) return;
+  instruments_.active_sessions.get(*metrics_, "fleet.active_sessions", cfg_.entity)
       .set(static_cast<double>(sessions_.size()));
-  cfg_.telemetry.metrics->gauge("fleet.active_servers", cfg_.entity)
+  instruments_.active_servers.get(*metrics_, "fleet.active_servers", cfg_.entity)
       .set(static_cast<double>(active_));
 }
 
@@ -66,7 +61,7 @@ void Fleet::stop() {
 void Fleet::on_arrival(const SessionSpec& spec) {
   if (!running_) return;
   ++stats_.arrivals;
-  if (cfg_.telemetry.metrics) cfg_.telemetry.metrics->counter("fleet.arrivals", cfg_.entity).add();
+  if (metrics_) instruments_.arrivals.get(*metrics_, "fleet.arrivals", cfg_.entity).add();
   const AdmissionDecision d = admission_.decide(sim_.now(), spec.id);
   trace_.emit(sim_.now(), trace::EventKind::kAdmit, {}, spec.id, 0, to_string(d));
   // Admission anomalies predate any frame trace, so the sampler keeps them
@@ -74,13 +69,13 @@ void Fleet::on_arrival(const SessionSpec& spec) {
   if (cfg_.telemetry.sampler && d != AdmissionDecision::kAdmit) {
     cfg_.telemetry.sampler->note(spec.id, to_string(d), sim_.now());
   }
-  if (cfg_.telemetry.metrics) {
-    cfg_.telemetry.metrics
-        ->counter(d == AdmissionDecision::kReject
-                      ? "fleet.rejected"
-                      : (d == AdmissionDecision::kDowngrade ? "fleet.downgraded"
-                                                            : "fleet.admitted"),
-                  cfg_.entity)
+  if (metrics_) {
+    instruments_.decisions[static_cast<std::size_t>(d)]
+        .get(*metrics_,
+             d == AdmissionDecision::kReject
+                 ? "fleet.rejected"
+                 : (d == AdmissionDecision::kDowngrade ? "fleet.downgraded" : "fleet.admitted"),
+             cfg_.entity)
         .add();
   }
   if (d == AdmissionDecision::kReject) {
@@ -115,10 +110,9 @@ void Fleet::capture_frame(std::uint64_t sid) {
   if (it == sessions_.end()) return;
   Session& s = it->second;
   const AppProfile& app = app_of(s);
-  const sim::Time t0 = sim_.now();
   const std::uint64_t frame_uid = next_frame_uid_++;
   ++stats_.frames;
-  if (cfg_.telemetry.metrics) cfg_.telemetry.metrics->counter("fleet.frames", cfg_.entity).add();
+  if (metrics_) instruments_.frames.get(*metrics_, "fleet.frames", cfg_.entity).add();
   trace::TraceContext ctx;
   if (cfg_.telemetry.tracer) {
     ctx = cfg_.telemetry.tracer->new_trace();
@@ -128,42 +122,54 @@ void Fleet::capture_frame(std::uint64_t sid) {
   // Anycast decision at the client: the balancer picks the serving edge
   // before the uplink leaves the device, so the uplink delay is toward the
   // chosen site.
-  const std::size_t pick = balancer_.pick(active_set());
-  EdgeServer* srv = servers_[pick].get();
+  const std::size_t pick = balancer_.pick(std::span(servers_).first(active_));
   const sim::Time rtt = cfg_.latency.rtt(s.spec.pos, site_pos(cfg_, pick));
   const FrameCost cost = frame_cost(cfg_, s.spec.device, app);
   const sim::Time uplink = rtt / 2 + cost.request_tx;
-  const sim::Time downlink = rtt / 2 + cost.result_tx;
-  const sim::Time deadline = app.deadline;
-  // Snapshot what finish_frame needs: the session may retire while this
-  // frame is still in flight, and late results must still be accounted.
-  const Session snapshot = s;
 
-  sim_.after(cost.device_stage + uplink, [this, srv, frame_uid, snapshot, t0, deadline,
-                                          downlink, ctx, work = app.server_cost] {
-    ComputeRequest req;
-    req.uid = frame_uid;
-    req.session = snapshot.spec.id;
-    req.frame = snapshot.next_frame;
-    req.work = work;
-    req.trace = ctx;
-    req.done = [this, frame_uid, snapshot, t0, deadline, downlink, ctx] {
-      sim_.after(downlink, [this, frame_uid, snapshot, t0, deadline, ctx] {
-        finish_frame(frame_uid, snapshot, t0, deadline, ctx);
-      });
-    };
-    srv->submit(std::move(req));
-  });
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  in_flight_[slot] = InFlight{.uid = frame_uid,
+                              .session = s.spec.id,
+                              .frame = s.next_frame,
+                              .device = s.spec.device,
+                              .t0 = sim_.now(),
+                              .deadline = app.deadline,
+                              .downlink = rtt / 2 + cost.result_tx,
+                              .work = app.server_cost,
+                              .ctx = ctx,
+                              .server = servers_[pick].get()};
+  sim_.after(cost.device_stage + uplink, [this, slot] { submit_frame(slot); });
 
   ++s.next_frame;
   sim_.after(sim::from_seconds(1.0 / s.fps), [this, sid] { capture_frame(sid); });
 }
 
-void Fleet::finish_frame(std::uint64_t frame_uid, const Session& snapshot, sim::Time t0,
-                         sim::Time deadline, trace::TraceContext ctx) {
-  const sim::Time latency = sim_.now() - t0;
+void Fleet::submit_frame(std::uint32_t slot) {
+  const InFlight& f = in_flight_[slot];
+  ComputeRequest req;
+  req.uid = f.uid;
+  req.session = f.session;
+  req.frame = f.frame;
+  req.work = f.work;
+  req.trace = f.ctx;
+  req.done = [this, slot] {
+    sim_.after(in_flight_[slot].downlink, [this, slot] { finish_frame(slot); });
+  };
+  f.server->submit(std::move(req));
+}
+
+void Fleet::finish_frame(std::uint32_t slot) {
+  const InFlight& f = in_flight_[slot];
+  const sim::Time latency = sim_.now() - f.t0;
   const double ms = sim::to_milliseconds(latency);
-  const bool missed = stats_.complete(latency, deadline);
+  const bool missed = stats_.complete(latency, f.deadline);
   admission_.observe_latency_ms(ms);
   // Keep the sampler's outlier rule tracking the live tail estimate before
   // it sees this frame's completion event (the admission projection is
@@ -175,23 +181,28 @@ void Fleet::finish_frame(std::uint64_t frame_uid, const Session& snapshot, sim::
   if (cfg_.telemetry.sampler && (stats_.results & 31) == 1) {
     cfg_.telemetry.sampler->set_outlier_threshold_ms(admission_.projected_p99_ms());
   }
-  trace_.verdict(sim_.now(), ctx, frame_uid, latency, missed);
+  trace_.verdict(sim_.now(), f.ctx, f.uid, latency, missed);
   if (cfg_.telemetry.slo) cfg_.telemetry.slo->observe(sim_.now(), ms);
-  if (cfg_.telemetry.metrics) {
+  if (metrics_) {
     // Retention was just decided (the sampler saw the completion event via
     // the tracer sink): retained frames become their bucket's exemplar.
-    const std::uint32_t exemplar =
-        (cfg_.telemetry.sampler && ctx.active() && cfg_.telemetry.sampler->retained(ctx.trace_id))
-            ? ctx.trace_id
-            : 0;
-    const std::string cls_entity =
-        cfg_.entity + "/class:" + mar::device_profile(snapshot.spec.device).name;
-    cfg_.telemetry.metrics->histogram("fleet.m2p_ms", cls_entity).record(ms, exemplar);
-    cfg_.telemetry.metrics->histogram("fleet.m2p_ms", cfg_.entity).record(ms, exemplar);
-    cfg_.telemetry.metrics
-        ->counter(missed ? "fleet.deadline_miss" : "fleet.deadline_hit", cfg_.entity)
+    const std::uint32_t exemplar = (cfg_.telemetry.sampler && f.ctx.active() &&
+                                    cfg_.telemetry.sampler->retained(f.ctx.trace_id))
+                                       ? f.ctx.trace_id
+                                       : 0;
+    instruments_.class_m2p[static_cast<std::size_t>(f.device)]
+        .get(*metrics_,
+             [&] {
+               return obs::MetricId{"fleet.m2p_ms",
+                                    cfg_.entity + "/class:" + mar::device_profile(f.device).name};
+             })
+        .record(ms, exemplar);
+    instruments_.m2p.get(*metrics_, "fleet.m2p_ms", cfg_.entity).record(ms, exemplar);
+    (missed ? instruments_.miss.get(*metrics_, "fleet.deadline_miss", cfg_.entity)
+            : instruments_.hit.get(*metrics_, "fleet.deadline_hit", cfg_.entity))
         .add();
   }
+  free_slots_.push_back(slot);
 }
 
 void Fleet::autoscale_tick() {
@@ -211,7 +222,6 @@ void Fleet::autoscale_tick() {
   const double util = window_s > 0 ? sim::to_seconds(busy_delta) / window_s : 0.0;
 
   const ScaleAction action = autoscaler_.evaluate(sim_.now(), util, active_);
-  obs::MetricsRegistry* const metrics = cfg_.telemetry.metrics;
   if (action == ScaleAction::kOut) {
     if (active_ < servers_.size()) {
       ++active_;  // reactivate a drained server
@@ -219,18 +229,20 @@ void Fleet::autoscale_tick() {
       add_server();
       ++active_;
     }
-    if (metrics) metrics->counter("fleet.scale_out", cfg_.entity).add();
+    if (metrics_) instruments_.scale_out.get(*metrics_, "fleet.scale_out", cfg_.entity).add();
     autoscaler_.applied(sim_.now(), action, util, active_);
     publish_gauges();
   } else if (action == ScaleAction::kIn) {
     // Deactivate the highest-index server: it stops receiving dispatches
     // and drains whatever it still holds.
     --active_;
-    if (metrics) metrics->counter("fleet.scale_in", cfg_.entity).add();
+    if (metrics_) instruments_.scale_in.get(*metrics_, "fleet.scale_in", cfg_.entity).add();
     autoscaler_.applied(sim_.now(), action, util, active_);
     publish_gauges();
   }
-  if (metrics) metrics->gauge("fleet.utilization", cfg_.entity).set(util);
+  if (metrics_) {
+    instruments_.utilization.get(*metrics_, "fleet.utilization", cfg_.entity).set(util);
+  }
   sim_.after(cfg_.autoscaler.tick, [this] { autoscale_tick(); });
 }
 

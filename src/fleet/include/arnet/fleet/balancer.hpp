@@ -1,7 +1,8 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <memory>
+#include <span>
 
 #include "arnet/fleet/server.hpp"
 
@@ -23,8 +24,8 @@ class LoadBalancer {
   explicit LoadBalancer(BalancerPolicy policy) : policy_(policy) {}
 
   /// Pick among `servers` (the active set; never empty). Returns an index
-  /// into that vector.
-  std::size_t pick(const std::vector<EdgeServer*>& servers);
+  /// into that span.
+  std::size_t pick(std::span<const std::unique_ptr<EdgeServer>> servers);
 
   BalancerPolicy policy() const { return policy_; }
 

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -85,14 +87,39 @@ class Fleet {
     std::uint32_t next_frame = 0;
   };
 
+  /// One frame between capture and result: everything its later stages
+  /// read, copied at capture because the session may retire while the frame
+  /// is in flight (late results must still be accounted). Frames live in
+  /// the in-flight table, so the frame's closures capture only a slot index.
+  struct InFlight {
+    std::uint64_t uid = 0;
+    std::uint64_t session = 0;
+    std::uint32_t frame = 0;
+    mar::DeviceClass device{};
+    sim::Time t0 = 0;
+    sim::Time deadline = 0;
+    sim::Time downlink = 0;
+    sim::Time work = 0;
+    trace::TraceContext ctx;
+    EdgeServer* server = nullptr;
+  };
+
+  /// The fleet's instruments, each resolved on first touch.
+  struct Instruments {
+    obs::Handle<obs::Counter> arrivals, frames, hit, miss, scale_out, scale_in;
+    std::array<obs::Handle<obs::Counter>, 3> decisions;  ///< by AdmissionDecision
+    obs::Handle<obs::Gauge> active_sessions, active_servers, utilization;
+    obs::Handle<obs::Histogram> m2p;
+    std::array<obs::Handle<obs::Histogram>, mar::kDeviceClassCount> class_m2p;
+  };
+
   const AppProfile& app_of(const Session& s) const;
-  std::vector<EdgeServer*> active_set();
   void add_server();
   void on_arrival(const SessionSpec& spec);
   void retire(std::uint64_t sid);
   void capture_frame(std::uint64_t sid);
-  void finish_frame(std::uint64_t frame_uid, const Session& snapshot, sim::Time t0,
-                    sim::Time deadline, trace::TraceContext ctx);
+  void submit_frame(std::uint32_t slot);
+  void finish_frame(std::uint32_t slot);
   void autoscale_tick();
   void publish_gauges();
 
@@ -106,9 +133,14 @@ class Fleet {
   std::size_t active_ = 0;  ///< servers_[0..active_) form the active set
   std::vector<sim::Time> busy_snapshot_;  ///< per-server busy at last tick
   std::map<std::uint64_t, Session> sessions_;
+  /// In-flight frames: a stable slab recycled through a LIFO free list.
+  std::deque<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   bool running_ = false;
   std::uint64_t next_frame_uid_ = 0;
   trace::Emitter trace_;
+  obs::MetricsRegistry* metrics_;  ///< cfg_.telemetry.metrics
+  Instruments instruments_;
   FleetStats stats_;
 };
 

@@ -96,15 +96,37 @@ class EdgeServer {
     sim::Time enqueued = 0;
   };
 
+  /// One executor lane: the batch it runs, formed in a buffer the lane
+  /// reuses from batch to batch.
+  struct Lane {
+    std::vector<Queued> batch;
+    std::uint64_t batch_id = 0;
+    sim::Time service = 0;
+  };
+
+  /// The server's instruments, each resolved on first touch.
+  struct Instruments {
+    obs::Handle<obs::Counter> requests, batches;
+    obs::Handle<obs::Gauge> depth;
+    obs::Handle<obs::Histogram> batch_size, sojourn;
+  };
+
   void try_dispatch();
-  void run_batch(std::vector<Queued> batch);
+  void run_batch(std::uint32_t lane);
+  void complete_batch(std::uint32_t lane);
   void publish_depth();
 
   sim::Simulator& sim_;
   EdgeServerConfig cfg_;
   const mar::DeviceProfile& profile_;
   std::deque<Queued> queue_;
-  int free_lanes_;
+  std::vector<Lane> lanes_;                ///< max(1, executors) lanes
+  std::vector<std::uint32_t> free_lanes_;  ///< idle lane ids
+  /// The completed batch while its requests' `done` callbacks run. Its lane
+  /// is already free then, and a `done` that submits again may dispatch
+  /// into that lane, so the batch leaves the lane's buffer first (a swap:
+  /// both buffers keep their capacity).
+  std::vector<Queued> draining_;
   int executing_ = 0;  ///< requests currently inside a running batch
   sim::EventHandle timeout_timer_;
   std::uint64_t next_batch_id_ = 0;
@@ -113,6 +135,7 @@ class EdgeServer {
   sim::Time busy_ = 0;
   double sojourn_ewma_ms_ = 0.0;
   trace::Emitter trace_;
+  Instruments instruments_;
 };
 
 }  // namespace arnet::fleet

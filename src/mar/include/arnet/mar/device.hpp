@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@ enum class DeviceClass {
   kDesktop,
   kCloud,
 };
+inline constexpr std::size_t kDeviceClassCount = 6;
 
 /// One row of Table I, extended with a calibrated compute scale used by the
 /// offloading cost model: `compute_scale` multiplies the reference

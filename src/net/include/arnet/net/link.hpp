@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -160,7 +161,12 @@ class Link {
   /// in the arena. Keeps batched trace timestamps identical to un-batched.
   void record_batched_tx(std::uint32_t slot);
   void notify_drop(const Packet& p, DropReason r) {
-    if (metrics_) metrics_->counter(std::string("link.drop.") + to_string(r), obs_entity_).add();
+    if (metrics_) {
+      instruments_.drops[static_cast<std::size_t>(r)]
+          .get(*metrics_,
+               [&] { return obs::MetricId{std::string("link.drop.") + to_string(r), obs_entity_}; })
+          .add();
+    }
     trace_.emit(sim_.now(), trace::EventKind::kDrop, p.trace, p.uid, p.size_bytes, to_string(r));
     if (drop_hook_) drop_hook_(p, r);
   }
@@ -192,6 +198,13 @@ class Link {
   // Observability (attach): null when no registry is attached.
   obs::MetricsRegistry* metrics_ = nullptr;
   std::string obs_entity_;
+  /// The link's instruments, each resolved on first touch.
+  struct Instruments {
+    std::array<obs::Handle<obs::Counter>, kDropReasonCount> drops;  ///< by DropReason
+    obs::Handle<obs::Counter> delivered_bytes, delivered_packets;
+    obs::Handle<obs::Histogram> sojourn;
+    obs::Handle<obs::Gauge> utilization;
+  } instruments_;
   sim::Time busy_time_ = 0;  ///< cumulative serialization time
 
   trace::Emitter trace_;  ///< inert until a tracer is attached

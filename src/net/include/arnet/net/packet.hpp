@@ -58,6 +58,7 @@ enum class DropReason : std::uint8_t {
   kRandomLoss,  ///< link loss model fired
   kUnroutable,  ///< no route to destination
 };
+inline constexpr std::size_t kDropReasonCount = 6;
 
 const char* to_string(DropReason r);
 

@@ -56,6 +56,7 @@ Link::Link(sim::Simulator& sim, sim::Rng rng, Config cfg)
 
 void Link::attach(const trace::Telemetry& telemetry, std::string entity) {
   metrics_ = telemetry.metrics;
+  instruments_ = {};
   trace_ = trace::Emitter(telemetry.tracer, entity);
   obs_entity_ = std::move(entity);
   install_queue_hook();
@@ -262,8 +263,9 @@ void Link::deliver_from_arena(std::uint32_t slot) {
   ++delivered_packets_;
   trace_.emit(sim_.now(), trace::EventKind::kRx, pkt.trace, pkt.uid, pkt.size_bytes);
   if (metrics_) {
-    metrics_->counter("link.delivered_bytes", obs_entity_).add(pkt.size_bytes);
-    metrics_->counter("link.delivered_packets", obs_entity_).add();
+    instruments_.delivered_bytes.get(*metrics_, "link.delivered_bytes", obs_entity_)
+        .add(pkt.size_bytes);
+    instruments_.delivered_packets.get(*metrics_, "link.delivered_packets", obs_entity_).add();
   }
   if (sink_) sink_(std::move(pkt));
 }
@@ -347,11 +349,11 @@ void Link::record_tx_stats(BatchEntry& e) {
 
 void Link::record_tx_stats(sim::Time enqueued_at, sim::Time start, sim::Time tx_end) {
   if (!metrics_) return;
-  metrics_->histogram("queue.sojourn_ms", obs_entity_)
+  instruments_.sojourn.get(*metrics_, "queue.sojourn_ms", obs_entity_)
       .record(sim::to_milliseconds(start - enqueued_at));
   busy_time_ += tx_end - start;
   if (tx_end > 0) {  // utilization through this frame
-    metrics_->gauge("link.utilization", obs_entity_)
+    instruments_.utilization.get(*metrics_, "link.utilization", obs_entity_)
         .set(sim::to_seconds(busy_time_) / sim::to_seconds(tx_end));
   }
 }

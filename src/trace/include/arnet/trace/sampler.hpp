@@ -127,28 +127,33 @@ class TailSampler : public TraceSink {
   /// `trace_id & slot_mask_` so the per-event path is an array index.
   /// `trace_id == 0` marks a free slot. Span storage is NOT inline: trace
   /// ids increase monotonically, so consecutive frames sweep the table and
-  /// an inline buffer would regrow from scratch in every slot. Instead
-  /// `buf` indexes a fixed-stride slot (max_spans_per_frame events) in a
-  /// contiguous arena, recycled through a free list sized by the number of
-  /// *concurrently* in-flight frames. The append path is one multiply and
-  /// one 48-byte store — no vector header chase, no capacity branch that
-  /// can allocate — which is what keeps the sampler inside the telemetry
-  /// overhead budget (see DESIGN.md §14).
-  static constexpr std::uint32_t kNoBuf = 0xFFFFFFFFu;
+  /// an inline buffer would regrow from scratch in every slot. Instead the
+  /// spans go to a chain of fixed-size chunks in one contiguous arena,
+  /// recycled through a free list sized by the spans *concurrently* held by
+  /// in-flight frames. A fleet frame's ~4 spans fit its first chunk; longer
+  /// frames chain more chunks up to max_spans_per_frame. The append path is
+  /// an index computation and one 48-byte store, plus a chunk link every
+  /// kChunkSpans spans — no vector header chase, no capacity branch that
+  /// allocates in steady state — which keeps the sampler inside the
+  /// telemetry overhead budget (see DESIGN.md §14).
+  static constexpr std::uint32_t kChunkSpans = 8;
+  static constexpr std::uint32_t kNoChunk = 0xFFFFFFFFu;
   struct Pending {
     std::uint32_t trace_id = 0;
-    std::uint32_t buf = kNoBuf;
+    std::uint32_t head = kNoChunk;  ///< first chunk of the span chain
+    std::uint32_t tail = kNoChunk;  ///< chunk the next span goes to
+    std::uint32_t count = 0;        ///< spans written to the chain
     sim::Time first_time = 0;
-    std::uint32_t count = 0;      ///< spans written to the arena slot
     std::uint32_t truncated = 0;
     bool dropped = false;  ///< saw kDrop/kShed under this trace
   };
 
-  static int priority_of(const char* verdict);
-  std::uint32_t acquire_buf();
-  void release_buf(Pending& p);
+  std::uint32_t acquire_chunk();
+  void release_chain(Pending& p);
   void finalize(Pending& p, const TraceEvent& completion);
-  bool admit(RetainedFrame&& f);
+  /// Evict lower-priority retained frames until `need` more spans fit the
+  /// budget; false (counted as budget_rejected) when they cannot.
+  bool make_room(int priority, std::size_t need);
   bool evict_one(int below_priority);
 
   SamplerConfig cfg_;
@@ -156,11 +161,13 @@ class TailSampler : public TraceSink {
   double outlier_ms_;
   std::vector<Pending> pending_;  ///< direct-mapped by trace id
   std::uint32_t slot_mask_ = 0;
-  /// Span arena backing `Pending::buf` (see Pending): slot i occupies
-  /// [i * max_spans_per_frame, (i+1) * max_spans_per_frame). Its high-water
-  /// mark is the peak number of concurrently in-flight traced frames.
+  /// Span arena backing the chains (see Pending): chunk c occupies
+  /// [c * kChunkSpans, (c+1) * kChunkSpans), and chunk_next_[c] links it to
+  /// the frame's next chunk. Its high-water mark is the peak number of
+  /// chunks concurrently held by in-flight traced frames.
   std::vector<TraceEvent> arena_;
-  std::vector<std::uint32_t> free_bufs_;
+  std::vector<std::uint32_t> chunk_next_;
+  std::vector<std::uint32_t> free_chunks_;
   std::map<std::uint32_t, RetainedFrame> retained_;
   /// Admit-order indexes per retention class, maintained incrementally so
   /// the hot paths stay O(1): reservoir replacement needs the j-th member

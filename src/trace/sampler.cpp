@@ -1,6 +1,6 @@
 #include "arnet/trace/sampler.hpp"
 
-#include <cstring>
+#include <algorithm>
 #include <ostream>
 
 #include "arnet/obs/export.hpp"
@@ -16,13 +16,6 @@ constexpr const char* kVerdictReservoir = "reservoir";
 
 }  // namespace
 
-int TailSampler::priority_of(const char* verdict) {
-  if (std::strcmp(verdict, kVerdictMiss) == 0) return 3;
-  if (std::strcmp(verdict, kVerdictDrop) == 0) return 2;
-  if (std::strcmp(verdict, kVerdictOutlier) == 0) return 1;
-  return 0;
-}
-
 TailSampler::TailSampler(SamplerConfig cfg)
     : cfg_(cfg), rng_(cfg.seed), outlier_ms_(cfg.outlier_threshold_ms) {
   std::size_t cap = 1;
@@ -31,21 +24,22 @@ TailSampler::TailSampler(SamplerConfig cfg)
   slot_mask_ = static_cast<std::uint32_t>(cap - 1);
 }
 
-std::uint32_t TailSampler::acquire_buf() {
-  if (!free_bufs_.empty()) {
-    const std::uint32_t b = free_bufs_.back();
-    free_bufs_.pop_back();
-    return b;
+std::uint32_t TailSampler::acquire_chunk() {
+  if (!free_chunks_.empty()) {
+    const std::uint32_t c = free_chunks_.back();
+    free_chunks_.pop_back();
+    chunk_next_[c] = kNoChunk;
+    return c;
   }
-  const auto b = static_cast<std::uint32_t>(arena_.size() / cfg_.max_spans_per_frame);
-  arena_.resize(arena_.size() + cfg_.max_spans_per_frame);
-  return b;
+  const auto c = static_cast<std::uint32_t>(chunk_next_.size());
+  chunk_next_.push_back(kNoChunk);
+  arena_.resize(arena_.size() + kChunkSpans);
+  return c;
 }
 
-void TailSampler::release_buf(Pending& p) {
-  if (p.buf == kNoBuf) return;
-  free_bufs_.push_back(p.buf);
-  p.buf = kNoBuf;
+void TailSampler::release_chain(Pending& p) {
+  for (std::uint32_t c = p.head; c != kNoChunk; c = chunk_next_[c]) free_chunks_.push_back(c);
+  p.head = p.tail = kNoChunk;
 }
 
 void TailSampler::on_event(const TraceEvent& e) {
@@ -59,11 +53,10 @@ void TailSampler::on_event(const TraceEvent& e) {
         retained_.find(e.trace_id) != retained_.end()) {
       return;
     }
-    if (p.trace_id != 0) {
-      ++stats_.pending_evicted;  // displaced stale frame; its arena slot is reused
-    } else {
-      p.buf = acquire_buf();
-    }
+    // A displaced stale frame's chain returns to the free list first.
+    if (p.trace_id != 0) ++stats_.pending_evicted;
+    release_chain(p);
+    p.head = p.tail = acquire_chunk();
     p.trace_id = e.trace_id;
     p.first_time = e.time;
     p.count = 0;
@@ -72,7 +65,13 @@ void TailSampler::on_event(const TraceEvent& e) {
   }
   if (e.kind == EventKind::kDrop || e.kind == EventKind::kShed) p.dropped = true;
   if (p.count < cfg_.max_spans_per_frame) {
-    arena_[p.buf * cfg_.max_spans_per_frame + p.count++] = e;
+    const std::uint32_t at = p.count++ % kChunkSpans;
+    if (at == 0 && p.count > 1) {
+      const std::uint32_t next = acquire_chunk();
+      chunk_next_[p.tail] = next;
+      p.tail = next;
+    }
+    arena_[static_cast<std::size_t>(p.tail) * kChunkSpans + at] = e;
   } else {
     ++p.truncated;
     ++stats_.truncated_spans;
@@ -89,18 +88,23 @@ void TailSampler::finalize(Pending& p, const TraceEvent& completion) {
 
   // Decide the verdict before building anything: the common case (healthy
   // frame, reservoir full, not selected) must not allocate.
+  // Priority: miss 3, drop 2, outlier 1, reservoir 0.
   const char* verdict;
+  int priority;
   std::uint64_t* retained_counter;
   if (completion.kind == EventKind::kFrameMiss) {
     verdict = kVerdictMiss;
+    priority = 3;
     retained_counter = &stats_.retained_miss;
   } else if (p.dropped) {
     verdict = kVerdictDrop;
+    priority = 2;
     retained_counter = &stats_.retained_drop;
   } else if (outlier_ms_ > 0.0 &&
              sim::to_milliseconds(static_cast<sim::Time>(completion.time - p.first_time)) >
                  outlier_ms_) {
     verdict = kVerdictOutlier;
+    priority = 1;
     retained_counter = &stats_.retained_outlier;
   } else {
     // Healthy frame: seeded reservoir (Algorithm R). The reservoir
@@ -110,13 +114,13 @@ void TailSampler::finalize(Pending& p, const TraceEvent& completion) {
     ++healthy_seen_;
     if (reservoir_.size() >= cfg_.reservoir_capacity) {
       if (cfg_.reservoir_capacity == 0) {
-        release_buf(p);
+        release_chain(p);
         return;
       }
       const std::int64_t j =
           rng_.uniform_int(1, static_cast<std::int64_t>(healthy_seen_));
       if (j > static_cast<std::int64_t>(cfg_.reservoir_capacity)) {
-        release_buf(p);
+        release_chain(p);
         return;
       }
       // Replace slot j (1-based, admit order) with the new frame.
@@ -128,9 +132,16 @@ void TailSampler::finalize(Pending& p, const TraceEvent& completion) {
       ++stats_.evicted;
     }
     verdict = kVerdictReservoir;
+    priority = 0;
     retained_counter = &stats_.retained_reservoir;
   }
 
+  // Make room before copying anything: a frame the budget refuses costs
+  // no allocation.
+  if (!make_room(priority, p.count)) {
+    release_chain(p);
+    return;
+  }
   RetainedFrame f;
   f.trace_id = trace_id;
   f.verdict = verdict;
@@ -139,11 +150,24 @@ void TailSampler::finalize(Pending& p, const TraceEvent& completion) {
   f.latency_ns = completion.time - p.first_time;
   f.truncated = p.truncated;
   // Retention is the rare path: only here do the spans leave the arena.
-  const std::size_t off = static_cast<std::size_t>(p.buf) * cfg_.max_spans_per_frame;
-  f.spans.assign(arena_.begin() + static_cast<std::ptrdiff_t>(off),
-                 arena_.begin() + static_cast<std::ptrdiff_t>(off + p.count));
-  release_buf(p);
-  if (admit(std::move(f))) ++*retained_counter;
+  f.spans.reserve(p.count);
+  std::uint32_t left = p.count;
+  for (std::uint32_t c = p.head; left > 0; c = chunk_next_[c]) {
+    const std::uint32_t n = std::min(left, kChunkSpans);
+    const auto first = arena_.begin() + static_cast<std::ptrdiff_t>(c) * kChunkSpans;
+    f.spans.insert(f.spans.end(), first, first + n);
+    left -= n;
+  }
+  release_chain(p);
+  spans_used_ += f.spans.size();
+  retained_.emplace(trace_id, std::move(f));
+  switch (priority) {
+    case 0: reservoir_.push_back(trace_id); break;
+    case 1: outliers_.push_back(trace_id); break;
+    case 2: drops_.push_back(trace_id); break;
+    default: break;  // misses are never victims: no index needed
+  }
+  ++*retained_counter;
 }
 
 bool TailSampler::evict_one(int below_priority) {
@@ -173,27 +197,16 @@ bool TailSampler::evict_one(int below_priority) {
   return false;
 }
 
-bool TailSampler::admit(RetainedFrame&& f) {
-  const int pri = priority_of(f.verdict);
-  const std::size_t need = f.spans.size();
+bool TailSampler::make_room(int priority, std::size_t need) {
   if (need > cfg_.span_budget) {
     ++stats_.budget_rejected;
     return false;
   }
   while (spans_used_ + need > cfg_.span_budget) {
-    if (!evict_one(pri)) {
+    if (!evict_one(priority)) {
       ++stats_.budget_rejected;
       return false;
     }
-  }
-  spans_used_ += need;
-  const std::uint32_t tid = f.trace_id;
-  retained_.emplace(tid, std::move(f));
-  switch (pri) {
-    case 0: reservoir_.push_back(tid); break;
-    case 1: outliers_.push_back(tid); break;
-    case 2: drops_.push_back(tid); break;
-    default: break;  // misses are never victims: no index needed
   }
   return true;
 }

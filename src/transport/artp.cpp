@@ -219,8 +219,11 @@ void ArtpSender::update_congestion_level() {
     }
   }
   if (auto* m = cfg_.telemetry.metrics) {
-    m->gauge("artp.congestion_level", cfg_.entity).set(static_cast<double>(congestion_level_));
-    if (congestion_level_ > before) m->counter("artp.degradation_events", cfg_.entity).add();
+    instruments_.congestion_level.get(*m, "artp.congestion_level", cfg_.entity)
+        .set(static_cast<double>(congestion_level_));
+    if (congestion_level_ > before) {
+      instruments_.degradations.get(*m, "artp.degradation_events", cfg_.entity).add();
+    }
   }
 }
 
@@ -234,7 +237,9 @@ void ArtpSender::shed_front_message(std::deque<Chunk>& q) {
     q.pop_front();
   }
   ++shed_messages_;
-  if (auto* m = cfg_.telemetry.metrics) m->counter("artp.shed_messages", cfg_.entity).add();
+  if (auto* m = cfg_.telemetry.metrics) {
+    instruments_.shed.get(*m, "artp.shed_messages", cfg_.entity).add();
+  }
   // Shedding must never double-subtract a chunk: a negative backlog would
   // silently disable graceful degradation (it gates on backlog thresholds).
   ARNET_ASSERT(backlog_bytes_ >= 0, "ARTP backlog went negative (", backlog_bytes_,
@@ -359,7 +364,13 @@ void ArtpSender::pace_tick() {
 
 void ArtpSender::note_sent(const Chunk& c, std::int32_t wire_bytes) {
   if (auto* m = cfg_.telemetry.metrics) {
-    m->counter("artp.sent_bytes", cfg_.entity + "/band:" + std::to_string(band_of(c)))
+    const std::size_t band = band_of(c);
+    instruments_.band_sent[band]
+        .get(*m,
+             [&] {
+               return obs::MetricId{"artp.sent_bytes",
+                                    cfg_.entity + "/band:" + std::to_string(band)};
+             })
         .add(wire_bytes);
   }
 }
@@ -634,14 +645,26 @@ void ArtpReceiver::note_delivery(const ArtpDelivery& d) {
               d.fec_recovered ? "fec-recovered" : nullptr);
   obs::MetricsRegistry* m = cfg_.telemetry.metrics;
   if (!m) return;
-  m->counter("artp.delivered_messages", cfg_.entity).add();
-  m->counter("artp.goodput_bytes", cfg_.entity + "/app:" + net::to_string(d.app)).add(d.bytes);
-  m->histogram("artp.msg_latency_ms", cfg_.entity).record(sim::to_milliseconds(d.latency()));
+  const double latency_ms = sim::to_milliseconds(d.latency());
+  instruments_.delivered.get(*m, "artp.delivered_messages", cfg_.entity).add();
+  instruments_.goodput[static_cast<std::size_t>(d.app)]
+      .get(*m,
+           [&] {
+             return obs::MetricId{"artp.goodput_bytes",
+                                  cfg_.entity + "/app:" + net::to_string(d.app)};
+           })
+      .add(d.bytes);
+  instruments_.latency.get(*m, "artp.msg_latency_ms", cfg_.entity).record(latency_ms);
   // Per-band end-to-end delay: lets per-priority latency be compared against
   // the per-band bytes the sender publishes (and against trace timelines).
-  m->histogram("artp.band_delay_ms",
-               cfg_.entity + "/band:" + std::to_string(static_cast<int>(d.priority)))
-      .record(sim::to_milliseconds(d.latency()));
+  const auto band = static_cast<std::size_t>(d.priority);
+  instruments_.band_delay[band]
+      .get(*m,
+           [&] {
+             return obs::MetricId{"artp.band_delay_ms",
+                                  cfg_.entity + "/band:" + std::to_string(band)};
+           })
+      .record(latency_ms);
 }
 
 void ArtpReceiver::flush_critical_in_order() {

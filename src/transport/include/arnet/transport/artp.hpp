@@ -238,6 +238,12 @@ class ArtpSender {
   std::int64_t retransmitted_chunks_ = 0;
   std::function<void(const ArtpQosReport&)> qos_cb_;
   trace::Emitter trace_;
+  /// The sender's instruments, each resolved on first touch.
+  struct Instruments {
+    obs::Handle<obs::Gauge> congestion_level;
+    obs::Handle<obs::Counter> degradations, shed;
+    std::array<obs::Handle<obs::Counter>, 4> band_sent;  ///< by Priority
+  } instruments_;
 };
 
 /// ARTP receiver: reassembles messages, recovers FEC-protected chunks,
@@ -342,6 +348,13 @@ class ArtpReceiver {
   std::int64_t expired_messages_ = 0;
   std::function<void(const ArtpDelivery&)> message_cb_;
   trace::Emitter trace_;
+  /// The receiver's instruments, each resolved on first touch.
+  struct Instruments {
+    obs::Handle<obs::Counter> delivered;
+    std::array<obs::Handle<obs::Counter>, net::kAppDataCount> goodput;  ///< by AppData
+    obs::Handle<obs::Histogram> latency;
+    std::array<obs::Handle<obs::Histogram>, 4> band_delay;  ///< by Priority
+  } instruments_;
 };
 
 }  // namespace arnet::transport

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -111,13 +112,21 @@ class WifiCell {
     std::int64_t delivered_bytes = 0;
     std::int64_t delivered_packets = 0;
     sim::Time airtime = 0;  ///< cumulative medium occupancy as sender
+    /// Instruments under this entity's label, each resolved on first touch.
+    obs::Handle<obs::Gauge> rate_metric, airtime_metric;
+    obs::Handle<obs::Counter> rx_bytes_metric, rx_packets_metric;
   };
+
+  /// The cell's discard paths, indexing kDropReasons and drop_metrics_.
+  enum DropPath : std::uint8_t { kQueueFull, kRetryLimit, kRelayQueueFull, kDropPaths };
+  static constexpr std::array<const char*, kDropPaths> kDropReasons = {
+      "queue-full", "retry-limit", "relay-queue-full"};
 
   void try_start_transmission();
   void finish_transmission(std::uint32_t from, std::uint32_t to, net::Packet p);
-  void drop_frame(const net::Packet& p, const char* reason);
-  std::string entity_label(std::uint32_t id, const Entity& e) const;
-  void publish_obs(std::uint32_t id, const Entity& e);
+  void drop_frame(const net::Packet& p, DropPath path);
+  obs::MetricId entity_metric(const char* name, std::uint32_t id, const Entity& e) const;
+  void publish_obs(std::uint32_t id, Entity& e);
 
   sim::Simulator& sim_;
   sim::Rng rng_;
@@ -131,6 +140,7 @@ class WifiCell {
   // Observability (attach): null when no registry is attached.
   obs::MetricsRegistry* metrics_ = nullptr;
   std::string obs_entity_;
+  std::array<obs::Handle<obs::Counter>, kDropPaths> drop_metrics_;
 
   trace::Emitter trace_;  ///< inert until a tracer is attached
 };

@@ -40,26 +40,37 @@ void WifiCell::attach(const trace::Telemetry& telemetry, std::string entity) {
   metrics_ = telemetry.metrics;
   trace_ = trace::Emitter(telemetry.tracer, entity);
   obs_entity_ = std::move(entity);
-}
-
-void WifiCell::drop_frame(const net::Packet& p, const char* reason) {
-  ++dropped_;
-  trace_.emit(sim_.now(), trace::EventKind::kDrop, p.trace, p.uid, p.size_bytes, reason);
-  if (metrics_) {
-    metrics_->counter(std::string("wifi.drop.") + reason, obs_entity_).add();
+  drop_metrics_ = {};
+  for (auto& [id, e] : entities_) {
+    e.rate_metric.reset();
+    e.airtime_metric.reset();
+    e.rx_bytes_metric.reset();
+    e.rx_packets_metric.reset();
   }
 }
 
-std::string WifiCell::entity_label(std::uint32_t id, const Entity& e) const {
-  return obs_entity_ + "/" + e.name + ":" + std::to_string(id);
+void WifiCell::drop_frame(const net::Packet& p, DropPath path) {
+  ++dropped_;
+  const char* reason = kDropReasons[path];
+  trace_.emit(sim_.now(), trace::EventKind::kDrop, p.trace, p.uid, p.size_bytes, reason);
+  if (metrics_) {
+    drop_metrics_[path]
+        .get(*metrics_,
+             [&] { return obs::MetricId{std::string("wifi.drop.") + reason, obs_entity_}; })
+        .add();
+  }
 }
 
-void WifiCell::publish_obs(std::uint32_t id, const Entity& e) {
+obs::MetricId WifiCell::entity_metric(const char* name, std::uint32_t id, const Entity& e) const {
+  return {name, obs_entity_ + "/" + e.name + ":" + std::to_string(id)};
+}
+
+void WifiCell::publish_obs(std::uint32_t id, Entity& e) {
   if (!metrics_) return;
-  std::string label = entity_label(id, e);
-  metrics_->gauge("wifi.sta_rate_bps", label).set(e.phy_bps);
+  e.rate_metric.get(*metrics_, [&] { return entity_metric("wifi.sta_rate_bps", id, e); })
+      .set(e.phy_bps);
   if (sim_.now() > 0) {
-    metrics_->gauge("wifi.airtime_share", label)
+    e.airtime_metric.get(*metrics_, [&] { return entity_metric("wifi.airtime_share", id, e); })
         .set(sim::to_seconds(e.airtime) / sim::to_seconds(sim_.now()));
   }
 }
@@ -67,7 +78,7 @@ void WifiCell::publish_obs(std::uint32_t id, const Entity& e) {
 void WifiCell::send(std::uint32_t from, std::uint32_t to, net::Packet p) {
   Entity& e = entities_.at(from);
   if (e.queue.size() >= cfg_.queue_packets) {
-    drop_frame(p, "queue-full");
+    drop_frame(p, kQueueFull);
     return;
   }
   trace_.emit(sim_.now(), trace::EventKind::kEnqueue, p.trace, p.uid, p.size_bytes);
@@ -112,7 +123,7 @@ void WifiCell::try_start_transmission() {
     }
     if (attempts >= cfg_.mac.retry_limit && rng_.bernoulli(cfg_.frame_loss)) {
       delivered = false;
-      drop_frame(pkt, "retry-limit");
+      drop_frame(pkt, kRetryLimit);
     }
   }
 
@@ -133,7 +144,7 @@ void WifiCell::finish_transmission(std::uint32_t from, std::uint32_t to, net::Pa
   if (from != kApId && to != kApId) {
     Entity& ap = entities_.at(kApId);
     if (ap.queue.size() >= cfg_.queue_packets) {
-      drop_frame(p, "relay-queue-full");
+      drop_frame(p, kRelayQueueFull);
       return;
     }
     ap.queue.emplace_back(to, std::move(p));
@@ -145,9 +156,12 @@ void WifiCell::finish_transmission(std::uint32_t from, std::uint32_t to, net::Pa
   it->second.delivered_bytes += p.size_bytes;
   ++it->second.delivered_packets;
   if (metrics_) {
-    std::string label = entity_label(to, it->second);
-    metrics_->counter("wifi.delivered_bytes", label).add(p.size_bytes);
-    metrics_->counter("wifi.delivered_packets", label).add();
+    Entity& e = it->second;
+    e.rx_bytes_metric.get(*metrics_, [&] { return entity_metric("wifi.delivered_bytes", to, e); })
+        .add(p.size_bytes);
+    e.rx_packets_metric
+        .get(*metrics_, [&] { return entity_metric("wifi.delivered_packets", to, e); })
+        .add();
   }
   if (it->second.sink) it->second.sink(std::move(p), from);
 }

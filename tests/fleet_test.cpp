@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -345,8 +346,8 @@ TEST(Admission, ProjectedP99MatchesNthElementReference) {
 TEST(Balancer, TiesBreakTowardLowestIndex) {
   sim::Simulator sim;
   fleet::EdgeServerConfig cfg;
-  fleet::EdgeServer s0(sim, cfg), s1(sim, cfg), s2(sim, cfg);
-  std::vector<fleet::EdgeServer*> servers = {&s0, &s1, &s2};
+  std::vector<std::unique_ptr<fleet::EdgeServer>> servers;
+  for (int i = 0; i < 3; ++i) servers.push_back(std::make_unique<fleet::EdgeServer>(sim, cfg));
 
   fleet::LoadBalancer least(fleet::BalancerPolicy::kLeastOutstanding);
   fleet::LoadBalancer ewma(fleet::BalancerPolicy::kLatencyEwma);
@@ -359,15 +360,15 @@ TEST(Balancer, TiesBreakTowardLowestIndex) {
   fleet::ComputeRequest r;
   r.work = milliseconds(3);
   r.done = [] {};
-  s0.submit(std::move(r));
+  servers[0]->submit(std::move(r));
   EXPECT_EQ(least.pick(servers), 1u);
 }
 
 TEST(Balancer, RoundRobinCyclesInOrder) {
   sim::Simulator sim;
   fleet::EdgeServerConfig cfg;
-  fleet::EdgeServer s0(sim, cfg), s1(sim, cfg), s2(sim, cfg);
-  std::vector<fleet::EdgeServer*> servers = {&s0, &s1, &s2};
+  std::vector<std::unique_ptr<fleet::EdgeServer>> servers;
+  for (int i = 0; i < 3; ++i) servers.push_back(std::make_unique<fleet::EdgeServer>(sim, cfg));
   fleet::LoadBalancer rr(fleet::BalancerPolicy::kRoundRobin);
   EXPECT_EQ(rr.pick(servers), 0u);
   EXPECT_EQ(rr.pick(servers), 1u);
