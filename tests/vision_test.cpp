@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "arnet/sim/rng.hpp"
@@ -13,6 +14,7 @@
 #include "arnet/vision/homography.hpp"
 #include "arnet/vision/image.hpp"
 #include "arnet/vision/pipeline.hpp"
+#include "arnet/vision/privacy.hpp"
 #include "arnet/vision/synth.hpp"
 #include "arnet/vision/track.hpp"
 #include "golden.hpp"
@@ -72,6 +74,113 @@ TEST(Synth, SceneIsDeterministicPerSeed) {
   Image ic = render_scene(c, p);
   EXPECT_EQ(ia.data(), ib.data());
   EXPECT_NE(ia.data(), ic.data());
+}
+
+/// Replays render_scene's RNG draws (gradient, then per shape: shade, kind,
+/// center, size) and reports which image borders some disc crosses, so the
+/// render goldens below are known to cover clipped discs on every side.
+struct DiscClips {
+  bool left = false, right = false, top = false, bottom = false;
+};
+
+DiscClips replay_disc_clips(std::uint64_t seed, const SceneParams& p) {
+  sim::Rng rng(seed);
+  rng.uniform(-0.3, 0.3);
+  rng.uniform(-0.3, 0.3);
+  rng.uniform(60.0, 160.0);
+  DiscClips c;
+  for (int s = 0; s < p.shapes; ++s) {
+    rng.uniform_int(0, 255);
+    const bool disc = rng.bernoulli(0.4);
+    const auto cx = rng.uniform_int(0, p.width - 1);
+    const auto cy = rng.uniform_int(0, p.height - 1);
+    if (disc) {
+      const auto r = rng.uniform_int(6, std::max<std::int64_t>(6, p.width / 8));
+      c.left |= cx - r < 0;
+      c.right |= cx + r > p.width;
+      c.top |= cy - r < 0;
+      c.bottom |= cy + r > p.height;
+    } else {
+      rng.uniform_int(8, std::max<std::int64_t>(8, p.width / 5));
+      rng.uniform_int(8, std::max<std::int64_t>(8, p.height / 5));
+    }
+  }
+  return c;
+}
+
+/// FNV-1a over the pixel rows (not the stride padding), then over the
+/// scene RNG's next draw, so a render that consumes a different number of
+/// draws changes the digest too.
+std::uint64_t scene_digest(const Image& img, sim::Rng& rng) {
+  std::uint64_t h = golden::kFnvBasis;
+  h = golden::fnv1a_word(h, static_cast<std::uint64_t>(img.width()));
+  h = golden::fnv1a_word(h, static_cast<std::uint64_t>(img.height()));
+  for (int y = 0; y < img.height(); ++y) {
+    h = golden::fnv1a(h, {reinterpret_cast<const char*>(img.row(y)),
+                          static_cast<std::size_t>(img.width())});
+  }
+  return golden::fnv1a_word(h, rng.next_u64());
+}
+
+// Pins render_scene and render_scene_with_sensitive pixel for pixel: VGA and
+// QVGA frames, an odd size whose rows do not fill their stride, and a 40x30
+// frame where the disc radius and rectangle size clamps bite; noise on and
+// off; discs clipped at all four borders in every case.
+TEST(Synth, RenderSceneGoldens) {
+  struct Case {
+    const char* label;
+    std::uint64_t seed;
+    SceneParams p;
+    int faces, plates;  // > 0: render_scene_with_sensitive
+  };
+  const Case cases[] = {
+      {"vga", 101, {640, 480, 96, 0.0}, 0, 0},
+      {"vga/noise", 102, {640, 480, 96, 3.0}, 0, 0},
+      {"qvga", 303, {320, 240, 60, 0.0}, 0, 0},
+      {"qvga/noise", 4, {320, 240, 60, 6.0}, 0, 0},
+      {"odd", 105, {333, 241, 60, 0.0}, 0, 0},
+      {"odd/noise", 6, {333, 241, 60, 2.5}, 0, 0},
+      {"tiny", 7, {40, 30, 40, 0.0}, 0, 0},
+      {"tiny/noise", 108, {40, 30, 40, 4.0}, 0, 0},
+      {"sensitive/qvga", 9, {320, 240, 60, 0.0}, 3, 2},
+      {"sensitive/vga/noise", 210, {640, 480, 96, 3.0}, 4, 3},
+      {"sensitive/odd", 11, {333, 241, 60, 0.0}, 2, 2},
+  };
+  std::vector<std::string> got;
+  for (const Case& c : cases) {
+    const DiscClips clips = replay_disc_clips(c.seed, c.p);
+    EXPECT_TRUE(clips.left && clips.right && clips.top && clips.bottom) << c.label;
+    sim::Rng rng(c.seed);
+    golden::Row row;
+    row.s(c.label);
+    if (c.faces > 0) {
+      std::vector<SensitiveRegion> truth;
+      const Image img = render_scene_with_sensitive(rng, c.p, c.faces, c.plates, truth);
+      row.x(scene_digest(img, rng));
+      for (const SensitiveRegion& r : truth) row.i(r.x).i(r.y).i(r.w).i(r.h);
+    } else {
+      const Image img = render_scene(rng, c.p);
+      row.x(scene_digest(img, rng));
+    }
+    got.push_back(row.str());
+  }
+  const std::vector<std::string> want = {
+      "vga dc97c53db681b1ae",
+      "vga/noise 32900b24d7eb4990",
+      "qvga 5ce97d122ce8df1c",
+      "qvga/noise a6aae1b9117c34d4",
+      "odd 196b1acadf6a7569",
+      "odd/noise d78916e8c1eb4641",
+      "tiny e81a0dc18fa6c31e",
+      "tiny/noise c49afd0d4b2c4cb8",
+      "sensitive/qvga 80e11da4512e3dc3 100 216 24 19 225 24 18 14 140 113 20 16 99 84 35 9 "
+      "27 131 26 9",
+      "sensitive/vga/noise e8696d805a7fcfb9 542 161 14 11 534 60 16 12 92 166 20 16 372 336 "
+      "16 12 388 161 30 8 331 225 38 9 316 200 25 10",
+      "sensitive/odd 8dbf624a72e47a23 160 164 22 17 20 160 14 11 170 101 31 8 151 68 27 7",
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
 }
 
 TEST(Synth, WarpByTranslationShiftsContent) {
