@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "arnet/sim/rng.hpp"
 #include "arnet/vision/simd.hpp"
+#include "corners.hpp"
 
 namespace arnet::vision {
 
@@ -26,13 +28,21 @@ int fast_score_at(const std::uint8_t* center, const int ring_off[16], int thresh
   int c = *center;
   int bright = c + threshold;
   int dark = c - threshold;
-  // Classify ring pixels: +1 brighter, -1 darker, 0 neither.
-  int cls[16];
   int vals[16];
+  std::uint32_t bright_mask = 0, dark_mask = 0;
   for (int i = 0; i < 16; ++i) {
     vals[i] = center[ring_off[i]];
-    cls[i] = vals[i] > bright ? 1 : (vals[i] < dark ? -1 : 0);
+    bright_mask |= static_cast<std::uint32_t>(vals[i] > bright) << i;
+    dark_mask |= static_cast<std::uint32_t>(vals[i] < dark) << i;
   }
+  // Arc pre-filter: a bright run below needs 9 contiguous bright_mask bits,
+  // and a dark run 9 contiguous pixels classified -1, a subset of dark_mask
+  // (a pixel in both masks, possible only for negative thresholds, is
+  // classified +1). Most cascade survivors fail both and skip the scan.
+  if (!detail::has_arc9(bright_mask) && !detail::has_arc9(dark_mask)) return 0;
+  // Classify ring pixels: +1 brighter, -1 darker, 0 neither.
+  int cls[16];
+  for (int i = 0; i < 16; ++i) cls[i] = vals[i] > bright ? 1 : (vals[i] < dark ? -1 : 0);
   // Search for an arc of >= 9 equal nonzero classes (wrap-around).
   for (int polarity : {1, -1}) {
     int run = 0;
@@ -55,28 +65,6 @@ int fast_score_at(const std::uint8_t* center, const int ring_off[16], int thresh
     if (best_run >= 9) return best_score;
   }
   return 0;
-}
-
-/// Shared FAST/Harris non-maximum suppression: greedy on a score-sorted
-/// list.
-std::vector<Feature> nms(std::vector<Feature> raw, int nms_radius) {
-  std::sort(raw.begin(), raw.end(), [](const Feature& a, const Feature& b) {
-    return a.score > b.score;
-  });
-  std::vector<Feature> kept;
-  std::vector<bool> suppressed(raw.size(), false);
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (suppressed[i]) continue;
-    kept.push_back(raw[i]);
-    for (std::size_t j = i + 1; j < raw.size(); ++j) {
-      if (suppressed[j]) continue;
-      if (std::abs(raw[i].x - raw[j].x) <= nms_radius &&
-          std::abs(raw[i].y - raw[j].y) <= nms_radius) {
-        suppressed[j] = true;
-      }
-    }
-  }
-  return kept;
 }
 
 }  // namespace
@@ -139,7 +127,56 @@ std::vector<Feature> fast_detect(const Image& img, int threshold, int nms_radius
       }
     }
   }
-  return nms(std::move(raw), nms_radius);
+  return detail::greedy_nms(std::move(raw), nms_radius);
+}
+
+std::vector<Feature> detail::greedy_nms(std::vector<Feature> raw, int radius) {
+  std::sort(raw.begin(), raw.end(), [](const Feature& a, const Feature& b) {
+    return a.score > b.score;
+  });
+  std::vector<Feature> kept;
+  if (raw.empty()) return kept;
+  // Kept features are bucketed in a grid of (radius+1)-pixel cells: one
+  // within `radius` of a candidate in both axes lies in the candidate's cell
+  // or one of its eight neighbours, so the 3x3 cells hold every kept feature
+  // the all-pairs scan would have tested — the same kept list, in order.
+  const std::int64_t cell = std::max<std::int64_t>(1, std::int64_t{radius} + 1);
+  int x0 = raw[0].x, x1 = x0, y0 = raw[0].y, y1 = y0;
+  for (const Feature& f : raw) {
+    x0 = std::min(x0, f.x);
+    x1 = std::max(x1, f.x);
+    y0 = std::min(y0, f.y);
+    y1 = std::max(y1, f.y);
+  }
+  const int gw = static_cast<int>((std::int64_t{x1} - x0) / cell) + 1;
+  const int gh = static_cast<int>((std::int64_t{y1} - y0) / cell) + 1;
+  // Per cell, the newest kept feature; per kept feature, the one before it
+  // in its cell (-1 ends a chain).
+  std::vector<int> head(static_cast<std::size_t>(gw) * static_cast<std::size_t>(gh), -1);
+  std::vector<int> next;
+  for (const Feature& f : raw) {
+    const int cx = static_cast<int>((std::int64_t{f.x} - x0) / cell);
+    const int cy = static_cast<int>((std::int64_t{f.y} - y0) / cell);
+    bool suppressed = false;
+    for (int gy = std::max(0, cy - 1); gy <= std::min(gh - 1, cy + 1) && !suppressed; ++gy) {
+      for (int gx = std::max(0, cx - 1); gx <= std::min(gw - 1, cx + 1) && !suppressed; ++gx) {
+        for (int k = head[static_cast<std::size_t>(gy) * gw + gx]; k >= 0;
+             k = next[static_cast<std::size_t>(k)]) {
+          const Feature& o = kept[static_cast<std::size_t>(k)];
+          if (std::abs(o.x - f.x) <= radius && std::abs(o.y - f.y) <= radius) {
+            suppressed = true;
+            break;
+          }
+        }
+      }
+    }
+    if (suppressed) continue;
+    int& h = head[static_cast<std::size_t>(cy) * gw + cx];
+    next.push_back(h);
+    h = static_cast<int>(kept.size());
+    kept.push_back(f);
+  }
+  return kept;
 }
 
 namespace {
@@ -192,10 +229,12 @@ DescribedFeatures brief_describe(const Image& img, const std::vector<Feature>& f
     if (f.x < 16 || f.y < 16 || f.x >= img.width() - 16 || f.y >= img.height() - 16) continue;
     const std::uint8_t* center = smooth.row(f.y) + f.x;
     Descriptor d;
+    // The bit is or-ed in unconditionally: a v1 < v2 branch is a coin flip
+    // the predictor loses half the time.
     for (int b = 0; b < 256; ++b) {
       const std::uint8_t v1 = center[off1[static_cast<std::size_t>(b)]];
       const std::uint8_t v2 = center[off2[static_cast<std::size_t>(b)]];
-      if (v1 < v2) d.bits[static_cast<std::size_t>(b / 64)] |= 1ULL << (b % 64);
+      d.bits[static_cast<std::size_t>(b / 64)] |= static_cast<std::uint64_t>(v1 < v2) << (b % 64);
     }
     out.features.push_back(f);
     out.descriptors.push_back(d);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "arnet/vision/simd.hpp"
+#include "corners.hpp"
 
 namespace arnet::vision {
 
@@ -124,22 +125,7 @@ std::vector<Feature> harris_detect(const Image& img, const HarrisParams& params)
     }
   }
 
-  // Shared NMS policy with FAST.
-  std::sort(raw.begin(), raw.end(),
-            [](const Feature& a, const Feature& b) { return a.score > b.score; });
-  std::vector<Feature> kept;
-  std::vector<bool> suppressed(raw.size(), false);
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (suppressed[i]) continue;
-    kept.push_back(raw[i]);
-    for (std::size_t j = i + 1; j < raw.size(); ++j) {
-      if (!suppressed[j] && std::abs(raw[i].x - raw[j].x) <= params.nms_radius &&
-          std::abs(raw[i].y - raw[j].y) <= params.nms_radius) {
-        suppressed[j] = true;
-      }
-    }
-  }
-  return kept;
+  return detail::greedy_nms(std::move(raw), params.nms_radius);
 }
 
 void downscale2_into(const Image& src, Image& dst) {

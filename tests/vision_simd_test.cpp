@@ -19,6 +19,7 @@
 #include "arnet/vision/image.hpp"
 #include "arnet/vision/simd.hpp"
 #include "arnet/vision/synth.hpp"
+#include "corners.hpp"
 
 namespace {
 
@@ -270,6 +271,93 @@ TEST(SimdGolden, DescriptorsIdenticalOnOddWidthFrames) {
     for (int w = 0; w < 4; ++w) {
       EXPECT_EQ(a.descriptors[i].bits[static_cast<std::size_t>(w)],
                 b.descriptors[i].bits[static_cast<std::size_t>(w)]);
+    }
+  }
+}
+
+// ------------------------------------------------------ corner internals
+
+/// Longest run of set bits in the 16-bit ring mask, wrapping from bit 15 to
+/// bit 0: the definition the arc pre-filter's shift-and folds must match.
+int longest_cyclic_run(std::uint32_t m16) {
+  int best = 0;
+  for (int start = 0; start < 16; ++start) {
+    int run = 0;
+    while (run < 16 && ((m16 >> ((start + run) % 16)) & 1u) != 0) ++run;
+    best = std::max(best, run);
+  }
+  return best;
+}
+
+TEST(FastArc, PreFilterMatchesCyclicRunCountOnEveryRingMask) {
+  int arcs = 0;
+  for (std::uint32_t m = 0; m < (1u << 16); ++m) {
+    const bool want = longest_cyclic_run(m) >= 9;
+    ASSERT_EQ(detail::has_arc9(m), want) << "mask 0x" << std::hex << m;
+    arcs += want ? 1 : 0;
+  }
+  // Both outcomes occur, so neither side of the comparison is vacuous.
+  EXPECT_GT(arcs, 0);
+  EXPECT_LT(arcs, 1 << 16);
+}
+
+/// The all-pairs greedy NMS the grid version replaces: the same sort on the
+/// same input, then every kept feature suppresses each later one within
+/// `radius` in both axes.
+std::vector<Feature> naive_greedy_nms(std::vector<Feature> raw, int radius) {
+  std::sort(raw.begin(), raw.end(),
+            [](const Feature& a, const Feature& b) { return a.score > b.score; });
+  std::vector<Feature> kept;
+  std::vector<bool> suppressed(raw.size(), false);
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    if (suppressed[i]) continue;
+    kept.push_back(raw[i]);
+    for (std::size_t j = i + 1; j < raw.size(); ++j) {
+      if (!suppressed[j] && std::abs(raw[i].x - raw[j].x) <= radius &&
+          std::abs(raw[i].y - raw[j].y) <= radius) {
+        suppressed[j] = true;
+      }
+    }
+  }
+  return kept;
+}
+
+TEST(Nms, GridMatchesNaiveGreedyOnTiesAndCellBorders) {
+  sim::Rng rng(91);
+  for (int radius : {-1, 0, 1, 4, 9}) {
+    const int cell = std::max(1, radius + 1);
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<Feature> raw;
+      const int n = static_cast<int>(rng.uniform_int(0, 300));
+      for (int i = 0; i < n; ++i) {
+        Feature f;
+        // Scores from a handful of values: most comparisons are ties, so
+        // the kept set depends on the sort's order of equal scores.
+        f.score = static_cast<int>(rng.uniform_int(1, 4));
+        switch (rng.uniform_int(0, 2)) {
+          case 0:  // anywhere in a small frame (duplicates included)
+            f.x = static_cast<int>(rng.uniform_int(0, 60));
+            f.y = static_cast<int>(rng.uniform_int(0, 45));
+            break;
+          case 1:  // on or next to a border of cells anchored at 0
+            f.x = cell * static_cast<int>(rng.uniform_int(0, 8)) +
+                  static_cast<int>(rng.uniform_int(-1, 1));
+            f.y = cell * static_cast<int>(rng.uniform_int(0, 8)) +
+                  static_cast<int>(rng.uniform_int(-1, 1));
+            break;
+          default:  // exactly radius or radius + 1 from an earlier feature
+            if (raw.empty()) continue;
+            const Feature& o = raw[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(raw.size()) - 1))];
+            const int steps[] = {-radius - 1, -radius, 0, radius, radius + 1};
+            f.x = o.x + steps[rng.uniform_int(0, 4)];
+            f.y = o.y + steps[rng.uniform_int(0, 4)];
+            break;
+        }
+        raw.push_back(f);
+      }
+      expect_same_features(detail::greedy_nms(raw, radius), naive_greedy_nms(raw, radius),
+                           "nms");
     }
   }
 }
