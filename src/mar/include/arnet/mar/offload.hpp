@@ -185,6 +185,11 @@ class OffloadSession {
   ComputeSubmit server_compute_;
   std::map<std::uint32_t, sim::Time> capture_time_;
   trace::Emitter trace_;
+  /// The session's per-frame instruments, each resolved on first touch.
+  struct Instruments {
+    obs::Handle<obs::Counter> frames, deadline_hit, deadline_miss;
+    obs::Handle<obs::Histogram> latency;
+  } instruments_;
   std::map<std::uint32_t, trace::TraceContext> frame_trace_;
   OffloadStats stats_;
   std::function<void(std::uint32_t, sim::Time)> result_cb_;

@@ -212,7 +212,7 @@ void OffloadSession::on_frame() {
   sim::Time capture = net_.sim().now();
   capture_time_[frame_id] = capture;
   ++stats_.frames;
-  if (cfg_.metrics) cfg_.metrics->counter("mar.frames", kEntity).add();
+  if (cfg_.metrics) instruments_.frames.get(*cfg_.metrics, "mar.frames", kEntity).add();
   if (cfg_.tracer) {
     frame_trace_[frame_id] = cfg_.tracer->new_trace();
     trace_.emit(net_.sim().now(), trace::EventKind::kFrameCapture, frame_trace_[frame_id],
@@ -322,9 +322,13 @@ void OffloadSession::finish_frame(std::uint32_t frame_id, sim::Time latency) {
   if (missed && cfg_.flight) cfg_.flight->dump("deadline-miss");
   if (cfg_.slo) cfg_.slo->observe(net_.sim().now(), sim::to_milliseconds(latency));
   if (cfg_.metrics) {
-    cfg_.metrics->histogram("mar.frame_latency_ms", kEntity)
+    instruments_.latency.get(*cfg_.metrics, "mar.frame_latency_ms", kEntity)
         .record(sim::to_milliseconds(latency));
-    cfg_.metrics->counter(missed ? "mar.deadline_miss" : "mar.deadline_hit", kEntity).add();
+    if (missed) {
+      instruments_.deadline_miss.get(*cfg_.metrics, "mar.deadline_miss", kEntity).add();
+    } else {
+      instruments_.deadline_hit.get(*cfg_.metrics, "mar.deadline_hit", kEntity).add();
+    }
   }
   if (result_cb_) result_cb_(frame_id, latency);
 }

@@ -72,7 +72,8 @@ class MetricsRegistry {
 
 /// A registry instrument held from its first touch, for publishing sites on
 /// a hot path. The first get() resolves its key exactly as
-/// counter()/gauge()/histogram() would, creating the instrument if absent;
+/// counter()/gauge()/histogram() would (a sim::TimeSeries handle as
+/// recorder().series() would), creating the instrument if absent;
 /// later calls return the held instrument without building a key or
 /// searching a map. Map nodes are stable, so the handle stays valid for the
 /// registry's lifetime. Resolving on first touch rather than up front keeps
@@ -81,7 +82,7 @@ class MetricsRegistry {
 template <class T>
 class Handle {
   static_assert(std::is_same_v<T, Counter> || std::is_same_v<T, Gauge> ||
-                std::is_same_v<T, Histogram>);
+                std::is_same_v<T, Histogram> || std::is_same_v<T, sim::TimeSeries>);
 
  public:
   T& get(MetricsRegistry& r, const char* name, const std::string& entity) {
@@ -97,8 +98,10 @@ class Handle {
         p_ = &r.counter(id.name, id.entity);
       } else if constexpr (std::is_same_v<T, Gauge>) {
         p_ = &r.gauge(id.name, id.entity);
-      } else {
+      } else if constexpr (std::is_same_v<T, Histogram>) {
         p_ = &r.histogram(id.name, id.entity);
+      } else {
+        p_ = &r.recorder().series(id.name, id.entity);
       }
     }
     return *p_;

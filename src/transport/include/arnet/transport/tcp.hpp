@@ -252,6 +252,12 @@ class TcpSource {
 
   trace::Emitter trace_;
   trace::TraceContext trace_ctx_;
+  /// The source's instruments, each resolved on first touch.
+  struct Instruments {
+    obs::Handle<obs::Counter> tlp_probes, fast_retransmits, rto_timeouts;
+    obs::Handle<obs::Histogram> rtt;
+    obs::Handle<sim::TimeSeries> cwnd, ssthresh;
+  } instruments_;
 
   int timeouts_ = 0;
   int fast_retransmits_ = 0;

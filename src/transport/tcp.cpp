@@ -172,7 +172,9 @@ void TcpSource::on_tlp() {
   // over — no RTO, no backoff.
   if (!cfg_.sack || complete() || flight_size() == 0 || tlp_fired_) return;
   tlp_fired_ = true;
-  if (auto* m = cfg_.telemetry.metrics) m->counter("tcp.tlp_probes", cfg_.entity).add();
+  if (auto* m = cfg_.telemetry.metrics) {
+    instruments_.tlp_probes.get(*m, "tcp.tlp_probes", cfg_.entity).add();
+  }
   std::int32_t payload = segment_payload(next_seq_);
   if (payload > 0) {
     send_segment(next_seq_, /*retransmission=*/false);
@@ -209,7 +211,7 @@ void TcpSource::update_rtt(sim::Time sample) {
   rto_ = std::max(cfg_.min_rto, srtt_ + 4 * rttvar_);
   rto_ = std::min(rto_, cfg_.max_rto);
   if (auto* m = cfg_.telemetry.metrics) {
-    m->histogram("tcp.rtt_ms", cfg_.entity).record(sim::to_milliseconds(sample));
+    instruments_.rtt.get(*m, "tcp.rtt_ms", cfg_.entity).record(sim::to_milliseconds(sample));
   }
 }
 
@@ -718,7 +720,9 @@ void TcpSource::on_loss_window_reduction() {
 
 void TcpSource::enter_recovery() {
   ++fast_retransmits_;
-  if (auto* m = cfg_.telemetry.metrics) m->counter("tcp.fast_retransmits", cfg_.entity).add();
+  if (auto* m = cfg_.telemetry.metrics) {
+    instruments_.fast_retransmits.get(*m, "tcp.fast_retransmits", cfg_.entity).add();
+  }
   on_loss_window_reduction();
   if (cfg_.flavor != TcpFlavor::kBbr) cwnd_ = ssthresh_ + 3 * cfg_.mss;
   in_recovery_ = true;
@@ -734,7 +738,9 @@ void TcpSource::enter_recovery() {
 void TcpSource::on_rto() {
   if (complete() || flight_size() == 0) return;
   ++timeouts_;
-  if (auto* m = cfg_.telemetry.metrics) m->counter("tcp.rto_timeouts", cfg_.entity).add();
+  if (auto* m = cfg_.telemetry.metrics) {
+    instruments_.rto_timeouts.get(*m, "tcp.rto_timeouts", cfg_.entity).add();
+  }
   on_loss_window_reduction();
   cwnd_ = cfg_.mss;
   dupacks_ = 0;
@@ -757,9 +763,8 @@ void TcpSource::on_rto() {
 
 void TcpSource::trace() {
   if (auto* m = cfg_.telemetry.metrics) {
-    auto& rec = m->recorder();
-    rec.record("tcp.cwnd", cfg_.entity, net_.sim().now(), cwnd_);
-    rec.record("tcp.ssthresh", cfg_.entity, net_.sim().now(), ssthresh_);
+    instruments_.cwnd.get(*m, "tcp.cwnd", cfg_.entity).add(net_.sim().now(), cwnd_);
+    instruments_.ssthresh.get(*m, "tcp.ssthresh", cfg_.entity).add(net_.sim().now(), ssthresh_);
   }
 }
 
