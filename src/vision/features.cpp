@@ -6,9 +6,14 @@
 #include <cstdint>
 #include <cstdlib>
 
+#if defined(__x86_64__) && !defined(ARNET_NO_SIMD)
+#include <immintrin.h>
+#endif
+
 #include "arnet/sim/rng.hpp"
 #include "arnet/vision/simd.hpp"
 #include "corners.hpp"
+#include "hamming.hpp"
 
 namespace arnet::vision {
 
@@ -303,46 +308,168 @@ DescribedFeatures orb_describe(const Image& img, const std::vector<Feature>& fea
   return out;
 }
 
-// Baseline x86-64 has no popcnt instruction, so std::popcount there is four
-// libgcc calls per 256-bit distance. The matcher is built twice instead, and
-// the loader's ifunc picks the popcnt clone once on hosts that have it. Other
-// ISAs (AArch64 `cnt`) and the ARNET_NO_SIMD build use the one plain body, as
-// does ThreadSanitizer: GCC instruments the ifunc resolver with
-// __tsan_func_entry, which crashes when the loader runs it before the TSan
-// runtime is up.
-#if defined(__x86_64__) && !defined(ARNET_NO_SIMD) && !defined(__SANITIZE_THREAD__)
-#define ARNET_POPCNT_CLONES __attribute__((target_clones("popcnt", "default")))
+namespace {
+
+constexpr int kFar = 1 << 30;  ///< distance sentinel: above any 256-bit distance
+
+/// The reference scan: train descriptors first to last, ties to the first.
+[[gnu::always_inline]] inline detail::Nearest2 scan_nearest2(
+    const Descriptor& q, const std::vector<Descriptor>& train) {
+  detail::Nearest2 r{kFar, kFar, -1};
+  for (std::size_t ti = 0; ti < train.size(); ++ti) {
+    const int d = q.hamming(train[ti]);
+    if (d < r.best) {
+      r.second = r.best;
+      r.best = d;
+      r.best_ti = static_cast<int>(ti);
+    } else if (d < r.second) {
+      r.second = d;
+    }
+  }
+  return r;
+}
+
+detail::Nearest2 portable_nearest2(const Descriptor& q, const std::vector<Descriptor>& train,
+                                   const std::vector<std::uint64_t>&) {
+  return scan_nearest2(q, train);
+}
+
+bool always() { return true; }
+
+#if defined(__x86_64__) && !defined(ARNET_NO_SIMD)
+
+// Baseline x86-64 has no popcnt instruction, so std::popcount in the portable
+// scan is four libgcc calls per 256-bit distance. This is the same scan built
+// for hosts that have one.
+__attribute__((target("popcnt"))) detail::Nearest2 popcnt_nearest2(
+    const Descriptor& q, const std::vector<Descriptor>& train,
+    const std::vector<std::uint64_t>&) {
+  return scan_nearest2(q, train);
+}
+
+bool has_popcnt() { return __builtin_cpu_supports("popcnt"); }
+
+/// Eight train descriptors per step, one per 64-bit lane: lane l sees
+/// indices l, l + 8, l + 16, ... in order and keeps the scan's state over
+/// them. A strict `<` keeps each lane's first index of its minimum, and
+/// m2 = min(m2, max(m1, d)) is the scan's second-smallest update in one
+/// expression (d < m1 moves m1 down to second; d >= m1, a repeat of the
+/// minimum included, competes for second). Pad lanes past the train set
+/// read the sentinel and change nothing. The reduction takes the smallest
+/// m1, the lowest index among the lanes holding it, and as second the
+/// smaller of that lane's m2 and every other lane's m1: the two smallest
+/// of all distances are among the lanes' two smallest.
+__attribute__((target("avx512f,avx512vpopcntdq"))) detail::Nearest2 avx512_nearest2(
+    const Descriptor& q, const std::vector<Descriptor>& train,
+    const std::vector<std::uint64_t>& planes) {
+  const std::size_t n = train.size();
+  const std::size_t padded = planes.size() / 4;
+  const std::uint64_t* w0 = planes.data();
+  const std::uint64_t* w1 = w0 + padded;
+  const std::uint64_t* w2 = w1 + padded;
+  const std::uint64_t* w3 = w2 + padded;
+  const __m512i q0 = _mm512_set1_epi64(static_cast<long long>(q.bits[0]));
+  const __m512i q1 = _mm512_set1_epi64(static_cast<long long>(q.bits[1]));
+  const __m512i q2 = _mm512_set1_epi64(static_cast<long long>(q.bits[2]));
+  const __m512i q3 = _mm512_set1_epi64(static_cast<long long>(q.bits[3]));
+  const __m512i far = _mm512_set1_epi64(kFar);
+  const __m512i step = _mm512_set1_epi64(8);
+  __m512i m1 = far, m2 = far;
+  __m512i i1 = _mm512_set1_epi64(-1);
+  __m512i idx = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+  for (std::size_t b = 0; b < padded; b += 8) {
+    __m512i d = _mm512_popcnt_epi64(_mm512_xor_si512(_mm512_loadu_si512(w0 + b), q0));
+    d = _mm512_add_epi64(d, _mm512_popcnt_epi64(_mm512_xor_si512(_mm512_loadu_si512(w1 + b), q1)));
+    d = _mm512_add_epi64(d, _mm512_popcnt_epi64(_mm512_xor_si512(_mm512_loadu_si512(w2 + b), q2)));
+    d = _mm512_add_epi64(d, _mm512_popcnt_epi64(_mm512_xor_si512(_mm512_loadu_si512(w3 + b), q3)));
+    if (n - b < 8) d = _mm512_mask_mov_epi64(far, static_cast<__mmask8>((1u << (n - b)) - 1), d);
+    const __mmask8 lt = _mm512_cmplt_epi64_mask(d, m1);
+    m2 = _mm512_min_epi64(m2, _mm512_max_epi64(m1, d));
+    m1 = _mm512_mask_mov_epi64(m1, lt, d);
+    i1 = _mm512_mask_mov_epi64(i1, lt, idx);
+    idx = _mm512_add_epi64(idx, step);
+  }
+  alignas(64) std::int64_t lm1[8], lm2[8], li1[8];
+  _mm512_store_si512(lm1, m1);
+  _mm512_store_si512(lm2, m2);
+  _mm512_store_si512(li1, i1);
+  int c = 0;
+  for (int l = 1; l < 8; ++l) {
+    if (lm1[l] < lm1[c] || (lm1[l] == lm1[c] && li1[l] < li1[c])) c = l;
+  }
+  std::int64_t second = lm2[c];
+  for (int l = 0; l < 8; ++l) {
+    if (l != c) second = std::min(second, lm1[l]);
+  }
+  return {static_cast<int>(lm1[c]), static_cast<int>(second), static_cast<int>(li1[c])};
+}
+
+bool has_avx512_popcnt() {
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vpopcntdq");
+}
+
+constexpr detail::HammingKernel kKernels[] = {
+    {"portable", always, false, portable_nearest2},
+    {"popcnt", has_popcnt, false, popcnt_nearest2},
+    {"avx512vpopcntdq", has_avx512_popcnt, true, avx512_nearest2},
+};
+
 #else
-#define ARNET_POPCNT_CLONES
+
+// Other ISAs (AArch64 `cnt`) and the ARNET_NO_SIMD build: the portable scan.
+constexpr detail::HammingKernel kKernels[] = {
+    {"portable", always, false, portable_nearest2},
+};
+
 #endif
 
-ARNET_POPCNT_CLONES
-void match_descriptors(const std::vector<Descriptor>& query,
-                       const std::vector<Descriptor>& train, std::vector<Match>& out,
-                       MatchScratch& scratch, double max_ratio, int max_distance) {
+/// The train set as four word planes, plane w holding word w of every
+/// descriptor, each padded with zeros to a multiple of 8 descriptors.
+void transpose_train(const std::vector<Descriptor>& train, std::vector<std::uint64_t>& planes) {
+  const std::size_t padded = (train.size() + 7) / 8 * 8;
+  planes.assign(4 * padded, 0);
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    for (std::size_t w = 0; w < 4; ++w) planes[w * padded + i] = train[i].bits[w];
+  }
+}
+
+}  // namespace
+
+std::span<const detail::HammingKernel> detail::hamming_kernels() { return kKernels; }
+
+const detail::HammingKernel& detail::selected_hamming_kernel() {
+  // CPUID is asked once, here, rather than through a loader ifunc: GCC's
+  // target_clones cannot name avx512vpopcntdq, and an ifunc resolver runs
+  // before the ThreadSanitizer runtime is up.
+  static const HammingKernel& chosen = []() -> const HammingKernel& {
+    const HammingKernel* k = &kKernels[0];
+    for (const HammingKernel& c : kKernels) {
+      if (c.host_runs()) k = &c;
+    }
+    return *k;
+  }();
+  return chosen;
+}
+
+void detail::match_descriptors_with(const HammingKernel& kernel,
+                                    const std::vector<Descriptor>& query,
+                                    const std::vector<Descriptor>& train,
+                                    std::vector<Match>& out, MatchScratch& scratch,
+                                    double max_ratio, int max_distance) {
   std::vector<Match>& forward = scratch.forward;
   forward.clear();
   scratch.best_for_train.assign(train.size(), -1);
-  scratch.best_dist_train.assign(train.size(), 1 << 30);
+  scratch.best_dist_train.assign(train.size(), kFar);
+  if (kernel.transposed) transpose_train(train, scratch.planes);
 
   for (std::size_t qi = 0; qi < query.size(); ++qi) {
-    int best = 1 << 30, second = 1 << 30, best_ti = -1;
-    for (std::size_t ti = 0; ti < train.size(); ++ti) {
-      int d = query[qi].hamming(train[ti]);
-      if (d < best) {
-        second = best;
-        best = d;
-        best_ti = static_cast<int>(ti);
-      } else if (d < second) {
-        second = d;
-      }
-    }
-    if (best_ti < 0 || best > max_distance) continue;
-    if (second < (1 << 30) && best >= max_ratio * second) continue;  // ambiguous
-    forward.push_back({static_cast<int>(qi), best_ti, best});
-    auto t = static_cast<std::size_t>(best_ti);
-    if (best < scratch.best_dist_train[t]) {
-      scratch.best_dist_train[t] = best;
+    const Nearest2 r = kernel.nearest2(query[qi], train, scratch.planes);
+    if (r.best_ti < 0 || r.best > max_distance) continue;
+    if (r.second < kFar && r.best >= max_ratio * r.second) continue;  // ambiguous
+    forward.push_back({static_cast<int>(qi), r.best_ti, r.best});
+    auto t = static_cast<std::size_t>(r.best_ti);
+    if (r.best < scratch.best_dist_train[t]) {
+      scratch.best_dist_train[t] = r.best;
       scratch.best_for_train[t] = static_cast<int>(qi);
     }
   }
@@ -352,6 +479,13 @@ void match_descriptors(const std::vector<Descriptor>& query,
   for (const Match& m : forward) {
     if (scratch.best_for_train[static_cast<std::size_t>(m.train)] == m.query) out.push_back(m);
   }
+}
+
+void match_descriptors(const std::vector<Descriptor>& query,
+                       const std::vector<Descriptor>& train, std::vector<Match>& out,
+                       MatchScratch& scratch, double max_ratio, int max_distance) {
+  detail::match_descriptors_with(detail::selected_hamming_kernel(), query, train, out, scratch,
+                                 max_ratio, max_distance);
 }
 
 std::vector<Match> match_descriptors(const std::vector<Descriptor>& query,

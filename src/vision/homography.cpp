@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace arnet::vision {
 
@@ -166,6 +167,18 @@ std::optional<Mat3> estimate_homography_dlt(const std::vector<Correspondence>& p
 void homography_inliers(const Mat3& h, const std::vector<Correspondence>& pts,
                         double threshold_px, std::vector<int>& out) {
   out.clear();
+  // A band around thr² outside which s = dx² + dy² decides `hypot < thr`.
+  // s is three roundings (relative error ~2e-16) off the true squared
+  // distance, so s below the band puts the true distance under
+  // thr·(1 − 5e-10) and s above it over thr·(1 + 5e-10), and a hypot within
+  // 1e-10 of the truth lands on the same side of thr. That needs thr²
+  // normal (an underflowed s is then off by far less than the band) and
+  // 2·thr² finite (the box test bounds s by it); for other thresholds the
+  // bounds can never hold and hypot decides every point.
+  const double thr2 = threshold_px * threshold_px;
+  const bool band = thr2 >= std::numeric_limits<double>::min() && thr2 <= 0x1p1000;
+  const double accept_below = band ? thr2 * (1 - 1e-9) : -1.0;
+  const double reject_above = band ? thr2 * (1 + 1e-9) : std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const Vec2 mapped = h.apply(pts[i].src);
     const double dx = mapped.x - pts[i].dst.x;
@@ -175,7 +188,11 @@ void homography_inliers(const Mat3& h, const std::vector<Correspondence>& pts,
     // hypotheses are wrong and reject nearly every point here. The negated
     // `<` also rejects NaN residuals, as the hypot comparison does.
     if (!(std::abs(dx) < threshold_px && std::abs(dy) < threshold_px)) continue;
-    if (std::hypot(dx, dy) < threshold_px) out.push_back(static_cast<int>(i));
+    const double s = dx * dx + dy * dy;
+    if (s > reject_above) continue;
+    if (s < accept_below || std::hypot(dx, dy) < threshold_px) {
+      out.push_back(static_cast<int>(i));
+    }
   }
 }
 

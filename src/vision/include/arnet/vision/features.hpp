@@ -74,6 +74,8 @@ struct MatchScratch {
   std::vector<Match> forward;
   std::vector<int> best_for_train;
   std::vector<int> best_dist_train;
+  /// The train set transposed into four word planes, for the vector kernel.
+  std::vector<std::uint64_t> planes;
 };
 
 /// match_descriptors into `out` (cleared first), reusing `scratch`.

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "arnet/vision/synth.hpp"
 #include "arnet/vision/track.hpp"
 #include "golden.hpp"
+#include "hamming.hpp"
 
 namespace arnet::vision {
 namespace {
@@ -352,27 +354,49 @@ std::vector<Descriptor> random_descriptors(sim::Rng& rng, int n) {
   return out;
 }
 
-/// Checks both entry points against the reference. The scratch-reusing one
-/// keeps its buffers across every case of a test, as the pipeline does
-/// across database objects, so stale per-train state would show.
+/// Checks both entry points, and every Hamming kernel this host runs,
+/// against the reference. The scratch-reusing calls keep their buffers
+/// across every case of a test and every kernel, as the pipeline does across
+/// database objects, so stale per-train state would show.
 struct SameMatches {
   MatchScratch scratch;
   std::vector<Match> reused;
+  std::vector<std::string> kernels_run;
 
   void operator()(const std::vector<Descriptor>& q, const std::vector<Descriptor>& t,
-                  const char* label, double max_ratio = 0.8) {
+                  const std::string& label, double max_ratio = 0.8) {
     const auto want = naive_match(q, t, max_ratio);
-    match_descriptors(q, t, reused, scratch, max_ratio);
-    for (const auto& got : {match_descriptors(q, t, max_ratio), reused}) {
-      ASSERT_EQ(got.size(), want.size()) << label;
+    auto expect_same = [&](const std::vector<Match>& got, const std::string& how) {
+      ASSERT_EQ(got.size(), want.size()) << label << " (" << how << ")";
       for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].query, want[i].query) << label << " #" << i;
-        EXPECT_EQ(got[i].train, want[i].train) << label << " #" << i;
-        EXPECT_EQ(got[i].distance, want[i].distance) << label << " #" << i;
+        EXPECT_EQ(got[i].query, want[i].query) << label << " (" << how << ") #" << i;
+        EXPECT_EQ(got[i].train, want[i].train) << label << " (" << how << ") #" << i;
+        EXPECT_EQ(got[i].distance, want[i].distance) << label << " (" << how << ") #" << i;
+      }
+    };
+    expect_same(match_descriptors(q, t, max_ratio), "selected kernel");
+    match_descriptors(q, t, reused, scratch, max_ratio);
+    expect_same(reused, "selected kernel, reused scratch");
+    for (const detail::HammingKernel& k : detail::hamming_kernels()) {
+      if (!k.host_runs()) continue;
+      detail::match_descriptors_with(k, q, t, reused, scratch, max_ratio, 64);
+      expect_same(reused, k.name);
+      if (std::find(kernels_run.begin(), kernels_run.end(), k.name) == kernels_run.end()) {
+        kernels_run.emplace_back(k.name);
       }
     }
   }
 };
+
+/// A descriptor with `k` bits set from bit `first` on (mod 256): distance k
+/// from the zero descriptor, and distinct for distinct `first`.
+Descriptor bits_from(int first, int k) {
+  Descriptor d;
+  for (int b = first; b < first + k; ++b) {
+    d.bits[static_cast<std::size_t>(b % 256 / 64)] |= 1ULL << (b % 64);
+  }
+  return d;
+}
 
 TEST(Match, AgreesWithNaiveReference) {
   SameMatches expect_same_matches;
@@ -444,6 +468,66 @@ TEST(Match, AgreesWithNaiveReference) {
     EXPECT_TRUE(match_descriptors({zero}, {low_bits(40), low_bits(50)}).empty());
     EXPECT_TRUE(match_descriptors({zero}, {low_bits(65), low_bits(200)}).empty());
   }
+
+  // Train sizes around the vector kernel's 8-descriptor steps, up to a
+  // frame's worth: queries are near-copies of some train points plus noise.
+  for (int n : {0, 1, 7, 8, 9, 16, 17, 292}) {
+    auto train = random_descriptors(rng, n);
+    auto query = random_descriptors(rng, 12);
+    for (int i = 0; i < n && i < 24; i += 3) {
+      Descriptor near = train[static_cast<std::size_t>(i)];
+      for (int flip = 0; flip < i % 7; ++flip) {
+        const auto bit = static_cast<std::size_t>(rng.uniform_int(0, 255));
+        near.bits[bit / 64] ^= 1ULL << (bit % 64);
+      }
+      query.push_back(near);
+    }
+    const std::string label = "train size " + std::to_string(n);
+    expect_same_matches(query, train, label);
+    expect_same_matches(query, train, label + ", no ratio test", 2.0);
+  }
+
+  // Nearest and second nearest placed in the same lane (8 or 16 apart) or
+  // in different lanes (1, 7 or 9 apart), tied or 1 or 8 bits apart, in
+  // either order, over far random filler. Ties must go to the lower index
+  // and a tie must count as the second distance.
+  for (int gap : {1, 7, 8, 9, 16}) {
+    for (int first : {0, 3, 7, 8, 13}) {
+      for (int delta : {0, 1, 8, -1, -8}) {
+        auto train = random_descriptors(rng, 33);
+        const int d = 20;
+        train[static_cast<std::size_t>(first)] = bits_from(first * 7, d);
+        train[static_cast<std::size_t>(first + gap)] = bits_from(first * 7 + 100, d + delta);
+        const std::vector<Descriptor> query = {low_bits(0), bits_from(first * 7, 1),
+                                               bits_from(first * 7 + 100, 2)};
+        const std::string label = "gap " + std::to_string(gap) + ", first " +
+                                  std::to_string(first) + ", delta " + std::to_string(delta);
+        expect_same_matches(query, train, label);
+        expect_same_matches(query, train, label + ", no ratio test", 2.0);
+        // The zero query alone: in the set above, the cross-check can hand
+        // both tied train points to the other, nearer queries.
+        expect_same_matches({query[0]}, train, label + ", one query, no ratio test", 2.0);
+      }
+    }
+  }
+
+  // A train set of one descriptor repeated: every distance ties.
+  for (int n : {9, 17, 292}) {
+    const Descriptor one = random_descriptors(rng, 1)[0];
+    const std::vector<Descriptor> train(static_cast<std::size_t>(n), one);
+    Descriptor near = one;
+    near.bits[1] ^= 1ULL << 7;
+    const std::vector<Descriptor> query = {near, one, random_descriptors(rng, 1)[0], one};
+    const std::string label = "identical train of " + std::to_string(n);
+    expect_same_matches(query, train, label);
+    expect_same_matches(query, train, label + ", no ratio test", 2.0);
+  }
+
+  std::string ran;
+  for (const std::string& k : expect_same_matches.kernels_run) ran += " " + k;
+  std::printf("[ kernels  ] ran:%s; selected: %s\n", ran.c_str(),
+              detail::selected_hamming_kernel().name);
+  EXPECT_FALSE(expect_same_matches.kernels_run.empty());
 }
 
 TEST(Dlt, RecoversExactHomographyFromCleanPoints) {
@@ -589,6 +673,77 @@ TEST(Ransac, InlierPreRejectMatchesHypotScan) {
     const double thr = rng.uniform(0.5, 4.0);
     homography_inliers(h, sweep, thr, got);
     ASSERT_EQ(got, hypot_inliers(h, sweep, thr)) << "trial " << trial;
+  }
+
+  // The band in which `dx² + dy²` alone does not decide and hypot is
+  // called: thr²·(1 ∓ 1e-9), spelled as homography_inliers spells it. For
+  // each band edge and for thr² itself, the residuals whose squared sum is
+  // the last one below and the first one at or above it, found by walking dx
+  // one ulp at a time, on an axis and off it.
+  for (const double thr : {3.0, 0.7, 1.0, 2.5}) {
+    const double thr2 = thr * thr;
+    std::vector<Correspondence> edge_pts;
+    for (const double edge : {thr2 * (1 - 1e-9), thr2, thr2 * (1 + 1e-9)}) {
+      for (int k = 0; k < 12; ++k) {
+        const double dy = thr * (k % 2 == 0 ? 1 : -1) * (k / 12.0);
+        double dx = std::sqrt(edge - dy * dy);
+        // Step down past the edge, then up one ulp at a time across it.
+        for (int step = 0; step < 8; ++step) dx = std::nextafter(dx, 0.0);
+        while (dx * dx + dy * dy >= edge) dx = std::nextafter(dx, 0.0);
+        double below = dx;
+        while (dx * dx + dy * dy < edge) {
+          below = dx;
+          dx = std::nextafter(dx, 9.0);
+        }
+        ASSERT_LT(below * below + dy * dy, edge);
+        ASSERT_GE(dx * dx + dy * dy, edge);
+        for (const double r : {below, dx, std::nextafter(dx, 9.0)}) {
+          edge_pts.push_back({{0, 0}, {-r, -dy}});
+          edge_pts.push_back({{0, 0}, {dy, r}});
+        }
+      }
+    }
+    homography_inliers(Mat3::identity(), edge_pts, thr, got);
+    EXPECT_EQ(got, hypot_inliers(Mat3::identity(), edge_pts, thr)) << "thr " << thr;
+  }
+
+  // Thresholds whose square is subnormal, zero or infinite, where the band
+  // argument does not hold, with residuals within 3e-4 of thr. At 2.2e-158
+  // the diagonal residual of length thr has a subnormal square sum below
+  // thr², yet its hypot is not below thr.
+  for (const double thr : {1e-160, 2.2e-158, 3e-161, 1e-170, 1e155, 1e300, 0x1p500}) {
+    std::vector<Correspondence> far_pts;
+    for (int k = -300; k <= 300; ++k) {
+      for (const double angle : {0.0, 0.3, 0.785398, 1.2}) {
+        const double r = thr * (1 + k * 1e-6);
+        far_pts.push_back({{0, 0}, {-r * std::cos(angle), -r * std::sin(angle)}});
+      }
+    }
+    homography_inliers(Mat3::identity(), far_pts, thr, got);
+    EXPECT_EQ(got, hypot_inliers(Mat3::identity(), far_pts, thr)) << "thr " << thr;
+  }
+
+  // Seeded sweep of general homographies (all eight free entries random)
+  // with half the residuals a few 1e-9 of thr from the threshold, inside
+  // or just outside the band, and half spread over [0, 2·thr).
+  sim::Rng hrng(97);
+  for (int trial = 0; trial < 200; ++trial) {
+    Mat3 h;
+    h.m = {hrng.uniform(0.5, 1.5),     hrng.uniform(-0.5, 0.5),   hrng.uniform(-50, 50),
+           hrng.uniform(-0.5, 0.5),    hrng.uniform(0.5, 1.5),    hrng.uniform(-50, 50),
+           hrng.uniform(-2e-3, 2e-3),  hrng.uniform(-2e-3, 2e-3), 1.0};
+    const double thr = hrng.uniform(0.5, 4.0);
+    std::vector<Correspondence> sweep;
+    for (int i = 0; i < 40; ++i) {
+      const Vec2 src{hrng.uniform(0, 640), hrng.uniform(0, 480)};
+      const Vec2 mapped = h.apply(src);
+      const double r = i % 2 == 0 ? thr * (1 + hrng.uniform(-3e-9, 3e-9))
+                                  : hrng.uniform(0, 2 * thr);
+      const double angle = hrng.uniform(0, 6.283185307179586);
+      sweep.push_back({src, {mapped.x + r * std::cos(angle), mapped.y + r * std::sin(angle)}});
+    }
+    homography_inliers(h, sweep, thr, got);
+    ASSERT_EQ(got, hypot_inliers(h, sweep, thr)) << "general trial " << trial;
   }
 }
 
