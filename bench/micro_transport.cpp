@@ -22,7 +22,6 @@
 #include "arnet/trace/sampler.hpp"
 #include "arnet/trace/trace.hpp"
 #include "arnet/transport/artp.hpp"
-#include "arnet/transport/jitter_buffer.hpp"
 #include "arnet/transport/tcp.hpp"
 #include "arnet/wireless/wifi.hpp"
 #include "json_bench.hpp"
@@ -120,17 +119,6 @@ std::int64_t run_packet_arena_churn() {
   benchmark::DoNotOptimize(acc);
   benchmark::DoNotOptimize(arena.capacity());
   return acc;
-}
-
-std::int64_t run_jitter_buffer_push_pop() {
-  transport::JitterBuffer jb;
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    sim::Time ts = sim::milliseconds(10) * i;
-    transport::JitterBuffer::Sample s{i, ts, ts + sim::milliseconds(20)};
-    jb.push(s, s.arrival);
-    benchmark::DoNotOptimize(jb.due(s.arrival));
-  }
-  return 0;
 }
 
 std::int64_t run_tcp_bulk_transfer() {
@@ -342,11 +330,6 @@ void BM_PacketArenaChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketArenaChurn);
 
-void BM_JitterBufferPushPop(benchmark::State& state) {
-  for (auto _ : state) run_jitter_buffer_push_pop();
-}
-BENCHMARK(BM_JitterBufferPushPop);
-
 void BM_ClassfulPriorityQueue(benchmark::State& state) {
   for (auto _ : state) run_classful_priority_queue();
 }
@@ -408,7 +391,6 @@ int main(int argc, char** argv) {
       {"WeightedFairQueue", run_weighted_fair_queue},
       {"ClassfulPriorityQueue", run_classful_priority_queue},
       {"PacketArenaChurn", run_packet_arena_churn},
-      {"JitterBufferPushPop", run_jitter_buffer_push_pop},
       {"TcpBulkTransferSimulated", run_tcp_bulk_transfer},
       {"BbrSteadyState", run_bbr_steady_state},
       {"ArtpSessionSimulated", run_artp_session},

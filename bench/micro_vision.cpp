@@ -6,18 +6,15 @@
 // baseline consumed by CI.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "arnet/sim/rng.hpp"
 #include "arnet/vision/features.hpp"
-#include "arnet/vision/harris.hpp"
 #include "arnet/vision/homography.hpp"
 #include "arnet/vision/pipeline.hpp"
 #include "arnet/vision/privacy.hpp"
 #include "arnet/vision/synth.hpp"
-#include "arnet/vision/track.hpp"
 #include "json_bench.hpp"
 
 namespace {
@@ -51,35 +48,10 @@ std::int64_t run_fast_detect(int width) {
   return 0;
 }
 
-std::int64_t run_harris_detect(int width) {
-  static Image img320 = scene(320, 240);
-  static Image img640 = scene(640, 480);
-  const Image& img = width == 320 ? img320 : img640;
-  benchmark::DoNotOptimize(harris_detect(img));
-  return 0;
-}
-
 std::int64_t run_brief_describe() {
   static Image img = scene(320, 240);
   static auto feats = fast_detect(img, 20);
   benchmark::DoNotOptimize(brief_describe(img, feats));
-  return 0;
-}
-
-std::int64_t run_orb_describe() {
-  static Image img = scene(320, 240);
-  static auto feats = fast_detect(img, 20);
-  benchmark::DoNotOptimize(orb_describe(img, feats));
-  return 0;
-}
-
-std::int64_t run_multiscale_fast() {
-  static Image img = scene(320, 240);
-  // Scratch pyramid reused across frames: level buffers are rebuilt in
-  // place, so steady-state per-frame cost has no image allocations.
-  static std::vector<Image> pyr;
-  build_pyramid_into(img, 3, pyr);
-  benchmark::DoNotOptimize(multiscale_fast(pyr));
   return 0;
 }
 
@@ -126,21 +98,6 @@ std::int64_t run_ransac_homography() {
   return 0;
 }
 
-std::int64_t run_track_points() {
-  static Image img = scene(320, 240);
-  static Image moved = warp_image(img, Mat3::translation(5, -3));
-  static std::vector<Vec2> pts = [] {
-    auto feats = fast_detect(img, 20);
-    std::vector<Vec2> out;
-    for (std::size_t i = 0; i < std::min<std::size_t>(feats.size(), 50); ++i) {
-      out.push_back({static_cast<double>(feats[i].x), static_cast<double>(feats[i].y)});
-    }
-    return out;
-  }();
-  benchmark::DoNotOptimize(track_points(img, moved, pts));
-  return 0;
-}
-
 struct PipelineFixture {
   ObjectDatabase db;
   std::vector<Image> refs;
@@ -175,25 +132,10 @@ void BM_FastDetect(benchmark::State& state) {
 }
 BENCHMARK(BM_FastDetect)->Arg(320)->Arg(640)->Arg(1280);
 
-void BM_HarrisDetect(benchmark::State& state) {
-  for (auto _ : state) run_harris_detect(static_cast<int>(state.range(0)));
-}
-BENCHMARK(BM_HarrisDetect)->Arg(320)->Arg(640);
-
 void BM_BriefDescribe(benchmark::State& state) {
   for (auto _ : state) run_brief_describe();
 }
 BENCHMARK(BM_BriefDescribe);
-
-void BM_OrbDescribe(benchmark::State& state) {
-  for (auto _ : state) run_orb_describe();
-}
-BENCHMARK(BM_OrbDescribe);
-
-void BM_MultiscaleFast(benchmark::State& state) {
-  for (auto _ : state) run_multiscale_fast();
-}
-BENCHMARK(BM_MultiscaleFast);
 
 void BM_PrivacyRedaction(benchmark::State& state) {
   for (auto _ : state) run_privacy_redaction();
@@ -210,11 +152,6 @@ void BM_RansacHomography(benchmark::State& state) {
 }
 BENCHMARK(BM_RansacHomography);
 
-void BM_TrackPoints(benchmark::State& state) {
-  for (auto _ : state) run_track_points();
-}
-BENCHMARK(BM_TrackPoints);
-
 void BM_FullRecognitionPipeline(benchmark::State& state) {
   for (auto _ : state) run_full_recognition_pipeline();
 }
@@ -229,15 +166,10 @@ int main(int argc, char** argv) {
       {"FastDetect/320", [] { return run_fast_detect(320); }},
       {"FastDetect/640", [] { return run_fast_detect(640); }},
       {"FastDetect/1280", [] { return run_fast_detect(1280); }},
-      {"HarrisDetect/320", [] { return run_harris_detect(320); }},
-      {"HarrisDetect/640", [] { return run_harris_detect(640); }},
       {"BriefDescribe", run_brief_describe},
-      {"OrbDescribe", run_orb_describe},
-      {"MultiscaleFast", run_multiscale_fast},
       {"PrivacyRedaction", run_privacy_redaction},
       {"MatchDescriptors", run_match_descriptors},
       {"RansacHomography", run_ransac_homography},
-      {"TrackPoints", run_track_points},
       {"FullRecognitionPipeline", run_full_recognition_pipeline},
   };
   return arnet::benchjson::main_dispatch(argc, argv, "micro_vision", cases);

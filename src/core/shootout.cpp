@@ -206,10 +206,8 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
       // the staging backlog blows past the 250 ms staleness bound within
       // four frames and from then on every message is shed before a single
       // chunk reaches the wire — zero deliveries, complete or otherwise.
-      transport::DelayGradientController::Config dg;
-      dg.initial_rate_bps = static_cast<double>(cfg.frame_bytes) * 8.0 * cfg.fps;
       std::vector<transport::ArtpPathConfig> paths(1);
-      paths[0].controller = std::make_unique<transport::DelayGradientController>(dg);
+      paths[0].initial_rate_bps = static_cast<double>(cfg.frame_bytes) * 8.0 * cfg.fps;
       artp_tx = std::make_unique<transport::ArtpSender>(net, client, kArClientPort, server,
                                                         kArServerPort, kArFlow, scfg,
                                                         std::move(paths));

@@ -128,7 +128,6 @@ struct ArtpHeader {
   sim::Time fb_owd = 0;          ///< latest one-way delay sample on path_id
   sim::Time fb_min_owd = 0;      ///< lowest one-way delay seen on path_id
   double fb_loss_fraction = 0.0; ///< losses in the last feedback epoch
-  double fb_recv_rate_bps = 0.0; ///< goodput observed by the receiver
   std::vector<ArtpNack> fb_nacks;  ///< missing chunks of partially seen messages
   std::vector<std::uint32_t> fb_missing_critical;  ///< critical_seq gaps (full loss)
 };

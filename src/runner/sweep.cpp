@@ -1,11 +1,13 @@
 #include "arnet/runner/sweep.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 
+#include "arnet/check/assert.hpp"
 #include "arnet/obs/export.hpp"
 
 namespace arnet::runner {
@@ -159,7 +161,12 @@ SweepFlags parse_sweep_flags(int argc, char** argv) {
   f.out_dir = parse_out_dir(argc, argv);
   f.pool.jobs = parse_jobs_flag(argc, argv, 1);
   const std::string seed = parse_string_flag(argc, argv, "--seed", "1");
-  f.pool.root_seed = std::strtoull(seed.c_str(), nullptr, 10);
+  // from_chars takes no sign, whitespace or overflow, so only a full decimal
+  // uint64 passes.
+  const char* end = seed.data() + seed.size();
+  const auto [ptr, ec] = std::from_chars(seed.data(), end, f.pool.root_seed);
+  ARNET_CHECK(ec == std::errc{} && ptr == end, "--seed must be a decimal uint64, got '", seed,
+              "'");
   return f;
 }
 

@@ -184,7 +184,7 @@ class Tracer {
 
   /// Register a recording entity; ids are assigned in registration order
   /// (deterministic given deterministic construction order). Names need not
-  /// be unique (e.g. MPTCP subflows built from one config template).
+  /// be unique (e.g. several senders built from one config template).
   EntityId register_entity(std::string name) {
     auto id = static_cast<EntityId>(entities_.size());
     entities_.push_back(Entity{std::move(name), EventRing(cfg_.ring_capacity)});

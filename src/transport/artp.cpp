@@ -38,7 +38,7 @@ ArtpSender::ArtpSender(net::Network& net, net::NodeId local, net::Port local_por
   std::uint8_t id = 0;
   for (auto& pc : paths) {
     Path p;
-    if (!pc.controller) pc.controller = std::make_unique<DelayGradientController>();
+    p.controller = DelayGradientController(pc.initial_rate_bps);
     p.cfg = std::move(pc);
     p.id = id++;
     p.min_owd.set_window(cfg_.min_owd_window);
@@ -54,7 +54,7 @@ ArtpSender::~ArtpSender() { net_.node(local_).unbind(local_port_); }
 double ArtpSender::allowed_rate_bps() const {
   double r = 0.0;
   for (const auto& p : paths_) {
-    if (path_up(&p - paths_.data())) r += p.cfg.controller->rate_bps();
+    if (path_up(&p - paths_.data())) r += p.controller.rate_bps();
   }
   return r;
 }
@@ -287,7 +287,7 @@ void ArtpSender::pace_tick() {
       p.budget_bytes = 0;
       continue;
     }
-    double per_tick = p.cfg.controller->rate_bps() * dt / 8.0;
+    double per_tick = p.controller.rate_bps() * dt / 8.0;
     p.budget_bytes = std::min(p.budget_bytes + per_tick, 2.0 * per_tick);
   }
   update_congestion_level();
@@ -486,8 +486,7 @@ void ArtpSender::on_feedback(const ArtpHeader& h) {
   fb.owd = h.fb_owd;
   fb.min_owd = h.fb_min_owd;
   fb.loss_fraction = h.fb_loss_fraction;
-  fb.recv_rate_bps = h.fb_recv_rate_bps;
-  path.cfg.controller->on_feedback(fb, net_.sim().now());
+  path.controller.on_feedback(fb);
 
   // Prune bookkeeping covered by the receiver's in-order critical watermark.
   if (h.fb_highest_seen > 0) {
@@ -542,7 +541,6 @@ void ArtpReceiver::on_packet(Packet&& p) {
     ps.highest_seq = h->path_seq + 1;
   }
   ++ps.received_in_epoch;
-  ps.bytes_in_epoch += p.size_bytes;
   ps.last_owd = now - h->sent_at;
   ps.min_owd.update(ps.last_owd, now);
 
@@ -764,8 +762,6 @@ void ArtpReceiver::feedback_tick() {
       h.fb_loss_fraction =
           expected > 0 ? static_cast<double>(ps.lost_in_epoch) / static_cast<double>(expected)
                        : 0.0;
-      h.fb_recv_rate_bps = static_cast<double>(ps.bytes_in_epoch) * 8.0 /
-                           sim::to_seconds(cfg_.feedback_interval);
       h.fb_highest_seen = next_critical_seq_ - 1;
       if (first) {
         h.fb_nacks = nacks;
@@ -777,7 +773,6 @@ void ArtpReceiver::feedback_tick() {
 
       ps.received_in_epoch = 0;
       ps.lost_in_epoch = 0;
-      ps.bytes_in_epoch = 0;
       ps.active = false;
     }
   }

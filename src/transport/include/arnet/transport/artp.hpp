@@ -5,7 +5,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <tuple>
 #include <vector>
@@ -118,7 +117,8 @@ struct ArtpSenderConfig {
 struct ArtpPathConfig {
   /// First-hop link for policy routing; nullptr = default routed path.
   net::Link* first_hop = nullptr;
-  std::unique_ptr<RateController> controller;  ///< defaults to delay-gradient
+  /// Starting rate of the path's delay-gradient controller (bps).
+  double initial_rate_bps = 1e6;
   std::string name = "path";
 };
 
@@ -155,7 +155,7 @@ class ArtpSender {
 
   /// Sum of controller rates currently allowed (bps), per path.
   std::size_t path_count() const { return paths_.size(); }
-  double path_rate_bps(std::size_t i) const { return paths_[i].cfg.controller->rate_bps(); }
+  double path_rate_bps(std::size_t i) const { return paths_[i].controller.rate_bps(); }
   sim::Time path_owd(std::size_t i) const { return paths_[i].last_owd; }
   bool path_up(std::size_t i) const;
   std::int64_t path_sent_bytes(std::size_t i) const { return paths_[i].sent_bytes; }
@@ -180,6 +180,7 @@ class ArtpSender {
 
   struct Path {
     ArtpPathConfig cfg;
+    DelayGradientController controller;
     std::uint8_t id = 0;
     double budget_bytes = 0.0;
     std::uint64_t next_path_seq = 0;
@@ -290,7 +291,6 @@ class ArtpReceiver {
     std::uint64_t highest_seq = 0;
     std::int64_t received_in_epoch = 0;
     std::int64_t lost_in_epoch = 0;
-    std::int64_t bytes_in_epoch = 0;
     sim::Time last_owd = 0;
     /// Trailing-window minimum of observed one-way delays on this path.
     WindowedMinTime min_owd;

@@ -1,184 +1,69 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
-#include <memory>
 
 #include "arnet/sim/time.hpp"
 
 namespace arnet::transport {
 
-/// Feedback digest handed to a rate controller once per feedback epoch.
+/// Feedback digest handed to the rate controller once per feedback epoch.
 struct CcFeedback {
   sim::Time owd = 0;            ///< latest one-way delay sample
   sim::Time min_owd = 0;        ///< lowest one-way delay seen on the path
   double loss_fraction = 0.0;   ///< losses during the epoch
-  double recv_rate_bps = 0.0;   ///< receiver-observed goodput
 };
 
-/// Rate-based congestion controller interface for ARTP (paper §VI-B): the
-/// protocol cannot shrink a window of queued real-time data, so controllers
-/// output an allowed *send rate* that the degradation machinery honors.
-class RateController {
- public:
-  virtual ~RateController() = default;
-
-  /// Digest one feedback epoch; returns the new allowed sending rate (bps).
-  virtual double on_feedback(const CcFeedback& fb, sim::Time now) = 0;
-
-  /// Called when the path reports a hard loss burst / timeout-equivalent.
-  virtual void on_severe_congestion(sim::Time now) = 0;
-
-  virtual double rate_bps() const = 0;
-};
-
-/// Delay-gradient controller (paper §VI-B: "a sudden rise of delay or jitter
-/// should be treated as a congestion indication, with immediate reaction").
+/// ARTP's per-path rate controller (paper §VI-B: "a sudden rise of delay or
+/// jitter should be treated as a congestion indication, with immediate
+/// reaction"). The protocol cannot shrink a window of queued real-time data,
+/// so the controller outputs an allowed *send rate* that the degradation
+/// machinery honors.
 ///
 /// AIMD on rate: additive increase while the standing queue delay
-/// (owd - min_owd) stays below `queue_threshold`; multiplicative decrease
+/// (owd - min_owd) stays below `kQueueThreshold`; multiplicative decrease
 /// proportional to how far delay has risen, plus a loss response. Reacting to
 /// delay keeps the uplink queue short so downloads sharing the bottleneck are
 /// not harmed (the Fig. 3 pathology).
-class DelayGradientController final : public RateController {
+class DelayGradientController {
  public:
-  struct Config {
-    double initial_rate_bps = 1e6;
-    double min_rate_bps = 64e3;
-    double max_rate_bps = 1e9;
-    sim::Time queue_threshold = sim::milliseconds(15);
-    double increase_bps_per_epoch = 200e3;
-    double decrease_factor = 0.85;
-    double loss_decrease_factor = 0.7;
-    double loss_tolerance = 0.02;  ///< losses below this are noise
-  };
+  static constexpr double kMinRateBps = 64e3;
+  static constexpr double kMaxRateBps = 1e9;
+  static constexpr sim::Time kQueueThreshold = sim::milliseconds(15);
+  static constexpr double kIncreaseBpsPerEpoch = 200e3;
+  static constexpr double kDecreaseFactor = 0.85;
+  static constexpr double kLossDecreaseFactor = 0.7;
+  static constexpr double kLossTolerance = 0.02;  ///< losses below this are noise
 
-  DelayGradientController() : DelayGradientController(Config{}) {}
-  explicit DelayGradientController(Config cfg) : cfg_(cfg), rate_(cfg.initial_rate_bps) {}
+  explicit DelayGradientController(double initial_rate_bps = 1e6) : rate_(initial_rate_bps) {}
 
-  double on_feedback(const CcFeedback& fb, sim::Time /*now*/) override {
+  /// Digest one feedback epoch into the allowed sending rate.
+  void on_feedback(const CcFeedback& fb) {
     sim::Time standing = fb.owd - fb.min_owd;
     // Loss is treated as congestion only when the queueing delay corroborates
     // it; random wireless loss with an empty queue is left to FEC/NACKs
     // rather than starving the flow (paper §VI-B/C trade-off).
-    bool congestion_loss =
-        fb.loss_fraction > cfg_.loss_tolerance && standing > cfg_.queue_threshold / 2;
+    bool congestion_loss = fb.loss_fraction > kLossTolerance && standing > kQueueThreshold / 2;
     if (congestion_loss) {
-      rate_ *= cfg_.loss_decrease_factor;
-    } else if (standing > cfg_.queue_threshold) {
+      rate_ *= kLossDecreaseFactor;
+    } else if (standing > kQueueThreshold) {
       // Scale the decrease with the delay excess, saturating at 2x threshold.
       double excess = std::min<double>(
-          static_cast<double>(standing - cfg_.queue_threshold) /
-              static_cast<double>(cfg_.queue_threshold),
+          static_cast<double>(standing - kQueueThreshold) / static_cast<double>(kQueueThreshold),
           1.0);
-      rate_ *= cfg_.decrease_factor - 0.15 * excess;
+      rate_ *= kDecreaseFactor - 0.15 * excess;
     } else {
       // Additive probe. Overshoot is bounded by the standing-delay response
       // above; capping against the receiver's observed rate would deadlock
       // an app-limited or shedding sender at its own (low) current rate.
-      rate_ += cfg_.increase_bps_per_epoch;
+      rate_ += kIncreaseBpsPerEpoch;
     }
-    clamp();
-    return rate_;
+    rate_ = std::clamp(rate_, kMinRateBps, kMaxRateBps);
   }
 
-  void on_severe_congestion(sim::Time /*now*/) override {
-    rate_ *= 0.5;
-    clamp();
-  }
-
-  double rate_bps() const override { return rate_; }
+  double rate_bps() const { return rate_; }
 
  private:
-  void clamp() { rate_ = std::clamp(rate_, cfg_.min_rate_bps, cfg_.max_rate_bps); }
-
-  Config cfg_;
   double rate_;
-};
-
-/// Loss-based AIMD rate controller (TCP-like behavior on rates); the ablation
-/// baseline showing why pure loss signals bufferbloat the uplink.
-class LossAimdController final : public RateController {
- public:
-  struct Config {
-    double initial_rate_bps = 1e6;
-    double min_rate_bps = 64e3;
-    double max_rate_bps = 1e9;
-    double increase_bps_per_epoch = 200e3;
-    double decrease_factor = 0.5;
-    double loss_tolerance = 0.0;
-  };
-
-  LossAimdController() : LossAimdController(Config{}) {}
-  explicit LossAimdController(Config cfg) : cfg_(cfg), rate_(cfg.initial_rate_bps) {}
-
-  double on_feedback(const CcFeedback& fb, sim::Time /*now*/) override {
-    if (fb.loss_fraction > cfg_.loss_tolerance) {
-      rate_ *= cfg_.decrease_factor;
-    } else {
-      rate_ += cfg_.increase_bps_per_epoch;
-    }
-    rate_ = std::clamp(rate_, cfg_.min_rate_bps, cfg_.max_rate_bps);
-    return rate_;
-  }
-
-  void on_severe_congestion(sim::Time /*now*/) override {
-    rate_ = std::max(cfg_.min_rate_bps, rate_ * 0.5);
-  }
-
-  double rate_bps() const override { return rate_; }
-
- private:
-  Config cfg_;
-  double rate_;
-};
-
-/// TFRC-style equation-based controller (RFC 5348, cited by the paper via
-/// the D2D multimedia work of §V-A4): the allowed rate is the throughput a
-/// conformant TCP would achieve at the observed loss event rate and RTT,
-/// yielding a much smoother rate than AIMD — attractive for media, at the
-/// cost of slower reactions.
-class TfrcController final : public RateController {
- public:
-  struct Config {
-    double initial_rate_bps = 1e6;
-    double min_rate_bps = 64e3;
-    double max_rate_bps = 1e9;
-    double segment_bytes = 1200.0;    ///< s in the TCP equation
-    double loss_ewma = 0.08;          ///< smoothing of the loss estimate
-    double min_loss = 5e-5;           ///< keeps the equation bounded
-    double max_increase_per_epoch = 1.25;  ///< rate smoothing on the way up
-  };
-
-  TfrcController() : TfrcController(Config{}) {}
-  explicit TfrcController(Config cfg) : cfg_(cfg), rate_(cfg.initial_rate_bps) {}
-
-  double on_feedback(const CcFeedback& fb, sim::Time /*now*/) override {
-    loss_est_ = (1.0 - cfg_.loss_ewma) * loss_est_ + cfg_.loss_ewma * fb.loss_fraction;
-    double p = std::max(loss_est_, cfg_.min_loss);
-    double rtt = std::max(2.0 * sim::to_seconds(fb.owd), 1e-4);
-    double rto = std::max(4.0 * rtt, 0.2);
-    // X = s / (R*sqrt(2bp/3) + t_RTO*(3*sqrt(3bp/8))*p*(1+32p^2)), b = 1.
-    double f = rtt * std::sqrt(2.0 * p / 3.0) +
-               rto * 3.0 * std::sqrt(3.0 * p / 8.0) * p * (1.0 + 32.0 * p * p);
-    double x_bps = cfg_.segment_bytes * 8.0 / f;
-    // Media-grade smoothing: bounded relative increase per epoch.
-    rate_ = std::clamp(x_bps, cfg_.min_rate_bps,
-                       std::min(cfg_.max_increase_per_epoch * rate_, cfg_.max_rate_bps));
-    return rate_;
-  }
-
-  void on_severe_congestion(sim::Time /*now*/) override {
-    rate_ = std::max(cfg_.min_rate_bps, rate_ * 0.5);
-  }
-
-  double rate_bps() const override { return rate_; }
-  double loss_estimate() const { return loss_est_; }
-
- private:
-  Config cfg_;
-  double rate_;
-  double loss_est_ = 0.0;
 };
 
 }  // namespace arnet::transport

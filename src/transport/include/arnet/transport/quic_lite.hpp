@@ -6,7 +6,6 @@
 #include <map>
 #include <vector>
 
-#include "arnet/net/link.hpp"
 #include "arnet/net/network.hpp"
 #include "arnet/net/packet.hpp"
 #include "arnet/sim/simulator.hpp"
@@ -44,8 +43,6 @@ class QuicLiteSender {
     std::int32_t mtu_payload = 1200;   ///< fragment payload bytes
     std::int32_t header_bytes = 38;    ///< IP + UDP + QUIC short header
     sim::Time pace_interval = sim::microseconds(200);
-    /// Pin fragments to this first-hop link; nullptr = default routing.
-    net::Link* first_hop = nullptr;
   };
 
   QuicLiteSender(net::Network& net, net::NodeId local, net::Port local_port,

@@ -68,21 +68,13 @@ class TcpSource {
     /// scoreboard of SACKed ranges and retransmits only true holes during
     /// recovery — one lost *burst* no longer costs one RTT per segment.
     bool sack = false;
-    /// Pin all segments to this first-hop link (multipath subflows);
-    /// nullptr = default routing.
-    net::Link* first_hop = nullptr;
-    /// Congestion-avoidance growth multiplier; MPTCP-style coupled
-    /// controllers shrink this so N subflows grow like one flow at a
-    /// shared bottleneck.
-    double ca_growth_scale = 1.0;
     /// Observers, named `entity`; each must outlive the source. With a
     /// registry the source publishes "tcp.cwnd"/"tcp.ssthresh" time series,
     /// a "tcp.rtt_ms" histogram, and "tcp.rto_timeouts"/
     /// "tcp.fast_retransmits" counters. With a tracer it records kTx/kRetx/
     /// kAck span events plus a per-connection TraceContext stamped on every
     /// segment (so the causal chain survives the net layer). If `trace_ctx`
-    /// is inactive a fresh trace id is minted at construction. MPTCP subflows
-    /// inherit both via the subflow config template.
+    /// is inactive a fresh trace id is minted at construction.
     trace::Telemetry telemetry;
     std::string entity = "tcp";
     trace::TraceContext trace_ctx;
@@ -107,7 +99,6 @@ class TcpSource {
   }
 
   double cwnd_bytes() const { return cwnd_; }
-  void set_ca_growth_scale(double s) { cfg_.ca_growth_scale = s; }
   double ssthresh_bytes() const { return ssthresh_; }
   sim::Time srtt() const { return srtt_; }
   /// BBR model observables (meaningful only for TcpFlavor::kBbr).

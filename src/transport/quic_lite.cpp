@@ -81,11 +81,7 @@ void QuicLiteSender::transmit(const Fragment& f) {
   p.header = h;
   p.trace = f.trace;
   sent_bytes_ += p.size_bytes;
-  if (cfg_.first_hop) {
-    net_.send_via(*cfg_.first_hop, std::move(p));
-  } else {
-    net_.node(local_).send(std::move(p));
-  }
+  net_.node(local_).send(std::move(p));
 }
 
 // ---------------------------------------------------------- QuicLiteReceiver

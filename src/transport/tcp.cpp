@@ -125,12 +125,7 @@ void TcpSource::send_segment(std::uint64_t seq, bool retransmission) {
   p.trace = trace_ctx_;
   trace_.emit(net_.sim().now(), retransmission ? trace::EventKind::kRetx : trace::EventKind::kTx,
               trace_ctx_, seq, p.size_bytes);
-  if (cfg_.first_hop) {
-    p.src = local_;
-    net_.send_via(*cfg_.first_hop, std::move(p));
-  } else {
-    net_.node(local_).send(std::move(p));
-  }
+  net_.node(local_).send(std::move(p));
 
   if (retransmission) {
     retransmitted_above_ = std::min(retransmitted_above_, seq);
@@ -487,8 +482,7 @@ void TcpSource::grow_window(std::int64_t newly_acked) {
       if (cwnd_ < ssthresh_) {
         cwnd_ += static_cast<double>(newly_acked);  // slow start (ABC-style)
       } else {
-        // ~1 MSS/RTT, scaled down for coupled multipath subflows.
-        cwnd_ += cfg_.ca_growth_scale * static_cast<double>(cfg_.mss) * cfg_.mss / cwnd_;
+        cwnd_ += static_cast<double>(cfg_.mss) * cfg_.mss / cwnd_;  // ~1 MSS/RTT
       }
       break;
     case TcpFlavor::kCubic:

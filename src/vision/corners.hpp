@@ -1,6 +1,6 @@
-// Corner-detector internals shared by fast_detect (features.cpp) and
-// harris_detect (harris.cpp): the FAST ring-mask arc test and the one greedy
-// non-maximum suppression. Not part of the public include tree.
+// Corner-detector internals of fast_detect (features.cpp): the FAST
+// ring-mask arc test and the greedy non-maximum suppression. Not part of the
+// public include tree.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 
@@ -240,67 +239,6 @@ DescribedFeatures brief_describe(const Image& img, const std::vector<Feature>& f
       const std::uint8_t v1 = center[off1[static_cast<std::size_t>(b)]];
       const std::uint8_t v2 = center[off2[static_cast<std::size_t>(b)]];
       d.bits[static_cast<std::size_t>(b / 64)] |= static_cast<std::uint64_t>(v1 < v2) << (b % 64);
-    }
-    out.features.push_back(f);
-    out.descriptors.push_back(d);
-  }
-  return out;
-}
-
-double feature_orientation(const Image& img, const Feature& f, int radius) {
-  // Intensity centroid over a disc: angle(m01, m10).
-  double m10 = 0.0, m01 = 0.0;
-  if (f.x >= radius && f.y >= radius && f.x < img.width() - radius &&
-      f.y < img.height() - radius) {
-    // Interior feature: no clamping possible, read rows directly. Same taps
-    // in the same order as the clamped loop, so the double accumulation is
-    // bit-identical.
-    for (int dy = -radius; dy <= radius; ++dy) {
-      const std::uint8_t* row = img.row(f.y + dy) + f.x;
-      for (int dx = -radius; dx <= radius; ++dx) {
-        if (dx * dx + dy * dy > radius * radius) continue;
-        double v = row[dx];
-        m10 += dx * v;
-        m01 += dy * v;
-      }
-    }
-  } else {
-    for (int dy = -radius; dy <= radius; ++dy) {
-      for (int dx = -radius; dx <= radius; ++dx) {
-        if (dx * dx + dy * dy > radius * radius) continue;
-        double v = img.at_clamped(f.x + dx, f.y + dy);
-        m10 += dx * v;
-        m01 += dy * v;
-      }
-    }
-  }
-  return std::atan2(m01, m10);
-}
-
-DescribedFeatures orb_describe(const Image& img, const std::vector<Feature>& features) {
-  Image& smooth = smooth_scratch();
-  box_blur_into(img, 2, smooth);
-  const auto& pat = brief_pattern();
-  const int stride = smooth.stride();
-  DescribedFeatures out;
-  for (const Feature& f : features) {
-    if (f.x < 16 || f.y < 16 || f.x >= img.width() - 16 || f.y >= img.height() - 16) continue;
-    double angle = feature_orientation(smooth, f);
-    double c = std::cos(angle), s = std::sin(angle);
-    auto steer = [&](int px, int py, int& ox, int& oy) {
-      ox = std::clamp(static_cast<int>(std::lround(c * px - s * py)), -15, 15);
-      oy = std::clamp(static_cast<int>(std::lround(s * px + c * py)), -15, 15);
-    };
-    const std::uint8_t* center = smooth.row(f.y) + f.x;
-    Descriptor d;
-    for (int b = 0; b < 256; ++b) {
-      const auto& p = pat.pairs[static_cast<std::size_t>(b)];
-      int x1, y1, x2, y2;
-      steer(p[0], p[1], x1, y1);
-      steer(p[2], p[3], x2, y2);
-      const std::uint8_t v1 = center[y1 * stride + x1];
-      const std::uint8_t v2 = center[y2 * stride + x2];
-      if (v1 < v2) d.bits[static_cast<std::size_t>(b / 64)] |= 1ULL << (b % 64);
     }
     out.features.push_back(f);
     out.descriptors.push_back(d);

@@ -45,15 +45,6 @@ struct DescribedFeatures {
 };
 DescribedFeatures brief_describe(const Image& img, const std::vector<Feature>& features);
 
-/// Intensity-centroid orientation of the patch around a corner (the ORB
-/// trick): the angle from the patch center to its brightness centroid.
-double feature_orientation(const Image& img, const Feature& f, int radius = 15);
-
-/// ORB-style rotation-aware BRIEF: the sampling pattern is steered by each
-/// feature's intensity-centroid orientation, making descriptors (largely)
-/// invariant to in-plane camera roll — plain BRIEF collapses beyond ~20 deg.
-DescribedFeatures orb_describe(const Image& img, const std::vector<Feature>& features);
-
 /// One correspondence between two descriptor sets.
 struct Match {
   int query = 0;  ///< index into the query set

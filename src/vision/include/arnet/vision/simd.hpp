@@ -1,7 +1,7 @@
 #pragma once
 
 // Portable 16-lane byte / 8-lane word SIMD wrapper for the vision hot loops
-// (FAST cardinal pre-test, box blur, Sobel). Exactly one backend is selected
+// (FAST cardinal pre-test, box blur). Exactly one backend is selected
 // at compile time:
 //
 //   - SSE2 on x86-64 (baseline for every 64-bit x86, no -m flags needed),
@@ -185,8 +185,6 @@ inline std::uint32_t movemask(U8x16 a) {
 #endif
 }
 
-inline bool any(U8x16 a) { return movemask(a) != 0; }
-
 /// 8 unsigned 16-bit words.
 struct U16x8 {
 #if defined(ARNET_SIMD_SSE2)
@@ -267,20 +265,6 @@ inline U16x8 add(U16x8 a, U16x8 b) {
 #else
   U16x8 r;
   for (int i = 0; i < 8; ++i) r.v[i] = static_cast<std::uint16_t>(a.v[i] + b.v[i]);
-  return r;
-#endif
-}
-
-/// Wrapping a - b per word (two's-complement exact: reinterpreting the lanes
-/// as int16 gives the signed difference, which is how the Sobel pass uses it).
-inline U16x8 sub(U16x8 a, U16x8 b) {
-#if defined(ARNET_SIMD_SSE2)
-  return {_mm_sub_epi16(a.v, b.v)};
-#elif defined(ARNET_SIMD_NEON)
-  return {vsubq_u16(a.v, b.v)};
-#else
-  U16x8 r;
-  for (int i = 0; i < 8; ++i) r.v[i] = static_cast<std::uint16_t>(a.v[i] - b.v[i]);
   return r;
 #endif
 }

@@ -122,5 +122,45 @@ TEST(Adaptive, BeatsEveryFixedStrategyOnAVaryingLink) {
   EXPECT_LT(adaptive, 0.75 * fixed);
 }
 
+// Glimpse's dynamic trigger: offload rate follows scene motion.
+
+OffloadStats run_glimpse(double motion, bool adaptive) {
+  sim::Simulator sim;
+  net::Network net(sim, 19);
+  auto c = net.add_node("c");
+  auto s = net.add_node("s");
+  net.connect(c, s, 30e6, milliseconds(8), 500);
+  OffloadConfig cfg;
+  cfg.strategy = OffloadStrategy::kGlimpse;
+  cfg.glimpse_adaptive = adaptive;
+  cfg.glimpse_motion_level = motion;
+  OffloadSession session(net, c, s, cfg);
+  session.start();
+  sim.run_until(seconds(20));
+  session.stop();
+  return session.stats();
+}
+
+TEST(GlimpseAdaptive, OffloadsMoreUnderFastMotion) {
+  auto calm = run_glimpse(0.02, true);
+  auto shaky = run_glimpse(0.15, true);
+  ASSERT_GT(calm.frames, 500);
+  EXPECT_GT(shaky.offloaded_frames, 2 * calm.offloaded_frames);
+  EXPECT_GT(shaky.uplink_bytes, 2 * calm.uplink_bytes);
+}
+
+TEST(GlimpseAdaptive, CalmSceneBeatsFixedIntervalOnUplink) {
+  // With little motion, the dynamic trigger offloads far less than the
+  // fixed every-5th-frame policy at equivalent tracking quality.
+  auto fixed = run_glimpse(0.02, false);
+  auto adaptive = run_glimpse(0.02, true);
+  EXPECT_LT(adaptive.uplink_bytes, fixed.uplink_bytes / 2);
+}
+
+TEST(GlimpseAdaptive, AllFramesStillProduceResults) {
+  auto stats = run_glimpse(0.08, true);
+  EXPECT_GT(static_cast<double>(stats.results) / stats.frames, 0.95);
+}
+
 }  // namespace
 }  // namespace arnet::mar

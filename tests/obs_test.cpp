@@ -6,7 +6,6 @@
 
 #include "arnet/net/link.hpp"
 #include "arnet/net/network.hpp"
-#include "arnet/net/obs_tap.hpp"
 #include "arnet/obs/export.hpp"
 #include "arnet/obs/metrics.hpp"
 #include "arnet/obs/recorder.hpp"
@@ -266,7 +265,7 @@ TEST(ObsExport, ReadRejectsMalformedLines) {
 
 // ------------------------------------------------------ subsystem wiring
 
-TEST(ObsWiring, ObsTapAndLinkPublishNetworkBehavior) {
+TEST(ObsWiring, LinkPublishesNetworkBehavior) {
   sim::Simulator sim;
   net::Network net(sim, 1);
   auto a = net.add_node("a");
@@ -275,7 +274,6 @@ TEST(ObsWiring, ObsTapAndLinkPublishNetworkBehavior) {
   (void)ba;
   obs::MetricsRegistry reg;
   ab->attach({.metrics = &reg}, "link:ab");
-  net::ObsTap tap(net, reg);
 
   // Burst of 20 one-KB packets into a 4-packet queue: some deliver, some
   // tail-drop.
@@ -289,30 +287,15 @@ TEST(ObsWiring, ObsTapAndLinkPublishNetworkBehavior) {
   }
   sim.run_until(seconds(2));
 
-  const obs::Counter* injected = reg.find_counter("net.injected_packets", "net");
-  const obs::Counter* delivered = reg.find_counter("net.delivered_packets", "net");
-  const obs::Counter* dropped = reg.find_counter("net.drop.queue", "net");
-  ASSERT_NE(injected, nullptr);
-  ASSERT_NE(delivered, nullptr);
-  ASSERT_NE(dropped, nullptr);
-  EXPECT_EQ(injected->value(), 20);
-  EXPECT_GT(delivered->value(), 0);
-  EXPECT_GT(dropped->value(), 0);
-  EXPECT_EQ(delivered->value() + dropped->value(), 20);
-
-  // Per-flow accounting and end-to-end delay under "flow:<id>".
-  const obs::Counter* flow_pkts = reg.find_counter("flow.delivered_packets", "flow:7");
-  ASSERT_NE(flow_pkts, nullptr);
-  EXPECT_EQ(flow_pkts->value(), delivered->value());
-  const obs::Histogram* delay = reg.find_histogram("flow.delay_ms", "flow:7");
-  ASSERT_NE(delay, nullptr);
-  EXPECT_EQ(delay->count(), delivered->value());
-  EXPECT_GE(delay->min(), 5.0);  // at least the propagation delay
-
-  // Link-side metrics: sojourn histogram, delivered counters, utilization.
+  // Link-side metrics: delivered and drop counters, sojourn histogram,
+  // utilization. Every packet of the burst is either delivered or dropped.
   const obs::Counter* link_pkts = reg.find_counter("link.delivered_packets", "link:ab");
+  const obs::Counter* link_drops = reg.find_counter("link.drop.queue", "link:ab");
   ASSERT_NE(link_pkts, nullptr);
-  EXPECT_EQ(link_pkts->value(), delivered->value());
+  ASSERT_NE(link_drops, nullptr);
+  EXPECT_GT(link_pkts->value(), 0);
+  EXPECT_GT(link_drops->value(), 0);
+  EXPECT_EQ(link_pkts->value() + link_drops->value(), 20);
   const obs::Histogram* sojourn = reg.find_histogram("queue.sojourn_ms", "link:ab");
   ASSERT_NE(sojourn, nullptr);
   EXPECT_GT(sojourn->count(), 0);
@@ -320,10 +303,6 @@ TEST(ObsWiring, ObsTapAndLinkPublishNetworkBehavior) {
   ASSERT_NE(util, nullptr);
   EXPECT_GT(util->value(), 0.0);
   EXPECT_LE(util->value(), 1.0);
-  // The link also tags drops with its own entity.
-  const obs::Counter* link_drops = reg.find_counter("link.drop.queue", "link:ab");
-  ASSERT_NE(link_drops, nullptr);
-  EXPECT_EQ(link_drops->value(), dropped->value());
 }
 
 TEST(ObsWiring, TcpPublishesCwndSeriesAndRttHistogram) {

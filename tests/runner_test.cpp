@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "arnet/check/assert.hpp"
 #include "arnet/check/determinism.hpp"
 #include "arnet/net/network.hpp"
 #include "arnet/obs/export.hpp"
@@ -194,6 +195,20 @@ TEST(Sweep, BenchJsonLayoutIsPinned) {
             "\"frames_late\": 3, \"hit_ratio\": 0.333333333333, "
             "\"latency_ns\": {\"mean\": 2000000, \"p50\": 1000000, \"p90\": 3000000, "
             "\"p99\": 4500000, \"min\": 500000, \"max\": 9000000}}\n]}\n");
+}
+
+TEST(Sweep, RejectsMalformedSeed) {
+  check::ScopedFailPolicy policy(check::FailPolicy::kThrow);
+  auto seed_of = [](std::string value) {
+    std::string prog = "bench", flag = "--seed";
+    char* argv[] = {prog.data(), flag.data(), value.data()};
+    return parse_sweep_flags(3, argv).pool.root_seed;
+  };
+  for (const char* bad : {"abc", "12x", "-1", ""}) {
+    EXPECT_THROW(seed_of(bad), check::CheckError) << "'" << bad << "'";
+  }
+  EXPECT_EQ(seed_of("0"), 0u);
+  EXPECT_EQ(seed_of("18446744073709551615"), 18446744073709551615u);
 }
 
 TEST(Sweep, WritesEachArtifactNamedAfterTheSuite) {

@@ -1,6 +1,5 @@
-// Tests for the TCP congestion-control flavors (Reno/NewReno/CUBIC/Vegas),
-// the MPTCP-style multipath baseline, and the TFRC equation controller —
-// the protocol landscape the paper surveys in §V.
+// Tests for the TCP congestion-control flavors (Reno/NewReno/CUBIC/Vegas/BBR)
+// — the protocol landscape the paper surveys in §V.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,9 +8,6 @@
 
 #include "arnet/net/network.hpp"
 #include "arnet/sim/simulator.hpp"
-#include "arnet/transport/artp.hpp"
-#include "arnet/transport/congestion.hpp"
-#include "arnet/transport/mptcp.hpp"
 #include "arnet/transport/tcp.hpp"
 
 namespace arnet::transport {
@@ -225,152 +221,6 @@ TEST(TcpFlavors, BbrSurvivesRandomLossBetterThanReno) {
   double reno = run_with_loss(TcpFlavor::kNewReno);
   double bbr = run_with_loss(TcpFlavor::kBbr);
   EXPECT_GT(bbr, 1.5 * reno);
-}
-
-TEST(Mptcp, AggregatesDisjointPaths) {
-  sim::Simulator sim;
-  Network net(sim, 7);
-  auto c = net.add_node("c");
-  auto r1 = net.add_node("r1");
-  auto r2 = net.add_node("r2");
-  auto s = net.add_node("s");
-  auto [p1, q1] = net.connect(c, r1, 8e6, milliseconds(10), 100);
-  (void)q1;
-  net.connect(r1, s, 1e9, milliseconds(1), 500);
-  auto [p2, q2] = net.connect(c, r2, 12e6, milliseconds(15), 100);
-  (void)q2;
-  net.connect(r2, s, 1e9, milliseconds(1), 500);
-
-  MultipathTcp::Config cfg;
-  cfg.coupled = false;  // disjoint bottlenecks: run uncoupled for full use
-  MultipathTcp mptcp(net, c, s, 1000, 80, {{p1, "path1"}, {p2, "path2"}}, cfg);
-  mptcp.send_forever();
-  sim.run_until(seconds(20));
-  double mbps = mptcp.total_received() * 8.0 / 20 / 1e6;
-  EXPECT_GT(mbps, 15.0);  // well above either path alone
-  EXPECT_GT(mptcp.subflow_received(0), 0);
-  EXPECT_GT(mptcp.subflow_received(1), 0);
-}
-
-TEST(Mptcp, SurvivesPathFailure) {
-  sim::Simulator sim;
-  Network net(sim, 7);
-  auto c = net.add_node("c");
-  auto r1 = net.add_node("r1");
-  auto r2 = net.add_node("r2");
-  auto s = net.add_node("s");
-  auto [p1, q1] = net.connect(c, r1, 10e6, milliseconds(5), 100);
-  (void)q1;
-  net.connect(r1, s, 1e9, milliseconds(1), 500);
-  auto [p2, q2] = net.connect(c, r2, 10e6, milliseconds(25), 100);
-  (void)q2;
-  net.connect(r2, s, 1e9, milliseconds(1), 500);
-
-  MultipathTcp mptcp(net, c, s, 1000, 80, {{p1, "wifi"}, {p2, "lte"}},
-                     MultipathTcp::Config{});
-  mptcp.send_forever();
-  sim.at(seconds(5), [&, l = p1] { l->set_up(false); });  // WiFi dies
-  sim.run_until(seconds(20));
-  std::int64_t at_20 = mptcp.total_received();
-  sim.run_until(seconds(30));
-  // The LTE subflow keeps the logical connection moving.
-  EXPECT_GT(mptcp.total_received(), at_20 + 5'000'000);
-}
-
-TEST(Mptcp, CoupledSubflowsAreFairToSingleTcp) {
-  // Two MPTCP subflows + one plain TCP share one 12 Mb/s bottleneck. With
-  // LIA-style coupling the MPTCP aggregate should take roughly half, not
-  // two thirds.
-  sim::Simulator sim;
-  Network net(sim, 7);
-  auto c = net.add_node("c");
-  auto s = net.add_node("s");
-  net.connect(c, s, 12e6, milliseconds(20), 120);
-
-  MultipathTcp mptcp(net, c, s, 1000, 80, {{nullptr, "sf1"}, {nullptr, "sf2"}},
-                     MultipathTcp::Config{});
-  TcpSink single_sink(net, s, 90);
-  TcpSource single(net, c, 1100, s, 90, 99);
-  // Let the single flow establish first so simultaneous slow starts don't
-  // lock it out before coupling takes effect.
-  single.send_forever();
-  sim.at(seconds(2), [&] { mptcp.send_forever(); });
-  sim.run_until(seconds(60));
-  double ratio = static_cast<double>(mptcp.total_received()) /
-                 static_cast<double>(single_sink.received_bytes());
-  EXPECT_LT(ratio, 1.9);  // uncoupled subflows would push toward ~2
-  EXPECT_GT(ratio, 0.45);
-}
-
-TEST(Tfrc, RateTracksLossEquation) {
-  TfrcController tfrc;
-  CcFeedback fb;
-  fb.owd = milliseconds(25);  // RTT 50 ms
-  fb.min_owd = milliseconds(25);
-  fb.loss_fraction = 0.01;
-  double rate = 0;
-  for (int i = 0; i < 100; ++i) rate = tfrc.on_feedback(fb, 0);
-  // TCP equation at p=1%, RTT=50 ms, s=1200 B: roughly 2-3 Mb/s.
-  EXPECT_GT(rate, 1.0e6);
-  EXPECT_LT(rate, 5.0e6);
-
-  // Quadrupling loss roughly halves the equation rate.
-  fb.loss_fraction = 0.04;
-  double rate4 = 0;
-  for (int i = 0; i < 100; ++i) rate4 = tfrc.on_feedback(fb, 0);
-  EXPECT_LT(rate4, 0.65 * rate);
-}
-
-TEST(Tfrc, SmootherThanLossAimd) {
-  // Feed both controllers the same noisy loss process; TFRC's rate variance
-  // should be far smaller — the property that makes it media-friendly.
-  sim::Rng rng(3);
-  TfrcController tfrc;
-  LossAimdController aimd;
-  sim::Samples tfrc_rates, aimd_rates;
-  for (int i = 0; i < 400; ++i) {
-    CcFeedback fb;
-    fb.owd = milliseconds(25);
-    fb.min_owd = milliseconds(20);
-    fb.loss_fraction = rng.bernoulli(0.3) ? 0.02 : 0.0;
-    tfrc_rates.add(tfrc.on_feedback(fb, 0) / 1e6);
-    aimd_rates.add(aimd.on_feedback(fb, 0) / 1e6);
-  }
-  // Compare spread relative to each controller's own median (the absolute
-  // operating points differ by design).
-  double tfrc_rel =
-      (tfrc_rates.percentile(0.9) - tfrc_rates.percentile(0.1)) / tfrc_rates.median();
-  double aimd_rel =
-      (aimd_rates.percentile(0.9) - aimd_rates.percentile(0.1)) / aimd_rates.median();
-  EXPECT_LT(tfrc_rel, 0.6 * aimd_rel);
-}
-
-TEST(Tfrc, WorksAsArtpController) {
-  sim::Simulator sim;
-  Network net(sim, 7);
-  auto c = net.add_node("c");
-  auto s = net.add_node("s");
-  net.connect(c, s, 10e6, milliseconds(15), 300);
-  ArtpReceiver rx(net, s, 80);
-  int delivered = 0;
-  rx.set_message_callback([&](const ArtpDelivery& d) { delivered += d.complete ? 1 : 0; });
-  ArtpSenderConfig cfg;
-  std::vector<ArtpPathConfig> paths;
-  ArtpPathConfig pc;
-  pc.controller = std::make_unique<TfrcController>();
-  paths.push_back(std::move(pc));
-  ArtpSender tx(net, c, 1000, s, 80, 1, cfg, std::move(paths));
-  for (int i = 0; i < 200; ++i) {
-    sim.at(milliseconds(20) * i, [&tx] {
-      ArtpMessageSpec m;
-      m.bytes = 8000;
-      m.tclass = net::TrafficClass::kFullBestEffort;
-      m.priority = net::Priority::kMediumNoDrop;
-      tx.send_message(m);
-    });
-  }
-  sim.run_until(seconds(10));
-  EXPECT_GT(delivered, 180);
 }
 
 }  // namespace

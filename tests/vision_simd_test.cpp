@@ -1,11 +1,11 @@
-// Golden tests for the vectorized vision fast paths: the library's FAST,
-// Harris, and box-blur implementations (SIMD cardinal pre-test, separable
-// integer blur, integer Sobel + rolling structure tensor) must be
-// *bit-identical* to straightforward scalar references on seeded synthetic
-// frames — including odd widths that exercise the partial-lane tails. The
-// references below are deliberately naive transcriptions of the definitions,
-// independent of the library's loop structure, so they pin whichever SIMD
-// backend (SSE2, NEON, or the ARNET_NO_SIMD scalar fallback) a build picked.
+// Golden tests for the vectorized vision fast paths: the library's FAST and
+// box-blur implementations (SIMD cardinal pre-test, separable integer blur)
+// must be *bit-identical* to straightforward scalar references on seeded
+// synthetic frames — including odd widths that exercise the partial-lane
+// tails. The references below are deliberately naive transcriptions of the
+// definitions, independent of the library's loop structure, so they pin
+// whichever SIMD backend (SSE2, NEON, or the ARNET_NO_SIMD scalar fallback) a
+// build picked.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 
 #include "arnet/sim/rng.hpp"
 #include "arnet/vision/features.hpp"
-#include "arnet/vision/harris.hpp"
 #include "arnet/vision/image.hpp"
 #include "arnet/vision/simd.hpp"
 #include "arnet/vision/synth.hpp"
@@ -119,63 +118,6 @@ std::vector<Feature> ref_fast_detect(const Image& img, int threshold, int nms_ra
   return kept;
 }
 
-/// Reference Harris: all-double Sobel + brute-force window accumulation.
-/// The library's integer pipeline is exact below 2^53, so converting at the
-/// end must reproduce these doubles bit for bit.
-std::vector<Feature> ref_harris_detect(const Image& img, const HarrisParams& params) {
-  const int w = img.width(), h = img.height();
-  if (w < 8 || h < 8) return {};
-  std::vector<double> ix(static_cast<std::size_t>(w) * h, 0.0);
-  std::vector<double> iy(static_cast<std::size_t>(w) * h, 0.0);
-  for (int y = 1; y < h - 1; ++y) {
-    for (int x = 1; x < w - 1; ++x) {
-      double gx = -img.at(x - 1, y - 1) - 2.0 * img.at(x - 1, y) - img.at(x - 1, y + 1) +
-                  img.at(x + 1, y - 1) + 2.0 * img.at(x + 1, y) + img.at(x + 1, y + 1);
-      double gy = -img.at(x - 1, y - 1) - 2.0 * img.at(x, y - 1) - img.at(x + 1, y - 1) +
-                  img.at(x - 1, y + 1) + 2.0 * img.at(x, y + 1) + img.at(x + 1, y + 1);
-      ix[static_cast<std::size_t>(y) * w + x] = gx;
-      iy[static_cast<std::size_t>(y) * w + x] = gy;
-    }
-  }
-  const int r = params.window_radius;
-  std::vector<Feature> raw;
-  for (int y = 1 + r; y < h - 1 - r; ++y) {
-    for (int x = 1 + r; x < w - 1 - r; ++x) {
-      double sxx = 0, syy = 0, sxy = 0;
-      for (int dy = -r; dy <= r; ++dy) {
-        for (int dx = -r; dx <= r; ++dx) {
-          double gx = ix[static_cast<std::size_t>(y + dy) * w + (x + dx)];
-          double gy = iy[static_cast<std::size_t>(y + dy) * w + (x + dx)];
-          sxx += gx * gx;
-          syy += gy * gy;
-          sxy += gx * gy;
-        }
-      }
-      double det = sxx * syy - sxy * sxy;
-      double trace = sxx + syy;
-      double response = det - params.k * trace * trace;
-      if (response > params.threshold) {
-        raw.push_back({x, y, static_cast<int>(std::min(response / 1e4, 2.0e9))});
-      }
-    }
-  }
-  std::sort(raw.begin(), raw.end(),
-            [](const Feature& a, const Feature& b) { return a.score > b.score; });
-  std::vector<Feature> kept;
-  std::vector<bool> suppressed(raw.size(), false);
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (suppressed[i]) continue;
-    kept.push_back(raw[i]);
-    for (std::size_t j = i + 1; j < raw.size(); ++j) {
-      if (!suppressed[j] && std::abs(raw[i].x - raw[j].x) <= params.nms_radius &&
-          std::abs(raw[i].y - raw[j].y) <= params.nms_radius) {
-        suppressed[j] = true;
-      }
-    }
-  }
-  return kept;
-}
-
 void expect_same_features(const std::vector<Feature>& got, const std::vector<Feature>& want,
                           const char* label) {
   ASSERT_EQ(got.size(), want.size()) << label;
@@ -242,18 +184,6 @@ TEST(SimdGolden, BoxBlurIntoReusesScratchExactly) {
   // Second pass into the warm scratch: same result, no reallocation needed.
   box_blur_into(img, 2, dst);
   EXPECT_TRUE(dst.data() == want.data());
-}
-
-TEST(SimdGolden, HarrisMatchesDoubleReference) {
-  const struct { int w, h; std::uint64_t seed; } frames[] = {
-      {320, 240, 31}, {640, 480, 32}, {333, 241, 33}};
-  for (const auto& f : frames) {
-    Image img = seeded_scene(f.w, f.h, f.seed);
-    HarrisParams p;
-    expect_same_features(harris_detect(img, p), ref_harris_detect(img, p), "harris/r1");
-    p.window_radius = 2;
-    expect_same_features(harris_detect(img, p), ref_harris_detect(img, p), "harris/r2");
-  }
 }
 
 TEST(SimdGolden, DescriptorsIdenticalOnOddWidthFrames) {
@@ -401,8 +331,6 @@ TEST(SimdWrapper, WordOpsMatchScalarSemantics) {
     std::uint16_t out[8];
     simd::add(va, vb).store(out);
     for (int i = 0; i < 8; ++i) EXPECT_EQ(out[i], static_cast<std::uint16_t>(a[i] + b[i]));
-    simd::sub(va, vb).store(out);
-    for (int i = 0; i < 8; ++i) EXPECT_EQ(out[i], static_cast<std::uint16_t>(a[i] - b[i]));
     simd::mulhi(va, vb).store(out);
     for (int i = 0; i < 8; ++i) {
       EXPECT_EQ(out[i], static_cast<std::uint16_t>(

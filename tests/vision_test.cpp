@@ -17,7 +17,6 @@
 #include "arnet/vision/pipeline.hpp"
 #include "arnet/vision/privacy.hpp"
 #include "arnet/vision/synth.hpp"
-#include "arnet/vision/track.hpp"
 #include "golden.hpp"
 #include "hamming.hpp"
 
@@ -745,43 +744,6 @@ TEST(Ransac, InlierPreRejectMatchesHypotScan) {
     homography_inliers(h, sweep, thr, got);
     ASSERT_EQ(got, hypot_inliers(h, sweep, thr)) << "general trial " << trial;
   }
-}
-
-TEST(Track, FollowsPureTranslation) {
-  sim::Rng rng(31);
-  Image img = render_scene(rng, SceneParams{});
-  Image moved = warp_image(img, Mat3::translation(5, -3));
-  auto feats = fast_detect(img, 20);
-  ASSERT_GT(feats.size(), 20u);
-  std::vector<Vec2> pts;
-  for (std::size_t i = 0; i < std::min<std::size_t>(feats.size(), 50); ++i) {
-    pts.push_back({static_cast<double>(feats[i].x), static_cast<double>(feats[i].y)});
-  }
-  auto tracks = track_points(img, moved, pts);
-  int good = 0;
-  for (const auto& t : tracks) {
-    if (t.ok && std::abs(t.curr.x - t.prev.x - 5) <= 1 &&
-        std::abs(t.curr.y - t.prev.y + 3) <= 1) {
-      ++good;
-    }
-  }
-  EXPECT_GT(static_cast<double>(good) / tracks.size(), 0.7);
-  EXPECT_GT(tracking_quality(tracks), 0.7);
-}
-
-TEST(Track, QualityDropsOnUnrelatedFrame) {
-  sim::Rng rng(37);
-  Image a = render_scene(rng, SceneParams{});
-  Image b = render_scene(rng, SceneParams{});  // different scene
-  auto feats = fast_detect(a, 20);
-  std::vector<Vec2> pts;
-  for (std::size_t i = 0; i < std::min<std::size_t>(feats.size(), 40); ++i) {
-    pts.push_back({static_cast<double>(feats[i].x), static_cast<double>(feats[i].y)});
-  }
-  auto same = track_points(a, a, pts);
-  auto diff = track_points(a, b, pts);
-  EXPECT_GT(tracking_quality(same), 0.95);
-  EXPECT_LT(tracking_quality(diff), tracking_quality(same));
 }
 
 TEST(Pipeline, RecognizesWarpedObjectAmongDistractors) {

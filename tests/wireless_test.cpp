@@ -361,5 +361,22 @@ TEST(Cellular, LegacyProfilesDrawNoBlockage) {
   EXPECT_TRUE(att.modulator->blockage_log().empty());
 }
 
+TEST(WifiRtsCts, HandshakeCostsAirtime) {
+  sim::Simulator sim;
+  WifiCell::Config plain_cfg;
+  WifiCell plain(sim, sim::Rng(1), plain_cfg);
+  WifiCell::Config rts_cfg;
+  rts_cfg.mac.rts_cts = true;
+  WifiCell protected_cell(sim, sim::Rng(1), rts_cfg);
+  sim::Time t_plain = plain.frame_airtime(1500, 54e6);
+  sim::Time t_rts = protected_cell.frame_airtime(1500, 54e6);
+  EXPECT_GT(t_rts, t_plain + sim::microseconds(100));
+  // Overhead hurts small frames relatively more.
+  double small_ratio = static_cast<double>(protected_cell.frame_airtime(100, 54e6)) /
+                       static_cast<double>(plain.frame_airtime(100, 54e6));
+  double big_ratio = static_cast<double>(t_rts) / static_cast<double>(t_plain);
+  EXPECT_GT(small_ratio, big_ratio);
+}
+
 }  // namespace
 }  // namespace arnet::wireless

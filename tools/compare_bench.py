@@ -22,7 +22,8 @@ evaporate).
 `--pair OFF:ON:MAX_RATIO` gates two benchmarks *within* each given file
 instead of across files: the ON case's wall time must stay within MAX_RATIO
 of the OFF case's (equivalently ops[ON] >= ops[OFF] / MAX_RATIO). Used for
-the telemetry-overhead budget — the fleet churn cell with the full tracing +
+the telemetry-overhead budget — one CloudRidAR `OffloadSession` over a
+simulated access link (bench/micro_transport.cpp) with the full tracing +
 sampling + SLO stack attached must stay within a few percent of the bare
 run. Both names missing is fatal: the gate cannot silently evaporate.
 
