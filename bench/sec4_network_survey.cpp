@@ -121,7 +121,7 @@ Measured measure_wifi(double phy_bps, int contenders, std::int32_t aggregate_byt
   double mbps = user_bytes * 8.0 / 5.0 / 1e6;
   // In-cell frame latency under contention (AP backhaul RTTs are Table II's
   // business).
-  double rtt = sim::to_milliseconds(cell.frame_airtime(aggregate_bytes, phy_bps)) *
+  double rtt = sim::to_milliseconds(wireless::frame_airtime(aggregate_bytes, phy_bps)) *
                (1 + static_cast<double>(contenders));
   return {mbps, mbps, rtt};
 }

@@ -254,9 +254,8 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
       break;
     }
     case ShootoutTransport::kQuicLite: {
-      transport::QuicLiteSender::Config qs;
       quic_tx = std::make_unique<transport::QuicLiteSender>(net, client, kArClientPort, server,
-                                                            kArServerPort, kArFlow, qs);
+                                                            kArServerPort, kArFlow);
       transport::QuicLiteReceiver::Config qr;
       qr.deadline = cfg.deadline;
       quic_rx = std::make_unique<transport::QuicLiteReceiver>(net, server, kArServerPort, qr);

@@ -40,10 +40,13 @@ class Link {
     /// kArena plus transmit batching: up to kBatchMax queued packets are
     /// dequeued together and their serialization timeline precomputed
     /// (back-to-back), costing one batch-complete event plus one arrival
-    /// event per packet instead of two events per packet. Packet-level
-    /// behavior (delivery times/order, drops, metrics totals, trace events)
-    /// is unchanged; the simulator-level event stream necessarily differs
-    /// (fewer events). Batching self-disables per transmission — falling
+    /// event per packet instead of two events per packet. Delivery
+    /// times/order, drops, metrics totals and trace events are unchanged;
+    /// the simulator-level event stream necessarily differs (fewer events).
+    /// So does queue(): planned packets whose serialization has not started
+    /// have left it, so an observer polling queue() sees up to
+    /// kBatchMax - 1 fewer packets (WifiSharedMedium reads such a link as
+    /// idle; DESIGN §13). Batching self-disables per transmission — falling
     /// back to kArena — whenever it could change behavior: time-dependent
     /// queue disciplines (AQM) or a configured loss model (per-packet RNG
     /// draw order).

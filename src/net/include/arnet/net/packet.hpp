@@ -96,8 +96,6 @@ struct TcpHeader {
   std::uint64_t seq = 0;       ///< first payload byte offset
   std::uint64_t ack = 0;       ///< next expected byte
   bool is_ack = false;         ///< carries acknowledgment
-  bool is_syn = false;
-  bool is_fin = false;
   /// SACK blocks received above `ack`.
   SackBlocks sack;
 };

@@ -1,7 +1,7 @@
 #include "arnet/runner/experiment.hpp"
 
 #include <atomic>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <exception>
 #include <filesystem>
@@ -10,6 +10,8 @@
 #include <mutex>
 #include <streambuf>
 #include <thread>
+
+#include "arnet/check/assert.hpp"
 
 namespace arnet::runner {
 
@@ -97,7 +99,13 @@ int parse_jobs_flag(int argc, char** argv, int fallback) {
     } else {
       continue;
     }
-    const int n = std::atoi(value);
+    // from_chars takes no whitespace or overflow, so only a full decimal int
+    // passes; the sign check turns away a negative one.
+    const char* end = value + std::strlen(value);
+    int n = 0;
+    const auto [ptr, ec] = std::from_chars(value, end, n);
+    ARNET_CHECK(ec == std::errc{} && ptr == end && n >= 0,
+                "--jobs must be a non-negative decimal, got '", value, "'");
     return n > 0 ? n : ExperimentRunner::hardware_jobs();
   }
   return fallback;

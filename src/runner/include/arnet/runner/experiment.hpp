@@ -79,6 +79,7 @@ class ExperimentRunner {
 
 /// Parse a `--jobs N` / `--jobs=N` flag (shared by the experiment binaries);
 /// returns `fallback` when absent. N = 0 means one job per hardware thread.
+/// Anything but a full non-negative decimal fails an ARNET_CHECK.
 int parse_jobs_flag(int argc, char** argv, int fallback = 1);
 
 /// Parse a generic `--name value` / `--name=value` string flag; returns

@@ -118,8 +118,9 @@ struct SweepArtifacts {
 int write_sweep(const SweepArtifacts& a);
 
 /// The command line every sweep binary shares: `--smoke`, `--slo` and
-/// `--report` (yes/no, default no), `--out-dir`, `--seed` (the root seed,
-/// default 1) and `--jobs` (default 1).
+/// `--report` (yes or no, default no), `--out-dir`, `--seed` (the root seed,
+/// default 1) and `--jobs` (default 1). A malformed value fails an
+/// ARNET_CHECK.
 struct SweepFlags {
   bool smoke = false;
   bool slo = false;

@@ -152,7 +152,9 @@ int write_sweep(const SweepArtifacts& a) {
 
 SweepFlags parse_sweep_flags(int argc, char** argv) {
   auto yes = [&](const char* name) {
-    return parse_string_flag(argc, argv, name, "no") != "no";
+    const std::string value = parse_string_flag(argc, argv, name, "no");
+    ARNET_CHECK(value == "yes" || value == "no", name, " must be yes or no, got '", value, "'");
+    return value == "yes";
   };
   SweepFlags f;
   f.smoke = yes("--smoke");

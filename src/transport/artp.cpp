@@ -13,6 +13,15 @@ using net::Packet;
 
 namespace {
 constexpr sim::Time kNeverStale = sim::kNever;
+constexpr std::int32_t kMtuPayload = 1300;
+constexpr sim::Time kDefaultStaleAfter = sim::milliseconds(60);
+constexpr std::int32_t kFeedbackBytes = 60;
+constexpr sim::Time kExpiry = sim::milliseconds(250);
+// Window of the per-path min-OWD estimate, at the receiver and mirrored at
+// the sender. It must be windowed: an all-time minimum turns any later
+// base-delay increase (handover, reroute) into a phantom standing queue that
+// pins the controller at its floor rate (see windowed_filter.hpp).
+constexpr sim::Time kMinOwdWindow = sim::seconds(10);
 
 bool droppable(net::Priority p) {
   return p == net::Priority::kMediumNoDelay || p == net::Priority::kLowest;
@@ -41,7 +50,7 @@ ArtpSender::ArtpSender(net::Network& net, net::NodeId local, net::Port local_por
     p.controller = DelayGradientController(pc.initial_rate_bps);
     p.cfg = std::move(pc);
     p.id = id++;
-    p.min_owd.set_window(cfg_.min_owd_window);
+    p.min_owd.set_window(kMinOwdWindow);
     paths_.push_back(std::move(p));
   }
   trace_ = trace::Emitter(cfg_.telemetry.tracer, cfg_.entity);
@@ -67,9 +76,9 @@ bool ArtpSender::path_up(std::size_t i) const {
 std::uint64_t ArtpSender::send_message(const ArtpMessageSpec& spec) {
   std::uint64_t id = next_msg_id_++;
   auto count = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(1, (spec.bytes + cfg_.mtu_payload - 1) / cfg_.mtu_payload));
+      std::max<std::int64_t>(1, (spec.bytes + kMtuPayload - 1) / kMtuPayload));
   sim::Time stale = spec.stale_after;
-  if (stale == 0) stale = droppable(spec.priority) ? cfg_.default_stale_after : kNeverStale;
+  if (stale == 0) stale = droppable(spec.priority) ? kDefaultStaleAfter : kNeverStale;
 
   std::int64_t remaining = std::max<std::int64_t>(spec.bytes, 1);
   std::vector<Chunk> staged;
@@ -87,7 +96,7 @@ std::uint64_t ArtpSender::send_message(const ArtpMessageSpec& spec) {
     c.critical_seq = cseq;
     c.index = i;
     c.count = count;
-    c.payload = static_cast<std::int32_t>(std::min<std::int64_t>(remaining, cfg_.mtu_payload));
+    c.payload = static_cast<std::int32_t>(std::min<std::int64_t>(remaining, kMtuPayload));
     remaining -= c.payload;
     c.tclass = spec.tclass;
     c.priority = spec.priority;
@@ -436,7 +445,7 @@ void ArtpSender::transmit(const Chunk& c, Path& path) {
       fp.src_port = local_port_;
       fp.dst_port = remote_port_;
       // Parity chunks match the largest data chunk of the message.
-      fp.size_bytes = (c.count > 1 ? cfg_.mtu_payload : c.payload) + cfg_.header_bytes;
+      fp.size_bytes = (c.count > 1 ? kMtuPayload : c.payload) + cfg_.header_bytes;
       fp.tclass = c.tclass;
       fp.priority = c.priority;
       fp.app = c.app;
@@ -532,7 +541,7 @@ void ArtpReceiver::on_packet(Packet&& p) {
 
   auto [ps_it, ps_new] = path_state_.try_emplace(h->path_id);
   PathState& ps = ps_it->second;
-  if (ps_new) ps.min_owd.set_window(cfg_.min_owd_window);
+  if (ps_new) ps.min_owd.set_window(kMinOwdWindow);
   ps.active = true;
   // `highest_seq` is the next expected per-path wire sequence; any jump
   // counts the skipped packets as losses (paths are FIFO in simulation).
@@ -683,14 +692,14 @@ void ArtpReceiver::expire_stale(sim::Time now) {
     PendingMsg& m = it->second;
     if (m.delivered) {
       // Garbage-collect tombstones once late duplicates are implausible.
-      if (now - m.first_arrival > cfg_.expiry) {
+      if (now - m.first_arrival > kExpiry) {
         it = pending_.erase(it);
       } else {
         ++it;
       }
       continue;
     }
-    if (m.tclass != net::TrafficClass::kCriticalData && now - m.first_arrival > cfg_.expiry) {
+    if (m.tclass != net::TrafficClass::kCriticalData && now - m.first_arrival > kExpiry) {
       ArtpDelivery d;
       d.msg_id = it->first;
       d.frame_id = m.frame_id;
@@ -749,7 +758,7 @@ void ArtpReceiver::feedback_tick() {
       fb.dst = peer_node;
       fb.src_port = local_port_;
       fb.dst_port = peer_port;
-      fb.size_bytes = cfg_.feedback_bytes;
+      fb.size_bytes = kFeedbackBytes;
       fb.tclass = net::TrafficClass::kCriticalData;
       fb.priority = net::Priority::kHighest;
       ArtpHeader h;

@@ -81,12 +81,12 @@ struct ArtpQosReport {
   sim::Time min_path_owd = 0;
 };
 
-/// ARTP sender-side configuration.
+/// ARTP sender-side configuration. Messages are cut into 1300-byte chunks;
+/// drop-eligible ones with no `stale_after` of their own go stale after
+/// 60 ms (constants in artp.cpp).
 struct ArtpSenderConfig {
-  std::int32_t mtu_payload = 1300;
   std::int32_t header_bytes = 30;
   sim::Time pace_interval = sim::milliseconds(5);
-  sim::Time default_stale_after = sim::milliseconds(60);
   /// FEC for the kBestEffortLossRecovery class: parity chunks appended per
   /// protected message (0 disables FEC). Any `fec_parity` losses within one
   /// message are recoverable without retransmission (paper §VI-C).
@@ -98,10 +98,6 @@ struct ArtpSenderConfig {
   /// critical message has been on the wire for this long, re-stage it
   /// (NACK-driven recovery handles everything except a fully lost tail).
   sim::Time critical_rto = sim::milliseconds(200);
-  /// Window of the per-path min-OWD estimate mirrored from receiver feedback.
-  /// Windowed (not all-time) so a base-delay increase — handover, reroute —
-  /// ages out instead of reading as a permanent standing queue.
-  sim::Time min_owd_window = sim::seconds(10);
   MultipathPolicy policy = MultipathPolicy::kSingle;
   bool duplicate_critical_on_two_paths = false;
   /// Observers, named `entity`; each must outlive the sender. With a
@@ -250,18 +246,14 @@ class ArtpSender {
 /// ARTP receiver: reassembles messages, recovers FEC-protected chunks,
 /// detects per-path loss, emits periodic feedback (delay/loss/rate + NACKs),
 /// and enforces in-order delivery for the critical class only.
+///
+/// An incomplete non-critical message is reported (incomplete) 250 ms after
+/// its first chunk arrived, and a delivered one keeps a tombstone as long
+/// (`kExpiry` in artp.cpp).
 class ArtpReceiver {
  public:
   struct Config {
     sim::Time feedback_interval = sim::milliseconds(25);
-    std::int32_t feedback_bytes = 60;
-    /// Incomplete non-critical messages are reported (incomplete) after this.
-    sim::Time expiry = sim::milliseconds(250);
-    /// Window of the per-path min-OWD estimate that anchors the delay-
-    /// gradient feedback. Must be windowed: an all-time minimum turns any
-    /// later base-delay increase into a phantom standing queue that pins the
-    /// sender's controller at its floor rate (see windowed_filter.hpp).
-    sim::Time min_owd_window = sim::seconds(10);
     /// Observers, named `entity`; each must outlive the receiver. With a
     /// registry the receiver publishes "artp.delivered_messages", per-app
     /// goodput counters ("artp.goodput_bytes" under "<entity>/app:<name>"),

@@ -31,22 +31,17 @@ struct QuicFrameResult {
   sim::Time latency() const { return completed_at - submitted_at; }
 };
 
-/// QUIC-lite sender: fragments each application frame into ~MTU datagrams and
-/// clocks them out at a fixed inter-fragment pacing interval (200 us by
-/// default, after arvr-sim.cc). Deliberately congestion-blind: this is the
-/// "modern paced UDP stack" contrast point of the transport shootout — pacing
-/// removes the burst-loss failure mode of window transports, but nothing
-/// backs off when the path slows down.
+/// QUIC-lite sender: fragments each application frame into 1200-byte
+/// datagrams (plus 38 bytes of IP + UDP + QUIC short header) and clocks them
+/// out at a fixed 200 us inter-fragment pacing interval, after arvr-sim.cc.
+/// Deliberately congestion-blind: this is the "modern paced UDP stack"
+/// contrast point of the transport shootout — pacing removes the burst-loss
+/// failure mode of window transports, but nothing backs off when the path
+/// slows down.
 class QuicLiteSender {
  public:
-  struct Config {
-    std::int32_t mtu_payload = 1200;   ///< fragment payload bytes
-    std::int32_t header_bytes = 38;    ///< IP + UDP + QUIC short header
-    sim::Time pace_interval = sim::microseconds(200);
-  };
-
   QuicLiteSender(net::Network& net, net::NodeId local, net::Port local_port,
-                 net::NodeId remote, net::Port remote_port, net::FlowId flow, Config cfg);
+                 net::NodeId remote, net::Port remote_port, net::FlowId flow);
   ~QuicLiteSender();
 
   QuicLiteSender(const QuicLiteSender&) = delete;
@@ -81,7 +76,6 @@ class QuicLiteSender {
   net::NodeId local_, remote_;
   net::Port local_port_, remote_port_;
   net::FlowId flow_;
-  Config cfg_;
   sim::Timer pace_timer_;
 
   std::deque<Fragment> queue_;
@@ -93,14 +87,12 @@ class QuicLiteSender {
 /// QUIC-lite receiver: reassembles frames keyed by frame id (tolerating
 /// reordered and duplicate fragments), and classifies every frame against its
 /// deadline — on-time, late, or incomplete once the expiry sweep gives up on
-/// its missing fragments.
+/// its missing fragments. The sweep runs every 10 ms and abandons (and
+/// counts) a frame 250 ms after its first fragment arrived.
 class QuicLiteReceiver {
  public:
   struct Config {
     sim::Time deadline = sim::milliseconds(50);  ///< arvr-sim default
-    /// Incomplete frames are abandoned (and counted) after this long.
-    sim::Time expiry = sim::milliseconds(250);
-    sim::Time sweep_interval = sim::milliseconds(10);
   };
 
   QuicLiteReceiver(net::Network& net, net::NodeId local, net::Port local_port);

@@ -7,18 +7,24 @@ namespace arnet::transport {
 using net::Packet;
 using net::QuicHeader;
 
+namespace {
+constexpr std::int32_t kMtuPayload = 1200;  ///< fragment payload bytes
+constexpr std::int32_t kHeaderBytes = 38;   ///< IP + UDP + QUIC short header
+constexpr sim::Time kPaceInterval = sim::microseconds(200);
+constexpr sim::Time kExpiry = sim::milliseconds(250);
+constexpr sim::Time kSweepInterval = sim::milliseconds(10);
+}  // namespace
+
 // ------------------------------------------------------------ QuicLiteSender
 
 QuicLiteSender::QuicLiteSender(net::Network& net, net::NodeId local, net::Port local_port,
-                               net::NodeId remote, net::Port remote_port, net::FlowId flow,
-                               Config cfg)
+                               net::NodeId remote, net::Port remote_port, net::FlowId flow)
     : net_(net),
       local_(local),
       remote_(remote),
       local_port_(local_port),
       remote_port_(remote_port),
       flow_(flow),
-      cfg_(cfg),
       pace_timer_(net.sim(), [this] { pace_tick(); }) {
   // Bound so ICMP-style errors or future receiver feedback have somewhere to
   // land; the transport itself is one-directional.
@@ -34,7 +40,7 @@ std::uint32_t QuicLiteSender::send_frame(std::int64_t bytes) {
 std::uint32_t QuicLiteSender::send_frame(std::int64_t bytes, const trace::TraceContext& ctx) {
   std::uint32_t id = next_frame_id_++;
   auto count = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(1, (bytes + cfg_.mtu_payload - 1) / cfg_.mtu_payload));
+      std::max<std::int64_t>(1, (bytes + kMtuPayload - 1) / kMtuPayload));
   std::int64_t remaining = std::max<std::int64_t>(bytes, 1);
   const bool was_idle = queue_.empty();
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -42,7 +48,7 @@ std::uint32_t QuicLiteSender::send_frame(std::int64_t bytes, const trace::TraceC
     f.frame_id = id;
     f.frag = i;
     f.frag_count = count;
-    f.payload = static_cast<std::int32_t>(std::min<std::int64_t>(remaining, cfg_.mtu_payload));
+    f.payload = static_cast<std::int32_t>(std::min<std::int64_t>(remaining, kMtuPayload));
     remaining -= f.payload;
     f.frame_submitted_at = net_.sim().now();
     f.trace = ctx;
@@ -58,7 +64,7 @@ void QuicLiteSender::pace_tick() {
   if (queue_.empty()) return;
   transmit(queue_.front());
   queue_.pop_front();
-  if (!queue_.empty()) pace_timer_.arm(cfg_.pace_interval);
+  if (!queue_.empty()) pace_timer_.arm(kPaceInterval);
 }
 
 void QuicLiteSender::transmit(const Fragment& f) {
@@ -68,7 +74,7 @@ void QuicLiteSender::transmit(const Fragment& f) {
   p.dst = remote_;
   p.src_port = local_port_;
   p.dst_port = remote_port_;
-  p.size_bytes = f.payload + cfg_.header_bytes;
+  p.size_bytes = f.payload + kHeaderBytes;
   p.tclass = net::TrafficClass::kFullBestEffort;
   p.priority = net::Priority::kLowest;
   QuicHeader h;
@@ -97,7 +103,7 @@ QuicLiteReceiver::QuicLiteReceiver(net::Network& net, net::NodeId local, net::Po
       cfg_(cfg),
       sweep_timer_(net.sim(), [this] { sweep(); }) {
   net_.node(local_).bind(local_port_, [this](Packet&& p) { on_packet(std::move(p)); });
-  sweep_timer_.arm(cfg_.sweep_interval);
+  sweep_timer_.arm(kSweepInterval);
 }
 
 QuicLiteReceiver::~QuicLiteReceiver() { net_.node(local_).unbind(local_port_); }
@@ -147,7 +153,7 @@ void QuicLiteReceiver::sweep() {
     // Age from first arrival, not submission: a frame stuck behind a long
     // uplink queue should still get its expiry grace once fragments show up.
     sim::Time anchor = std::max(f.submitted_at, f.first_arrival);
-    if (now - anchor < cfg_.expiry) {
+    if (now - anchor < kExpiry) {
       ++it;
       continue;
     }
@@ -163,7 +169,7 @@ void QuicLiteReceiver::sweep() {
     }
     it = pending_.erase(it);
   }
-  sweep_timer_.arm(cfg_.sweep_interval);
+  sweep_timer_.arm(kSweepInterval);
 }
 
 }  // namespace arnet::transport

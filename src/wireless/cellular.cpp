@@ -5,6 +5,10 @@
 
 namespace arnet::wireless {
 
+namespace {
+constexpr sim::Time kUpdateInterval = sim::milliseconds(100);
+}  // namespace
+
 CellularProfile CellularProfile::hspa_plus() {
   CellularProfile p;
   p.name = "HSPA+";
@@ -77,16 +81,16 @@ CellularProfile CellularProfile::nr_5g() {
 }
 
 CellularModulator::CellularModulator(sim::Simulator& sim, sim::Rng rng, net::Link& uplink,
-                                     net::Link& downlink, Config cfg)
+                                     net::Link& downlink, CellularProfile profile)
     : sim_(sim),
       rng_(std::move(rng)),
       uplink_(uplink),
       downlink_(downlink),
-      cfg_(cfg),
-      down_bps_(cfg.profile.mean_down_bps),
-      up_bps_(cfg.profile.mean_up_bps),
-      delay_(cfg.profile.base_one_way_delay) {
-  if (cfg_.profile.blockage.enabled) blockage_rng_ = rng_.fork("nr-blockage");
+      profile_(std::move(profile)),
+      down_bps_(profile_.mean_down_bps),
+      up_bps_(profile_.mean_up_bps),
+      delay_(profile_.base_one_way_delay) {
+  if (profile_.blockage.enabled) blockage_rng_ = rng_.fork("nr-blockage");
 }
 
 void CellularModulator::start() {
@@ -95,7 +99,7 @@ void CellularModulator::start() {
     // Arm the first clear->blocked transition; subsequent toggles rearm
     // themselves at exact (not tick-quantized) times.
     sim::Time first = sim::from_seconds(
-        blockage_rng_->exponential(cfg_.profile.blockage.mean_clear_s));
+        blockage_rng_->exponential(profile_.blockage.mean_clear_s));
     sim_.after(first, [this] { toggle_blockage(); });
   }
   tick();
@@ -103,7 +107,7 @@ void CellularModulator::start() {
 
 void CellularModulator::toggle_blockage() {
   if (!running_) return;
-  const NrBlockage& b = cfg_.profile.blockage;
+  const NrBlockage& b = profile_.blockage;
   blocked_ = !blocked_;
   if (blocked_) ++blockage_bursts_;
   blockage_log_.push_back(sim_.now());
@@ -115,7 +119,7 @@ void CellularModulator::toggle_blockage() {
 
 void CellularModulator::tick() {
   if (!running_) return;
-  const CellularProfile& pr = cfg_.profile;
+  const CellularProfile& pr = profile_;
 
   // Log-normal multiplicative rate noise with mean-reversion: blend the
   // previous value toward a fresh sample so rates wander rather than jump
@@ -137,11 +141,11 @@ void CellularModulator::tick() {
 
   apply();
 
-  sim_.after(cfg_.update_interval, [this] { tick(); });
+  sim_.after(kUpdateInterval, [this] { tick(); });
 }
 
 void CellularModulator::apply() {
-  const NrBlockage& b = cfg_.profile.blockage;
+  const NrBlockage& b = profile_.blockage;
   double rate_mult = blocked_ ? b.rate_factor : 1.0;
   sim::Time extra = blocked_ ? b.extra_delay : 0;
   uplink_.set_rate(std::max(32e3, up_bps_ * rate_mult));
@@ -166,9 +170,7 @@ CellularAttachment attach_cellular(net::Network& net, net::NodeId client, net::N
   down.name = profile.name + "-down";
   auto [ul, dl] = net.connect(client, tower, std::move(up), std::move(down));
 
-  CellularModulator::Config mc;
-  mc.profile = profile;
-  auto mod = std::make_unique<CellularModulator>(net.sim(), sim::Rng(seed), *ul, *dl, mc);
+  auto mod = std::make_unique<CellularModulator>(net.sim(), sim::Rng(seed), *ul, *dl, profile);
   return {ul, dl, std::move(mod)};
 }
 

@@ -61,17 +61,13 @@ struct CellularProfile {
 };
 
 /// Attaches to an uplink/downlink Link pair and modulates their rate and
-/// delay with a log-normal rate process plus delay jitter and spikes, turning
-/// static point-to-point pipes into everyday cellular behavior.
+/// delay every 100 ms with a log-normal rate process plus delay jitter and
+/// spikes, turning static point-to-point pipes into everyday cellular
+/// behavior.
 class CellularModulator {
  public:
-  struct Config {
-    CellularProfile profile;
-    sim::Time update_interval = sim::milliseconds(100);
-  };
-
   CellularModulator(sim::Simulator& sim, sim::Rng rng, net::Link& uplink, net::Link& downlink,
-                    Config cfg);
+                    CellularProfile profile);
 
   void start();
   void stop() { running_ = false; }
@@ -100,7 +96,7 @@ class CellularModulator {
   std::optional<sim::Rng> blockage_rng_;
   net::Link& uplink_;
   net::Link& downlink_;
-  Config cfg_;
+  CellularProfile profile_;
   bool running_ = false;
   double down_bps_ = 0;
   double up_bps_ = 0;

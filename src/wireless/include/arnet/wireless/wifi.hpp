@@ -18,30 +18,12 @@
 
 namespace arnet::wireless {
 
-/// 802.11 MAC/PHY overhead parameters. Defaults approximate 802.11a/g OFDM
-/// timing; the absolute values matter less than the structure: every frame
-/// pays fixed airtime (DIFS + backoff + preamble + SIFS + ACK) plus payload
-/// serialization at the *station's own* PHY rate.
-struct WifiMacParams {
-  sim::Time difs = sim::microseconds(34);
-  sim::Time sifs = sim::microseconds(16);
-  sim::Time slot = sim::microseconds(9);
-  std::uint32_t cw_min_slots = 15;       ///< mean backoff = cw_min/2 slots
-  sim::Time phy_preamble = sim::microseconds(20);
-  sim::Time ack_duration = sim::microseconds(44);  ///< ACK at control rate
-  std::int32_t mac_header_bytes = 34;
-  std::uint32_t retry_limit = 7;
-  /// RTS/CTS handshake before each data frame (hidden-terminal protection;
-  /// costs two control frames + SIFS gaps of airtime per exchange).
-  bool rts_cts = false;
-  sim::Time rts_duration = sim::microseconds(52);
-  sim::Time cts_duration = sim::microseconds(44);
-};
-
 /// Mean medium occupancy of one `bytes`-sized 802.11 frame sent at
-/// `phy_bps`: DIFS + mean backoff + optional RTS/CTS exchange + preamble +
-/// payload + SIFS + ACK.
-sim::Time frame_airtime(const WifiMacParams& mac, std::int32_t bytes, double phy_bps);
+/// `phy_bps`: DIFS + mean backoff + preamble + payload + SIFS + ACK, at
+/// 802.11a/g OFDM timing (constants in wifi.cpp). The absolute values matter
+/// less than the structure: every frame pays fixed airtime plus payload
+/// serialization at the *station's own* PHY rate.
+sim::Time frame_airtime(std::int32_t bytes, double phy_bps);
 
 /// Shared-medium 802.11 DCF cell: one AP plus stations, each with its own
 /// PHY rate. DCF gives every backlogged transmitter an (approximately) equal
@@ -52,8 +34,9 @@ sim::Time frame_airtime(const WifiMacParams& mac, std::int32_t bytes, double phy
 ///
 /// The cell is deliberately standalone (it does not pretend to be a
 /// point-to-point Link): frames are handed in per station and delivered to
-/// per-entity sinks. kApId addresses the AP; the AP contends for the medium
-/// like any station.
+/// per-entity sinks. kApId addresses the AP, which runs at 54 Mb/s and
+/// contends for the medium like any station. A corrupted frame is retried
+/// up to 7 attempts.
 class WifiCell {
  public:
   static constexpr std::uint32_t kApId = 0;
@@ -61,8 +44,6 @@ class WifiCell {
   using Sink = std::function<void(net::Packet&&, std::uint32_t from)>;
 
   struct Config {
-    WifiMacParams mac;
-    double ap_phy_bps = 54e6;
     std::size_t queue_packets = 200;
     double frame_loss = 0.0;  ///< per-attempt corruption probability
   };
@@ -85,11 +66,6 @@ class WifiCell {
   std::int64_t delivered_bytes(std::uint32_t entity) const;
   std::int64_t delivered_packets(std::uint32_t entity) const;
   std::int64_t dropped_frames() const { return dropped_; }
-
-  /// Mean medium occupancy of one `bytes`-sized frame at `phy_bps`.
-  sim::Time frame_airtime(std::int32_t bytes, double phy_bps) const {
-    return wireless::frame_airtime(cfg_.mac, bytes, phy_bps);
-  }
 
   /// Observe the cell under `entity`, replacing any earlier attachment; the
   /// observers must outlive the cell. With a registry the cell publishes

@@ -16,19 +16,12 @@ namespace arnet::wireless {
 /// performance anomaly (Fig. 2) into full offloading scenarios without
 /// replacing the Link/Network machinery.
 ///
-/// Flow-level approximation of WifiCell's frame-level model: per-frame
-/// airtimes are computed with the same WifiMacParams, but service is fluid
-/// within a tick.
+/// Flow-level approximation of WifiCell's frame-level model: airtimes come
+/// from the same frame_airtime of a 1500-byte reference frame, but service
+/// is fluid within a 20 ms tick.
 class WifiSharedMedium {
  public:
-  struct Config {
-    WifiMacParams mac;
-    sim::Time update_interval = sim::milliseconds(20);
-    std::int32_t reference_frame_bytes = 1500;
-  };
-
-  explicit WifiSharedMedium(sim::Simulator& sim) : WifiSharedMedium(sim, Config{}) {}
-  WifiSharedMedium(sim::Simulator& sim, Config cfg) : sim_(sim), cfg_(cfg) {}
+  explicit WifiSharedMedium(sim::Simulator& sim) : sim_(sim) {}
 
   /// Register a station's uplink (station->AP Link) with its PHY rate.
   void attach(net::Link& uplink, double phy_bps, std::string name = "sta");
@@ -53,7 +46,6 @@ class WifiSharedMedium {
   void tick();
 
   sim::Simulator& sim_;
-  Config cfg_;
   std::vector<Station> stations_;
   bool running_ = false;
 };

@@ -4,18 +4,30 @@
 
 namespace arnet::wireless {
 
-sim::Time frame_airtime(const WifiMacParams& m, std::int32_t bytes, double phy_bps) {
-  sim::Time backoff = m.slot * (m.cw_min_slots / 2);
-  sim::Time payload = sim::transmission_delay(bytes + m.mac_header_bytes, phy_bps);
-  sim::Time handshake = m.rts_cts ? m.rts_duration + m.sifs + m.cts_duration + m.sifs : 0;
-  return m.difs + backoff + handshake + m.phy_preamble + payload + m.sifs + m.ack_duration;
+namespace {
+// 802.11a/g OFDM MAC/PHY timing.
+constexpr sim::Time kDifs = sim::microseconds(34);
+constexpr sim::Time kSifs = sim::microseconds(16);
+constexpr sim::Time kSlot = sim::microseconds(9);
+constexpr std::uint32_t kCwMinSlots = 15;  ///< mean backoff = cw_min/2 slots
+constexpr sim::Time kPhyPreamble = sim::microseconds(20);
+constexpr sim::Time kAckDuration = sim::microseconds(44);  ///< ACK at control rate
+constexpr std::int32_t kMacHeaderBytes = 34;
+constexpr std::uint32_t kMaxAttempts = 7;  ///< 802.11 retry limit
+constexpr double kApPhyBps = 54e6;
+}  // namespace
+
+sim::Time frame_airtime(std::int32_t bytes, double phy_bps) {
+  sim::Time backoff = kSlot * (kCwMinSlots / 2);
+  sim::Time payload = sim::transmission_delay(bytes + kMacHeaderBytes, phy_bps);
+  return kDifs + backoff + kPhyPreamble + payload + kSifs + kAckDuration;
 }
 
 WifiCell::WifiCell(sim::Simulator& sim, sim::Rng rng, Config cfg)
     : sim_(sim), rng_(std::move(rng)), cfg_(cfg) {
   Entity ap;
   ap.name = "ap";
-  ap.phy_bps = cfg_.ap_phy_bps;
+  ap.phy_bps = kApPhyBps;
   entities_.emplace(kApId, std::move(ap));
 }
 
@@ -117,11 +129,11 @@ void WifiCell::try_start_transmission() {
   bool delivered = true;
   if (cfg_.frame_loss > 0.0) {
     std::uint32_t attempts = 1;
-    while (rng_.bernoulli(cfg_.frame_loss) && attempts < cfg_.mac.retry_limit) {
+    while (rng_.bernoulli(cfg_.frame_loss) && attempts < kMaxAttempts) {
       ++attempts;
       occupancy += frame_airtime(pkt.size_bytes, winner->phy_bps);
     }
-    if (attempts >= cfg_.mac.retry_limit && rng_.bernoulli(cfg_.frame_loss)) {
+    if (attempts >= kMaxAttempts && rng_.bernoulli(cfg_.frame_loss)) {
       delivered = false;
       drop_frame(pkt, kRetryLimit);
     }

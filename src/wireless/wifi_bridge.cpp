@@ -4,6 +4,11 @@
 
 namespace arnet::wireless {
 
+namespace {
+constexpr sim::Time kUpdateInterval = sim::milliseconds(20);
+constexpr std::int32_t kReferenceFrameBytes = 1500;
+}  // namespace
+
 void WifiSharedMedium::attach(net::Link& uplink, double phy_bps, std::string name) {
   Station s;
   s.uplink = &uplink;
@@ -13,8 +18,8 @@ void WifiSharedMedium::attach(net::Link& uplink, double phy_bps, std::string nam
 }
 
 double WifiSharedMedium::solo_goodput_bps(double phy_bps) const {
-  const sim::Time airtime = frame_airtime(cfg_.mac, cfg_.reference_frame_bytes, phy_bps);
-  return cfg_.reference_frame_bytes * 8.0 / sim::to_seconds(airtime);
+  const sim::Time airtime = frame_airtime(kReferenceFrameBytes, phy_bps);
+  return kReferenceFrameBytes * 8.0 / sim::to_seconds(airtime);
 }
 
 void WifiSharedMedium::tick() {
@@ -26,7 +31,7 @@ void WifiSharedMedium::tick() {
   std::size_t backlogged = 0;
   for (const Station& s : stations_) {
     if (s.uplink->is_up() && !s.uplink->queue().empty()) {
-      round += frame_airtime(cfg_.mac, cfg_.reference_frame_bytes, s.phy_bps);
+      round += frame_airtime(kReferenceFrameBytes, s.phy_bps);
       ++backlogged;
     }
   }
@@ -36,7 +41,7 @@ void WifiSharedMedium::tick() {
       // Idle medium: a newly active station starts at its solo rate.
       rate = solo_goodput_bps(s.phy_bps);
     } else if (s.uplink->is_up()) {
-      rate = cfg_.reference_frame_bytes * 8.0 / sim::to_seconds(round);
+      rate = kReferenceFrameBytes * 8.0 / sim::to_seconds(round);
     } else {
       rate = s.last_rate;
     }
@@ -44,7 +49,7 @@ void WifiSharedMedium::tick() {
     s.last_rate = rate;
     s.uplink->set_rate(rate);
   }
-  sim_.after(cfg_.update_interval, [this] { tick(); });
+  sim_.after(kUpdateInterval, [this] { tick(); });
 }
 
 }  // namespace arnet::wireless

@@ -123,7 +123,7 @@ TEST(WirelessMisc, WifiPhyRateChangeTakesEffect) {
   sim::Simulator sim;
   wireless::WifiCell cell(sim, sim::Rng(1), wireless::WifiCell::Config{});
   auto sta = cell.add_station(54e6);
-  sim::Time fast = cell.frame_airtime(1500, 54e6);
+  sim::Time fast = wireless::frame_airtime(1500, 54e6);
   cell.set_phy_rate(sta, 6e6);
   // Airtime helper is rate-parameterized; the station's queue now drains at
   // the slow rate: verify by a send/measure.

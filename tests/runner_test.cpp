@@ -52,7 +52,7 @@ TEST(Runner, ParseJobsFlag) {
     EXPECT_EQ(parse_jobs_flag(1, const_cast<char**>(raw), 3), 3);
   }
   {
-    // 0 and negatives mean "use all cores".
+    // 0 means "use all cores".
     const char* raw[] = {"bench", "--jobs", "0"};
     EXPECT_EQ(parse_jobs_flag(3, const_cast<char**>(raw), 1),
               ExperimentRunner::hardware_jobs());
@@ -209,6 +209,38 @@ TEST(Sweep, RejectsMalformedSeed) {
   }
   EXPECT_EQ(seed_of("0"), 0u);
   EXPECT_EQ(seed_of("18446744073709551615"), 18446744073709551615u);
+}
+
+TEST(Sweep, RejectsMalformedJobs) {
+  check::ScopedFailPolicy policy(check::FailPolicy::kThrow);
+  auto jobs_of = [](std::string value) {
+    std::string prog = "bench", flag = "--jobs";
+    char* argv[] = {prog.data(), flag.data(), value.data()};
+    return parse_jobs_flag(3, argv, 1);
+  };
+  for (const char* bad : {"abc", "4x", "-3", ""}) {
+    EXPECT_THROW(jobs_of(bad), check::CheckError) << "'" << bad << "'";
+  }
+  EXPECT_EQ(jobs_of("0"), ExperimentRunner::hardware_jobs());
+  EXPECT_EQ(jobs_of("2"), 2);
+}
+
+TEST(Sweep, RejectsNonYesNoFlags) {
+  check::ScopedFailPolicy policy(check::FailPolicy::kThrow);
+  auto flags_of = [](std::string name, std::string value) {
+    std::string prog = "bench";
+    char* argv[] = {prog.data(), name.data(), value.data()};
+    return parse_sweep_flags(3, argv);
+  };
+  for (const char* name : {"--smoke", "--slo", "--report"}) {
+    for (const char* bad : {"false", "true", "YES", "1", ""}) {
+      EXPECT_THROW(flags_of(name, bad), check::CheckError) << name << " '" << bad << "'";
+    }
+  }
+  EXPECT_TRUE(flags_of("--smoke", "yes").smoke);
+  EXPECT_FALSE(flags_of("--smoke", "no").smoke);
+  EXPECT_TRUE(flags_of("--slo", "yes").slo);
+  EXPECT_TRUE(flags_of("--report", "yes").report);
 }
 
 TEST(Sweep, WritesEachArtifactNamedAfterTheSuite) {

@@ -1,4 +1,4 @@
-// Tests for the TCP congestion-control flavors (Reno/NewReno/CUBIC/Vegas/BBR)
+// Tests for the TCP congestion-control flavors (Reno/NewReno/CUBIC/BBR)
 // — the protocol landscape the paper surveys in §V.
 #include <gtest/gtest.h>
 
@@ -46,7 +46,7 @@ double run_flavor_mbps(TcpFlavor flavor, double bps, sim::Time delay, std::size_
 }
 
 TEST(TcpFlavors, AllFlavorsCompleteTransfers) {
-  for (auto f : {TcpFlavor::kReno, TcpFlavor::kNewReno, TcpFlavor::kCubic, TcpFlavor::kVegas}) {
+  for (auto f : {TcpFlavor::kReno, TcpFlavor::kNewReno, TcpFlavor::kCubic}) {
     Pipe p(10e6, milliseconds(10), 100);
     TcpSink sink(p.net, p.b, 80);
     TcpSource::Config cfg;
@@ -68,49 +68,6 @@ TEST(TcpFlavors, CubicOutgrowsRenoOnLongFatPipe) {
   double cubic = run_flavor_mbps(TcpFlavor::kCubic, 100e6, milliseconds(40), 400, seconds(30));
   EXPECT_GT(cubic, reno * 1.2);
   EXPECT_LE(cubic, 100.0);
-}
-
-TEST(TcpFlavors, VegasKeepsQueueShort) {
-  // On a modest pipe with a deep buffer, Reno fills the queue (high srtt)
-  // while Vegas holds a few packets (srtt near propagation RTT).
-  Pipe preno(10e6, milliseconds(20), 500);
-  TcpSink sink_r(preno.net, preno.b, 80);
-  TcpSource::Config rcfg;
-  rcfg.flavor = TcpFlavor::kNewReno;
-  TcpSource reno(preno.net, preno.a, 1000, preno.b, 80, 1, rcfg);
-  reno.send_forever();
-  preno.sim.run_until(seconds(20));
-
-  Pipe pveg(10e6, milliseconds(20), 500);
-  TcpSink sink_v(pveg.net, pveg.b, 80);
-  TcpSource::Config vcfg;
-  vcfg.flavor = TcpFlavor::kVegas;
-  TcpSource vegas(pveg.net, pveg.a, 1000, pveg.b, 80, 1, vcfg);
-  vegas.send_forever();
-  pveg.sim.run_until(seconds(20));
-
-  EXPECT_LT(vegas.srtt(), milliseconds(60));   // ~2 pkts of standing queue
-  EXPECT_GT(reno.srtt(), milliseconds(100));   // bufferbloat
-  // Vegas still uses the link well.
-  EXPECT_GT(sink_v.received_bytes() * 8.0 / 20 / 1e6, 8.0);
-}
-
-TEST(TcpFlavors, RenoStarvesVegasAtSharedBottleneck) {
-  // The fairness problem the paper cites ([65]): loss-based Reno fills the
-  // buffer, delay-based Vegas interprets that as congestion and retreats.
-  Pipe p(10e6, milliseconds(20), 250);
-  TcpSink sink_r(p.net, p.b, 80);
-  TcpSink sink_v(p.net, p.b, 81);
-  TcpSource::Config rcfg;
-  rcfg.flavor = TcpFlavor::kNewReno;
-  TcpSource reno(p.net, p.a, 1000, p.b, 80, 1, rcfg);
-  TcpSource::Config vcfg;
-  vcfg.flavor = TcpFlavor::kVegas;
-  TcpSource vegas(p.net, p.a, 1001, p.b, 81, 2, vcfg);
-  reno.send_forever();
-  vegas.send_forever();
-  p.sim.run_until(seconds(30));
-  EXPECT_GT(sink_r.received_bytes(), 3 * sink_v.received_bytes());
 }
 
 TEST(TcpFlavors, BbrCompletesTransferAndReachesProbeBw) {
@@ -165,9 +122,9 @@ TEST(TcpFlavors, BbrProbeRttFloorsCwnd) {
 }
 
 TEST(TcpFlavors, BbrKeepsQueueShorterThanRenoOnDeepBuffer) {
-  // The bufferbloat contrast (same shape as the Vegas test): on a deep
-  // buffer, loss-based Reno fills the queue; BBR's model holds cwnd near one
-  // BDP so srtt stays near the propagation RTT.
+  // The bufferbloat contrast: on a deep buffer, loss-based Reno fills the
+  // queue; BBR's model holds cwnd near one BDP so srtt stays near the
+  // propagation RTT.
   Pipe preno(10e6, milliseconds(20), 500);
   TcpSink sink_r(preno.net, preno.b, 80);
   TcpSource::Config rcfg;

@@ -57,8 +57,7 @@ struct QuicWorld {
 
 TEST(QuicLite, DeliversFramesOnTimeOverCleanLink) {
   QuicWorld w;
-  QuicLiteSender::Config scfg;
-  QuicLiteSender tx(w.net, w.a, 1000, w.b, 80, 9, scfg);
+  QuicLiteSender tx(w.net, w.a, 1000, w.b, 80, 9);
   QuicLiteReceiver rx(w.net, w.b, 80);
   int callbacks = 0;
   rx.set_frame_callback([&](const QuicFrameResult& r) {
@@ -83,8 +82,7 @@ TEST(QuicLite, DeliversFramesOnTimeOverCleanLink) {
 
 TEST(QuicLite, PacerSpacesFragmentsByConfiguredInterval) {
   QuicWorld w(1e9, milliseconds(1));
-  QuicLiteSender::Config scfg;
-  QuicLiteSender tx(w.net, w.a, 1000, w.b, 80, 9, scfg);
+  QuicLiteSender tx(w.net, w.a, 1000, w.b, 80, 9);
   // Raw tap instead of the reassembler: record every fragment arrival time.
   std::vector<sim::Time> arrivals;
   w.net.node(w.b).bind(80, [&](Packet&& p) {

@@ -164,20 +164,6 @@ TEST(Tcp, TwoFlowsShareBottleneckRoughlyFairly) {
   EXPECT_GT((r1 + r2) * 8.0 / 30.0 / 1e6, 8.0);
 }
 
-TEST(Tcp, DelayedAckStillCompletes) {
-  Dumbbell d(10e6, 10e6, milliseconds(10), 100);
-  TcpSink::Config scfg;
-  scfg.delayed_ack = true;
-  TcpSink sink(d.net, d.server, 80, scfg);
-  TcpSource src(d.net, d.client, 1000, d.server, 80, 1);
-  bool done = false;
-  src.set_on_complete([&] { done = true; });
-  src.send(500'000);
-  d.sim.run_until(seconds(30));
-  EXPECT_TRUE(done);
-  EXPECT_EQ(sink.received_bytes(), 500'000);
-}
-
 TEST(Tcp, ShortTransferWithPartialSegment) {
   Dumbbell d(10e6, 10e6, milliseconds(5), 100);
   TcpSink sink(d.net, d.server, 80);
