@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     if (flags.slo) {
       slo::SloConfig lc;
       lc.entity = cells[i].name();
-      lc.deadline_ms = sim::to_milliseconds(cells[i].deadline);
+      lc.deadline_ms = sim::to_milliseconds(core::kShootoutDeadline);
       t = telemetry.attach(i, ctx.seed, lc);
     }
     results[i] = core::run_shootout_cell(cells[i], ctx.seed, t);

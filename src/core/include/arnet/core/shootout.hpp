@@ -22,7 +22,7 @@ enum class ShootoutTransport {
 
 /// Access network the AR uplink crosses (paper §IV-A technologies).
 enum class ShootoutNetwork {
-  kWifi,  ///< shared DCF cell with backlogged contender stations
+  kWifi,  ///< shared DCF cell with saturated contender stations
   kLte,   ///< everyday LTE (fading + jitter + spikes)
   kNr5g,  ///< 5G NR: very fast but volatile, with mmWave blockage bursts
 };
@@ -30,18 +30,17 @@ enum class ShootoutNetwork {
 const char* to_string(ShootoutTransport t);
 const char* to_string(ShootoutNetwork n);
 
+/// Delivery deadline every shootout frame is scored against.
+inline constexpr sim::Time kShootoutDeadline = sim::milliseconds(50);
+
 /// One cell of the transport shootout grid: a single AR client uploading
-/// camera frames at `fps` over one access network, scored frame-by-frame
-/// against a delivery deadline (the arvr-sim methodology: every frame ends
-/// up exactly one of on-time, late, or incomplete).
+/// ~30 KB camera frames at 30 fps over one access network, scored
+/// frame-by-frame against kShootoutDeadline (the arvr-sim methodology:
+/// every frame ends up exactly one of on-time, late, or incomplete).
 struct ShootoutCellConfig {
   ShootoutTransport transport = ShootoutTransport::kArtp;
   ShootoutNetwork network = ShootoutNetwork::kWifi;
-  double fps = 30.0;
-  std::int64_t frame_bytes = 30000;  ///< ~30 KB compressed camera frame
-  sim::Time deadline = sim::milliseconds(50);
   sim::Time duration = sim::seconds(20);
-  int wifi_contenders = 2;  ///< backlogged stations sharing the WiFi cell
 
   std::string name() const;
 };

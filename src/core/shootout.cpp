@@ -1,6 +1,5 @@
 #include "arnet/core/shootout.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
@@ -18,7 +17,6 @@
 #include "arnet/transport/artp.hpp"
 #include "arnet/transport/quic_lite.hpp"
 #include "arnet/transport/tcp.hpp"
-#include "arnet/transport/udp.hpp"
 #include "arnet/wireless/cellular.hpp"
 #include "arnet/wireless/wifi_bridge.hpp"
 
@@ -53,14 +51,14 @@ namespace {
 constexpr net::Port kArClientPort = 5000;
 constexpr net::Port kArServerPort = 6000;
 constexpr net::FlowId kArFlow = 1;
+constexpr double kFps = 30.0;
+constexpr std::int64_t kFrameBytes = 30000;  ///< ~30 KB compressed camera frame
+constexpr int kWifiContenders = 2;           ///< saturated stations sharing the WiFi cell
 
 /// Everything that must stay alive while the cell runs.
 struct CellPlant {
   std::unique_ptr<wireless::WifiSharedMedium> medium;
-  std::vector<std::unique_ptr<wireless::CellularModulator>> modulators;
-  std::vector<std::unique_ptr<transport::UdpEndpoint>> sinks;
-  std::vector<std::unique_ptr<transport::CbrSource>> contenders;
-  net::Link* uplink = nullptr;  ///< client->server (informational)
+  std::unique_ptr<wireless::CellularModulator> modulator;
 };
 
 /// Builds the access network between client and server for the chosen leg.
@@ -68,9 +66,9 @@ void build_network(const ShootoutCellConfig& cfg, net::Network& net, net::NodeId
                    net::NodeId server, std::uint64_t seed, CellPlant& plant) {
   switch (cfg.network) {
     case ShootoutNetwork::kWifi: {
-      // One DCF cell: the AR client plus `wifi_contenders` backlogged
-      // stations share the medium; the AP->client downlink (ACKs, feedback)
-      // is modeled contention-free.
+      // One DCF cell: the AR client plus kWifiContenders saturated stations
+      // share the medium; the AP->client downlink (ACKs, feedback) is
+      // modeled contention-free.
       net::Link::Config up;
       up.rate_bps = 30e6;
       up.delay = sim::milliseconds(2);
@@ -81,35 +79,11 @@ void build_network(const ShootoutCellConfig& cfg, net::Network& net, net::NodeId
       down.delay = sim::milliseconds(2);
       down.queue_packets = 200;
       down.name = "wifi-down";
-      auto [ul, dl] = net.connect(client, server, std::move(up), std::move(down));
-      plant.uplink = ul;
+      net::Link* ul = net.connect(client, server, std::move(up), std::move(down)).first;
       plant.medium = std::make_unique<wireless::WifiSharedMedium>(net.sim());
-      plant.medium->attach(*ul, 54e6, "ar-client");
-      for (int i = 0; i < cfg.wifi_contenders; ++i) {
-        net::NodeId sta = net.add_node("sta-" + std::to_string(i));
-        net::Link::Config sup;
-        sup.rate_bps = 30e6;
-        sup.delay = sim::milliseconds(2);
-        sup.queue_packets = 100;
-        sup.name = "sta-up-" + std::to_string(i);
-        net::Link::Config sdown;
-        sdown.rate_bps = 54e6;
-        sdown.delay = sim::milliseconds(2);
-        sdown.name = "sta-down-" + std::to_string(i);
-        auto [cul, cdl] = net.connect(sta, server, std::move(sup), std::move(sdown));
-        (void)cdl;
-        plant.medium->attach(*cul, 54e6, "sta-" + std::to_string(i));
-        net::Port sink_port = static_cast<net::Port>(6100 + i);
-        plant.sinks.push_back(
-            std::make_unique<transport::UdpEndpoint>(net, server, sink_port));
-        transport::CbrSource::Config cc;
-        cc.rate_bps = 40e6;  // well above any fair share: permanently backlogged
-        cc.flow = static_cast<net::FlowId>(10 + i);
-        plant.contenders.push_back(std::make_unique<transport::CbrSource>(
-            net, sta, static_cast<net::Port>(5100 + i), server, sink_port, cc));
-      }
+      plant.medium->attach(*ul, 54e6);
+      for (int i = 0; i < kWifiContenders; ++i) plant.medium->attach_saturated(54e6);
       plant.medium->start();
-      for (auto& c : plant.contenders) c->start();
       break;
     }
     case ShootoutNetwork::kLte:
@@ -118,9 +92,8 @@ void build_network(const ShootoutCellConfig& cfg, net::Network& net, net::NodeId
                                               ? wireless::CellularProfile::lte()
                                               : wireless::CellularProfile::nr_5g();
       auto att = wireless::attach_cellular(net, client, server, profile, seed ^ 0xCE11);
-      plant.uplink = att.uplink;
       att.modulator->start();
-      plant.modulators.push_back(std::move(att.modulator));
+      plant.modulator = std::move(att.modulator);
       break;
     }
   }
@@ -160,7 +133,7 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
   // miss for the SLO), incompletes record an explicit drop + miss. A frame
   // already classified stays so: ARTP can re-report an expired message.
   auto score = [&](std::uint32_t fid, bool complete, sim::Time latency) {
-    const bool missed = complete && ledger.complete(latency, cfg.deadline);
+    const bool missed = complete && ledger.complete(latency, kShootoutDeadline);
     auto it = frame_ctx.find(fid);
     if (it == frame_ctx.end()) return;
     const trace::TraceContext ctx = it->second;
@@ -207,7 +180,7 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
       // four frames and from then on every message is shed before a single
       // chunk reaches the wire — zero deliveries, complete or otherwise.
       std::vector<transport::ArtpPathConfig> paths(1);
-      paths[0].initial_rate_bps = static_cast<double>(cfg.frame_bytes) * 8.0 * cfg.fps;
+      paths[0].initial_rate_bps = static_cast<double>(kFrameBytes) * 8.0 * kFps;
       artp_tx = std::make_unique<transport::ArtpSender>(net, client, kArClientPort, server,
                                                         kArServerPort, kArFlow, scfg,
                                                         std::move(paths));
@@ -218,7 +191,7 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
       });
       submit_frame = [&] {
         transport::ArtpMessageSpec spec;
-        spec.bytes = cfg.frame_bytes;
+        spec.bytes = kFrameBytes;
         spec.tclass = net::TrafficClass::kBestEffortLossRecovery;
         spec.priority = net::Priority::kMediumNoDelay;
         spec.app = net::AppData::kVideoReferenceFrame;
@@ -246,10 +219,10 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
       tcp_tx = std::make_unique<transport::TcpSource>(net, client, kArClientPort, server,
                                                       kArServerPort, kArFlow, tc);
       submit_frame = [&] {
-        tcp_submitted_bytes += cfg.frame_bytes;
+        tcp_submitted_bytes += kFrameBytes;
         tcp_frames.push_back(
             {static_cast<std::uint32_t>(ledger.frames), tcp_submitted_bytes, sim.now()});
-        tcp_tx->send(cfg.frame_bytes);
+        tcp_tx->send(kFrameBytes);
       };
       break;
     }
@@ -257,13 +230,13 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
       quic_tx = std::make_unique<transport::QuicLiteSender>(net, client, kArClientPort, server,
                                                             kArServerPort, kArFlow);
       transport::QuicLiteReceiver::Config qr;
-      qr.deadline = cfg.deadline;
+      qr.deadline = kShootoutDeadline;
       quic_rx = std::make_unique<transport::QuicLiteReceiver>(net, server, kArServerPort, qr);
       quic_rx->set_frame_callback([&](const transport::QuicFrameResult& r) {
         score(r.frame_id, r.complete, r.latency());
       });
       submit_frame = [&] {
-        quic_tx->send_frame(cfg.frame_bytes, ctx_of(static_cast<std::uint32_t>(ledger.frames)));
+        quic_tx->send_frame(kFrameBytes, ctx_of(static_cast<std::uint32_t>(ledger.frames)));
       };
       break;
     }
@@ -278,11 +251,11 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
     const trace::TraceContext ctx =
         observers.tracer ? observers.tracer->new_trace() : trace::TraceContext{};
     frame_ctx.emplace(fid, ctx);
-    emitter.emit(sim.now(), trace::EventKind::kFrameCapture, ctx, fid, cfg.frame_bytes);
+    emitter.emit(sim.now(), trace::EventKind::kFrameCapture, ctx, fid, kFrameBytes);
     submit_frame();
     ++ledger.frames;
     const sim::Time next =
-        sim::from_seconds(static_cast<double>(ledger.frames) / std::max(1e-9, cfg.fps));
+        sim::from_seconds(static_cast<double>(ledger.frames) / kFps);
     if (next < cfg.duration) sim.at(next, frame_tick);
   };
   frame_tick();
@@ -321,7 +294,7 @@ ShootoutCellResult run_shootout_cell(const ShootoutCellConfig& cfg, std::uint64_
   r.frames_incomplete = ledger.frames - ledger.results;
   r.hit_ratio = ledger.frames > 0 ? static_cast<double>(r.frames_on_time) / ledger.frames : 0.0;
   r.sim_seconds = sim::to_seconds(cfg.duration);
-  std::int64_t app_bytes = tcp_rx ? tcp_rx->received_bytes() : ledger.results * cfg.frame_bytes;
+  std::int64_t app_bytes = tcp_rx ? tcp_rx->received_bytes() : ledger.results * kFrameBytes;
   r.goodput_mbps = r.sim_seconds > 0 ? app_bytes * 8.0 / 1e6 / r.sim_seconds : 0.0;
   r.sim_events = static_cast<std::int64_t>(sim.events_executed());
   return r;

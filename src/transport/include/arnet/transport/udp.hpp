@@ -5,7 +5,6 @@
 
 #include "arnet/net/network.hpp"
 #include "arnet/net/packet.hpp"
-#include "arnet/sim/simulator.hpp"
 
 namespace arnet::transport {
 
@@ -50,46 +49,6 @@ class UdpEndpoint {
   net::Port port_;
   Handler handler_;
   std::uint64_t next_seq_ = 0;
-};
-
-/// Constant-bit-rate datagram source (saturating stations, video feeds).
-class CbrSource {
- public:
-  struct Config {
-    double rate_bps = 1e6;
-    std::int32_t payload_bytes = 1472;
-    net::FlowId flow = 0;
-  };
-
-  CbrSource(net::Network& net, net::NodeId local, net::Port local_port, net::NodeId to,
-            net::Port to_port, Config cfg)
-      : endpoint_(net, local, local_port), to_(to), to_port_(to_port), cfg_(cfg), net_(net) {}
-
-  void start() {
-    running_ = true;
-    tick();
-  }
-
-  void stop() { running_ = false; }
-
-  std::int64_t sent_packets() const { return sent_; }
-
- private:
-  void tick() {
-    if (!running_) return;
-    endpoint_.send(to_, to_port_, cfg_.payload_bytes, cfg_.flow);
-    ++sent_;
-    sim::Time gap = sim::transmission_delay(cfg_.payload_bytes + 28, cfg_.rate_bps);
-    net_.sim().after(gap, [this] { tick(); });
-  }
-
-  UdpEndpoint endpoint_;
-  net::NodeId to_;
-  net::Port to_port_;
-  Config cfg_;
-  net::Network& net_;
-  bool running_ = false;
-  std::int64_t sent_ = 0;
 };
 
 }  // namespace arnet::transport

@@ -559,7 +559,7 @@ TEST(Telemetry, StreamGoldens) {
     trace::TailSampler sampler(sc);
     slo::SloConfig lc;
     lc.entity = cfg.name();
-    lc.deadline_ms = sim::to_milliseconds(cfg.deadline);
+    lc.deadline_ms = sim::to_milliseconds(core::kShootoutDeadline);
     slo::SloTracker slo(lc);
     (void)core::run_shootout_cell(cfg, 1,
                                   {.tracer = &tracer, .sampler = &sampler, .slo = &slo});

@@ -7,7 +7,6 @@
 #include "arnet/obs/registry.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/transport/tcp.hpp"
-#include "arnet/transport/udp.hpp"
 
 namespace arnet::transport {
 namespace {
@@ -195,21 +194,6 @@ TEST(Tcp, UploadInflatesDownloadLatency) {
 
   EXPECT_GT(solo_mbps, 6.0);                    // solo download near link rate
   EXPECT_LT(shared_mbps, 0.55 * solo_mbps);     // collapses once upload starts
-}
-
-TEST(Udp, CbrSourcePacesAtConfiguredRate) {
-  Dumbbell d(100e6, 100e6, milliseconds(1), 1000);
-  UdpEndpoint server(d.net, d.server, 90);
-  std::int64_t bytes = 0;
-  server.set_handler([&](net::Packet&& p) { bytes += p.size_bytes; });
-  CbrSource::Config cfg;
-  cfg.rate_bps = 2e6;
-  cfg.payload_bytes = 972;
-  CbrSource cbr(d.net, d.client, 91, d.server, 90, cfg);
-  cbr.start();
-  d.sim.run_until(seconds(10));
-  double mbps = static_cast<double>(bytes) * 8.0 / 10.0 / 1e6;
-  EXPECT_NEAR(mbps, 2.0, 0.1);
 }
 
 }  // namespace
