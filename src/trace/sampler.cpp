@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "arnet/obs/export.hpp"
 
@@ -246,6 +249,18 @@ void append_samples_run(const TailSampler& sampler, const Tracer& tracer,
      << ",\"spans\":" << sampler.spans_used()
      << ",\"span_budget\":" << sampler.config().span_budget
      << ",\"notes\":" << sampler.notes().size() << "}\n";
+  // Entity names as JSON, escaped once per run on first use: a run retains
+  // far more spans than it names entities.
+  std::vector<std::string> entity_json(tracer.entity_count());
+  std::vector<bool> escaped(tracer.entity_count(), false);
+  auto entity = [&](EntityId id) -> std::string_view {
+    if (id >= entity_json.size()) return {};
+    if (!escaped[id]) {
+      entity_json[id] = obs::json_escape(tracer.entity_name(id));
+      escaped[id] = true;
+    }
+    return entity_json[id];
+  };
   for (const auto& [tid, f] : sampler.retained_frames()) {
     os << "{\"kind\":\"frame\",\"scope\":\"" << scope_json << "\",\"trace\":" << tid
        << ",\"verdict\":\"" << f.verdict << "\",\"t0_ns\":" << f.first_time
@@ -254,9 +269,7 @@ void append_samples_run(const TailSampler& sampler, const Tracer& tracer,
        << "}\n";
     for (const TraceEvent& e : f.spans) {
       os << "{\"kind\":\"span\",\"scope\":\"" << scope_json << "\",\"trace\":" << tid
-         << ",\"t_ns\":" << e.time << ",\"entity\":\""
-         << (e.entity < tracer.entity_count() ? obs::json_escape(tracer.entity_name(e.entity))
-                                               : "")
+         << ",\"t_ns\":" << e.time << ",\"entity\":\"" << entity(e.entity)
          << "\",\"event\":\"" << to_string(e.kind) << "\",\"span\":" << e.span_id
          << ",\"uid\":" << e.uid << ",\"size\":" << e.size;
       if (e.reason) os << ",\"reason\":\"" << obs::json_escape(e.reason) << "\"";
