@@ -98,6 +98,24 @@ std::int64_t run_ransac_homography() {
   return 0;
 }
 
+// A distractor object's matches: 32 unstructured correspondences. The best
+// hypothesis keeps a handful of inliers, so RANSAC runs to its 500-iteration
+// cap, as it does for every database object but the one in view.
+std::int64_t run_ransac_distractor() {
+  static std::vector<Correspondence> pts = [] {
+    sim::Rng rng(29);
+    std::vector<Correspondence> out;
+    for (int i = 0; i < 32; ++i) {
+      out.push_back({{rng.uniform(0, 320), rng.uniform(0, 240)},
+                     {rng.uniform(0, 320), rng.uniform(0, 240)}});
+    }
+    return out;
+  }();
+  sim::Rng r(31);
+  benchmark::DoNotOptimize(estimate_homography_ransac(pts, r));
+  return 0;
+}
+
 struct PipelineFixture {
   ObjectDatabase db;
   std::vector<Image> refs;
@@ -152,6 +170,11 @@ void BM_RansacHomography(benchmark::State& state) {
 }
 BENCHMARK(BM_RansacHomography);
 
+void BM_RansacDistractor(benchmark::State& state) {
+  for (auto _ : state) run_ransac_distractor();
+}
+BENCHMARK(BM_RansacDistractor);
+
 void BM_FullRecognitionPipeline(benchmark::State& state) {
   for (auto _ : state) run_full_recognition_pipeline();
 }
@@ -170,6 +193,7 @@ int main(int argc, char** argv) {
       {"PrivacyRedaction", run_privacy_redaction},
       {"MatchDescriptors", run_match_descriptors},
       {"RansacHomography", run_ransac_homography},
+      {"RansacDistractor", run_ransac_distractor},
       {"FullRecognitionPipeline", run_full_recognition_pipeline},
   };
   return arnet::benchjson::main_dispatch(argc, argv, "micro_vision", cases);
