@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
     if (c.r.first_breach >= 0) ++a.breached;
     a.worst_p99 = std::max(a.worst_p99, c.r.p99_ms);
   }
-  for (const fluid::CityArchetype& arch : city.archetypes) {
+  for (const fluid::CityArchetype& arch : fluid::city_archetypes()) {
     auto it = by_arch.find(arch.name);
     if (it != by_arch.end()) it->second.servers = arch.servers;
   }
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
 
   // Aggregate concurrency curve: per-slot sums of the per-cell time-mean
   // occupancy. The max slot is the city's peak concurrent session count.
-  std::vector<double> concurrency(static_cast<std::size_t>(city.occupancy_slots), 0.0);
+  std::vector<double> concurrency(fluid::kOccupancySlots, 0.0);
   for (const fluid::CityCellOutcome& c : outcomes) {
     for (std::size_t s = 0; s < c.r.occupancy.size() && s < concurrency.size(); ++s) {
       concurrency[s] += c.r.occupancy[s];
@@ -152,8 +152,7 @@ int main(int argc, char** argv) {
       peak_slot = s;
     }
   }
-  const double slot_s =
-      sim::to_seconds(city.day) / std::max(1, city.occupancy_slots);
+  const double slot_s = sim::to_seconds(city.day) / fluid::kOccupancySlots;
   double total_frames = 0.0, total_misses = 0.0;
   int breach_cells = 0;
   for (const fluid::CityCellOutcome& c : outcomes) {

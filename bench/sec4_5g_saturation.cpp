@@ -59,7 +59,6 @@ CrowdResult run_crowd(int users, const mar::VideoModel& video, int server_cores 
   std::unique_ptr<fleet::EdgeServer> pool;
   if (server_cores > 0) {
     fleet::EdgeServerConfig pc;
-    pc.profile = mar::DeviceClass::kDesktop;
     pc.batch.enabled = false;
     pc.batch.setup = 0;
     pc.batch.executors = server_cores;

@@ -9,20 +9,14 @@
 
 namespace arnet::edge {
 
-/// Random-waypoint walker inside a rectangular city: picks a destination,
-/// walks there at `speed`, pauses, repeats. Drives the dynamic
+/// Random-waypoint walker inside a `city_km` square: picks a destination,
+/// travels there at a speed drawn from walking (3 km/h) to bus or car
+/// (40 km/h), pauses up to a minute, repeats. Drives the dynamic
 /// server-selection study (paper §VI-E: "the nearest server would be
 /// selected for a given path", which changes as the user moves).
 class RandomWaypoint {
  public:
-  struct Config {
-    double city_km = 20.0;
-    double speed_kmh_min = 3.0;   ///< walking
-    double speed_kmh_max = 40.0;  ///< bus/car
-    sim::Time pause_max = sim::seconds(60);
-  };
-
-  RandomWaypoint(sim::Rng rng, Config cfg);
+  RandomWaypoint(sim::Rng rng, double city_km);
 
   /// Position at absolute time `t` (t must not decrease between calls).
   GeoPoint position_at(sim::Time t);
@@ -31,7 +25,7 @@ class RandomWaypoint {
   void next_leg();
 
   sim::Rng rng_;
-  Config cfg_;
+  double city_km_;
   GeoPoint from_{}, to_{};
   sim::Time leg_start_ = 0;
   sim::Time leg_end_ = 0;
@@ -39,17 +33,15 @@ class RandomWaypoint {
 };
 
 /// Offline simulation of mobile users against a fixed edge deployment:
-/// every `reselect_interval` each user re-picks the nearest feasible
-/// datacenter; switching datacenters costs a session migration (state
-/// transfer + n-way re-sync, §VI-E).
+/// every 5 s each user re-picks the nearest feasible datacenter under the
+/// default LatencyModel; switching datacenters costs a
+/// session migration (state transfer over a 1 Gb/s inter-DC link + n-way
+/// re-sync, §VI-E).
 struct MigrationStudy {
   struct Config {
     sim::Time duration = sim::seconds(1800);
-    sim::Time reselect_interval = sim::seconds(5);
     double city_km = 20.0;  ///< walkers roam this square
     std::int64_t session_state_bytes = 2'000'000;  ///< maps/features/pose state
-    double inter_dc_bps = 1e9;
-    LatencyModel latency;
     sim::Time max_rtt = sim::milliseconds(12);  ///< app constraint
   };
 

@@ -66,7 +66,6 @@ class PlacementProblem {
   int add_site(CandidateSite site);
   int add_user(MobileUser user);
   void set_constraint(int app, AppConstraint c) { constraints_[app] = c; }
-  void set_latency_model(LatencyModel m) { latency_ = m; }
 
   std::size_t sites() const { return sites_.size(); }
   std::size_t users() const { return users_.size(); }

@@ -5,20 +5,31 @@
 
 namespace arnet::edge {
 
-RandomWaypoint::RandomWaypoint(sim::Rng rng, Config cfg) : rng_(std::move(rng)), cfg_(cfg) {
-  from_ = {rng_.uniform(0, cfg_.city_km), rng_.uniform(0, cfg_.city_km)};
+namespace {
+
+constexpr double kSpeedKmhMin = 3.0;   ///< walking
+constexpr double kSpeedKmhMax = 40.0;  ///< bus/car
+constexpr sim::Time kPauseMax = sim::seconds(60);
+constexpr sim::Time kReselectInterval = sim::seconds(5);
+constexpr double kInterDcBps = 1e9;
+
+}  // namespace
+
+RandomWaypoint::RandomWaypoint(sim::Rng rng, double city_km)
+    : rng_(std::move(rng)), city_km_(city_km) {
+  from_ = {rng_.uniform(0, city_km_), rng_.uniform(0, city_km_)};
   to_ = from_;
   next_leg();
 }
 
 void RandomWaypoint::next_leg() {
   from_ = to_;
-  to_ = {rng_.uniform(0, cfg_.city_km), rng_.uniform(0, cfg_.city_km)};
-  double speed_kms = rng_.uniform(cfg_.speed_kmh_min, cfg_.speed_kmh_max) / 3600.0;
+  to_ = {rng_.uniform(0, city_km_), rng_.uniform(0, city_km_)};
+  double speed_kms = rng_.uniform(kSpeedKmhMin, kSpeedKmhMax) / 3600.0;
   double dist = distance_km(from_, to_);
   leg_start_ = pause_until_;
   leg_end_ = leg_start_ + sim::from_seconds(dist / std::max(speed_kms, 1e-6));
-  pause_until_ = leg_end_ + sim::from_seconds(rng_.uniform(0, sim::to_seconds(cfg_.pause_max)));
+  pause_until_ = leg_end_ + sim::from_seconds(rng_.uniform(0, sim::to_seconds(kPauseMax)));
 }
 
 GeoPoint RandomWaypoint::position_at(sim::Time t) {
@@ -34,21 +45,19 @@ MigrationStudy::Result MigrationStudy::run(const std::vector<CandidateSite>& sit
                                            std::uint64_t seed, const Config& cfg) {
   Result result;
   sim::Rng root(seed);
-  sim::Time transfer = sim::transmission_delay(cfg.session_state_bytes, cfg.inter_dc_bps);
+  sim::Time transfer = sim::transmission_delay(cfg.session_state_bytes, kInterDcBps);
 
   std::int64_t samples = 0, out_of_constraint = 0;
-  RandomWaypoint::Config walk_cfg;
-  walk_cfg.city_km = cfg.city_km;
   for (int u = 0; u < users; ++u) {
-    RandomWaypoint walker(root.fork("user" + std::to_string(u)), walk_cfg);
+    RandomWaypoint walker(root.fork("user" + std::to_string(u)), cfg.city_km);
     int current_dc = -1;
-    for (sim::Time t = 0; t < cfg.duration; t += cfg.reselect_interval) {
+    for (sim::Time t = 0; t < cfg.duration; t += kReselectInterval) {
       GeoPoint pos = walker.position_at(t);
       // Nearest feasible chosen site.
       int best = -1;
       sim::Time best_rtt = sim::kNever;
       for (int s : chosen) {
-        sim::Time r = cfg.latency.rtt(pos, sites[static_cast<std::size_t>(s)].pos);
+        sim::Time r = LatencyModel{}.rtt(pos, sites[static_cast<std::size_t>(s)].pos);
         if (r < best_rtt) {
           best_rtt = r;
           best = s;

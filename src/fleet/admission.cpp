@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "arnet/check/assert.hpp"
+#include "arnet/mar/cost_model.hpp"
 
 namespace arnet::fleet {
 
@@ -19,6 +20,12 @@ const char* to_string(AdmissionDecision d) {
 }
 
 namespace {
+
+/// The reject, readmit and downgrade lines as fractions of the deadline
+/// (see AdmissionConfig).
+constexpr double kRejectFactor = 1.0;
+constexpr double kReadmitFactor = 0.80;
+constexpr double kDowngradeFactor = 0.90;
 
 /// The projection's rank from the top: a sort of n samples puts the p99 at
 /// index floor(0.99 * (n - 1)), which is the k-th largest for this k.
@@ -98,22 +105,22 @@ double AdmissionController::projected_p99_ms() const {
 AdmissionDecision AdmissionController::decide(sim::Time now, std::uint64_t session) {
   if (!cfg_.enabled) return AdmissionDecision::kAdmit;
   const double p99 = projected_p99_ms();
-  const double deadline_ms = sim::to_milliseconds(cfg_.deadline);
+  const double deadline_ms = sim::to_milliseconds(mar::kFrameDeadline);
   AdmissionDecision d = AdmissionDecision::kAdmit;
   if (filled_ >= cfg_.min_samples) {
     if (overloaded_) {
       // Hysteresis: stay tripped until p99 clears the lower water mark.
-      if (p99 < deadline_ms * cfg_.readmit_factor) {
+      if (p99 < deadline_ms * kReadmitFactor) {
         overloaded_ = false;
       } else {
         d = AdmissionDecision::kReject;
       }
     }
     if (!overloaded_) {
-      if (p99 > deadline_ms * cfg_.reject_factor) {
+      if (p99 > deadline_ms * kRejectFactor) {
         overloaded_ = true;
         d = AdmissionDecision::kReject;
-      } else if (cfg_.allow_downgrade && p99 > deadline_ms * cfg_.downgrade_factor) {
+      } else if (cfg_.allow_downgrade && p99 > deadline_ms * kDowngradeFactor) {
         d = AdmissionDecision::kDowngrade;
       }
     }

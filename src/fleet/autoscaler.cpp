@@ -2,13 +2,21 @@
 
 namespace arnet::fleet {
 
+namespace {
+
+/// Windowed mean lane utilization thresholds (see AutoscalerConfig).
+constexpr double kScaleOutUtil = 0.75;
+constexpr double kScaleInUtil = 0.25;
+
+}  // namespace
+
 ScaleAction Autoscaler::evaluate(sim::Time now, double utilization,
                                  std::size_t active_servers) {
   if (!cfg_.enabled) return ScaleAction::kNone;
-  if (utilization >= cfg_.scale_out_util) {
+  if (utilization >= kScaleOutUtil) {
     ++above_streak_;
     below_streak_ = 0;
-  } else if (utilization <= cfg_.scale_in_util) {
+  } else if (utilization <= kScaleInUtil) {
     ++below_streak_;
     above_streak_ = 0;
   } else {

@@ -23,13 +23,8 @@ Fleet::Fleet(sim::Simulator& sim, FleetConfig cfg)
   population_.set_session_callback([this](const SessionSpec& s) { on_arrival(s); });
 }
 
-const AppProfile& Fleet::app_of(const Session& s) const {
-  return cfg_.population.app_mix.at(static_cast<std::size_t>(s.spec.app)).app;
-}
-
 void Fleet::add_server() {
   EdgeServerConfig scfg;
-  scfg.profile = cfg_.server_profile;
   scfg.batch = cfg_.batch;
   scfg.telemetry = {.metrics = cfg_.telemetry.metrics, .tracer = cfg_.telemetry.tracer};
   scfg.entity = cfg_.entity + "/server:" + std::to_string(servers_.size());
@@ -49,7 +44,7 @@ void Fleet::start() {
   running_ = true;
   population_.start();
   if (cfg_.autoscaler.enabled) {
-    sim_.after(cfg_.autoscaler.tick, [this] { autoscale_tick(); });
+    sim_.after(kAutoscaleTick, [this] { autoscale_tick(); });
   }
 }
 
@@ -86,7 +81,7 @@ void Fleet::on_arrival(const SessionSpec& spec) {
   s.spec = spec;
   s.degraded = d == AdmissionDecision::kDowngrade;
   s.ends = spec.arrival + spec.lifetime;
-  s.fps = app_of(s).fps * (s.degraded ? cfg_.downgrade_fps_factor : 1.0);
+  s.fps = kApp.fps * (s.degraded ? kDowngradeFpsFactor : 1.0);
   if (s.degraded) {
     ++stats_.downgraded;
   } else {
@@ -109,22 +104,22 @@ void Fleet::capture_frame(std::uint64_t sid) {
   auto it = sessions_.find(sid);
   if (it == sessions_.end()) return;
   Session& s = it->second;
-  const AppProfile& app = app_of(s);
   const std::uint64_t frame_uid = next_frame_uid_++;
   ++stats_.frames;
   if (metrics_) instruments_.frames.get(*metrics_, "fleet.frames", cfg_.entity).add();
   trace::TraceContext ctx;
   if (cfg_.telemetry.tracer) {
     ctx = cfg_.telemetry.tracer->new_trace();
-    trace_.emit(sim_.now(), trace::EventKind::kFrameCapture, ctx, frame_uid, app.request_bytes);
+    trace_.emit(sim_.now(), trace::EventKind::kFrameCapture, ctx, frame_uid,
+                kApp.request_bytes);
   }
 
   // Anycast decision at the client: the balancer picks the serving edge
   // before the uplink leaves the device, so the uplink delay is toward the
   // chosen site.
   const std::size_t pick = balancer_.pick(std::span(servers_).first(active_));
-  const sim::Time rtt = cfg_.latency.rtt(s.spec.pos, site_pos(cfg_, pick));
-  const FrameCost cost = frame_cost(cfg_, s.spec.device, app);
+  const sim::Time rtt = site_rtt(cfg_, s.spec.pos, pick);
+  const FrameCost cost = frame_cost(s.spec.device);
   const sim::Time uplink = rtt / 2 + cost.request_tx;
 
   std::uint32_t slot;
@@ -140,9 +135,7 @@ void Fleet::capture_frame(std::uint64_t sid) {
                               .frame = s.next_frame,
                               .device = s.spec.device,
                               .t0 = sim_.now(),
-                              .deadline = app.deadline,
                               .downlink = rtt / 2 + cost.result_tx,
-                              .work = app.server_cost,
                               .ctx = ctx,
                               .server = servers_[pick].get()};
   sim_.after(cost.device_stage + uplink, [this, slot] { submit_frame(slot); });
@@ -157,7 +150,7 @@ void Fleet::submit_frame(std::uint32_t slot) {
   req.uid = f.uid;
   req.session = f.session;
   req.frame = f.frame;
-  req.work = f.work;
+  req.work = kApp.server_cost;
   req.trace = f.ctx;
   req.done = [this, slot] {
     sim_.after(in_flight_[slot].downlink, [this, slot] { finish_frame(slot); });
@@ -169,7 +162,7 @@ void Fleet::finish_frame(std::uint32_t slot) {
   const InFlight& f = in_flight_[slot];
   const sim::Time latency = sim_.now() - f.t0;
   const double ms = sim::to_milliseconds(latency);
-  const bool missed = stats_.complete(latency, f.deadline);
+  const bool missed = stats_.complete(latency, kApp.deadline);
   admission_.observe_latency_ms(ms);
   // Keep the sampler's outlier rule tracking the live tail estimate before
   // it sees this frame's completion event (the admission projection is
@@ -218,7 +211,7 @@ void Fleet::autoscale_tick() {
     }
     busy_snapshot_[i] = busy;
   }
-  const double window_s = sim::to_seconds(cfg_.autoscaler.tick) * lanes;
+  const double window_s = sim::to_seconds(kAutoscaleTick) * lanes;
   const double util = window_s > 0 ? sim::to_seconds(busy_delta) / window_s : 0.0;
 
   const ScaleAction action = autoscaler_.evaluate(sim_.now(), util, active_);
@@ -243,7 +236,7 @@ void Fleet::autoscale_tick() {
   if (metrics_) {
     instruments_.utilization.get(*metrics_, "fleet.utilization", cfg_.entity).set(util);
   }
-  sim_.after(cfg_.autoscaler.tick, [this] { autoscale_tick(); });
+  sim_.after(kAutoscaleTick, [this] { autoscale_tick(); });
 }
 
 }  // namespace arnet::fleet

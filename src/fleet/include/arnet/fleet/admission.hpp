@@ -15,22 +15,15 @@ enum class AdmissionDecision {
 
 const char* to_string(AdmissionDecision d);
 
+/// The controller rejects new sessions once the projected p99 exceeds
+/// mar::kFrameDeadline and readmits only below 0.80 of it: the hysteresis
+/// band that stops it flapping while p99 oscillates around the budget.
+/// Between 0.90 of the deadline and the deadline it admits them degraded.
 struct AdmissionConfig {
   /// Off = open loop: every session is admitted full-quality and nothing is
   /// logged. The capacity sweeps disable admission so the measured knee is a
   /// property of the serving path, not of the control loop reacting to it.
   bool enabled = true;
-  sim::Time deadline = sim::milliseconds(75);  ///< the motion-to-photon budget
-  /// Trip into the overloaded state (reject everything new) when the
-  /// projected p99 exceeds deadline * reject_factor...
-  double reject_factor = 1.0;
-  /// ...and only leave it once p99 has fallen below deadline * readmit_factor.
-  /// The gap between the two is the hysteresis band that stops admission
-  /// from flapping while p99 oscillates around the budget.
-  double readmit_factor = 0.80;
-  /// Below the reject line but above deadline * downgrade_factor, new
-  /// sessions are admitted degraded instead of full-quality.
-  double downgrade_factor = 0.90;
   bool allow_downgrade = true;
   /// Recent completed-frame latencies considered by the projection (>= 1).
   std::size_t window = 256;

@@ -7,17 +7,18 @@
 
 namespace arnet::fleet {
 
+/// The fleet samples windowed mean lane utilization every kAutoscaleTick;
+/// the autoscaler scales out while it is at or above 0.75 and in while it is
+/// at or below 0.25.
+inline constexpr sim::Time kAutoscaleTick = sim::milliseconds(250);
+
 struct AutoscalerConfig {
   bool enabled = false;
   std::size_t min_servers = 1;
   std::size_t max_servers = 8;
-  /// Windowed mean lane utilization thresholds.
-  double scale_out_util = 0.75;
-  double scale_in_util = 0.25;
   /// Consecutive ticks the signal must hold before acting — transient
   /// spikes (one burst arrival) must not add capacity.
   int sustain_ticks = 3;
-  sim::Time tick = sim::milliseconds(250);
   /// Minimum spacing between consecutive scale actions.
   sim::Time cooldown = sim::seconds(1);
 };

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "arnet/edge/placement.hpp"
 #include "arnet/fleet/admission.hpp"
@@ -15,31 +14,24 @@
 
 namespace arnet::fleet {
 
-/// What one edge cell is: its population, its server deployment and the
-/// access path between them. Both models of a cell read this one
-/// description — fleet::Fleet moves its frames as events, fluid::FluidCell
-/// integrates them as flow — and FleetConfig and fluid::FluidConfig derive
-/// from it, so a paired run compares two models, not two configurations.
+/// What one edge cell is: its population and its server deployment, serving
+/// kApp. Both models of a cell read this one description — fleet::Fleet
+/// moves its frames as events, fluid::FluidCell integrates them as flow — and
+/// FleetConfig and fluid::FluidConfig derive from it, so a paired run
+/// compares two models, not two configurations.
 struct EdgeCell {
   std::uint64_t seed = 1;
   PopulationConfig population;
-  /// Servers are anchored to `sites` (cycled when more servers than sites;
-  /// see site_pos), and user<->server network delay follows the
-  /// edge::placement latency model.
-  std::vector<edge::CandidateSite> sites;
-  edge::LatencyModel latency;
+  /// Anchored on a 2x2 grid inside the population area (see site_rtt).
   std::size_t servers = 2;
-  mar::DeviceClass server_profile = mar::DeviceClass::kDesktop;
   BatchConfig batch;
   /// Open loop by default (CellConfig::admit = false); set
   /// `admission.enabled` to gate arriving sessions through the controller.
   AdmissionConfig admission{.enabled = false};
-  /// Access-network throughput for per-frame payload serialization (uplink
-  /// request and downlink result both ride it).
-  double access_rate_bps = 25e6;
-  /// Downgraded sessions run at fps * this factor.
-  double downgrade_fps_factor = 0.5;
 };
+
+/// Downgraded sessions run at kApp.fps times this factor.
+inline constexpr double kDowngradeFpsFactor = 0.5;
 
 /// What one run of an edge cell produced, in either model. fleet::CellResult
 /// and fluid::FluidResult derive from it; each adds its own `frames`, which
@@ -54,12 +46,13 @@ struct CellOutcome : sim::LatencySummary {
   double sim_seconds = 0.0;
 };
 
-/// Anchor of server `server_index`: `cell.sites` cycled, or when empty a
-/// 2x2 grid inside the population area, cycled.
-edge::GeoPoint site_pos(const EdgeCell& cell, std::size_t server_index);
+/// Network RTT between a user at `user` and server `server_index`, which is
+/// anchored on a 2x2 grid inside the population area (cycled), under the
+/// edge::placement latency model.
+sim::Time site_rtt(const EdgeCell& cell, const edge::GeoPoint& user, std::size_t server_index);
 
-/// The fixed per-frame costs of a session outside the network RTT and the
-/// server: the device stage (reference cost scaled by the Table I device)
+/// The fixed per-frame costs of a kApp session outside the network RTT and
+/// the server: the device stage (reference cost scaled by the Table I device)
 /// and the access-link serialization of the request and of the result.
 struct FrameCost {
   sim::Time device_stage = 0;
@@ -67,6 +60,6 @@ struct FrameCost {
   sim::Time result_tx = 0;
 };
 
-FrameCost frame_cost(const EdgeCell& cell, mar::DeviceClass device, const AppProfile& app);
+FrameCost frame_cost(mar::DeviceClass device);
 
 }  // namespace arnet::fleet

@@ -72,7 +72,6 @@ class Fleet {
   const FleetStats& stats() const { return stats_; }
   std::uint64_t active_sessions() const { return sessions_.size(); }
   std::size_t active_servers() const { return active_; }
-  std::size_t total_servers() const { return servers_.size(); }
   EdgeServer& server(std::size_t i) { return *servers_.at(i); }
   const AdmissionController& admission() const { return admission_; }
   const Autoscaler& autoscaler() const { return autoscaler_; }
@@ -97,9 +96,7 @@ class Fleet {
     std::uint32_t frame = 0;
     mar::DeviceClass device{};
     sim::Time t0 = 0;
-    sim::Time deadline = 0;
     sim::Time downlink = 0;
-    sim::Time work = 0;
     trace::TraceContext ctx;
     EdgeServer* server = nullptr;
   };
@@ -113,7 +110,6 @@ class Fleet {
     std::array<obs::Handle<obs::Histogram>, mar::kDeviceClassCount> class_m2p;
   };
 
-  const AppProfile& app_of(const Session& s) const;
   void add_server();
   void on_arrival(const SessionSpec& spec);
   void retire(std::uint64_t sid);

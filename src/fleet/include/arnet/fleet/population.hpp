@@ -1,15 +1,18 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
 
 #include "arnet/edge/placement.hpp"
+#include "arnet/mar/cost_model.hpp"
 #include "arnet/mar/device.hpp"
 #include "arnet/sim/rng.hpp"
 #include "arnet/sim/simulator.hpp"
+#include "arnet/vision/features.hpp"
 
 namespace arnet::fleet {
 
@@ -27,16 +30,23 @@ struct DeviceMixEntry {
   double weight = 1.0;
 };
 
-/// An application a session runs: per-frame request/result sizes, frame
+/// The device classes users bring: the packet model picks one per session,
+/// the fluid cell weights its latency probes by them.
+inline constexpr std::array<DeviceMixEntry, 3> kDeviceMix = {{
+    {mar::DeviceClass::kSmartphone, 0.55},
+    {mar::DeviceClass::kTablet, 0.25},
+    {mar::DeviceClass::kSmartGlasses, 0.20},
+}};
+
+/// The application a session runs: per-frame request/result sizes, frame
 /// rate, the motion-to-photon budget, and the reference (desktop) costs of
 /// the device-side and server-side stages. Devices scale the device stage by
 /// their Table I compute_scale; servers scale the server stage.
 struct AppProfile {
-  std::string name = "cloudridar";
   double fps = 30.0;
-  std::int64_t request_bytes = 400 * 36;  ///< uploaded per frame (features)
-  std::int64_t result_bytes = 400;        ///< returned per frame
-  sim::Time deadline = sim::milliseconds(75);
+  std::int64_t request_bytes = vision::kFeatureUploadBytes;  ///< uploaded per frame
+  std::int64_t result_bytes = vision::kRecognitionResultBytes;  ///< returned per frame
+  sim::Time deadline = mar::kFrameDeadline;
   /// Reference (desktop-class) cost of the on-device stage. Kept light — a
   /// CloudridAR-style assist pipeline only extracts/encodes locally — so even
   /// a 40x-slower smart-glasses client (Table I) stays inside the deadline
@@ -45,10 +55,9 @@ struct AppProfile {
   sim::Time server_cost = sim::milliseconds(3);  ///< recognize, reference
 };
 
-struct AppMixEntry {
-  AppProfile app;
-  double weight = 1.0;
-};
+/// The one application every edge cell serves: CloudRidAR-style recognition,
+/// the paper's §III-B app described by f(a), p(a), its payload and delta_a.
+inline constexpr AppProfile kApp{};
 
 /// One generated user session: everything about it is decided at mint time
 /// from a per-session random stream, so a session's identity never depends
@@ -58,7 +67,6 @@ struct SessionSpec {
   sim::Time arrival = 0;
   sim::Time lifetime = 0;
   mar::DeviceClass device = mar::DeviceClass::kSmartphone;
-  int app = 0;  ///< index into PopulationConfig::app_mix
   edge::GeoPoint pos;
 };
 
@@ -90,16 +98,8 @@ struct PopulationConfig {
   /// Diurnal intensity profile; inactive (the default) is flat.
   DiurnalProfile profile;
   double mean_lifetime_s = 20.0;
-  std::vector<DeviceMixEntry> device_mix = {
-      {mar::DeviceClass::kSmartphone, 0.55},
-      {mar::DeviceClass::kTablet, 0.25},
-      {mar::DeviceClass::kSmartGlasses, 0.20},
-  };
-  std::vector<AppMixEntry> app_mix = {{AppProfile{}, 1.0}};
   /// Users are placed uniformly in the [0, area_km]^2 square.
   double area_km = 4.0;
-  /// Stop generating after this many sessions (0 = unbounded).
-  std::uint64_t max_sessions = 0;
 };
 
 /// The MMPP calm/burst phase of an arrival process, advanced lazily: every
@@ -135,8 +135,9 @@ inline double arrival_rate(const PopulationConfig& cfg, sim::Time t, const MmppP
 /// dedicated stream derived from (seed, 0); each session's attributes come
 /// from its own stream derived from (seed, id + 1) via runner::derive_seed.
 /// Two runs with the same seed therefore mint bit-identical populations,
-/// and session k's device/app/position/lifetime are independent of how many
-/// sessions arrived before it.
+/// and session k's device/position/lifetime are independent of how many
+/// sessions arrived before it. A population whose base rate is 0 never
+/// schedules an arrival.
 class PopulationModel {
  public:
   PopulationModel(sim::Simulator& sim, PopulationConfig cfg, std::uint64_t seed);

@@ -17,22 +17,23 @@
 
 namespace arnet::fleet {
 
-/// How batched execution forms and costs its batches. The service-time
-/// curve is the inference-serving shape: the first item pays full cost, each
-/// extra item only its marginal fraction, so per-item time falls sub-linearly
-/// with occupancy:
+/// How batched execution forms and costs its batches. A batch executes once
+/// it holds kMaxBatch requests or its oldest request has queued for
+/// kBatchTimeout — the classic size-or-timeout formation rule. The
+/// service-time curve is the inference-serving shape: the first item pays
+/// full cost, each extra item only its marginal fraction, so per-item time
+/// falls sub-linearly with occupancy:
 ///
 ///   service(items) = setup + w_max + marginal * (sum(w) - w_max)
 ///
 /// where w are the items' single-item reference costs. `marginal` = 1 makes
 /// batching a pure FIFO aggregate (no speedup); `enabled` = false degrades
 /// to one-request batches (the unbatched ablation).
+inline constexpr int kMaxBatch = 8;
+inline constexpr sim::Time kBatchTimeout = sim::milliseconds(4);
+
 struct BatchConfig {
   bool enabled = true;
-  int max_batch = 8;
-  /// A partial batch executes at most this long after its oldest request
-  /// queued — the classic size-or-timeout formation rule.
-  sim::Time timeout = sim::milliseconds(4);
   sim::Time setup = sim::milliseconds(1);  ///< fixed per-batch cost, reference
   double marginal = 0.35;                  ///< cost fraction of each extra item
   /// Parallel batch lanes (GPU streams / worker replicas) per server.
@@ -49,8 +50,11 @@ struct ComputeRequest {
   std::function<void()> done;
 };
 
+/// The silicon every edge server runs on: stage costs are scaled by its
+/// Table I compute_scale.
+inline constexpr mar::DeviceClass kServerClass = mar::DeviceClass::kDesktop;
+
 struct EdgeServerConfig {
-  mar::DeviceClass profile = mar::DeviceClass::kDesktop;
   BatchConfig batch;
   /// Observers; the server publishes into `metrics` and records into
   /// `tracer`, and reads no other member.
@@ -59,9 +63,9 @@ struct EdgeServerConfig {
 };
 
 /// A batched compute queue in front of `executors` parallel lanes, and the
-/// one server-queue model: with `batch.enabled = false`, `batch.setup = 0`
-/// and the desktop profile it is the plain FIFO worker pool an
-/// OffloadSession's server-compute hook submits to. Requests queue FIFO; batches form on max-size or oldest-request timeout;
+/// one server-queue model: with `batch.enabled = false` and `batch.setup = 0`
+/// it is the plain FIFO worker pool an OffloadSession's server-compute hook
+/// submits to. Requests queue FIFO; batches form on max-size or oldest-request timeout;
 /// every request of a batch completes when the batch does. Deterministic:
 /// formation depends only on arrival order and simulated time.
 class EdgeServer {
@@ -75,7 +79,6 @@ class EdgeServer {
 
   /// Queued + executing requests (the balancer's "outstanding frames").
   int outstanding() const { return static_cast<int>(queue_.size()) + executing_; }
-  int queue_depth() const { return static_cast<int>(queue_.size()); }
 
   /// EWMA of request sojourn time (queue wait + service), for the
   /// latency-aware balancer. 0 until the first completion.

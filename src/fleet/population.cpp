@@ -1,6 +1,7 @@
 #include "arnet/fleet/population.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "arnet/check/assert.hpp"
 #include "arnet/runner/experiment.hpp"
@@ -19,18 +20,17 @@ const char* to_string(ArrivalProcess p) {
 
 namespace {
 
-/// Weighted pick by cumulative weight; u in [0, 1).
-template <typename T, typename WeightOf>
-std::size_t pick_weighted(const std::vector<T>& entries, double u, WeightOf weight_of) {
+/// kDeviceMix's class at cumulative weight u * total; u in [0, 1).
+mar::DeviceClass pick_device(double u) {
   double total = 0.0;
-  for (const T& e : entries) total += weight_of(e);
-  double mark = u * total;
+  for (const DeviceMixEntry& e : kDeviceMix) total += e.weight;
+  const double mark = u * total;
   double acc = 0.0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    acc += weight_of(entries[i]);
-    if (mark < acc) return i;
+  for (const DeviceMixEntry& e : kDeviceMix) {
+    acc += e.weight;
+    if (mark < acc) return e.cls;
   }
-  return entries.empty() ? 0 : entries.size() - 1;
+  return kDeviceMix.back().cls;
 }
 
 }  // namespace
@@ -57,8 +57,9 @@ PopulationModel::PopulationModel(sim::Simulator& sim, PopulationConfig cfg,
       cfg_(std::move(cfg)),
       seed_(seed),
       arrivals_(runner::derive_seed(seed, 0)) {
-  ARNET_CHECK(!cfg_.device_mix.empty(), "population needs a device mix");
-  ARNET_CHECK(!cfg_.app_mix.empty(), "population needs an app mix");
+  ARNET_CHECK(std::isfinite(cfg_.base_arrivals_per_s) && cfg_.base_arrivals_per_s >= 0.0,
+              "population arrival rate must be finite and non-negative, got ",
+              cfg_.base_arrivals_per_s);
   const double peak_diurnal = cfg_.profile.active() ? cfg_.profile.peak() : 1.0;
   peak_rate_ = cfg_.base_arrivals_per_s * peak_diurnal *
                (cfg_.process == ArrivalProcess::kMmpp
@@ -76,11 +77,10 @@ SessionSpec PopulationModel::make_session(std::uint64_t id, sim::Time now) const
   s.id = id;
   s.arrival = now;
   s.lifetime = sim::from_seconds(attrs.exponential(cfg_.mean_lifetime_s));
-  s.device = cfg_.device_mix[pick_weighted(cfg_.device_mix, attrs.uniform(),
-                                           [](const DeviceMixEntry& e) { return e.weight; })]
-                 .cls;
-  s.app = static_cast<int>(pick_weighted(
-      cfg_.app_mix, attrs.uniform(), [](const AppMixEntry& e) { return e.weight; }));
+  s.device = pick_device(attrs.uniform());
+  // A reserved draw: skipping it would move the position below on the
+  // stream and change every recorded population.
+  (void)attrs.uniform();
   s.pos = {attrs.uniform(0.0, cfg_.area_km), attrs.uniform(0.0, cfg_.area_km)};
   return s;
 }
@@ -91,8 +91,8 @@ void PopulationModel::start() {
 }
 
 void PopulationModel::schedule_next() {
-  if (!running_) return;
-  if (cfg_.max_sessions != 0 && next_id_ >= cfg_.max_sessions) return;
+  // A zero rate has no next arrival: exponential(1 / 0) is infinite.
+  if (!running_ || peak_rate_ == 0.0) return;
   // Thinning (Lewis-Shedler): candidates at the peak rate, accepted with
   // probability actual/peak. The MMPP state machine advances lazily on the
   // same stream, so one seed fixes the entire point process.

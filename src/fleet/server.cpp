@@ -9,9 +9,8 @@ namespace arnet::fleet {
 EdgeServer::EdgeServer(sim::Simulator& sim, EdgeServerConfig cfg)
     : sim_(sim),
       cfg_(std::move(cfg)),
-      profile_(mar::device_profile(cfg_.profile)),
+      profile_(mar::device_profile(kServerClass)),
       lanes_(static_cast<std::size_t>(std::max(1, cfg_.batch.executors))) {
-  ARNET_CHECK(cfg_.batch.max_batch >= 1, "max_batch must be >= 1");
   trace_ = trace::Emitter(cfg_.telemetry.tracer, cfg_.entity);
   for (std::uint32_t i = 0; i < lanes_.size(); ++i) free_lanes_.push_back(i);
 }
@@ -66,10 +65,10 @@ void EdgeServer::submit(ComputeRequest req) {
 }
 
 void EdgeServer::try_dispatch() {
-  const int max_batch = cfg_.batch.enabled ? cfg_.batch.max_batch : 1;
+  const int max_batch = cfg_.batch.enabled ? kMaxBatch : 1;
   while (!free_lanes_.empty() && !queue_.empty()) {
     const bool full = static_cast<int>(queue_.size()) >= max_batch;
-    const sim::Time head_deadline = queue_.front().enqueued + cfg_.batch.timeout;
+    const sim::Time head_deadline = queue_.front().enqueued + kBatchTimeout;
     const bool timed_out = !cfg_.batch.enabled || sim_.now() >= head_deadline;
     if (!full && !timed_out) {
       // Wait for the head's formation window; a stale timer from an earlier

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "arnet/check/assert.hpp"
+#include "arnet/mar/cost_model.hpp"
 #include "arnet/obs/registry.hpp"
 #include "arnet/runner/experiment.hpp"
 #include "arnet/slo/slo.hpp"
@@ -43,6 +44,12 @@ constexpr std::array<double, 32> kStencil = [] {
   return q;
 }();
 
+/// A frame misses above the deadline, and a tick whose p99 is above it is
+/// past the knee.
+constexpr double kDeadlineMs = sim::to_milliseconds(mar::kFrameDeadline);
+/// The app's reference server cost per frame.
+constexpr double kServerWorkMs = sim::to_milliseconds(fleet::kApp.server_cost);
+
 }  // namespace
 
 FluidCell::FluidCell(FluidConfig cfg)
@@ -58,21 +65,10 @@ FluidCell::FluidCell(FluidConfig cfg)
   ARNET_CHECK(cfg_.duration >= cfg_.tick, "fluid duration shorter than one tick");
   ARNET_CHECK(cfg_.rtt_quantiles >= 1 && cfg_.wait_quantiles >= 1,
               "fluid probe grid needs at least 1x1");
-  ARNET_CHECK(!cfg_.population.device_mix.empty(), "population needs a device mix");
-  ARNET_CHECK(!cfg_.population.app_mix.empty(), "population needs an app mix");
 
-  double app_total = 0.0;
-  fps_mean_ = 0.0;
-  server_work_ms_ = 0.0;
-  for (const fleet::AppMixEntry& e : cfg_.population.app_mix) app_total += e.weight;
-  for (const fleet::AppMixEntry& e : cfg_.population.app_mix) {
-    const double w = e.weight / app_total;
-    fps_mean_ += w * e.app.fps;
-    server_work_ms_ += w * sim::to_milliseconds(e.app.server_cost);
-  }
-  server_scale_ = mar::device_profile(cfg_.server_profile).compute_scale;
+  server_scale_ = mar::device_profile(fleet::kServerClass).compute_scale;
   lanes_ = static_cast<int>(cfg_.servers) * std::max(1, cfg_.batch.executors);
-  const double b_max = cfg_.batch.enabled ? cfg_.batch.max_batch : 1;
+  const double b_max = cfg_.batch.enabled ? fleet::kMaxBatch : 1;
   mu_max_ = static_cast<double>(lanes_) * b_max / (service_ms(b_max) / 1000.0);
 
   lifetime_s_ = std::max(1e-9, cfg_.population.mean_lifetime_s);
@@ -81,18 +77,18 @@ FluidCell::FluidCell(FluidConfig cfg)
   total_ticks_ = std::max<std::int64_t>(1, (cfg_.duration + cfg_.tick - 1) / cfg_.tick);
 
   build_probes();
-  occupancy_.assign(static_cast<std::size_t>(std::max(1, cfg_.occupancy_slots)), 0.0);
+  occupancy_.assign(kOccupancySlots, 0.0);
   lat_mass_.assign(kFineBins + kCoarseBins + 1, 0.0);
   sorted_scratch_.reserve(probes_.size());
 }
 
 double FluidCell::service_ms(double occupancy) const {
   // The EdgeServer batch curve: setup + w_max + marginal * (w_sum - w_max),
-  // at the app-mix mean item cost and the server's compute scale.
+  // at the app's item cost and the server's compute scale.
   const double setup_ms = sim::to_milliseconds(cfg_.batch.setup);
   const double b = std::max(1.0, occupancy);
   return server_scale_ *
-         (setup_ms + server_work_ms_ * (1.0 + cfg_.batch.marginal * (b - 1.0)));
+         (setup_ms + kServerWorkMs * (1.0 + cfg_.batch.marginal * (b - 1.0)));
 }
 
 void FluidCell::build_probes() {
@@ -108,8 +104,7 @@ void FluidCell::build_probes() {
     for (int j = 0; j < kGrid; ++j) {
       const edge::GeoPoint pos{a * (i + 0.5) / kGrid, a * (j + 0.5) / kGrid};
       for (std::size_t s = 0; s < cfg_.servers; ++s) {
-        rtt_ms.push_back(
-            sim::to_milliseconds(cfg_.latency.rtt(pos, fleet::site_pos(cfg_, s))));
+        rtt_ms.push_back(sim::to_milliseconds(fleet::site_rtt(cfg_, pos, s)));
       }
     }
   }
@@ -127,28 +122,22 @@ void FluidCell::build_probes() {
     above = nth;
   }
 
-  double dev_total = 0.0, app_total = 0.0;
-  for (const fleet::DeviceMixEntry& d : cfg_.population.device_mix) dev_total += d.weight;
-  for (const fleet::AppMixEntry& e : cfg_.population.app_mix) app_total += e.weight;
+  double dev_total = 0.0;
+  for (const fleet::DeviceMixEntry& d : fleet::kDeviceMix) dev_total += d.weight;
 
   const int W = cfg_.wait_quantiles;
-  for (const fleet::DeviceMixEntry& d : cfg_.population.device_mix) {
-    for (std::size_t ai = 0; ai < cfg_.population.app_mix.size(); ++ai) {
-      const fleet::AppMixEntry& e = cfg_.population.app_mix[ai];
-      const fleet::FrameCost cost = fleet::frame_cost(cfg_, d.cls, e.app);
-      const double stage_ms = sim::to_milliseconds(cost.device_stage);
-      const double tx_ms = sim::to_milliseconds(cost.request_tx + cost.result_tx);
-      for (int r = 0; r < R; ++r) {
-        const double rtt = rtt_q[static_cast<std::size_t>(r)];
-        for (int w = 0; w < W; ++w) {
-          Probe p;
-          p.weight = (d.weight / dev_total) * (e.weight / app_total) / (R * W);
-          p.base_ms = stage_ms + rtt + tx_ms;
-          p.wait_frac = (w + 0.5) / W;
-          p.deadline_ms = sim::to_milliseconds(e.app.deadline);
-          p.app = static_cast<int>(ai);
-          probes_.push_back(p);
-        }
+  for (const fleet::DeviceMixEntry& d : fleet::kDeviceMix) {
+    const fleet::FrameCost cost = fleet::frame_cost(d.cls);
+    const double stage_ms = sim::to_milliseconds(cost.device_stage);
+    const double tx_ms = sim::to_milliseconds(cost.request_tx + cost.result_tx);
+    for (int r = 0; r < R; ++r) {
+      const double rtt = rtt_q[static_cast<std::size_t>(r)];
+      for (int w = 0; w < W; ++w) {
+        Probe p;
+        p.weight = d.weight / dev_total / (R * W);
+        p.base_ms = stage_ms + rtt + tx_ms;
+        p.wait_frac = (w + 0.5) / W;
+        probes_.push_back(p);
       }
     }
   }
@@ -234,7 +223,7 @@ void FluidCell::step() {
 
   // 4. Offered frame flow and the serving backlog ODE.
   const double lam_f =
-      (n_full_ + n_deg_ * cfg_.downgrade_fps_factor) * fps_mean_;
+      (n_full_ + n_deg_ * fleet::kDowngradeFpsFactor) * fleet::kApp.fps;
   const double f_in = lam_f * dt;
   const double cap = mu_max_ * dt;
   const double served = std::min(backlog_ + f_in, cap);
@@ -261,7 +250,7 @@ void FluidCell::step() {
   }
 
   // 5. Batch occupancy and waits for the tick's latency reconstruction.
-  const double b_max = cfg_.batch.enabled ? cfg_.batch.max_batch : 1.0;
+  const double b_max = cfg_.batch.enabled ? fleet::kMaxBatch : 1.0;
   const double lam_srv = lam_f / static_cast<double>(cfg_.servers);
   double b = 1.0, t_form_ms = 0.0;
   const bool saturated = backlog_ > static_cast<double>(lanes_) * b_max;
@@ -271,12 +260,12 @@ void FluidCell::step() {
       // and its cost is already inside the backlog wait.
       b = b_max;
     } else {
-      const double fill = lam_srv * sim::to_seconds(cfg_.batch.timeout);
+      const double fill = lam_srv * sim::to_seconds(fleet::kBatchTimeout);
       b = std::min(b_max, 1.0 + fill);
       t_form_ms = lam_srv > 0.0
-                      ? std::min(sim::to_milliseconds(cfg_.batch.timeout),
+                      ? std::min(sim::to_milliseconds(fleet::kBatchTimeout),
                                  1000.0 * b_max / lam_srv)
-                      : sim::to_milliseconds(cfg_.batch.timeout);
+                      : sim::to_milliseconds(fleet::kBatchTimeout);
     }
   }
   const double s_ms = service_ms(b);
@@ -300,7 +289,7 @@ void FluidCell::step() {
       const double lat = p.base_ms + p.wait_frac * t_form_ms + shift_ms;
       const double mass = served * p.weight;
       record_mass(lat, mass);
-      if (lat > p.deadline_ms) {
+      if (lat > kDeadlineMs) {
         miss += mass;
       } else {
         good += mass;
@@ -312,7 +301,7 @@ void FluidCell::step() {
     std::sort(sorted_scratch_.begin(), sorted_scratch_.end());
 
     const double p99_tick = quantiles_sorted(sorted_scratch_, std::array{0.99})[0];
-    if (p99_tick <= cfg_.budget_ms) {
+    if (p99_tick <= kDeadlineMs) {
       knee_sessions_ = std::max(knee_sessions_, sessions());
     } else if (first_breach_ < 0) {
       first_breach_ = t_end;

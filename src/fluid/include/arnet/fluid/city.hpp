@@ -27,10 +27,10 @@ struct CityArchetype {
   std::size_t servers = 2;
 };
 
-/// The five default neighborhood classes (core / commercial / residential /
+/// The city's five neighborhood classes (core / commercial / residential /
 /// nightlife / transit) with curves shaped so rush hours, evenings, and
 /// transit bursts breach their respective knees.
-std::vector<CityArchetype> default_city_archetypes();
+const std::vector<CityArchetype>& city_archetypes();
 
 /// The sharded city: grid_x * grid_y cells, each an independent FluidCell
 /// whose population stream is derive_seed(seed, cell_index) — one cell per
@@ -42,23 +42,15 @@ struct CityConfig {
   sim::Time day = sim::seconds(86400);
   sim::Time tick = sim::seconds(1);
   double mean_lifetime_s = 600.0;  ///< city sessions run ~10 min
-  double budget_ms = 75.0;
-  int rtt_quantiles = 2;
-  int wait_quantiles = 2;
-  int occupancy_slots = 96;
-  /// Neighborhood classes (at least one). Assignment is a pure function of
-  /// the grid position (core downtown, commercial ring, residential/
-  /// nightlife/transit mix outside), see archetype_index().
-  std::vector<CityArchetype> archetypes = default_city_archetypes();
 
   std::size_t cells() const {
     return static_cast<std::size_t>(grid_x) * static_cast<std::size_t>(grid_y);
   }
 };
 
-/// Deterministic archetype assignment for grid position (cx, cy): downtown
-/// core inside the central radius, a commercial ring around it, and a hashed
-/// residential/nightlife/transit mix outside.
+/// Deterministic city_archetypes() index for grid position (cx, cy):
+/// downtown core inside the central radius, a commercial ring around it, and
+/// a hashed residential/nightlife/transit mix outside.
 std::size_t archetype_index(const CityConfig& city, int cx, int cy);
 
 /// Resolve cell `index` of the grid to its FluidConfig (entity
@@ -68,8 +60,8 @@ std::size_t archetype_index(const CityConfig& city, int cx, int cy);
 FluidConfig make_city_cell(const CityConfig& city, std::size_t index,
                            std::uint64_t seed);
 
-/// SLO objective for one city cell: the frame-deadline objective with burn
-/// windows scaled to the diurnal horizon (fast = day/48, slow = day/4).
+/// SLO objective for one city cell: the mar::kFrameDeadline objective with
+/// burn windows scaled to the diurnal horizon (fast = day/48, slow = day/4).
 slo::SloConfig city_slo_config(const CityConfig& city, const std::string& entity);
 
 struct CityCellOutcome {

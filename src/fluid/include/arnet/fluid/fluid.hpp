@@ -52,15 +52,10 @@ struct FluidConfig : fleet::EdgeCell {
   sim::Time tick = sim::milliseconds(100);
   sim::Time duration = sim::seconds(30);
   /// Latency-probe grid resolution: RTT quantiles x formation-wait quantiles
-  /// per (device, app) pair. 4x4 for validation-grade distributions, 2x2 for
-  /// city cells where per-tick cost dominates.
+  /// per device class. 4x4 for validation-grade distributions, 2x2 for city
+  /// cells where per-tick cost dominates.
   int rtt_quantiles = 4;
   int wait_quantiles = 4;
-  /// Occupancy time-series resolution (slots over `duration`); aggregating
-  /// these across cells yields the city's concurrent-session curve.
-  int occupancy_slots = 96;
-  /// Latency p99 budget used for knee tracking only (reporting, not control).
-  double budget_ms = 75.0;
   /// Observability (optional; must outlive the cell). The histogram is
   /// published once at the end of run() via Histogram::restore.
   obs::MetricsRegistry* metrics = nullptr;
@@ -68,17 +63,23 @@ struct FluidConfig : fleet::EdgeCell {
   std::string entity = "fluid";
 };
 
+/// Occupancy time-series resolution (slots over FluidConfig::duration);
+/// aggregating these across cells yields the city's concurrent-session curve.
+inline constexpr int kOccupancySlots = 96;
+
 /// One fluid-cell run: the outcome both models share, plus the fluid model's
 /// own readings. Session and frame counts are rounded flow mass.
 struct FluidResult : fleet::CellOutcome {
   std::int64_t frames = 0;       ///< completed (served) frame mass
   double peak_sessions = 0.0;    ///< max concurrent session mass
-  double knee_sessions = 0.0;    ///< largest concurrency whose tick p99 met budget
-  sim::Time first_breach = -1;   ///< first tick whose p99 broke budget (-1 = never)
+  /// Largest concurrency whose tick p99 met mar::kFrameDeadline (reporting,
+  /// not control).
+  double knee_sessions = 0.0;
+  sim::Time first_breach = -1;   ///< first tick whose p99 broke it (-1 = never)
   double backlog_end = 0.0;      ///< frames still queued at the horizon
   std::int64_t ticks = 0;
   double sim_seconds = 0.0;
-  /// Time-mean concurrent sessions per occupancy slot (config.occupancy_slots
+  /// Time-mean concurrent sessions per occupancy slot (kOccupancySlots
   /// entries); summable across cells slot-by-slot.
   std::vector<double> occupancy;
 };
@@ -111,8 +112,6 @@ class FluidCell {
     double weight = 0.0;    ///< fraction of frame mass this probe represents
     double base_ms = 0.0;   ///< device stage + RTT + serialization (fixed)
     double wait_frac = 0.0; ///< position inside the batch-formation window
-    double deadline_ms = 75.0;
-    int app = 0;
   };
 
   void build_probes();
@@ -124,8 +123,6 @@ class FluidCell {
   fleet::AdmissionController admission_;
 
   // Precomputed aggregates.
-  double fps_mean_ = 30.0;           ///< app-mix weighted frames/s per session
-  double server_work_ms_ = 3.0;      ///< app-mix weighted reference server cost
   double server_scale_ = 1.0;        ///< server profile compute scale
   double mu_max_ = 1.0;              ///< max drain rate, frames/s, all servers
   int lanes_ = 1;                    ///< total executor lanes

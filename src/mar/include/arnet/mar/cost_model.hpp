@@ -5,6 +5,10 @@
 
 namespace arnet::mar {
 
+/// delta_a of the MAR application every serving layer runs: the 75 ms
+/// motion-to-photon budget a frame's result must meet.
+inline constexpr sim::Time kFrameDeadline = sim::milliseconds(75);
+
 /// The paper's §III-B application parameters: an application `a` generates
 /// f(a) frames per second, each needing p(a) units of processing, issues
 /// d(a) database requests per second for objects of o(a) bytes, and must
@@ -14,7 +18,7 @@ struct AppParams {
   sim::Time work_per_frame = sim::milliseconds(4);  ///< p(a), desktop-reference
   double db_request_hz = 2.0;              ///< d(a)
   std::int64_t object_bytes = 50'000;      ///< o(a)
-  sim::Time deadline = sim::milliseconds(75);  ///< delta_a (round-trip budget)
+  sim::Time deadline = kFrameDeadline;  ///< delta_a (round-trip budget)
   std::int64_t upload_bytes_per_frame = 30'000;  ///< frame/feature payload
   std::int64_t result_bytes = 400;         ///< computation result downlink
 };

@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "arnet/mar/cost_model.hpp"
 #include "arnet/mar/device.hpp"
 #include "arnet/mar/security.hpp"
 #include "arnet/mar/traffic.hpp"
@@ -34,12 +35,9 @@ const char* to_string(OffloadStrategy s);
 struct OffloadConfig {
   OffloadStrategy strategy = OffloadStrategy::kCloudRidAR;
   DeviceClass device = DeviceClass::kSmartphone;
-  DeviceClass surrogate = DeviceClass::kCloud;
   VideoModel video;  ///< defaults to 720p30
   SensorModel sensors;
   MetadataModel metadata;
-  VisionCosts costs;
-  int features_per_frame = 400;        ///< CloudRidAR upload = features x 36 B
   int glimpse_offload_interval = 5;    ///< offload every Nth frame (fixed mode), >= 1
   /// Glimpse with a dynamic trigger: track locally while the simulated
   /// tracking quality holds, offload a fresh recognition frame when it
@@ -47,7 +45,7 @@ struct OffloadConfig {
   bool glimpse_adaptive = false;
   /// Mean per-frame tracking-quality decay (scene/camera motion level).
   double glimpse_motion_level = 0.04;
-  sim::Time deadline = sim::milliseconds(75);
+  sim::Time deadline = kFrameDeadline;
   transport::ArtpSenderConfig artp;    ///< uplink transport settings
   bool send_sensor_stream = true;
   /// §VI-G: encrypt everything leaving the device. Adds per-packet wire

@@ -36,7 +36,7 @@ struct WorkloadProfile {
   sim::Time work_per_frame = sim::milliseconds(4);
   double db_request_hz = 0.5;        ///< POI/asset fetches per second
   std::int64_t db_object_bytes = 0;  ///< size of one fetched overlay asset
-  sim::Time deadline = sim::milliseconds(75);
+  sim::Time deadline = kFrameDeadline;
   OffloadStrategy recommended = OffloadStrategy::kAdaptive;
 
   /// The §III-B AppParams this workload induces (for the cost model).

@@ -18,6 +18,10 @@ const std::string kEntity = "mar";
 constexpr sim::Time kAdaptInterval = sim::milliseconds(500);
 /// Adaptive Glimpse offloads a fresh recognition frame below this quality.
 constexpr double kGlimpseQualityThreshold = 0.6;
+/// Every session offloads to a Table I cloud surrogate.
+constexpr DeviceClass kSurrogate = DeviceClass::kCloud;
+/// Reference stage costs, scaled by the device or the surrogate.
+constexpr VisionCosts kCosts{};
 
 }  // namespace
 
@@ -45,7 +49,7 @@ OffloadSession::OffloadSession(net::Network& net, net::NodeId client, net::NodeI
       server_(server),
       cfg_(cfg),
       device_(device_profile(cfg.device)),
-      surrogate_(device_profile(cfg.surrogate)),
+      surrogate_(device_profile(kSurrogate)),
       active_strategy_(cfg.strategy == OffloadStrategy::kAdaptive
                            ? OffloadStrategy::kCloudRidAR
                            : cfg.strategy),
@@ -119,22 +123,21 @@ void OffloadSession::start() {
 }
 
 OffloadSession::Stages OffloadSession::stages(OffloadStrategy s, std::uint32_t frame_id) const {
-  const VisionCosts& c = cfg_.costs;
   switch (s) {
     case OffloadStrategy::kLocalOnly:
-      return {scaled_cost(device_, c.extract) + scaled_cost(device_, c.recognize), 0, 0};
+      return {scaled_cost(device_, kCosts.extract) + scaled_cost(device_, kCosts.recognize), 0, 0};
     case OffloadStrategy::kFullOffload:
-      return {scaled_cost(device_, c.decode_frame), cfg_.video.frame_bytes(frame_id),
-              scaled_cost(surrogate_, c.decode_frame) + scaled_cost(surrogate_, c.extract) +
-                  scaled_cost(surrogate_, c.recognize)};
+      return {scaled_cost(device_, kCosts.decode_frame), cfg_.video.frame_bytes(frame_id),
+              scaled_cost(surrogate_, kCosts.decode_frame) +
+                  scaled_cost(surrogate_, kCosts.extract) +
+                  scaled_cost(surrogate_, kCosts.recognize)};
     case OffloadStrategy::kCloudRidAR:
     case OffloadStrategy::kGlimpse:
     case OffloadStrategy::kAdaptive:
       break;
   }
-  return {scaled_cost(device_, c.extract),
-          static_cast<std::int64_t>(cfg_.features_per_frame) * vision::kSerializedFeatureBytes,
-          scaled_cost(surrogate_, c.recognize)};
+  return {scaled_cost(device_, kCosts.extract), vision::kFeatureUploadBytes,
+          scaled_cost(surrogate_, kCosts.recognize)};
 }
 
 sim::Time OffloadSession::expected_latency(OffloadStrategy s, double rate_bps,
@@ -237,7 +240,7 @@ void OffloadSession::on_frame() {
     // Tracked Glimpse frames update the augmentation from the last server
     // result within the tracking budget.
     sim::Time compute =
-        tracked ? scaled_cost(device_, cfg_.costs.track) : stages(strategy, frame_id).device;
+        tracked ? scaled_cost(device_, kCosts.track) : stages(strategy, frame_id).device;
     stats_.energy_j += device_.active_power_w * sim::to_seconds(compute);
     net_.sim().after(compute, [this, frame_id, capture] {
       finish_frame(frame_id, net_.sim().now() - capture);
@@ -291,7 +294,7 @@ void OffloadSession::on_server_message(const transport::ArtpDelivery& d) {
   auto reply = [this, frame_id, ctx = d.trace] {
     trace_.emit(net_.sim().now(), trace::EventKind::kComputeDone, ctx, frame_id, 0);
     ArtpMessageSpec r;
-    r.bytes = 400;
+    r.bytes = vision::kRecognitionResultBytes;
     r.frame_id = frame_id;
     r.app = AppData::kComputeResult;
     r.tclass = TrafficClass::kCriticalData;

@@ -156,14 +156,7 @@ class CoDelQueue final : public Queue {
 /// running CoDel; new flows get priority credits.
 class FqCoDelQueue final : public Queue {
  public:
-  struct Config {
-    std::size_t bucket_count = 64;
-    std::int64_t quantum_bytes = 1514;
-    CoDelQueue::Config codel;
-  };
-
   FqCoDelQueue();
-  explicit FqCoDelQueue(Config cfg);
 
   bool enqueue(Packet p, sim::Time now) override;
   std::optional<Packet> dequeue(sim::Time now) override;
@@ -183,7 +176,6 @@ class FqCoDelQueue final : public Queue {
 
   std::size_t bucket_of(const Packet& p) const;
 
-  Config cfg_;
   std::vector<Bucket> buckets_;
   std::deque<std::size_t> new_flows_;
   std::deque<std::size_t> old_flows_;

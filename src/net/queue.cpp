@@ -114,11 +114,16 @@ std::optional<Packet> CoDelQueue::dequeue(sim::Time now) {
 
 // ---------------------------------------------------------------- FQ-CoDel
 
-FqCoDelQueue::FqCoDelQueue() : FqCoDelQueue(Config{}) {}
+namespace {
 
-FqCoDelQueue::FqCoDelQueue(Config cfg) : cfg_(cfg) {
-  buckets_.resize(cfg_.bucket_count);
-  for (auto& b : buckets_) b.codel = std::make_unique<CoDelQueue>(cfg_.codel);
+/// Flow buckets, each a default CoDel queue, and the DRR quantum.
+constexpr std::size_t kFqBuckets = 64;
+constexpr std::int64_t kFqQuantumBytes = 1514;
+
+}  // namespace
+
+FqCoDelQueue::FqCoDelQueue() : buckets_(kFqBuckets) {
+  for (auto& b : buckets_) b.codel = std::make_unique<CoDelQueue>();
 }
 
 void FqCoDelQueue::set_drop_hook(DropHook hook) {
@@ -148,7 +153,7 @@ bool FqCoDelQueue::enqueue(Packet p, sim::Time now) {
   bytes_ += sz;
   if (!b.queued) {
     b.queued = true;
-    b.deficit = cfg_.quantum_bytes;
+    b.deficit = kFqQuantumBytes;
     new_flows_.push_back(idx);
   }
   return true;
@@ -161,7 +166,7 @@ std::optional<Packet> FqCoDelQueue::dequeue(sim::Time now) {
     std::size_t idx = list->front();
     Bucket& b = buckets_[idx];
     if (b.deficit <= 0) {
-      b.deficit += cfg_.quantum_bytes;
+      b.deficit += kFqQuantumBytes;
       list->pop_front();
       old_flows_.push_back(idx);
       continue;

@@ -57,12 +57,11 @@ struct SloConfig {
   /// forgives between bursts.
   sim::Time fast_window = sim::seconds(5);
   sim::Time slow_window = sim::seconds(60);
+  /// Alerting burn rates. An alert clears only once its window's burn falls
+  /// below half its threshold — the hysteresis band that stops the state
+  /// machine from flapping while burn oscillates around the threshold.
   double fast_burn_threshold = 14.4;
   double slow_burn_threshold = 6.0;
-  /// An alert clears only once its window's burn falls below
-  /// threshold * clear_factor — the hysteresis band that stops the state
-  /// machine from flapping while burn oscillates around the threshold.
-  double clear_factor = 0.5;
   /// Wheel resolution: fast_window is split into this many slots; the slow
   /// window reuses the same slot width. More slots = finer expiry at the
   /// cost of a longer ring.
@@ -70,9 +69,8 @@ struct SloConfig {
   /// A window with fewer completed frames than this never alerts (cold
   /// start / drained cell: one missed frame out of two is not burn 50).
   std::int64_t min_samples = 20;
-  std::size_t max_alerts = 256;        ///< alert log bound
-  std::size_t max_burn_samples = 4096; ///< burn timeline bound
-  std::string entity = "slo";          ///< export scope name
+  std::size_t max_alerts = 256;  ///< alert log bound
+  std::string entity = "slo";    ///< export scope name
 };
 
 /// Deterministic windowed burn-rate tracker + alert state machine for one
@@ -115,8 +113,8 @@ class SloTracker {
   const SloConfig& config() const { return cfg_; }
   const std::vector<AlertEvent>& alerts() const { return alerts_; }
   std::uint64_t alerts_dropped() const { return alerts_dropped_; }
+  /// The burn timeline, bounded at 4096 samples.
   const std::vector<BurnSample>& burn_samples() const { return burn_samples_; }
-  std::uint64_t burn_samples_dropped() const { return burn_samples_dropped_; }
   /// Total transitions into an alerting state (clears not counted).
   std::uint64_t alert_episodes() const { return alert_episodes_; }
 
@@ -153,7 +151,6 @@ class SloTracker {
   std::uint64_t alerts_dropped_ = 0;
   std::uint64_t alert_episodes_ = 0;
   std::vector<BurnSample> burn_samples_;
-  std::uint64_t burn_samples_dropped_ = 0;
   std::function<void(const AlertEvent&)> on_alert_;
 };
 

@@ -9,6 +9,15 @@
 
 namespace arnet::slo {
 
+namespace {
+
+/// An alert clears below threshold * kClearFactor (see SloConfig).
+constexpr double kClearFactor = 0.5;
+/// Bound on the burn timeline.
+constexpr std::size_t kMaxBurnSamples = 4096;
+
+}  // namespace
+
 const char* to_string(AlertState s) {
   switch (s) {
     case AlertState::kOk: return "ok";
@@ -120,10 +129,7 @@ double SloTracker::burn_fast() const { return burn_from(fast_); }
 double SloTracker::burn_slow() const { return burn_from(slow_); }
 
 void SloTracker::sample_burn(sim::Time slot_start) {
-  if (burn_samples_.size() >= cfg_.max_burn_samples) {
-    ++burn_samples_dropped_;
-    return;
-  }
+  if (burn_samples_.size() >= kMaxBurnSamples) return;
   BurnSample b;
   b.time = slot_start;
   b.fast = burn_fast();
@@ -145,14 +151,14 @@ void SloTracker::evaluate(sim::Time now) {
       }
       break;
     case AlertState::kFastBurn:
-      if (fast < cfg_.fast_burn_threshold * cfg_.clear_factor) {
+      if (fast < cfg_.fast_burn_threshold * kClearFactor) {
         next = slow >= cfg_.slow_burn_threshold ? AlertState::kSlowBurn : AlertState::kOk;
       }
       break;
     case AlertState::kSlowBurn:
       if (fast >= cfg_.fast_burn_threshold) {
         next = AlertState::kFastBurn;
-      } else if (slow < cfg_.slow_burn_threshold * cfg_.clear_factor) {
+      } else if (slow < cfg_.slow_burn_threshold * kClearFactor) {
         next = AlertState::kOk;
       }
       break;

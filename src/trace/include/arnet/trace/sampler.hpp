@@ -28,11 +28,6 @@ struct SamplerConfig {
   std::size_t span_budget = 8192;
   /// Per-frame span cap; excess spans are dropped and counted as truncated.
   std::size_t max_spans_per_frame = 64;
-  /// In-flight frames tracked at once (rounded up to a power of two). The
-  /// pending table is direct-mapped by trace id: a frame still in flight
-  /// after `max_pending` newer traces were minted is displaced by the new
-  /// one (counted in pending_evicted).
-  std::size_t max_pending = 4096;
   /// Bound on the admission-anomaly note log (rejects/downgrades carry no
   /// trace context, so they are retained as notes, not span sets).
   std::size_t note_capacity = 1024;
@@ -56,6 +51,10 @@ struct SamplerConfig {
 /// lower-priority retained frames (oldest first) until it fits, and is
 /// rejected (counted, never partially kept) when no such victims remain —
 /// so a properly budgeted run keeps every deadline miss in full.
+///
+/// In-flight frames live in a 4096-slot table direct-mapped by trace id: a
+/// frame still in flight after 4096 newer traces were minted is displaced by
+/// the new one (counted in pending_evicted).
 ///
 /// Determinism: driven exclusively by the tracer's record stream plus a
 /// private seeded Rng; never touches the simulator. Attaching a sampler is
@@ -124,7 +123,7 @@ class TailSampler : public TraceSink {
 
  private:
   /// One in-flight frame. Slots live in a direct-mapped table indexed by
-  /// `trace_id & slot_mask_` so the per-event path is an array index.
+  /// the low bits of `trace_id` so the per-event path is an array index.
   /// `trace_id == 0` marks a free slot. Span storage is NOT inline: trace
   /// ids increase monotonically, so consecutive frames sweep the table and
   /// an inline buffer would regrow from scratch in every slot. Instead the
@@ -160,7 +159,6 @@ class TailSampler : public TraceSink {
   sim::Rng rng_;
   double outlier_ms_;
   std::vector<Pending> pending_;  ///< direct-mapped by trace id
-  std::uint32_t slot_mask_ = 0;
   /// Span arena backing the chains (see Pending): chunk c occupies
   /// [c * kChunkSpans, (c+1) * kChunkSpans), and chunk_next_[c] links it to
   /// the frame's next chunk. Its high-water mark is the peak number of

@@ -172,12 +172,13 @@ class TraceSink {
 class Tracer {
  public:
   struct Config {
-    std::size_t ring_capacity = 1024;   ///< events retained per entity
-    std::size_t wire_capacity = 8192;   ///< wire records retained (pcap)
+    std::size_t ring_capacity = 1024;  ///< events retained per entity
   };
+  /// Wire records retained (pcap).
+  static constexpr std::size_t kWireCapacity = 8192;
 
   Tracer() : Tracer(Config{}) {}
-  explicit Tracer(Config cfg) : cfg_(cfg), wire_(cfg.wire_capacity) {}
+  explicit Tracer(Config cfg) : cfg_(cfg), wire_(kWireCapacity) {}
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;

@@ -17,15 +17,13 @@ constexpr const char* kVerdictDrop = "drop";
 constexpr const char* kVerdictOutlier = "outlier";
 constexpr const char* kVerdictReservoir = "reservoir";
 
+/// Slots of the in-flight table (a power of two).
+constexpr std::uint32_t kPendingSlots = 4096;
+
 }  // namespace
 
 TailSampler::TailSampler(SamplerConfig cfg)
-    : cfg_(cfg), rng_(cfg.seed), outlier_ms_(cfg.outlier_threshold_ms) {
-  std::size_t cap = 1;
-  while (cap < cfg_.max_pending) cap <<= 1;
-  pending_.resize(cap);
-  slot_mask_ = static_cast<std::uint32_t>(cap - 1);
-}
+    : cfg_(cfg), rng_(cfg.seed), outlier_ms_(cfg.outlier_threshold_ms), pending_(kPendingSlots) {}
 
 std::uint32_t TailSampler::acquire_chunk() {
   if (!free_chunks_.empty()) {
@@ -47,7 +45,7 @@ void TailSampler::release_chain(Pending& p) {
 
 void TailSampler::on_event(const TraceEvent& e) {
   if (e.trace_id == 0) return;  // untraced: same no-op contract as the rings
-  Pending& p = pending_[e.trace_id & slot_mask_];
+  Pending& p = pending_[e.trace_id & (kPendingSlots - 1)];
   if (p.trace_id != e.trace_id) {
     // Slot miss: a new frame, or a straggler for one that already completed.
     // Opening events are kFrameCapture in practice, so the straggler check

@@ -420,6 +420,10 @@ int adaptive_iterations(int inliers, int n, int iteration, const RansacParams& p
   return static_cast<int>(std::ceil(std::max(needed, 0.0)));
 }
 
+/// RANSAC's reprojection tolerance: a correspondence within this many pixels
+/// of its destination is an inlier.
+constexpr double kInlierThresholdPx = 3.0;
+
 }  // namespace
 
 std::optional<Mat3> estimate_homography_dlt(const std::vector<Correspondence>& pts) {
@@ -521,7 +525,7 @@ std::optional<RansacResult> estimate_homography_ransac(const std::vector<Corresp
   const detail::RansacKernel& kernel = detail::selected_ransac_kernel();
   detail::PointPlanes planes;
   planes.assign(pts);
-  const detail::InlierTest test(params.inlier_threshold_px);
+  const detail::InlierTest test(kInlierThresholdPx);
   detail::QuadBatch quads{};  // lanes past a short batch hold zeros or older samples
   detail::HomographyBatch hyps;
   // Inlier index buffers: the best hypothesis's so far, and the current one's.

@@ -36,6 +36,14 @@ struct Descriptor {
 /// what a CloudRidAR-style client actually uploads instead of pixels.
 inline constexpr std::int64_t kSerializedFeatureBytes = 2 + 2 + 32;
 
+/// The CloudRidAR payload of the paper's MAR application, which the
+/// recognition pipeline, the offloading session and the serving models all
+/// carry: the corners a client keeps per frame (the strongest first) and
+/// uploads, and the recognition result returned to it.
+inline constexpr int kFeaturesPerFrame = 400;
+inline constexpr std::int64_t kFeatureUploadBytes = kFeaturesPerFrame * kSerializedFeatureBytes;
+inline constexpr std::int64_t kRecognitionResultBytes = 400;
+
 /// Compute BRIEF descriptors for `features` on a pre-blurred copy of `img`.
 /// Features too close to the border are dropped (mirrored in the returned
 /// feature list).

@@ -27,7 +27,6 @@ struct RansacResult {
 
 struct RansacParams {
   int max_iterations = 500;
-  double inlier_threshold_px = 3.0;
   int min_inliers = 8;
   double confidence = 0.995;  ///< early exit once this is reached
 };

@@ -16,7 +16,7 @@ namespace arnet::vision {
 class ObjectDatabase {
  public:
   /// Register an object; returns its id.
-  int add_object(std::string name, const Image& reference, int fast_threshold = 20);
+  int add_object(std::string name, const Image& reference);
 
   std::size_t size() const { return objects_.size(); }
   const std::string& name(int id) const { return objects_[static_cast<std::size_t>(id)].name; }
@@ -47,16 +47,6 @@ struct RecognitionResult {
 /// computation at any stage (the paper's `x`/`y` split parameters).
 class RecognitionPipeline {
  public:
-  struct Params {
-    int fast_threshold = 20;
-    int nms_radius = 4;
-    int max_features = 400;   ///< keep the strongest corners
-    RansacParams ransac;
-  };
-
-  RecognitionPipeline() : RecognitionPipeline(Params{}) {}
-  explicit RecognitionPipeline(Params params) : params_(params) {}
-
   /// Stage 1 (runs on-device under CloudRidAR): extract + describe.
   DescribedFeatures extract(const Image& frame) const;
 
@@ -69,11 +59,6 @@ class RecognitionPipeline {
   std::optional<RecognitionResult> recognize_frame(const Image& frame,
                                                    const ObjectDatabase& db,
                                                    sim::Rng& rng) const;
-
-  const Params& params() const { return params_; }
-
- private:
-  Params params_;
 };
 
 }  // namespace arnet::vision

@@ -22,8 +22,8 @@ using sim::seconds;
 /// A plain FIFO pool of `lanes` workers: one request per batch, no setup,
 /// desktop silicon (compute_scale 1), so service time equals the work.
 std::unique_ptr<fleet::EdgeServer> worker_pool(sim::Simulator& sim, int lanes) {
+  static_assert(fleet::kServerClass == DeviceClass::kDesktop);
   fleet::EdgeServerConfig cfg;
-  cfg.profile = DeviceClass::kDesktop;
   cfg.batch.enabled = false;
   cfg.batch.setup = 0;
   cfg.batch.executors = lanes;

@@ -81,7 +81,6 @@ TEST(SloAlert, EntersFastBurnThenClearsWithHysteresis) {
   auto cfg = small_cfg();
   cfg.fast_burn_threshold = 5.0;
   cfg.slow_burn_threshold = 5.0;
-  cfg.clear_factor = 0.5;
   slo::SloTracker t(cfg);
 
   // 10 miss + 10 good inside one fast window: burn 5.0 -> enter fast-burn.
@@ -97,7 +96,7 @@ TEST(SloAlert, EntersFastBurnThenClearsWithHysteresis) {
   EXPECT_EQ(t.state(), slo::AlertState::kFastBurn);
   EXPECT_EQ(t.alerts().size(), 1u);
 
-  // 50 more healthy frames push burn below threshold * clear_factor: clears.
+  // 50 more healthy frames push burn below half the threshold: clears.
   for (int i = 0; i < 50; ++i) t.observe(milliseconds(930 + i), 1.0);
   EXPECT_EQ(t.state(), slo::AlertState::kOk);
 }
