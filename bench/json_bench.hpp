@@ -15,25 +15,21 @@ struct Case {
   std::function<std::int64_t()> body;
 };
 
-/// Run every case and write an "arnet-bench-v1" JSON document to `path`
-/// (runner::write_bench_json; runner/sweep.hpp shows the layout), with host
-/// wall-clock time and per-iteration latencies.
-///
-/// Per-iteration wall latencies feed an obs::Histogram, so the percentile
-/// semantics match the rest of the observability layer. With `jobs` > 1 the
-/// cases fan out across an ExperimentRunner pool (each case owns its whole
-/// simulation world); the document always lists them in input order, so the
-/// schema is identical either way. Parallel cases contend for cores, so use
-/// jobs = 1 (the default) when recording a baseline and > 1 for quick local
-/// smoke runs. Returns 0 on success, 1 if `path` cannot be written.
-int run_json(const std::string& suite, const std::vector<Case>& cases,
-             const std::string& path, int jobs = 1);
+/// Keeps `value`, and the work that produced it, from being optimised away:
+/// the empty asm takes the value's address and clobbers memory, so the
+/// compiler must assume the bytes are read. It emits no instructions.
+template <typename T>
+inline void keep(const T& value) {
+  asm volatile("" : : "r"(&value) : "memory");
+}
 
-/// Entry-point helper for the microbench binaries: with "--json <path>" on
-/// the command line runs `run_json` (honoring an optional "--jobs N") and
-/// returns; otherwise hands the full command line to google-benchmark
-/// (console output, regex filters, etc.).
-int main_dispatch(int argc, char** argv, const std::string& suite,
-                  const std::vector<Case>& cases);
+/// Entry point of the microbench binaries: time every case, one after the
+/// other, and write an "arnet-bench-v1" document (runner::write_bench_json;
+/// runner/sweep.hpp shows the layout) to BENCH_<suite>.json under
+/// runner::parse_out_dir (default bench-out/). Each row carries host
+/// wall-clock time and per-iteration latencies; the latencies feed an
+/// obs::Histogram, so the percentile semantics match the rest of the
+/// observability layer. Returns 0 on success, 1 if the file cannot be written.
+int run_json(int argc, char** argv, const std::string& suite, const std::vector<Case>& cases);
 
 }  // namespace arnet::benchjson

@@ -1,10 +1,7 @@
 // Micro-benchmarks of the simulation and transport hot paths: event loop
 // turnover, queue disciplines, and end-to-end simulated transfers per
-// wall-clock second. Two entry modes share the same workload bodies:
-// google-benchmark console runs (default), and `--json <path>` which emits
-// the arnet-bench-v1 baseline consumed by CI (see json_bench.hpp).
-#include <benchmark/benchmark.h>
-
+// wall-clock second. Writes the arnet-bench-v1 document CI gates,
+// <--out-dir>/BENCH_micro_transport.json (see json_bench.hpp).
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -29,6 +26,7 @@
 namespace {
 
 using namespace arnet;
+using benchjson::keep;
 
 std::int64_t run_simulator_event_turnover() {
   sim::Simulator sim;
@@ -37,7 +35,7 @@ std::int64_t run_simulator_event_turnover() {
     sim.at(sim::microseconds(i), [&fired] { ++fired; });
   }
   sim.run();
-  benchmark::DoNotOptimize(fired);
+  keep(fired);
   return static_cast<std::int64_t>(sim.events_executed());
 }
 
@@ -56,21 +54,21 @@ void queue_cycle(Q& q) {
 std::int64_t run_drop_tail_queue() {
   net::DropTailQueue q(512);
   queue_cycle(q);
-  benchmark::DoNotOptimize(q.drops());
+  keep(q.drops());
   return 0;
 }
 
 std::int64_t run_codel_queue() {
   net::CoDelQueue q;
   queue_cycle(q);
-  benchmark::DoNotOptimize(q.drops());
+  keep(q.drops());
   return 0;
 }
 
 std::int64_t run_fq_codel_queue() {
   net::FqCoDelQueue q;
   queue_cycle(q);
-  benchmark::DoNotOptimize(q.drops());
+  keep(q.drops());
   return 0;
 }
 
@@ -78,21 +76,7 @@ std::int64_t run_weighted_fair_queue() {
   net::WeightedFairQueue q({{3.0, 512}, {1.0, 512}},
                            net::WeightedFairQueue::reserve_flow(1));
   queue_cycle(q);
-  benchmark::DoNotOptimize(q.drops());
-  return 0;
-}
-
-std::int64_t run_classful_priority_queue() {
-  net::ClassfulPriorityQueue q;
-  for (int i = 0; i < 256; ++i) {
-    net::Packet p;
-    p.size_bytes = 1500;
-    p.priority = static_cast<net::Priority>(i % 4);
-    q.enqueue(std::move(p), 0);
-  }
-  while (q.dequeue(0)) {
-  }
-  benchmark::DoNotOptimize(q.drops());
+  keep(q.drops());
   return 0;
 }
 
@@ -116,8 +100,8 @@ std::int64_t run_packet_arena_churn() {
       acc += p.size_bytes;
     }
   }
-  benchmark::DoNotOptimize(acc);
-  benchmark::DoNotOptimize(arena.capacity());
+  keep(acc);
+  keep(arena.capacity());
   return acc;
 }
 
@@ -132,7 +116,7 @@ std::int64_t run_tcp_bulk_transfer() {
   transport::TcpSource src(net, c, 1000, s, 80, 1);
   src.send(1'000'000);
   sim.run_until(sim::seconds(30));
-  benchmark::DoNotOptimize(sink.received_bytes());
+  keep(sink.received_bytes());
   return static_cast<std::int64_t>(sim.events_executed());
 }
 
@@ -152,7 +136,7 @@ std::int64_t run_bbr_steady_state() {
   transport::TcpSource src(net, c, 1000, s, 80, 1, cfg);
   src.send_forever();
   sim.run_until(sim::seconds(10));
-  benchmark::DoNotOptimize(sink.received_bytes());
+  keep(sink.received_bytes());
   return static_cast<std::int64_t>(sim.events_executed());
 }
 
@@ -175,7 +159,7 @@ std::int64_t run_artp_session() {
     });
   }
   sim.run_until(sim::seconds(11));
-  benchmark::DoNotOptimize(rx.delivered_messages());
+  keep(rx.delivered_messages());
   return static_cast<std::int64_t>(sim.events_executed());
 }
 
@@ -188,7 +172,7 @@ std::int64_t run_fleet_session_churn() {
   cell.mean_lifetime_s = 2.0;
   cell.duration = sim::seconds(5);
   fleet::CellResult r = fleet::run_capacity_cell(cell, 1);
-  benchmark::DoNotOptimize(r.results);
+  keep(r.results);
   return r.sim_events;
 }
 
@@ -209,7 +193,7 @@ std::int64_t run_fluid_step() {
   f.wait_quantiles = 2;
   fluid::FluidCell cell(std::move(f));
   const fluid::FluidResult r = cell.run();
-  benchmark::DoNotOptimize(r.p99_ms);
+  keep(r.p99_ms);
   return r.ticks;
 }
 
@@ -225,7 +209,7 @@ std::int64_t run_fluid_step_admission() {
   f.duration = sim::seconds(3600);
   fluid::FluidCell cell(std::move(f));
   const fluid::FluidResult r = cell.run();
-  benchmark::DoNotOptimize(r.p99_ms);
+  keep(r.p99_ms);
   return r.ticks;
 }
 
@@ -268,8 +252,8 @@ std::int64_t run_telemetry_overhead(bool telemetry_on) {
   session.start();
   sim.run_until(sim::seconds(2));
   session.stop();
-  if (telemetry_on) benchmark::DoNotOptimize(sampler.retained_count());
-  benchmark::DoNotOptimize(session.stats().results);
+  if (telemetry_on) keep(sampler.retained_count());
+  keep(session.stats().results);
   return static_cast<std::int64_t>(sim.events_executed());
 }
 
@@ -296,89 +280,9 @@ std::int64_t run_wifi_cell_saturated() {
     }
   }
   sim.run_until(sim::seconds(1));
-  benchmark::DoNotOptimize(cell.delivered_bytes(wireless::WifiCell::kApId));
+  keep(cell.delivered_bytes(wireless::WifiCell::kApId));
   return static_cast<std::int64_t>(sim.events_executed());
 }
-
-void BM_SimulatorEventTurnover(benchmark::State& state) {
-  for (auto _ : state) run_simulator_event_turnover();
-}
-BENCHMARK(BM_SimulatorEventTurnover);
-
-void BM_DropTailQueue(benchmark::State& state) {
-  for (auto _ : state) run_drop_tail_queue();
-}
-BENCHMARK(BM_DropTailQueue);
-
-void BM_CoDelQueue(benchmark::State& state) {
-  for (auto _ : state) run_codel_queue();
-}
-BENCHMARK(BM_CoDelQueue);
-
-void BM_FqCoDelQueue(benchmark::State& state) {
-  for (auto _ : state) run_fq_codel_queue();
-}
-BENCHMARK(BM_FqCoDelQueue);
-
-void BM_WeightedFairQueue(benchmark::State& state) {
-  for (auto _ : state) run_weighted_fair_queue();
-}
-BENCHMARK(BM_WeightedFairQueue);
-
-void BM_PacketArenaChurn(benchmark::State& state) {
-  for (auto _ : state) run_packet_arena_churn();
-}
-BENCHMARK(BM_PacketArenaChurn);
-
-void BM_ClassfulPriorityQueue(benchmark::State& state) {
-  for (auto _ : state) run_classful_priority_queue();
-}
-BENCHMARK(BM_ClassfulPriorityQueue);
-
-void BM_TcpBulkTransferSimulated(benchmark::State& state) {
-  for (auto _ : state) run_tcp_bulk_transfer();
-}
-BENCHMARK(BM_TcpBulkTransferSimulated);
-
-void BM_BbrSteadyStateSimulated(benchmark::State& state) {
-  for (auto _ : state) run_bbr_steady_state();
-}
-BENCHMARK(BM_BbrSteadyStateSimulated);
-
-void BM_ArtpSessionSimulated(benchmark::State& state) {
-  for (auto _ : state) run_artp_session();
-}
-BENCHMARK(BM_ArtpSessionSimulated);
-
-void BM_WifiCellSaturated(benchmark::State& state) {
-  for (auto _ : state) run_wifi_cell_saturated();
-}
-BENCHMARK(BM_WifiCellSaturated);
-
-void BM_FleetSessionChurn(benchmark::State& state) {
-  for (auto _ : state) run_fleet_session_churn();
-}
-BENCHMARK(BM_FleetSessionChurn);
-
-void BM_FluidStep(benchmark::State& state) {
-  for (auto _ : state) run_fluid_step();
-}
-BENCHMARK(BM_FluidStep);
-
-void BM_FluidStepAdmission(benchmark::State& state) {
-  for (auto _ : state) run_fluid_step_admission();
-}
-BENCHMARK(BM_FluidStepAdmission);
-
-void BM_TelemetryOverheadOff(benchmark::State& state) {
-  for (auto _ : state) run_telemetry_overhead_off();
-}
-BENCHMARK(BM_TelemetryOverheadOff);
-
-void BM_TelemetryOverheadOn(benchmark::State& state) {
-  for (auto _ : state) run_telemetry_overhead_on();
-}
-BENCHMARK(BM_TelemetryOverheadOn);
 
 }  // namespace
 
@@ -389,7 +293,6 @@ int main(int argc, char** argv) {
       {"CoDelQueue", run_codel_queue},
       {"FqCoDelQueue", run_fq_codel_queue},
       {"WeightedFairQueue", run_weighted_fair_queue},
-      {"ClassfulPriorityQueue", run_classful_priority_queue},
       {"PacketArenaChurn", run_packet_arena_churn},
       {"TcpBulkTransferSimulated", run_tcp_bulk_transfer},
       {"BbrSteadyState", run_bbr_steady_state},
@@ -401,5 +304,5 @@ int main(int argc, char** argv) {
       {"TelemetryOverhead/off", run_telemetry_overhead_off},
       {"TelemetryOverhead/on", run_telemetry_overhead_on},
   };
-  return arnet::benchjson::main_dispatch(argc, argv, "micro_transport", cases);
+  return arnet::benchjson::run_json(argc, argv, "micro_transport", cases);
 }

@@ -1,11 +1,8 @@
 // Micro-benchmarks of the vision substrate. These calibrate the
 // desktop-reference VisionCosts used by the offloading cost model:
 // device-class costs are these numbers times Table I's compute_scale.
-// Like micro_transport, the binary runs either under google-benchmark
-// (default) or in `--json <path>` mode emitting the arnet-bench-v1
-// baseline consumed by CI.
-#include <benchmark/benchmark.h>
-
+// Writes the arnet-bench-v1 document CI gates,
+// <--out-dir>/BENCH_micro_vision.json (see json_bench.hpp).
 #include <cstdint>
 #include <vector>
 
@@ -21,6 +18,7 @@ namespace {
 
 using namespace arnet;
 using namespace arnet::vision;
+using benchjson::keep;
 
 Image scene(int w, int h) {
   sim::Rng rng(42);
@@ -35,7 +33,7 @@ std::int64_t run_render_scene(int width) {
   SceneParams p;
   p.width = width;
   p.height = width * 3 / 4;
-  benchmark::DoNotOptimize(render_scene(rng, p));
+  keep(render_scene(rng, p));
   return 0;
 }
 
@@ -44,14 +42,14 @@ std::int64_t run_fast_detect(int width) {
   static Image img640 = scene(640, 480);
   static Image img1280 = scene(1280, 960);
   const Image& img = width == 320 ? img320 : width == 640 ? img640 : img1280;
-  benchmark::DoNotOptimize(fast_detect(img, 20));
+  keep(fast_detect(img, 20));
   return 0;
 }
 
 std::int64_t run_brief_describe() {
   static Image img = scene(320, 240);
   static auto feats = fast_detect(img, 20);
-  benchmark::DoNotOptimize(brief_describe(img, feats));
+  keep(brief_describe(img, feats));
   return 0;
 }
 
@@ -62,7 +60,7 @@ std::int64_t run_privacy_redaction() {
     return render_scene_with_sensitive(rng, SceneParams{}, 3, 2, truth);
   }();
   Image frame = img;
-  benchmark::DoNotOptimize(apply_privacy(frame, PrivacyLevel::kBlurSensitive));
+  keep(apply_privacy(frame, PrivacyLevel::kBlurSensitive));
   return 0;
 }
 
@@ -74,7 +72,7 @@ std::int64_t run_match_descriptors() {
   }();
   static auto a = brief_describe(img, fast_detect(img, 20));
   static auto b = brief_describe(moved, fast_detect(moved, 20));
-  benchmark::DoNotOptimize(match_descriptors(a.descriptors, b.descriptors));
+  keep(match_descriptors(a.descriptors, b.descriptors));
   return 0;
 }
 
@@ -94,7 +92,7 @@ std::int64_t run_ransac_homography() {
     return out;
   }();
   sim::Rng r(11);
-  benchmark::DoNotOptimize(estimate_homography_ransac(pts, r));
+  keep(estimate_homography_ransac(pts, r));
   return 0;
 }
 
@@ -112,7 +110,7 @@ std::int64_t run_ransac_distractor() {
     return out;
   }();
   sim::Rng r(31);
-  benchmark::DoNotOptimize(estimate_homography_ransac(pts, r));
+  keep(estimate_homography_ransac(pts, r));
   return 0;
 }
 
@@ -136,49 +134,9 @@ struct PipelineFixture {
 std::int64_t run_full_recognition_pipeline() {
   static PipelineFixture fx;
   sim::Rng r(47);
-  benchmark::DoNotOptimize(fx.pipe.recognize_frame(fx.frame, fx.db, r));
+  keep(fx.pipe.recognize_frame(fx.frame, fx.db, r));
   return 0;
 }
-
-void BM_RenderScene(benchmark::State& state) {
-  for (auto _ : state) run_render_scene(static_cast<int>(state.range(0)));
-}
-BENCHMARK(BM_RenderScene)->Arg(320)->Arg(640);
-
-void BM_FastDetect(benchmark::State& state) {
-  for (auto _ : state) run_fast_detect(static_cast<int>(state.range(0)));
-}
-BENCHMARK(BM_FastDetect)->Arg(320)->Arg(640)->Arg(1280);
-
-void BM_BriefDescribe(benchmark::State& state) {
-  for (auto _ : state) run_brief_describe();
-}
-BENCHMARK(BM_BriefDescribe);
-
-void BM_PrivacyRedaction(benchmark::State& state) {
-  for (auto _ : state) run_privacy_redaction();
-}
-BENCHMARK(BM_PrivacyRedaction);
-
-void BM_MatchDescriptors(benchmark::State& state) {
-  for (auto _ : state) run_match_descriptors();
-}
-BENCHMARK(BM_MatchDescriptors);
-
-void BM_RansacHomography(benchmark::State& state) {
-  for (auto _ : state) run_ransac_homography();
-}
-BENCHMARK(BM_RansacHomography);
-
-void BM_RansacDistractor(benchmark::State& state) {
-  for (auto _ : state) run_ransac_distractor();
-}
-BENCHMARK(BM_RansacDistractor);
-
-void BM_FullRecognitionPipeline(benchmark::State& state) {
-  for (auto _ : state) run_full_recognition_pipeline();
-}
-BENCHMARK(BM_FullRecognitionPipeline);
 
 }  // namespace
 
@@ -196,5 +154,5 @@ int main(int argc, char** argv) {
       {"RansacDistractor", run_ransac_distractor},
       {"FullRecognitionPipeline", run_full_recognition_pipeline},
   };
-  return arnet::benchjson::main_dispatch(argc, argv, "micro_vision", cases);
+  return arnet::benchjson::run_json(argc, argv, "micro_vision", cases);
 }

@@ -1,9 +1,6 @@
 #pragma once
 
-#include <string>
-
 #include "arnet/mar/offload.hpp"
-#include "arnet/obs/registry.hpp"
 
 namespace arnet::core {
 
@@ -30,13 +27,5 @@ QoeInputs qoe_inputs(const mar::OffloadStats& stats, double duration_s,
                      double target_fps = 30.0);
 
 const char* qoe_grade(double mos);  ///< "excellent" .. "bad"
-
-/// Publish a session's QoE into `reg` under `entity`: a "mar.mos" gauge plus
-/// "mar.latency_p95_ms" / "mar.miss_rate" / "mar.result_rate_hz" gauges for
-/// the inputs the score was computed from. Returns the MOS. Lives in core
-/// (not mar) because the MOS model depends on mar.
-double record_qoe(obs::MetricsRegistry& reg, const std::string& entity,
-                  const mar::OffloadStats& stats, double duration_s,
-                  double target_fps = 30.0);
 
 }  // namespace arnet::core

@@ -55,17 +55,6 @@ QoeInputs qoe_inputs(const mar::OffloadStats& stats, double duration_s, double t
   return in;
 }
 
-double record_qoe(obs::MetricsRegistry& reg, const std::string& entity,
-                  const mar::OffloadStats& stats, double duration_s, double target_fps) {
-  QoeInputs in = qoe_inputs(stats, duration_s, target_fps);
-  double mos = qoe_mos(in);
-  reg.gauge("mar.mos", entity).set(mos);
-  reg.gauge("mar.latency_p95_ms", entity).set(in.p95_latency_ms);
-  reg.gauge("mar.miss_rate", entity).set(in.miss_rate);
-  reg.gauge("mar.result_rate_hz", entity).set(in.result_rate_hz);
-  return mos;
-}
-
 const char* qoe_grade(double mos) {
   if (mos >= 4.3) return "excellent";
   if (mos >= 3.5) return "good";

@@ -183,32 +183,6 @@ class FqCoDelQueue final : public Queue {
   std::int64_t bytes_ = 0;
 };
 
-/// Strict-priority classful queue: four bands indexed by Packet::priority.
-/// This is the ARTP sender-side discipline (paper §VI-A/B).
-class ClassfulPriorityQueue final : public Queue {
- public:
-  explicit ClassfulPriorityQueue(std::size_t capacity_packets_per_band = 4096)
-      : capacity_(capacity_packets_per_band) {}
-
-  bool enqueue(Packet p, sim::Time now) override;
-  std::optional<Packet> dequeue(sim::Time now) override;
-  std::size_t packets() const override;
-  std::int64_t bytes() const override { return bytes_; }
-
-  std::size_t packets_in_band(Priority p) const {
-    return bands_[static_cast<std::size_t>(p)].size();
-  }
-
-  /// Drop everything queued at priority `p` or lower-importance (numerically
-  /// greater). Returns packets shed. Used for graceful degradation.
-  std::size_t shed_at_or_below(Priority p);
-
- private:
-  std::size_t capacity_;
-  std::int64_t bytes_ = 0;
-  std::deque<Packet> bands_[4];
-};
-
 /// Deficit-round-robin weighted fair queue over traffic classes, the
 /// mechanism behind RSVP-style per-flow guarantees (paper §V-A1: "the
 /// possibility to provide QoS guarantees on specific AR applications could

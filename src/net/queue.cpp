@@ -195,38 +195,6 @@ std::optional<Packet> FqCoDelQueue::dequeue(sim::Time now) {
   return std::nullopt;
 }
 
-// ---------------------------------------------- Classful strict priorities
-
-bool ClassfulPriorityQueue::enqueue(Packet p, sim::Time now) {
-  auto band = static_cast<std::size_t>(p.priority);
-  if (bands_[band].size() >= capacity_) {
-    drop(p, DropReason::kQueue);
-    return false;
-  }
-  p.enqueued_at = now;
-  bytes_ += p.size_bytes;
-  bands_[band].push_back(std::move(p));
-  return true;
-}
-
-std::optional<Packet> ClassfulPriorityQueue::dequeue(sim::Time /*now*/) {
-  for (auto& band : bands_) {
-    if (!band.empty()) {
-      Packet p = std::move(band.front());
-      band.pop_front();
-      bytes_ -= p.size_bytes;
-      return p;
-    }
-  }
-  return std::nullopt;
-}
-
-std::size_t ClassfulPriorityQueue::packets() const {
-  std::size_t n = 0;
-  for (const auto& band : bands_) n += band.size();
-  return n;
-}
-
 // -------------------------------------------------- Weighted fair (DRR)
 
 WeightedFairQueue::WeightedFairQueue(std::vector<ClassConfig> classes, Classifier classify)
@@ -282,19 +250,6 @@ std::optional<Packet> WeightedFairQueue::dequeue(sim::Time /*now*/) {
     rr_ = (rr_ + 1) % classes_.size();
   }
   return std::nullopt;
-}
-
-std::size_t ClassfulPriorityQueue::shed_at_or_below(Priority p) {
-  std::size_t shed = 0;
-  for (std::size_t i = static_cast<std::size_t>(p); i < 4; ++i) {
-    for (const auto& pkt : bands_[i]) {
-      bytes_ -= pkt.size_bytes;
-      drop(pkt, DropReason::kShed);
-    }
-    shed += bands_[i].size();
-    bands_[i].clear();
-  }
-  return shed;
 }
 
 }  // namespace arnet::net

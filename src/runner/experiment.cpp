@@ -94,7 +94,8 @@ int parse_jobs_flag(int argc, char** argv, int fallback) {
     const char* value = nullptr;
     if (std::strncmp(arg, "--jobs=", 7) == 0) {
       value = arg + 7;
-    } else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(arg, "--jobs") == 0) {
+      ARNET_CHECK(i + 1 < argc, "--jobs needs a value");
       value = argv[i + 1];
     } else {
       continue;
@@ -116,7 +117,10 @@ std::string parse_string_flag(int argc, char** argv, const char* name, std::stri
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') return arg + len + 1;
-    if (std::strcmp(arg, name) == 0 && i + 1 < argc) return argv[i + 1];
+    if (std::strcmp(arg, name) == 0) {
+      ARNET_CHECK(i + 1 < argc, name, " needs a value");
+      return argv[i + 1];
+    }
   }
   return fallback;
 }
@@ -184,7 +188,5 @@ ReportTee::~ReportTee() {
     std::cout.rdbuf(impl_->saved);
   }
 }
-
-bool ReportTee::active() const { return impl_->saved != nullptr; }
 
 }  // namespace arnet::runner

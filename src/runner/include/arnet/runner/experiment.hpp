@@ -79,11 +79,13 @@ class ExperimentRunner {
 
 /// Parse a `--jobs N` / `--jobs=N` flag (shared by the experiment binaries);
 /// returns `fallback` when absent. N = 0 means one job per hardware thread.
-/// Anything but a full non-negative decimal fails an ARNET_CHECK.
+/// Anything but a full non-negative decimal, or `--jobs` as the last
+/// argument, fails an ARNET_CHECK.
 int parse_jobs_flag(int argc, char** argv, int fallback = 1);
 
 /// Parse a generic `--name value` / `--name=value` string flag; returns
 /// `fallback` when absent. `name` includes the leading dashes ("--trace").
+/// `name` as the last argument, with no value after it, fails an ARNET_CHECK.
 std::string parse_string_flag(int argc, char** argv, const char* name,
                               std::string fallback = "");
 
@@ -108,9 +110,6 @@ class ReportTee {
 
   ReportTee(const ReportTee&) = delete;
   ReportTee& operator=(const ReportTee&) = delete;
-
-  /// True when the report file is open and receiving a copy.
-  bool active() const;
 
  private:
   struct Impl;

@@ -37,20 +37,6 @@ CellularProfile CellularProfile::lte() {
   return p;
 }
 
-CellularProfile CellularProfile::lte_theoretical() {
-  CellularProfile p;
-  p.name = "LTE (theoretical)";
-  p.mean_down_bps = 326.0e6;
-  p.mean_up_bps = 75.0e6;
-  p.rate_sigma = 0.0;
-  p.base_one_way_delay = sim::milliseconds(5);
-  p.delay_jitter = 0;
-  p.spike_extra_delay = 0;
-  p.spike_probability = 0.0;
-  p.uplink_queue_packets = 1000;
-  return p;
-}
-
 CellularProfile CellularProfile::fiveg_kpi() {
   CellularProfile p;
   p.name = "5G (NGMN AR KPI)";

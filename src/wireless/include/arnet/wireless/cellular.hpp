@@ -49,8 +49,6 @@ struct CellularProfile {
   static CellularProfile hspa_plus();
   /// LTE as measured: ~12-20 Mb/s down, ~8 Mb/s up, 66-85 ms RTT.
   static CellularProfile lte();
-  /// LTE under ideal lab conditions (the "advertised" row of §IV-A2).
-  static CellularProfile lte_theoretical();
   /// 5G per the NGMN white paper AR KPIs: 300/50 Mb/s, 10 ms end-to-end.
   static CellularProfile fiveg_kpi();
   /// 5G NR as deployed: very high but volatile rate, low base latency, and

@@ -15,10 +15,9 @@ namespace {
 using sim::milliseconds;
 using sim::seconds;
 
-Packet make_packet(std::int32_t size, Priority prio = Priority::kLowest) {
+Packet make_packet(std::int32_t size) {
   Packet p;
   p.size_bytes = size;
-  p.priority = prio;
   return p;
 }
 
@@ -124,34 +123,6 @@ TEST(FqCoDelQueue, CountsStayConsistent) {
   EXPECT_EQ(n, 80);
   EXPECT_EQ(q.packets(), 0u);
   EXPECT_EQ(q.bytes(), 0);
-}
-
-TEST(ClassfulPriorityQueue, StrictPriorityOrder) {
-  ClassfulPriorityQueue q;
-  Packet low = make_packet(100, Priority::kLowest);
-  low.uid = 1;
-  Packet high = make_packet(100, Priority::kHighest);
-  high.uid = 2;
-  Packet mid = make_packet(100, Priority::kMediumNoDrop);
-  mid.uid = 3;
-  ASSERT_TRUE(q.enqueue(std::move(low), 0));
-  ASSERT_TRUE(q.enqueue(std::move(high), 0));
-  ASSERT_TRUE(q.enqueue(std::move(mid), 0));
-  EXPECT_EQ(q.dequeue(0)->uid, 2u);
-  EXPECT_EQ(q.dequeue(0)->uid, 3u);
-  EXPECT_EQ(q.dequeue(0)->uid, 1u);
-}
-
-TEST(ClassfulPriorityQueue, ShedDropsLowBands) {
-  ClassfulPriorityQueue q;
-  ASSERT_TRUE(q.enqueue(make_packet(100, Priority::kHighest), 0));
-  ASSERT_TRUE(q.enqueue(make_packet(100, Priority::kMediumNoDrop), 0));
-  ASSERT_TRUE(q.enqueue(make_packet(100, Priority::kMediumNoDelay), 0));
-  ASSERT_TRUE(q.enqueue(make_packet(100, Priority::kLowest), 0));
-  std::size_t shed = q.shed_at_or_below(Priority::kMediumNoDelay);
-  EXPECT_EQ(shed, 2u);
-  EXPECT_EQ(q.packets(), 2u);
-  EXPECT_EQ(q.bytes(), 200);
 }
 
 // ------------------------------------------------------------------- Links

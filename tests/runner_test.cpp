@@ -207,6 +207,10 @@ TEST(Sweep, RejectsMalformedSeed) {
   for (const char* bad : {"abc", "12x", "-1", ""}) {
     EXPECT_THROW(seed_of(bad), check::CheckError) << "'" << bad << "'";
   }
+  // A trailing flag with no value is an error, not the default seed.
+  std::string prog = "bench", flag = "--seed";
+  char* valueless[] = {prog.data(), flag.data()};
+  EXPECT_THROW(parse_sweep_flags(2, valueless), check::CheckError);
   EXPECT_EQ(seed_of("0"), 0u);
   EXPECT_EQ(seed_of("18446744073709551615"), 18446744073709551615u);
 }
@@ -221,6 +225,9 @@ TEST(Sweep, RejectsMalformedJobs) {
   for (const char* bad : {"abc", "4x", "-3", ""}) {
     EXPECT_THROW(jobs_of(bad), check::CheckError) << "'" << bad << "'";
   }
+  std::string prog = "bench", flag = "--jobs";
+  char* valueless[] = {prog.data(), flag.data()};
+  EXPECT_THROW(parse_jobs_flag(2, valueless, 1), check::CheckError);
   EXPECT_EQ(jobs_of("0"), ExperimentRunner::hardware_jobs());
   EXPECT_EQ(jobs_of("2"), 2);
 }
@@ -236,6 +243,14 @@ TEST(Sweep, RejectsNonYesNoFlags) {
     for (const char* bad : {"false", "true", "YES", "1", ""}) {
       EXPECT_THROW(flags_of(name, bad), check::CheckError) << name << " '" << bad << "'";
     }
+  }
+  // A trailing flag with no value fails instead of falling back: a bare
+  // `--smoke` must not run the full sweep, nor a bare `--out-dir` write
+  // into the default directory.
+  for (const char* name : {"--smoke", "--slo", "--report", "--out-dir"}) {
+    std::string prog = "bench", flag = name;
+    char* valueless[] = {prog.data(), flag.data()};
+    EXPECT_THROW(parse_sweep_flags(2, valueless), check::CheckError) << name;
   }
   EXPECT_TRUE(flags_of("--smoke", "yes").smoke);
   EXPECT_FALSE(flags_of("--smoke", "no").smoke);

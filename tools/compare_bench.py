@@ -52,13 +52,16 @@ def compare_pair(baseline_path, candidate_path, threshold_pct, floors):
         return 1
 
     rc = 0
-    for name in sorted(baseline.keys() | candidate.keys()):
+    # Floors join the name set: a floored name that is in neither file
+    # (renamed or retired) fails instead of dropping out of the loop.
+    for name in sorted(baseline.keys() | candidate.keys() | floors.keys()):
         b = baseline.get(name)
         c = candidate.get(name)
         floor = floors.get(name)
         if b is None or c is None:
             if floor is not None:
-                side = "baseline" if b is None else "candidate"
+                side = ("baseline and candidate" if b is None and c is None
+                        else "baseline" if b is None else "candidate")
                 print(f"  FAIL     {name}: floor x{floor:g} set but missing "
                       f"from {side}")
                 rc = 1
