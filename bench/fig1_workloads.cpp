@@ -9,13 +9,15 @@
 #include "arnet/core/table.hpp"
 #include "arnet/mar/workloads.hpp"
 #include "arnet/net/network.hpp"
+#include "arnet/runner/experiment.hpp"
 #include "arnet/sim/simulator.hpp"
 
 using namespace arnet;
 using sim::milliseconds;
 using sim::seconds;
 
-int main() {
+int main(int argc, char** argv) {
+  runner::CommandLine(argc, argv, {});
   std::cout << "=== Figure 1: the usages of MAR, quantified ===\n\n";
 
   const mar::MarUseCase cases[] = {mar::MarUseCase::kOrientation,

@@ -3,7 +3,6 @@
 // moves away (54 -> 18 -> 6 Mb/s zones in the figure). DCF's equal
 // transmission opportunities drag station A down to B's level.
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -137,9 +136,13 @@ void run_traced_exemplar(const std::string& trace_path, const std::string& pcap_
 }  // namespace
 
 int main(int argc, char** argv) {
-  runner::ExperimentRunner::Config pool_cfg;
-  pool_cfg.jobs = runner::parse_jobs_flag(argc, argv, 1);
-  runner::ExperimentRunner pool(pool_cfg);
+  const runner::CommandLine flags(
+      argc, argv,
+      {runner::kJobs, runner::kTrace, runner::kPcap,
+       {"--flight", "", "arm a flight recorder that dumps here on the first deadline miss"},
+       {"--profile", "no", "yes|no: print the traced run's per-site time attribution"}});
+  runner::ExperimentRunner pool({.jobs = flags.jobs()});
+  const bool profile = flags.yes("--profile");
 
   std::cout << "=== Figure 2: the 802.11 performance anomaly ===\n"
             << "Station A stays next to the AP at 54 Mb/s; station B walks out\n"
@@ -215,13 +218,8 @@ int main(int argc, char** argv) {
                "uplink below the ~4.4 Mb/s the 720p feed needs — the anomaly turns\n"
                "a healthy cell into an unusable one for offloading.\n";
 
-  const std::string trace_path = runner::parse_string_flag(argc, argv, "--trace");
-  const std::string pcap_path = runner::parse_string_flag(argc, argv, "--pcap");
-  const std::string flight_path = runner::parse_string_flag(argc, argv, "--flight");
-  bool profile = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--profile") == 0) profile = true;
-  }
+  const std::string trace_path = flags.str("--trace"), pcap_path = flags.str("--pcap"),
+                    flight_path = flags.str("--flight");
   if (!trace_path.empty() || !pcap_path.empty() || !flight_path.empty() || profile) {
     run_traced_exemplar(trace_path, pcap_path, flight_path, profile);
   }

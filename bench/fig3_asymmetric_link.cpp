@@ -13,6 +13,7 @@
 #include "arnet/core/table.hpp"
 #include "arnet/net/network.hpp"
 #include "arnet/net/queue.hpp"
+#include "arnet/runner/experiment.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/transport/artp.hpp"
 #include "arnet/transport/tcp.hpp"
@@ -134,7 +135,8 @@ const char* upload_name(UploadKind k) { return k == UploadKind::kTcp ? "TCP" : "
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  runner::CommandLine(argc, argv, {});
   std::cout << "=== Figure 3: uploads starving a TCP download on an asymmetric link ===\n"
             << "8 Mb/s down / 0.8 Mb/s up. Download runs alone until t=10 s; upload 1\n"
             << "starts at t=10 s, upload 2 at t=25 s.\n\n";

@@ -183,14 +183,13 @@ double phase_mean(const sim::TimeSeries& ts, int phase) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const runner::CommandLine flags(argc, argv, {runner::kOutDir, runner::kTrace, runner::kPcap});
   std::cout << "=== Figure 4: TCP congestion window vs graceful degradation ===\n"
             << "Link capacity: 8 Mb/s (phase 1) -> 3 Mb/s (phase 2) -> 0.9 Mb/s\n"
             << "(phase 3), 10 s each.\n\n";
 
-  const std::string out_dir = runner::parse_out_dir(argc, argv);
-  const std::string metrics_path = runner::out_path(out_dir, "fig4_metrics.jsonl");
-  const std::string trace_path = runner::parse_string_flag(argc, argv, "--trace");
-  const std::string pcap_path = runner::parse_string_flag(argc, argv, "--pcap");
+  const std::string metrics_path = runner::out_path(flags.str("--out-dir"), "fig4_metrics.jsonl");
+  const std::string trace_path = flags.str("--trace"), pcap_path = flags.str("--pcap");
   trace::Tracer tracer;
   tracer.set_wire_capture(!pcap_path.empty());
   trace::Tracer* tracer_ptr =

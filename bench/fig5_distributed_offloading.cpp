@@ -180,8 +180,8 @@ SetupResult run_setup(char which) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_dir = runner::parse_out_dir(argc, argv);
-  runner::ReportTee tee(runner::out_path(out_dir, "fig5_distributed_offloading_report.txt"));
+  const runner::CommandLine flags(argc, argv, {runner::kOutDir});
+  runner::ReportTee tee(flags.str("--out-dir"), "fig5_distributed_offloading_report.txt");
   std::cout << "=== Figure 5: distributing computation among resources ===\n"
             << "Smart glasses offload latency-critical ops (2 KB @ 30 Hz) and heavy\n"
             << "ops (20 KB @ 10 Hz); per-setup median end-to-end op latency\n"

@@ -45,9 +45,8 @@ runner::BenchRow measure(const Case& c) {
 }  // namespace
 
 int run_json(int argc, char** argv, const std::string& suite, const std::vector<Case>& cases) {
-  runner::SweepArtifacts out;
-  out.suite = suite;
-  out.out_dir = runner::parse_out_dir(argc, argv);
+  const runner::CommandLine flags(argc, argv, {runner::kOutDir});
+  runner::SweepArtifacts out{.suite = suite, .out_dir = flags.str("--out-dir")};
   for (const Case& c : cases) {
     std::fprintf(stderr, "running %s...\n", c.name.c_str());
     out.rows.push_back(measure(c));

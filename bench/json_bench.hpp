@@ -25,8 +25,8 @@ inline void keep(const T& value) {
 
 /// Entry point of the microbench binaries: time every case, one after the
 /// other, and write an "arnet-bench-v1" document (runner::write_bench_json;
-/// runner/sweep.hpp shows the layout) to BENCH_<suite>.json under
-/// runner::parse_out_dir (default bench-out/). Each row carries host
+/// runner/sweep.hpp shows the layout) to BENCH_<suite>.json under --out-dir
+/// (default bench-out/), the binaries' one flag. Each row carries host
 /// wall-clock time and per-iteration latencies; the latencies feed an
 /// obs::Histogram, so the percentile semantics match the rest of the
 /// observability layer. Returns 0 on success, 1 if the file cannot be written.

@@ -11,18 +11,11 @@
 // the same binary: four paired 25-200 user cells run both models and report
 // p99/goodput deltas (the tolerance bands are pinned in tests/fluid_test.cpp).
 //
-// Each cell is an independent world fanned across an ExperimentRunner pool
-// (`--jobs N`), seeds derived from the root seed by run index — output is
-// byte-identical for any job count. runner::write_sweep writes the
-// artifacts under --out-dir:
-//   scale_city_metrics.jsonl   merged arnet-obs-v2 registry (per-cell city.*
-//                              gauges, fluid.* instruments, SLO gauges)
-//   BENCH_scale_city.json      arnet-bench-v1 summary: one entry per cell
-//                              plus validate/uNNN/{packet,fluid} pairs
-//   scale_city_slo.jsonl       arnet-slo-v1 burn/alert log, cell order
-//   scale_city_samples.jsonl   arnet-sample-v1 header/footer (fluid cells
-//                              carry no spans; keeps arnet_report.py happy)
-// With --report yes, tools/arnet_report.py renders scale_city_report.html.
+// Each cell is an independent world on an ExperimentRunner pool, seeded
+// from the root seed by run index, so output is byte-identical at any
+// --jobs. main() declares the flags; runner::write_sweep writes the
+// artifacts (runner/sweep.hpp lists them), always with the SLO log and an
+// empty samples file, since fluid cells carry SLO trackers but no spans.
 #include <algorithm>
 #include <cstdint>
 #include <iomanip>
@@ -71,14 +64,17 @@ struct ArchetypeAgg {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::SweepFlags flags = runner::parse_sweep_flags(argc, argv);
-  runner::ExperimentRunner pool(flags.pool);
-  fluid::CityConfig city = make_city(flags.smoke);
+  const runner::CommandLine flags(argc, argv, {runner::kSmoke, runner::kSlo, runner::kReport,
+                                               runner::kOutDir, runner::kSeed, runner::kJobs});
+  const bool smoke = flags.yes("--smoke"), report = flags.yes("--report");
+  flags.yes("--slo");  // checked only: every fluid cell carries an SLO tracker
+  runner::ExperimentRunner pool({.jobs = flags.jobs(), .root_seed = flags.seed()});
+  fluid::CityConfig city = make_city(smoke);
   city.seed = pool.root_seed();
   const std::size_t n_cells = city.cells();
   // Packet-vs-fluid validation pairs ride the same pool as extra runs.
   const std::vector<double> levels = {25, 50, 100, 200};
-  const sim::Time validate_duration = flags.smoke ? sim::seconds(10) : sim::seconds(30);
+  const sim::Time validate_duration = smoke ? sim::seconds(10) : sim::seconds(30);
   const std::size_t n_runs = n_cells + levels.size();
 
   std::cout << "=== city-scale fluid simulation: " << city.grid_x << "x"
@@ -86,7 +82,7 @@ int main(int argc, char** argv) {
             << " h day ===\n"
             << n_cells << " cells + " << levels.size() << " validation pairs, "
             << pool.jobs() << " jobs, root seed " << pool.root_seed()
-            << (flags.smoke ? " (smoke)" : "") << "\n\n";
+            << (smoke ? " (smoke)" : "") << "\n\n";
 
   // One world per run; results, registries and SLO trackers are indexed by
   // run, so every merge below is in cell order no matter how workers
@@ -187,9 +183,8 @@ int main(int argc, char** argv) {
   merged.gauge("city.cells_total", "city").set(static_cast<double>(n_cells));
   merged.gauge("city.cells_breached", "city").set(breach_cells);
 
-  runner::SweepArtifacts out;
-  out.suite = "scale_city";
-  out.out_dir = flags.out_dir;
+  runner::SweepArtifacts out{.suite = "scale_city", .out_dir = flags.str("--out-dir"),
+                             .metrics = &merged, .telemetry = &telemetry, .report = report};
   for (const fluid::CityCellOutcome& c : outcomes) {
     out.rows.push_back(runner::sim_row(c.r.name, c.r, c.r.sim_seconds, c.r.frames,
                                        c.r.served_fps, c.r.ticks));
@@ -204,8 +199,5 @@ int main(int argc, char** argv) {
     out.rows.push_back(runner::sim_row(base.str() + "/fluid", v.fluid, v.fluid.sim_seconds,
                                        v.fluid.frames, v.fluid.served_fps, v.fluid.ticks));
   }
-  out.metrics = &merged;
-  out.telemetry = &telemetry;
-  out.report = flags.report;
   return runner::write_sweep(out);
 }

@@ -4,18 +4,11 @@
 // paper's "how many MAR users can one edge deployment actually carry"
 // question (§IV scale concerns, §VI-F provisioning).
 //
-// Each cell is an independent simulation world fanned across an
-// ExperimentRunner pool (`--jobs N`), with per-cell seeds derived from the
-// root seed by run index — output is byte-identical for any job count.
-// Artifacts land under --out-dir (default bench-out/), written by
-// runner::write_sweep (runner/sweep.hpp lists the files):
-//   scale_fleet_metrics.jsonl   merged arnet-obs-v2 registry (all cells)
-//   BENCH_scale_fleet.json      arnet-bench-v1 summary, sim-derived values
-// With --slo yes, each cell additionally runs the full telemetry stack
-// (tracer + tail sampler + SLO tracker; fingerprint-neutral observers) and
-// the sweep also writes scale_fleet_slo.jsonl and scale_fleet_samples.jsonl.
-// With --report yes, tools/arnet_report.py renders scale_fleet_report.html
-// from them.
+// Each cell is an independent world on an ExperimentRunner pool, seeded
+// from the root seed by run index, so output is byte-identical at any
+// --jobs. main() declares the flags; runner::write_sweep writes the
+// artifacts (runner/sweep.hpp lists them). With --slo yes each cell also
+// runs the full telemetry stack (fingerprint-neutral observers).
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -99,13 +92,16 @@ std::vector<fleet::CellConfig> build_cells(bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::SweepFlags flags = runner::parse_sweep_flags(argc, argv);
-  runner::ExperimentRunner pool(flags.pool);
+  const runner::CommandLine flags(argc, argv, {runner::kSmoke, runner::kSlo, runner::kReport,
+                                               runner::kOutDir, runner::kSeed, runner::kJobs});
+  const bool smoke = flags.yes("--smoke"), slo = flags.yes("--slo");
+  const bool report = flags.yes("--report");
+  runner::ExperimentRunner pool({.jobs = flags.jobs(), .root_seed = flags.seed()});
 
-  const std::vector<fleet::CellConfig> cells = build_cells(flags.smoke);
+  const std::vector<fleet::CellConfig> cells = build_cells(smoke);
   std::cout << "=== fleet capacity sweep: users vs m2p latency ===\n"
             << cells.size() << " cells, " << pool.jobs() << " jobs, root seed "
-            << pool.root_seed() << (flags.smoke ? " (smoke)" : "") << "\n\n";
+            << pool.root_seed() << (smoke ? " (smoke)" : "") << "\n\n";
 
   // One world per cell; results and registries are indexed by run, so the
   // merge is in cell order no matter how workers interleave.
@@ -114,7 +110,7 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry merged = pool.run_merged(cells.size(), [&](runner::RunContext& ctx) {
     const std::size_t i = ctx.run_index;
     trace::Telemetry t;
-    if (flags.slo) {
+    if (slo) {
       slo::SloConfig lc;
       lc.entity = cells[i].name;
       t = telemetry.attach(i, ctx.seed, lc);
@@ -160,15 +156,12 @@ int main(int argc, char** argv) {
   }
   flush();
 
-  runner::SweepArtifacts out;
-  out.suite = "scale_fleet";
-  out.out_dir = flags.out_dir;
+  runner::SweepArtifacts out{.suite = "scale_fleet", .out_dir = flags.str("--out-dir"),
+                             .metrics = &merged, .telemetry = slo ? &telemetry : nullptr,
+                             .report = report};
   for (const fleet::CellResult& r : results) {
     out.rows.push_back(
         runner::sim_row(r.name, r, r.sim_seconds, r.results, r.served_fps, r.sim_events));
   }
-  out.metrics = &merged;
-  out.telemetry = flags.slo ? &telemetry : nullptr;
-  out.report = flags.report;
   return runner::write_sweep(out);
 }

@@ -5,11 +5,13 @@
 
 #include "arnet/core/table.hpp"
 #include "arnet/mar/traffic.hpp"
+#include "arnet/runner/experiment.hpp"
 #include "arnet/wireless/survey.hpp"
 
 using namespace arnet;
 
-int main() {
+int main(int argc, char** argv) {
+  runner::CommandLine(argc, argv, {});
   std::cout << "=== SIII-B: how much bandwidth does MAR offloading need? ===\n\n";
 
   core::TablePrinter t({"Source of the estimate", "paper value", "notes"});

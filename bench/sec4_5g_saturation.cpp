@@ -14,6 +14,7 @@
 #include "arnet/fleet/server.hpp"
 #include "arnet/mar/offload.hpp"
 #include "arnet/net/network.hpp"
+#include "arnet/runner/experiment.hpp"
 #include "arnet/sim/simulator.hpp"
 
 using namespace arnet;
@@ -119,7 +120,8 @@ CrowdResult run_crowd(int users, const mar::VideoModel& video, int server_cores 
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  runner::CommandLine(argc, argv, {});
   std::cout << "=== SIV-C: a 5G cell (NGMN AR KPIs) vs growing MAR usage ===\n"
             << "FullOffload sessions sharing one 500 Mb/s cell, 20 s each.\n";
 

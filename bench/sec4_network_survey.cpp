@@ -129,6 +129,8 @@ Measured measure_wifi(double phy_bps, int contenders, std::int32_t aggregate_byt
 }  // namespace
 
 int main(int argc, char** argv) {
+  const runner::CommandLine flags(argc, argv, {runner::kJobs});
+  runner::ExperimentRunner pool({.jobs = flags.jobs()});
   std::cout << "=== SIV-A: wireless technologies, advertised vs everyday ===\n\n";
   core::TablePrinter t({"Technology", "theoretical down/up", "cited measured", "simulated:",
                         "down", "up", "RTT"});
@@ -145,9 +147,6 @@ int main(int argc, char** argv) {
     bool simulated = false;
   };
   const std::vector<wireless::SurveyRow> survey = wireless::wireless_survey();
-  runner::ExperimentRunner::Config pool_cfg;
-  pool_cfg.jobs = runner::parse_jobs_flag(argc, argv, 1);
-  runner::ExperimentRunner pool(pool_cfg);
   const std::vector<SurveyMeasurement> measurements = pool.map<SurveyMeasurement>(
       survey.size(), [&survey](runner::RunContext& ctx) {
         const auto& row = survey[ctx.run_index];

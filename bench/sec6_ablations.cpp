@@ -116,11 +116,9 @@ StrategyStats run_strategy(mar::OffloadStrategy strategy) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  runner::ExperimentRunner::Config pool_cfg;
-  pool_cfg.jobs = runner::parse_jobs_flag(argc, argv, 1);
-  runner::ExperimentRunner pool(pool_cfg);
-  const std::string out_dir = runner::parse_out_dir(argc, argv);
-  runner::ReportTee tee(runner::out_path(out_dir, "sec6_ablations_report.txt"));
+  const runner::CommandLine flags(argc, argv, {runner::kJobs, runner::kOutDir});
+  runner::ExperimentRunner pool({.jobs = flags.jobs()});
+  runner::ReportTee tee(flags.str("--out-dir"), "sec6_ablations_report.txt");
 
   std::cout << "=== ARTP design ablations (6 Mb/s, 15 ms, 2 % loss, 30 Hz stream) ===\n";
 

@@ -137,8 +137,8 @@ Outcome run(Strategy strategy, sim::Time one_way, double loss) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_dir = runner::parse_out_dir(argc, argv);
-  runner::ReportTee tee(runner::out_path(out_dir, "sec6_loss_recovery_report.txt"));
+  const runner::CommandLine flags(argc, argv, {runner::kOutDir});
+  runner::ReportTee tee(flags.str("--out-dir"), "sec6_loss_recovery_report.txt");
   std::cout << "=== SVI-C: loss recovery under the 75 ms budget (30 FPS, 2 % loss) ===\n"
             << "Fraction of frames complete within 75 ms, by path RTT and strategy.\n\n";
 

@@ -117,8 +117,9 @@ PolicyResult run(transport::MultipathPolicy policy, bool single_path_baseline = 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_dir = runner::parse_out_dir(argc, argv);
-  runner::ReportTee tee(runner::out_path(out_dir, "sec6_multipath_policies_report.txt"));
+  const runner::CommandLine flags(argc, argv, {runner::kJobs, runner::kOutDir});
+  runner::ExperimentRunner pool({.jobs = flags.jobs()});
+  runner::ReportTee tee(flags.str("--out-dir"), "sec6_multipath_policies_report.txt");
   std::cout << "=== SVI-D: multipath behaviors on an urban walk (300 s) ===\n"
             << "WiFi usable ~54 % of the time (Wi2Me), LTE almost always on.\n"
             << "Workload: 15 KB feature batches at 15 Hz.\n\n";
@@ -137,9 +138,6 @@ int main(int argc, char** argv) {
   };
   // Each behavior is a full 300 s walk in its own simulation world — fan the
   // four walks across the pool; the table order stays fixed.
-  runner::ExperimentRunner::Config pool_cfg;
-  pool_cfg.jobs = runner::parse_jobs_flag(argc, argv, 1);
-  runner::ExperimentRunner pool(pool_cfg);
   const std::vector<PolicyResult> results = pool.map<PolicyResult>(
       std::size(rows), [&rows](runner::RunContext& ctx) {
         return run(rows[ctx.run_index].policy, rows[ctx.run_index].single);

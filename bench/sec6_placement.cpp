@@ -47,11 +47,9 @@ edge::PlacementProblem make_city(sim::Time max_rtt, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  runner::ExperimentRunner::Config pool_cfg;
-  pool_cfg.jobs = runner::parse_jobs_flag(argc, argv, 1);
-  runner::ExperimentRunner pool(pool_cfg);
-  const std::string out_dir = runner::parse_out_dir(argc, argv);
-  runner::ReportTee tee(runner::out_path(out_dir, "sec6_placement_report.txt"));
+  const runner::CommandLine flags(argc, argv, {runner::kJobs, runner::kOutDir});
+  runner::ExperimentRunner pool({.jobs = flags.jobs()});
+  runner::ReportTee tee(flags.str("--out-dir"), "sec6_placement_report.txt");
 
   std::cout << "=== SVI-F: locating edge datacenters for MAR ===\n"
             << "min |C| s.t. every user's offloading RTT constraint holds.\n"

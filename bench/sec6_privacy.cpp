@@ -17,8 +17,8 @@
 using namespace arnet;
 
 int main(int argc, char** argv) {
-  const std::string out_dir = runner::parse_out_dir(argc, argv);
-  runner::ReportTee tee(runner::out_path(out_dir, "sec6_privacy_report.txt"));
+  const runner::CommandLine flags(argc, argv, {runner::kOutDir});
+  runner::ReportTee tee(flags.str("--out-dir"), "sec6_privacy_report.txt");
   std::cout << "=== SVI-G: privacy-preserving offloading ===\n\n"
             << "--- What each privacy level does to recognition (50 sightings) ---\n";
   {

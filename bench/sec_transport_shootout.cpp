@@ -6,18 +6,12 @@
 // "TCP is the wrong tool", §VI ARTP; arvr-sim methodology for the
 // on-time/late/incomplete split).
 //
-// Each cell is an independent simulation world fanned across an
-// ExperimentRunner pool (`--jobs N`), with per-cell seeds derived from the
-// root seed by run index — output is byte-identical for any job count.
-// Artifacts land under --out-dir (default bench-out/):
-//   sec_transport_shootout_report.txt   this console report
-//   BENCH_sec_transport_shootout.json   arnet-bench-v1 summary, sim-derived,
-//                                       with the on-time/late/incomplete split
-// With --slo yes, each cell also runs tracer + tail sampler + SLO tracker
-// (fingerprint-neutral observers) and runner::write_sweep adds
-// sec_transport_shootout_slo.jsonl and sec_transport_shootout_samples.jsonl;
-// with --report yes, tools/arnet_report.py renders
-// sec_transport_shootout_report.html from them.
+// Each cell is an independent world on an ExperimentRunner pool, seeded
+// from the root seed by run index, so output is byte-identical at any
+// --jobs. main() declares the flags; runner::write_sweep writes the
+// artifacts (runner/sweep.hpp lists them) next to this console report.
+// With --slo yes each cell also runs the full telemetry stack
+// (fingerprint-neutral observers).
 #include <iostream>
 #include <string>
 #include <vector>
@@ -53,21 +47,24 @@ std::vector<core::ShootoutCellConfig> build_cells(bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::SweepFlags flags = runner::parse_sweep_flags(argc, argv);
-  runner::ExperimentRunner pool(flags.pool);
-  runner::ReportTee tee(runner::out_path(flags.out_dir, "sec_transport_shootout_report.txt"));
+  const runner::CommandLine flags(argc, argv, {runner::kSmoke, runner::kSlo, runner::kReport,
+                                               runner::kOutDir, runner::kSeed, runner::kJobs});
+  const bool smoke = flags.yes("--smoke"), slo = flags.yes("--slo");
+  const bool report = flags.yes("--report");
+  runner::ExperimentRunner pool({.jobs = flags.jobs(), .root_seed = flags.seed()});
+  runner::ReportTee tee(flags.str("--out-dir"), "sec_transport_shootout_report.txt");
 
-  const std::vector<core::ShootoutCellConfig> cells = build_cells(flags.smoke);
+  const std::vector<core::ShootoutCellConfig> cells = build_cells(smoke);
   std::cout << "=== transport shootout: frame deadlines over WiFi / LTE / 5G NR ===\n"
             << cells.size() << " cells, " << pool.jobs() << " jobs, root seed "
-            << pool.root_seed() << (flags.smoke ? " (smoke)" : "") << "\n\n";
+            << pool.root_seed() << (smoke ? " (smoke)" : "") << "\n\n";
 
   std::vector<core::ShootoutCellResult> results(cells.size());
   runner::SweepTelemetry telemetry(cells.size());
   pool.for_each(cells.size(), [&](runner::RunContext& ctx) {
     const std::size_t i = ctx.run_index;
     trace::Telemetry t;
-    if (flags.slo) {
+    if (slo) {
       slo::SloConfig lc;
       lc.entity = cells[i].name();
       lc.deadline_ms = sim::to_milliseconds(core::kShootoutDeadline);
@@ -104,9 +101,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  runner::SweepArtifacts out;
-  out.suite = "sec_transport_shootout";
-  out.out_dir = flags.out_dir;
+  runner::SweepArtifacts out{.suite = "sec_transport_shootout", .out_dir = flags.str("--out-dir"),
+                             .telemetry = slo ? &telemetry : nullptr, .report = report};
   for (const core::ShootoutCellResult& r : results) {
     runner::BenchRow row =
         runner::sim_row(r.name, r, r.sim_seconds, r.frames_sent, 0.0, r.sim_events);
@@ -118,7 +114,5 @@ int main(int argc, char** argv) {
                  {"goodput_mbps", r.goodput_mbps}};
     out.rows.push_back(std::move(row));
   }
-  out.telemetry = flags.slo ? &telemetry : nullptr;
-  out.report = flags.report;
   return runner::write_sweep(out);
 }

@@ -12,8 +12,8 @@
 using namespace arnet;
 
 int main(int argc, char** argv) {
-  const std::string out_dir = runner::parse_out_dir(argc, argv);
-  runner::ReportTee tee(runner::out_path(out_dir, "table1_devices_report.txt"));
+  const runner::CommandLine flags(argc, argv, {runner::kOutDir});
+  runner::ReportTee tee(flags.str("--out-dir"), "table1_devices_report.txt");
   std::cout << "=== Table I: devices participating in a MAR ecosystem ===\n";
   core::TablePrinter t({"Platform", "Computing power", "Storage", "Battery life",
                         "Network access", "Portability"});

@@ -17,8 +17,8 @@
 using namespace arnet;
 
 int main(int argc, char** argv) {
-  const std::string out_dir = runner::parse_out_dir(argc, argv);
-  runner::ReportTee tee(runner::out_path(out_dir, "table2_offload_rtt_report.txt"));
+  const runner::CommandLine flags(argc, argv, {runner::kOutDir});
+  runner::ReportTee tee(flags.str("--out-dir"), "table2_offload_rtt_report.txt");
   std::cout << "=== Table II: CloudRidAR link RTT across deployments ===\n";
   core::TablePrinter t({"Platform/Connection", "paper RTT", "measured RTT (median)",
                         "p95", "loss"});

@@ -13,6 +13,7 @@
 #include "arnet/mar/cost_model.hpp"
 #include "arnet/mar/device.hpp"
 #include "arnet/net/network.hpp"
+#include "arnet/runner/experiment.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/transport/artp.hpp"
 #include "arnet/vision/pipeline.hpp"
@@ -21,7 +22,8 @@
 
 using namespace arnet;
 
-int main() {
+int main(int argc, char** argv) {
+  runner::CommandLine(argc, argv, {});
   // ---- Part 1: the actual computer vision, on actual pixels. ------------
   std::cout << "=== Part 1: recognizing storefronts (real pixel pipeline) ===\n";
   sim::Rng rng(2017);

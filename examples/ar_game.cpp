@@ -12,6 +12,7 @@
 #include "arnet/core/table.hpp"
 #include "arnet/net/network.hpp"
 #include "arnet/net/queue.hpp"
+#include "arnet/runner/experiment.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/transport/artp.hpp"
 #include "arnet/transport/tcp.hpp"
@@ -132,7 +133,8 @@ GameRun run_game(bool reserve_game_flow) {
   return r;
 }
 
-int main() {
+int main(int argc, char** argv) {
+  runner::CommandLine(argc, argv, {});
   std::cout << "=== 40 s AR game session, roommate's cloud backup from t=15 s ===\n"
             << "The game's uplink (ARTP) shares a 10 Mb/s home uplink with a bulk\n"
             << "TCP backup. Second run: the router gives the game an RSVP-style\n"

@@ -16,6 +16,7 @@
 #include "arnet/edge/placement.hpp"
 #include "arnet/mar/offload.hpp"
 #include "arnet/net/network.hpp"
+#include "arnet/runner/experiment.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/transport/artp.hpp"
 #include "arnet/wireless/cellular.hpp"
@@ -25,7 +26,8 @@ using namespace arnet;
 using sim::milliseconds;
 using sim::seconds;
 
-int main() {
+int main(int argc, char** argv) {
+  runner::CommandLine(argc, argv, {});
   // ---- Phase 1: plan the edge deployment (SVI-F). ------------------------
   std::cout << "=== Phase 1: planning the edge for a 20 km city ===\n";
   edge::PlacementProblem plan;

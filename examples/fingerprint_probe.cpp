@@ -23,6 +23,7 @@
 #include "arnet/net/loss.hpp"
 #include "arnet/net/network.hpp"
 #include "arnet/net/observer.hpp"
+#include "arnet/runner/experiment.hpp"
 #include "arnet/sim/simulator.hpp"
 
 using namespace arnet;
@@ -65,7 +66,8 @@ struct FateCounter final : net::NetworkObserver {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  runner::CommandLine(argc, argv, {});
   std::uint64_t rng_streams = 0;
   std::uint64_t rng_draws_root = 0;
   std::uint64_t rng_findings = 0;

@@ -11,6 +11,7 @@
 #include "arnet/mar/cost_model.hpp"
 #include "arnet/mar/device.hpp"
 #include "arnet/net/network.hpp"
+#include "arnet/runner/experiment.hpp"
 #include "arnet/sim/simulator.hpp"
 #include "arnet/transport/artp.hpp"
 #include "arnet/wireless/cellular.hpp"
@@ -23,7 +24,8 @@ using net::TrafficClass;
 using sim::milliseconds;
 using sim::seconds;
 
-int main() {
+int main(int argc, char** argv) {
+  runner::CommandLine(argc, argv, {});
   // Why the glasses must offload at all, from the paper's cost model:
   const auto& glasses = mar::device_profile(mar::DeviceClass::kSmartGlasses);
   const auto& phone_dev = mar::device_profile(mar::DeviceClass::kSmartphone);

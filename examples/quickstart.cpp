@@ -11,11 +11,13 @@
 #include "arnet/core/table.hpp"
 #include "arnet/mar/offload.hpp"
 #include "arnet/net/network.hpp"
+#include "arnet/runner/experiment.hpp"
 #include "arnet/sim/simulator.hpp"
 
 using namespace arnet;
 
-int main() {
+int main(int argc, char** argv) {
+  runner::CommandLine(argc, argv, {});
   // 1. A simulator and a topology: phone <-> AP <-> edge server.
   sim::Simulator sim;
   net::Network net(sim, /*seed=*/1);

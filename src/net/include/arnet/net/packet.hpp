@@ -50,14 +50,17 @@ const char* to_string(AppData a);
 /// Why a packet left the network without reaching its destination. Lives
 /// next to Packet (not observer.hpp) because queues report it through their
 /// drop hooks before any observer is involved.
+/// The values are written out because check::TraceRecorder hashes them into
+/// determinism fingerprints: 2 belonged to a retired reason and stays unused,
+/// so that every recorded fingerprint still holds.
 enum class DropReason : std::uint8_t {
-  kQueue,       ///< tail/limit drop: the queue was full on enqueue
-  kAqm,         ///< AQM control law (CoDel) dropped it to signal congestion
-  kShed,        ///< priority shedding evicted it to protect higher classes
-  kLinkDown,    ///< link administratively down (queued or in flight)
-  kRandomLoss,  ///< link loss model fired
-  kUnroutable,  ///< no route to destination
+  kQueue = 0,       ///< tail/limit drop: the queue was full on enqueue
+  kAqm = 1,         ///< AQM control law (CoDel) dropped it to signal congestion
+  kLinkDown = 3,    ///< link administratively down (queued or in flight)
+  kRandomLoss = 4,  ///< link loss model fired
+  kUnroutable = 5,  ///< no route to destination
 };
+/// One past the largest DropReason value: the size of a table indexed by it.
 inline constexpr std::size_t kDropReasonCount = 6;
 
 const char* to_string(DropReason r);

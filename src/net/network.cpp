@@ -13,7 +13,6 @@ const char* to_string(DropReason r) {
   switch (r) {
     case DropReason::kQueue: return "queue";
     case DropReason::kAqm: return "aqm";
-    case DropReason::kShed: return "shed";
     case DropReason::kLinkDown: return "link-down";
     case DropReason::kRandomLoss: return "random-loss";
     case DropReason::kUnroutable: return "unroutable";

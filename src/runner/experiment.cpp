@@ -1,5 +1,6 @@
 #include "arnet/runner/experiment.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <cstring>
@@ -88,30 +89,6 @@ obs::MetricsRegistry ExperimentRunner::run_merged(std::size_t runs, const RunFn&
   return merged;
 }
 
-int parse_jobs_flag(int argc, char** argv, int fallback) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      value = arg + 7;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      ARNET_CHECK(i + 1 < argc, "--jobs needs a value");
-      value = argv[i + 1];
-    } else {
-      continue;
-    }
-    // from_chars takes no whitespace or overflow, so only a full decimal int
-    // passes; the sign check turns away a negative one.
-    const char* end = value + std::strlen(value);
-    int n = 0;
-    const auto [ptr, ec] = std::from_chars(value, end, n);
-    ARNET_CHECK(ec == std::errc{} && ptr == end && n >= 0,
-                "--jobs must be a non-negative decimal, got '", value, "'");
-    return n > 0 ? n : ExperimentRunner::hardware_jobs();
-  }
-  return fallback;
-}
-
 std::string parse_string_flag(int argc, char** argv, const char* name, std::string fallback) {
   const std::size_t len = std::strlen(name);
   for (int i = 1; i < argc; ++i) {
@@ -125,8 +102,76 @@ std::string parse_string_flag(int argc, char** argv, const char* name, std::stri
   return fallback;
 }
 
-std::string parse_out_dir(int argc, char** argv) {
-  return parse_string_flag(argc, argv, "--out-dir", "bench-out");
+namespace {
+
+/// Index of the flag called `name`, or flags.size() when none is.
+std::size_t find_flag(const std::vector<Flag>& flags, std::string_view name) {
+  const auto it =
+      std::find_if(flags.begin(), flags.end(), [&](const Flag& f) { return name == f.name; });
+  return static_cast<std::size_t>(it - flags.begin());
+}
+
+/// from_chars takes no whitespace or overflow (nor, for unsigned types, a
+/// sign), so only a full decimal `T` passes.
+template <typename T>
+bool full_decimal(const std::string& value, T& out) {
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
+
+CommandLine::CommandLine(int argc, char** argv, std::vector<Flag> flags)
+    : flags_(std::move(flags)), values_(flags_.size()) {
+  std::string error;
+  for (int i = 1; i < argc && error.empty(); ++i) {
+    const std::string_view arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string name(arg.substr(0, eq));
+    const std::size_t k = find_flag(flags_, name);
+    if (k == flags_.size()) {
+      error = "unknown flag '" + name + "'";
+    } else if (values_[k]) {
+      error = name + " is given twice";
+    } else if (eq == std::string_view::npos && i + 1 == argc) {
+      error = name + " needs a value";
+    } else {
+      values_[k] = eq == std::string_view::npos ? argv[++i] : arg.substr(eq + 1);
+    }
+  }
+  std::string usage = flags_.empty() ? " takes no flags" : " takes:";
+  for (const Flag& f : flags_) {
+    usage += "\n  " + std::string(f.name) + " (default \"" + f.fallback + "\")  " + f.help;
+  }
+  ARNET_CHECK(error.empty(), error, "; ", argv[0], usage);
+}
+
+std::string CommandLine::str(std::string_view name) const {
+  const std::size_t k = find_flag(flags_, name);
+  ARNET_CHECK(k < flags_.size(), name, " is read but not declared");
+  return values_[k].value_or(flags_[k].fallback);
+}
+
+bool CommandLine::yes(std::string_view name) const {
+  const std::string value = str(name);
+  ARNET_CHECK(value == "yes" || value == "no", name, " must be yes or no, got '", value, "'");
+  return value == "yes";
+}
+
+int CommandLine::jobs() const {
+  const std::string value = str("--jobs");
+  int n = 0;
+  ARNET_CHECK(full_decimal(value, n) && n >= 0,
+              "--jobs must be a non-negative decimal, got '", value, "'");
+  return n;
+}
+
+std::uint64_t CommandLine::seed() const {
+  const std::string value = str("--seed");
+  std::uint64_t seed = 0;
+  ARNET_CHECK(full_decimal(value, seed), "--seed must be a decimal uint64, got '", value, "'");
+  return seed;
 }
 
 std::string out_path(const std::string& dir, const std::string& file) {
@@ -174,8 +219,9 @@ struct ReportTee::Impl {
   std::streambuf* saved = nullptr;
 };
 
-ReportTee::ReportTee(const std::string& path) : impl_(std::make_unique<Impl>()) {
-  impl_->file.open(path);
+ReportTee::ReportTee(const std::string& dir, const std::string& file)
+    : impl_(std::make_unique<Impl>()) {
+  impl_->file.open(out_path(dir, file));
   if (!impl_->file.is_open()) return;
   impl_->saved = std::cout.rdbuf();
   impl_->tee = std::make_unique<TeeBuf>(impl_->saved, impl_->file.rdbuf());

@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arnet/obs/registry.hpp"
@@ -77,35 +79,67 @@ class ExperimentRunner {
   std::uint64_t root_seed_;
 };
 
-/// Parse a `--jobs N` / `--jobs=N` flag (shared by the experiment binaries);
-/// returns `fallback` when absent. N = 0 means one job per hardware thread.
-/// Anything but a full non-negative decimal, or `--jobs` as the last
-/// argument, fails an ARNET_CHECK.
-int parse_jobs_flag(int argc, char** argv, int fallback = 1);
-
 /// Parse a generic `--name value` / `--name=value` string flag; returns
 /// `fallback` when absent. `name` includes the leading dashes ("--trace").
 /// `name` as the last argument, with no value after it, fails an ARNET_CHECK.
+/// The repo's own binaries read their flags through CommandLine; arbench's
+/// driver is the one caller outside this library.
 std::string parse_string_flag(int argc, char** argv, const char* name,
                               std::string fallback = "");
 
-/// The shared `--out-dir` convention: where experiment binaries place their
-/// artifacts (metrics JSONL, traces, pcaps). Defaults to "bench-out" so bare
-/// runs never litter the CWD; CI uploads the whole directory.
-std::string parse_out_dir(int argc, char** argv);
+/// One declared flag: `--name value` or `--name=value`, `fallback` when
+/// absent, and a one-line `help` for the usage message.
+struct Flag {
+  const char *name, *fallback, *help;
+};
+
+/// The flags several binaries share, declared once. Artifacts default to
+/// bench-out/ so that bare runs never litter the working directory.
+inline constexpr Flag kOutDir{"--out-dir", "bench-out", "directory for every artifact"};
+inline constexpr Flag kJobs{"--jobs", "1", "worker threads, a non-negative decimal; 0 = all cores"};
+inline constexpr Flag kSeed{"--seed", "1", "root of the per-run seed chain, a decimal uint64"};
+inline constexpr Flag kSmoke{"--smoke", "no", "yes|no: the small CI grid instead of the full one"};
+inline constexpr Flag kSlo{"--slo", "no", "yes|no: attach tracers, tail samplers and SLO trackers"};
+inline constexpr Flag kReport{"--report", "no", "yes|no: render the HTML report (needs --slo yes)"};
+inline constexpr Flag kTrace{"--trace", "", "write a Perfetto JSON trace of the traced run here"};
+inline constexpr Flag kPcap{"--pcap", "", "write a pcap-ng capture of the traced run here"};
+
+/// A binary's command line, checked against the flags it declares. The
+/// constructor fails one ARNET_CHECK, whose message lists the declared flags
+/// with their defaults, on an unknown flag (`--help` included), a flag given
+/// twice in either spelling, or a last flag with no value. Every bench and
+/// example builds one first, before it prints anything.
+class CommandLine {
+ public:
+  CommandLine(int argc, char** argv, std::vector<Flag> flags);
+
+  /// The value of declared flag `name`, or its fallback.
+  std::string str(std::string_view name) const;
+  /// A `yes|no` flag; any other value fails an ARNET_CHECK.
+  bool yes(std::string_view name) const;
+  /// `--jobs`: a non-negative decimal, for ExperimentRunner::Config::jobs
+  /// (where 0 means one job per hardware thread).
+  int jobs() const;
+  /// `--seed`: a decimal uint64.
+  std::uint64_t seed() const;
+
+ private:
+  std::vector<Flag> flags_;
+  std::vector<std::optional<std::string>> values_;  ///< as given, by flag
+};
 
 /// Join `dir` and `file`, creating `dir` (and parents) on first use.
 std::string out_path(const std::string& dir, const std::string& file);
 
-/// Mirrors everything written to std::cout into a file for this object's
-/// lifetime, then restores the original stream. The experiment binaries whose
-/// product is the rendered report itself (paper tables/figures) use this so
-/// the report lands under --out-dir next to the JSONL/trace artifacts and CI
-/// can archive one directory. A failed open is non-fatal: output still goes
-/// to the console, report() just returns false.
+/// Mirrors everything written to std::cout into out_path(dir, file) for this
+/// object's lifetime, then restores the original stream. The experiment
+/// binaries whose product is the rendered report itself (paper
+/// tables/figures) use this so the report lands under --out-dir next to the
+/// JSONL/trace artifacts and CI can archive one directory. A failed open is
+/// non-fatal: output still goes to the console.
 class ReportTee {
  public:
-  explicit ReportTee(const std::string& path);
+  ReportTee(const std::string& dir, const std::string& file);
   ~ReportTee();
 
   ReportTee(const ReportTee&) = delete;

@@ -106,7 +106,7 @@ class SweepTelemetry {
 struct SweepArtifacts {
   std::string suite;
   std::string out_dir;
-  std::vector<BenchRow> rows;
+  std::vector<BenchRow> rows = {};
   const obs::MetricsRegistry* metrics = nullptr;
   const SweepTelemetry* telemetry = nullptr;
   bool report = false;
@@ -116,19 +116,5 @@ struct SweepArtifacts {
 /// after naming on stderr the first file it could not write. The report is
 /// best effort (it rides an external interpreter): a failure only warns.
 int write_sweep(const SweepArtifacts& a);
-
-/// The command line every sweep binary shares: `--smoke`, `--slo` and
-/// `--report` (yes or no, default no), `--out-dir`, `--seed` (the root seed,
-/// default 1) and `--jobs` (default 1). A malformed value fails an
-/// ARNET_CHECK.
-struct SweepFlags {
-  bool smoke = false;
-  bool slo = false;
-  bool report = false;
-  std::string out_dir;
-  ExperimentRunner::Config pool;
-};
-
-SweepFlags parse_sweep_flags(int argc, char** argv);
 
 }  // namespace arnet::runner

@@ -1,13 +1,11 @@
 #include "arnet/runner/sweep.hpp"
 
-#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 
-#include "arnet/check/assert.hpp"
 #include "arnet/obs/export.hpp"
 
 namespace arnet::runner {
@@ -148,28 +146,6 @@ int write_sweep(const SweepArtifacts& a) {
     std::cout << "wrote " << report_path << "\n";
   }
   return 0;
-}
-
-SweepFlags parse_sweep_flags(int argc, char** argv) {
-  auto yes = [&](const char* name) {
-    const std::string value = parse_string_flag(argc, argv, name, "no");
-    ARNET_CHECK(value == "yes" || value == "no", name, " must be yes or no, got '", value, "'");
-    return value == "yes";
-  };
-  SweepFlags f;
-  f.smoke = yes("--smoke");
-  f.slo = yes("--slo");
-  f.report = yes("--report");
-  f.out_dir = parse_out_dir(argc, argv);
-  f.pool.jobs = parse_jobs_flag(argc, argv, 1);
-  const std::string seed = parse_string_flag(argc, argv, "--seed", "1");
-  // from_chars takes no sign, whitespace or overflow, so only a full decimal
-  // uint64 passes.
-  const char* end = seed.data() + seed.size();
-  const auto [ptr, ec] = std::from_chars(seed.data(), end, f.pool.root_seed);
-  ARNET_CHECK(ec == std::errc{} && ptr == end, "--seed must be a decimal uint64, got '", seed,
-              "'");
-  return f;
 }
 
 }  // namespace arnet::runner

@@ -201,7 +201,6 @@ TEST(TraceDropReasons, DropTailReportsQueueCoDelReportsAqm) {
   for (auto r : codel_drops) EXPECT_EQ(r, net::DropReason::kAqm);
   EXPECT_STREQ(net::to_string(net::DropReason::kQueue), "queue");
   EXPECT_STREQ(net::to_string(net::DropReason::kAqm), "aqm");
-  EXPECT_STREQ(net::to_string(net::DropReason::kShed), "shed");
 }
 
 // A traced link whose queue tail-drops records kDrop events with the reason
