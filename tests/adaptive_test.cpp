@@ -2,9 +2,14 @@
 // the live link conditions (the paper's x/y split chosen dynamically).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "arnet/mar/offload.hpp"
 #include "arnet/net/network.hpp"
 #include "arnet/sim/simulator.hpp"
+#include "golden.hpp"
 
 namespace arnet::mar {
 namespace {
@@ -120,6 +125,70 @@ TEST(Adaptive, BeatsEveryFixedStrategyOnAVaryingLink) {
   double adaptive = run(OffloadStrategy::kAdaptive);
   double fixed = run(OffloadStrategy::kCloudRidAR);
   EXPECT_LT(adaptive, 0.75 * fixed);
+}
+
+// The strategy the adaptive runtime holds a quarter second after each of its
+// 500 ms re-evaluations (L LocalOnly, F FullOffload, C CloudRidAR, G
+// Glimpse), then its switch count and the session's frames, results and
+// deadline misses, for each link the Adaptive tests above run: the good edge
+// link, the far server, the desktop on a bad network, the link that degrades
+// at 5 s, the one that heals at 5 s, and the link that alternates every 8 s.
+// Recorded before the analytic latency function moved out of OffloadSession.
+TEST(Adaptive, PickGoldens) {
+  struct Case {
+    double bps;
+    sim::Time delay;
+    DeviceClass device;
+    sim::Time end;
+    std::vector<std::pair<sim::Time, sim::Time>> delay_changes;  // (at, new one-way delay)
+    const char* golden;
+  };
+  std::vector<std::pair<sim::Time, sim::Time>> alternating;
+  for (int i = 0; i < 5; ++i) {
+    alternating.emplace_back(seconds(8 * (i + 1)),
+                             i % 2 == 0 ? milliseconds(65) : milliseconds(6));
+  }
+  const Case cases[] = {
+      {30e6, milliseconds(6), DeviceClass::kSmartphone, seconds(10), {},
+       "GGGGCCCCCCCCCCCCCCC 2 301 297 14"},
+      {30e6, milliseconds(60), DeviceClass::kSmartphone, seconds(10), {},
+       "GGGGGGGGGGGGGGGGGGG 1 301 294 66"},
+      {1e6, milliseconds(80), DeviceClass::kDesktop, seconds(10), {},
+       "LLLLLLLLLLLLLLLLLLL 1 301 290 6"},
+      {30e6, milliseconds(6), DeviceClass::kSmartphone, seconds(15),
+       {{seconds(5), milliseconds(70)}},
+       "GGGGCCCCCCGGGGGGGGGGGGGGGGGGG 3 451 385 24"},
+      {30e6, milliseconds(70), DeviceClass::kSmartphone, seconds(15),
+       {{seconds(5), milliseconds(5)}},
+       "GGGGGGGGGGCCCCCCCCCCCCCCCCCCC 2 451 444 37"},
+      {30e6, milliseconds(6), DeviceClass::kSmartphone, seconds(48), alternating,
+       "GGGGCCCCCCCCCCCCGGGGGGGGGGGGGGGGGGGGCCCCCCCCCCCCGGGGGGGGGGGGGGG 7 1441 1282 49"},
+  };
+  for (const Case& c : cases) {
+    AdaptiveFixture f(c.bps, c.delay);
+    for (const auto& [at, delay] : c.delay_changes) {
+      f.sim.at(at, [&f, delay = delay] {
+        f.up->set_delay(delay);
+        f.net.link_between(f.server, f.client)->set_delay(delay);
+      });
+    }
+    OffloadConfig cfg;
+    cfg.strategy = OffloadStrategy::kAdaptive;
+    cfg.device = c.device;
+    OffloadSession s(f.net, f.client, f.server, cfg);
+    s.start();
+    std::string picks;
+    for (sim::Time t = milliseconds(750); t < c.end; t += milliseconds(500)) {
+      f.sim.run_until(t);
+      picks += to_string(s.active_strategy())[0];
+    }
+    f.sim.run_until(c.end);
+    s.stop();
+    golden::Row row;
+    row.s(picks).i(s.strategy_switches());
+    row.i(s.stats().frames).i(s.stats().results).i(s.stats().deadline_misses);
+    EXPECT_EQ(row.str(), c.golden) << "case " << &c - cases;
+  }
 }
 
 // Glimpse's dynamic trigger: offload rate follows scene motion.
