@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     };
     sim::Time off = mar::p_offloading(mar::device_profile(mar::DeviceClass::kSmartphone),
                                       mar::device_profile(mar::DeviceClass::kCloud), app, edge,
-                                      1.0, 0.75);
+                                      0.75);
     t2.add_row({w.name, verdict(mar::device_profile(mar::DeviceClass::kSmartGlasses)),
                 verdict(mar::device_profile(mar::DeviceClass::kSmartphone)),
                 std::string(mar::meets_deadline(off, app) ? "ok (" : "NO (") +

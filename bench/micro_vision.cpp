@@ -1,6 +1,7 @@
 // Micro-benchmarks of the vision substrate. These calibrate the
-// desktop-reference VisionCosts used by the offloading cost model:
-// device-class costs are these numbers times Table I's compute_scale.
+// desktop-reference stage costs of the CloudRidAR table (mar::cloudridar in
+// mar/cost_model.hpp): device-class costs are those times Table I's
+// compute_scale.
 // Writes the arnet-bench-v1 document CI gates,
 // <--out-dir>/BENCH_micro_vision.json (see json_bench.hpp).
 #include <cstdint>

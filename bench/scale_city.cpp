@@ -64,10 +64,10 @@ struct ArchetypeAgg {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::CommandLine flags(argc, argv, {runner::kSmoke, runner::kSlo, runner::kReport,
-                                               runner::kOutDir, runner::kSeed, runner::kJobs});
+  // No --slo: every fluid cell carries an SLO tracker.
+  const runner::CommandLine flags(argc, argv, {runner::kSmoke, runner::kReport, runner::kOutDir,
+                                               runner::kSeed, runner::kJobs});
   const bool smoke = flags.yes("--smoke"), report = flags.yes("--report");
-  flags.yes("--slo");  // checked only: every fluid cell carries an SLO tracker
   runner::ExperimentRunner pool({.jobs = flags.jobs(), .root_seed = flags.seed()});
   fluid::CityConfig city = make_city(smoke);
   city.seed = pool.root_seed();

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
                          "meets 75 ms?", "battery @ local vision"});
   for (const auto& d : mar::all_device_profiles()) {
     sim::Time local = mar::p_local(d, app);
-    sim::Time off = mar::p_offloading(d, cloud, app, edge_link, 1.0, /*y=*/0.0);
+    sim::Time off = mar::p_offloading(d, cloud, app, edge_link, /*y=*/0.0);
     // Battery: continuous local vision at fps draws active_power during
     // compute; duty cycle = min(1, compute / frame interval).
     std::string battery = "mains";

@@ -5,20 +5,25 @@
 # nothing on stdout: runner::CommandLine checks the whole command line
 # before the binary does or prints anything else.
 #
-# Usage: cmake -DBIN=<binary> -P rejects_unknown_flag.cmake
+# Usage: cmake -DBIN=<binary> [-DFLAG=<flag> [-DVALUE=<value>]]
+#              -P rejects_unknown_flag.cmake
+# FLAG defaults to --no-such-flag; a retired flag is passed with a value.
 
 if(NOT BIN)
   message(FATAL_ERROR "rejects_unknown_flag: pass -DBIN=<binary>")
 endif()
+if(NOT FLAG)
+  set(FLAG --no-such-flag)
+endif()
 
-execute_process(COMMAND "${BIN}" --no-such-flag
+execute_process(COMMAND "${BIN}" ${FLAG} ${VALUE}
                 OUTPUT_VARIABLE _out RESULT_VARIABLE _rc ERROR_VARIABLE _err)
 if(_rc EQUAL 0)
-  message(FATAL_ERROR "rejects_unknown_flag: ${BIN} accepted --no-such-flag\n${_out}")
+  message(FATAL_ERROR "rejects_unknown_flag: ${BIN} accepted ${FLAG}\n${_out}")
 endif()
-string(FIND "${_err}" "--no-such-flag" _named)
+string(FIND "${_err}" "${FLAG}" _named)
 if(_named EQUAL -1)
-  message(FATAL_ERROR "rejects_unknown_flag: stderr does not name --no-such-flag\n${_err}")
+  message(FATAL_ERROR "rejects_unknown_flag: stderr does not name ${FLAG}\n${_err}")
 endif()
 if(NOT _out STREQUAL "")
   message(FATAL_ERROR "rejects_unknown_flag: ${BIN} printed before checking its flags\n${_out}")

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   sim::Samples features_per_frame;
   for (int i = 0; i < frames; ++i) {
     // The user walks past shop (i mod 5) and the camera shakes a little.
+    // NOLINTNEXTLINE-arnet(rng-discipline): a fixed demo seed per frame, the same walk every run
     sim::Rng motion_rng(static_cast<std::uint64_t>(100 + i));
     vision::Mat3 motion = vision::random_camera_motion(motion_rng, 0.8);
     vision::Image frame = vision::warp_image(refs[static_cast<std::size_t>(i % 5)], motion);

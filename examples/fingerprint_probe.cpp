@@ -48,6 +48,7 @@ struct FateCounter final : net::NetworkObserver {
   }
 
   std::uint64_t sorted_fold() const {
+    // NOLINTNEXTLINE-arnet(unordered-container): the copy is sorted before it is folded
     std::vector<std::pair<std::string, std::uint64_t>> rows(bytes.begin(),
                                                             bytes.end());
     std::sort(rows.begin(), rows.end());

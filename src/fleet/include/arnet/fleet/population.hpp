@@ -12,7 +12,6 @@
 #include "arnet/mar/device.hpp"
 #include "arnet/sim/rng.hpp"
 #include "arnet/sim/simulator.hpp"
-#include "arnet/vision/features.hpp"
 
 namespace arnet::fleet {
 
@@ -40,19 +39,16 @@ inline constexpr std::array<DeviceMixEntry, 3> kDeviceMix = {{
 
 /// The application a session runs: per-frame request/result sizes, frame
 /// rate, the motion-to-photon budget, and the reference (desktop) costs of
-/// the device-side and server-side stages. Devices scale the device stage by
-/// their Table I compute_scale; servers scale the server stage.
+/// the device-side and server-side stages, read from mar's CloudRidAR table.
+/// Devices scale the device stage by their Table I compute_scale; servers
+/// scale the server stage.
 struct AppProfile {
   double fps = 30.0;
-  std::int64_t request_bytes = vision::kFeatureUploadBytes;  ///< uploaded per frame
-  std::int64_t result_bytes = vision::kRecognitionResultBytes;  ///< returned per frame
+  std::int64_t request_bytes = mar::cloudridar::kFeatureBytes;  ///< uploaded per frame
+  std::int64_t result_bytes = mar::cloudridar::kResultBytes;    ///< returned per frame
   sim::Time deadline = mar::kFrameDeadline;
-  /// Reference (desktop-class) cost of the on-device stage. Kept light — a
-  /// CloudridAR-style assist pipeline only extracts/encodes locally — so even
-  /// a 40x-slower smart-glasses client (Table I) stays inside the deadline
-  /// when the edge is unloaded.
-  sim::Time device_cost = sim::milliseconds(1);
-  sim::Time server_cost = sim::milliseconds(3);  ///< recognize, reference
+  sim::Time device_cost = mar::cloudridar::kFleetExtract;
+  sim::Time server_cost = mar::cloudridar::kRecognize;
 };
 
 /// The one application every edge cell serves: CloudRidAR-style recognition,

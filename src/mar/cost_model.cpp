@@ -4,68 +4,33 @@
 
 namespace arnet::mar {
 
-namespace {
-
-/// Per-frame time spent fetching database objects over the link, amortized:
-/// d(a)/f(a) requests per frame, each costing an RTT plus the transfer of
-/// the non-cached part of o(a).
-sim::Time db_fetch_per_frame(const AppParams& app, const LinkParams& link,
-                             double cache_fraction_x) {
-  double requests_per_frame = app.db_request_hz / app.fps;
-  double miss = std::clamp(1.0 - cache_fraction_x, 0.0, 1.0);
-  if (requests_per_frame <= 0.0 || miss <= 0.0) return 0;
-  sim::Time per_request =
-      2 * link.latency +
-      sim::transmission_delay(static_cast<std::int64_t>(app.object_bytes * miss),
-                              link.bandwidth_bps);
-  return static_cast<sim::Time>(requests_per_frame * miss * static_cast<double>(per_request));
+sim::Time offload_latency(const FrameStages& stages, const LinkParams& link) {
+  auto transfer = [&link](std::int64_t bytes) {
+    return link.bandwidth_bps > 0 ? sim::transmission_delay(bytes, link.bandwidth_bps)
+                                  : sim::kNever / 4;
+  };
+  return stages.device + transfer(stages.upload_bytes) + 2 * link.latency + stages.surrogate +
+         transfer(stages.result_bytes);
 }
-
-}  // namespace
 
 sim::Time p_local(const DeviceProfile& device, const AppParams& app) {
   return scaled_cost(device, app.work_per_frame);
 }
 
-sim::Time p_local_external_db(const DeviceProfile& device, const AppParams& app,
-                              const LinkParams& link, double cache_fraction_x) {
-  return p_local(device, app) + db_fetch_per_frame(app, link, cache_fraction_x);
-}
-
 sim::Time p_offloading(const DeviceProfile& device, const DeviceProfile& surrogate,
-                       const AppParams& app, const LinkParams& link, double cache_fraction_x,
-                       double split_y) {
+                       const AppParams& app, const LinkParams& link, double split_y) {
   split_y = std::clamp(split_y, 0.0, 1.0);
-  sim::Time local_part = static_cast<sim::Time>(
+  FrameStages stages;
+  stages.device = static_cast<sim::Time>(
       split_y * static_cast<double>(scaled_cost(device, app.work_per_frame)));
-  sim::Time remote_part = static_cast<sim::Time>(
-      (1.0 - split_y) * static_cast<double>(scaled_cost(surrogate, app.work_per_frame)));
   // Uplink payload shrinks with the locally executed share: running feature
   // extraction on-device (CloudRidAR) uploads features, not pixels.
-  auto payload = static_cast<std::int64_t>(
+  stages.upload_bytes = static_cast<std::int64_t>(
       static_cast<double>(app.upload_bytes_per_frame) * (1.0 - 0.85 * split_y));
-  sim::Time network = 2 * link.latency +
-                      sim::transmission_delay(payload, link.bandwidth_bps) +
-                      sim::transmission_delay(app.result_bytes, link.bandwidth_bps);
-  return local_part + network + remote_part + db_fetch_per_frame(app, link, cache_fraction_x);
-}
-
-BestStrategy best_strategy(const DeviceProfile& device, const DeviceProfile& surrogate,
-                           const AppParams& app, const LinkParams& link,
-                           double cache_fraction_x) {
-  BestStrategy best;
-  best.kind = BestStrategy::Kind::kLocal;
-  best.execution = p_local_external_db(device, app, link, cache_fraction_x);
-  best.split_y = 1.0;
-  for (double y : {0.0, 0.25, 0.5, 0.75}) {
-    sim::Time t = p_offloading(device, surrogate, app, link, cache_fraction_x, y);
-    if (t < best.execution) {
-      best.kind = BestStrategy::Kind::kOffload;
-      best.execution = t;
-      best.split_y = y;
-    }
-  }
-  return best;
+  stages.surrogate = static_cast<sim::Time>(
+      (1.0 - split_y) * static_cast<double>(scaled_cost(surrogate, app.work_per_frame)));
+  stages.result_bytes = app.result_bytes;
+  return offload_latency(stages, link);
 }
 
 }  // namespace arnet::mar

@@ -40,16 +40,6 @@ struct DeviceProfile {
 const DeviceProfile& device_profile(DeviceClass cls);
 const std::vector<DeviceProfile>& all_device_profiles();
 
-/// Reference (desktop) costs of the vision pipeline stages, calibrated
-/// against `bench/micro_vision` on a 320x240 synthetic scene. Absolute
-/// values matter less than their ratios; scale by DeviceProfile::compute_scale.
-struct VisionCosts {
-  sim::Time extract = sim::milliseconds(4);    ///< FAST + BRIEF
-  sim::Time recognize = sim::milliseconds(3);  ///< match + RANSAC vs small DB
-  sim::Time track = sim::milliseconds(1);      ///< patch tracking (Glimpse)
-  sim::Time decode_frame = sim::milliseconds(1);
-};
-
 /// Stage cost on a specific device.
 sim::Time scaled_cost(const DeviceProfile& dev, sim::Time reference_cost);
 

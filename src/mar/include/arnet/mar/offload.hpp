@@ -117,6 +117,10 @@ class OffloadSession {
   OffloadStrategy active_strategy() const { return active_strategy_; }
   int strategy_switches() const { return strategy_switches_; }
 
+  /// One frame's stages under a concrete strategy (device compute excludes
+  /// AEAD). Glimpse reports its trigger frames; kAdaptive runs as CloudRidAR.
+  FrameStages stages(OffloadStrategy s, std::uint32_t frame_id) const;
+
   /// Hands `work` of already device-scaled surrogate time to a queue that
   /// calls `done` when the work completes.
   using ComputeSubmit = std::function<void(sim::Time work, std::function<void()> done)>;
@@ -146,16 +150,6 @@ class OffloadSession {
   void on_sensor_batch();
   void on_metadata_beat();
   void adapt_tick();
-  /// One frame's cost under a concrete strategy: device compute before the
-  /// upload (AEAD excluded), bytes uploaded and surrogate compute. Glimpse
-  /// reports its trigger frames; kAdaptive runs as CloudRidAR.
-  struct Stages {
-    sim::Time device = 0;
-    std::int64_t upload_bytes = 0;
-    sim::Time surrogate = 0;
-  };
-  Stages stages(OffloadStrategy s, std::uint32_t frame_id) const;
-  sim::Time expected_latency(OffloadStrategy s, double rate_bps, sim::Time owd) const;
   void offload_frame(std::uint32_t frame_id, OffloadStrategy s);
   void on_server_message(const transport::ArtpDelivery& d);
   void on_client_result(const transport::ArtpDelivery& d);

@@ -112,8 +112,6 @@ AppParams WorkloadProfile::app_params() const {
   AppParams a;
   a.fps = video.fps;
   a.work_per_frame = work_per_frame;
-  a.db_request_hz = db_request_hz;
-  a.object_bytes = db_object_bytes;
   a.deadline = deadline;
   a.upload_bytes_per_frame = video.inter_frame_bytes();
   return a;

@@ -100,7 +100,7 @@ inline constexpr Flag kJobs{"--jobs", "1", "worker threads, a non-negative decim
 inline constexpr Flag kSeed{"--seed", "1", "root of the per-run seed chain, a decimal uint64"};
 inline constexpr Flag kSmoke{"--smoke", "no", "yes|no: the small CI grid instead of the full one"};
 inline constexpr Flag kSlo{"--slo", "no", "yes|no: attach tracers, tail samplers and SLO trackers"};
-inline constexpr Flag kReport{"--report", "no", "yes|no: render the HTML report (needs --slo yes)"};
+inline constexpr Flag kReport{"--report", "no", "yes|no: render the HTML report (needs SLO logs)"};
 inline constexpr Flag kTrace{"--trace", "", "write a Perfetto JSON trace of the traced run here"};
 inline constexpr Flag kPcap{"--pcap", "", "write a pcap-ng capture of the traced run here"};
 

@@ -347,9 +347,26 @@ unsigned portable_solve(const detail::QuadBatch& quads, int lanes, detail::Homog
   return solve_quads<PortableIsa>(quads, lanes, out);
 }
 
+/// The portable consensus scan is scan_inliers' test one point at a time:
+/// in lanes of GCC vectors, building and testing the masks of every step
+/// cost more than the scalar early exits (EXPERIMENTS.md E12).
 int portable_inliers(const Mat3& h, const detail::PointPlanes& pts,
                      const detail::InlierTest& test, int* out) {
-  return scan_inliers<PortableIsa>(h, pts, test, out);
+  const double* sx = pts.plane(0);
+  const double* sy = pts.plane(1);
+  const double* tx = pts.plane(2);
+  const double* ty = pts.plane(3);
+  int count = 0;
+  for (std::size_t i = 0; i < pts.n; ++i) {
+    const Vec2 mapped = h.apply({sx[i], sy[i]});
+    const double dx = mapped.x - tx[i];
+    const double dy = mapped.y - ty[i];
+    if (!(std::abs(dx) < test.thr && std::abs(dy) < test.thr)) continue;
+    const double s = dx * dx + dy * dy;
+    if (s > test.reject_above) continue;
+    if (s < test.accept_below || std::hypot(dx, dy) < test.thr) out[count++] = static_cast<int>(i);
+  }
+  return count;
 }
 
 #if defined(__x86_64__) && !defined(ARNET_NO_SIMD)

@@ -33,7 +33,6 @@ TEST(Workloads, AppParamsReflectProfile) {
   auto app = g.app_params();
   EXPECT_DOUBLE_EQ(app.fps, 60.0);
   EXPECT_EQ(app.deadline, milliseconds(50));
-  EXPECT_EQ(app.object_bytes, g.db_object_bytes);
 }
 
 TEST(Workloads, OffloadConfigRunsEndToEnd) {

@@ -3,7 +3,7 @@
     python3 tools/arnet_analyze [--root DIR] [PATH...] \
         [--baseline FILE] [--write-baseline FILE] [--json FILE] [--list-rules]
 
-PATHs default to `src bench tests` and are resolved relative to --root
+PATHs default to `src bench tests examples` and are resolved relative to --root
 (default: the repo root inferred from this package's location), so the ctest
 gate can run from build/ with stable root-relative finding paths.
 
@@ -66,7 +66,7 @@ def main(argv: list[str]) -> int:
         prog="arnet-analyze", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("paths", nargs="*", default=None,
-                    help="files or directories (default: src bench tests)")
+                    help="files or directories (default: src bench tests examples)")
     ap.add_argument("--root", default=None,
                     help="repo root (default: inferred from the package path)")
     ap.add_argument("--baseline", default=None,
@@ -89,7 +89,7 @@ def main(argv: list[str]) -> int:
 
     root = Path(args.root).resolve() if args.root \
         else Path(__file__).resolve().parents[2]
-    paths = args.paths or ["src", "bench", "tests"]
+    paths = args.paths or ["src", "bench", "tests", "examples"]
     files = collect_files(root, paths)
     if not files:
         print("arnet-analyze: nothing to scan", file=sys.stderr)
