@@ -65,9 +65,9 @@ struct ArchetypeAgg {
 
 int main(int argc, char** argv) {
   // No --slo: every fluid cell carries an SLO tracker.
-  const runner::CommandLine flags(argc, argv, {runner::kSmoke, runner::kReport, runner::kOutDir,
-                                               runner::kSeed, runner::kJobs});
-  const bool smoke = flags.yes("--smoke"), report = flags.yes("--report");
+  const runner::CommandLine flags(argc, argv, {runner::kSmoke, runner::kOutDir, runner::kSeed,
+                                               runner::kJobs});
+  const bool smoke = flags.yes("--smoke");
   runner::ExperimentRunner pool({.jobs = flags.jobs(), .root_seed = flags.seed()});
   fluid::CityConfig city = make_city(smoke);
   city.seed = pool.root_seed();
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
   merged.gauge("city.cells_breached", "city").set(breach_cells);
 
   runner::SweepArtifacts out{.suite = "scale_city", .out_dir = flags.str("--out-dir"),
-                             .metrics = &merged, .telemetry = &telemetry, .report = report};
+                             .metrics = &merged, .telemetry = &telemetry};
   for (const fluid::CityCellOutcome& c : outcomes) {
     out.rows.push_back(runner::sim_row(c.r.name, c.r, c.r.sim_seconds, c.r.frames,
                                        c.r.served_fps, c.r.ticks));

@@ -92,10 +92,9 @@ std::vector<fleet::CellConfig> build_cells(bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::CommandLine flags(argc, argv, {runner::kSmoke, runner::kSlo, runner::kReport,
-                                               runner::kOutDir, runner::kSeed, runner::kJobs});
+  const runner::CommandLine flags(argc, argv, {runner::kSmoke, runner::kSlo, runner::kOutDir,
+                                               runner::kSeed, runner::kJobs});
   const bool smoke = flags.yes("--smoke"), slo = flags.yes("--slo");
-  const bool report = flags.yes("--report");
   runner::ExperimentRunner pool({.jobs = flags.jobs(), .root_seed = flags.seed()});
 
   const std::vector<fleet::CellConfig> cells = build_cells(smoke);
@@ -157,8 +156,7 @@ int main(int argc, char** argv) {
   flush();
 
   runner::SweepArtifacts out{.suite = "scale_fleet", .out_dir = flags.str("--out-dir"),
-                             .metrics = &merged, .telemetry = slo ? &telemetry : nullptr,
-                             .report = report};
+                             .metrics = &merged, .telemetry = slo ? &telemetry : nullptr};
   for (const fleet::CellResult& r : results) {
     out.rows.push_back(
         runner::sim_row(r.name, r, r.sim_seconds, r.results, r.served_fps, r.sim_events));

@@ -47,10 +47,9 @@ std::vector<core::ShootoutCellConfig> build_cells(bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::CommandLine flags(argc, argv, {runner::kSmoke, runner::kSlo, runner::kReport,
-                                               runner::kOutDir, runner::kSeed, runner::kJobs});
+  const runner::CommandLine flags(argc, argv, {runner::kSmoke, runner::kSlo, runner::kOutDir,
+                                               runner::kSeed, runner::kJobs});
   const bool smoke = flags.yes("--smoke"), slo = flags.yes("--slo");
-  const bool report = flags.yes("--report");
   runner::ExperimentRunner pool({.jobs = flags.jobs(), .root_seed = flags.seed()});
   runner::ReportTee tee(flags.str("--out-dir"), "sec_transport_shootout_report.txt");
 
@@ -102,7 +101,7 @@ int main(int argc, char** argv) {
   }
 
   runner::SweepArtifacts out{.suite = "sec_transport_shootout", .out_dir = flags.str("--out-dir"),
-                             .telemetry = slo ? &telemetry : nullptr, .report = report};
+                             .telemetry = slo ? &telemetry : nullptr};
   for (const core::ShootoutCellResult& r : results) {
     runner::BenchRow row =
         runner::sim_row(r.name, r, r.sim_seconds, r.frames_sent, 0.0, r.sim_events);

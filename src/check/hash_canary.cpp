@@ -38,7 +38,7 @@ void set_hash_seed(std::uint64_t seed) noexcept {
 }
 
 std::uint64_t perturbed_mix(std::uint64_t v) noexcept {
-  // SplitMix64 finalizer, the same mixer runner::derive_seed builds on.
+  // SplitMix64 finalizer, the same mixer sim::derive_seed builds on.
   std::uint64_t z = v ^ hash_seed() ^ 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;

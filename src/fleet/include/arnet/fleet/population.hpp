@@ -98,10 +98,16 @@ struct PopulationConfig {
   double area_km = 4.0;
 };
 
+/// The arrival process's stream for a cell seeded `seed`: every
+/// interarrival, thinning and MMPP dwell draw of the packet-level
+/// PopulationModel and of the fluid cell comes from it, so a sharded city's
+/// per-cell streams are exactly the derive_seed(root, cell) chain.
+inline sim::Rng arrival_stream(std::uint64_t seed) { return sim::Rng(sim::derive_seed(seed, 0)); }
+
 /// The MMPP calm/burst phase of an arrival process, advanced lazily: every
 /// flip due by `now` draws its dwell from `rng`, and a Poisson process never
 /// leaves calm. The one dwell loop both the packet-level PopulationModel and
-/// the fluid cell run, each on its own derive_seed(seed, 0) stream.
+/// the fluid cell run, each on its own arrival_stream.
 /// Defined inline because the fluid cell runs it on every tick.
 struct MmppPhase {
   bool burst = false;
@@ -127,9 +133,9 @@ inline double arrival_rate(const PopulationConfig& cfg, sim::Time t, const MmppP
 }
 
 /// Seeded session generator. Determinism contract: the arrival point
-/// process (including MMPP state flips and diurnal thinning) consumes one
-/// dedicated stream derived from (seed, 0); each session's attributes come
-/// from its own stream derived from (seed, id + 1) via runner::derive_seed.
+/// process (including MMPP state flips and diurnal thinning) consumes
+/// arrival_stream(seed); each session's attributes come from its own stream,
+/// derive_seed(seed, id + 1).
 /// Two runs with the same seed therefore mint bit-identical populations,
 /// and session k's device/position/lifetime are independent of how many
 /// sessions arrived before it. A population whose base rate is 0 never
@@ -161,7 +167,7 @@ class PopulationModel {
   sim::Simulator& sim_;
   PopulationConfig cfg_;
   std::uint64_t seed_;
-  sim::Rng arrivals_;  ///< interarrival + thinning + MMPP dwell draws
+  sim::Rng arrivals_;  ///< arrival_stream(seed)
   std::uint64_t next_id_ = 0;
   bool running_ = false;
   MmppPhase phase_;

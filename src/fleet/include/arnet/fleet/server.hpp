@@ -165,7 +165,7 @@ class EdgeServer {
   /// both buffers keep their capacity).
   std::vector<Queued> draining_;
   int executing_ = 0;  ///< requests currently inside a running batch
-  sim::EventHandle timeout_timer_;
+  sim::Timer batch_timer_;  ///< the queue head's batch-formation deadline
   std::uint64_t next_batch_id_ = 0;
   std::int64_t requests_ = 0;
   std::int64_t batches_ = 0;

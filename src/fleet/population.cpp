@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "arnet/check/assert.hpp"
-#include "arnet/runner/experiment.hpp"
 
 namespace arnet::fleet {
 
@@ -56,7 +55,7 @@ PopulationModel::PopulationModel(sim::Simulator& sim, PopulationConfig cfg,
     : sim_(sim),
       cfg_(std::move(cfg)),
       seed_(seed),
-      arrivals_(runner::derive_seed(seed, 0)) {
+      arrivals_(arrival_stream(seed)) {
   ARNET_CHECK(std::isfinite(cfg_.base_arrivals_per_s) && cfg_.base_arrivals_per_s >= 0.0,
               "population arrival rate must be finite and non-negative, got ",
               cfg_.base_arrivals_per_s);
@@ -72,7 +71,7 @@ double PopulationModel::rate_at(sim::Time t) const { return arrival_rate(cfg_, t
 SessionSpec PopulationModel::make_session(std::uint64_t id, sim::Time now) const {
   // Every attribute from the session's own stream: arrival interleaving
   // (which depends on load) never shifts what session k looks like.
-  sim::Rng attrs(runner::derive_seed(seed_, id + 1));
+  sim::Rng attrs(sim::derive_seed(seed_, id + 1));
   SessionSpec s;
   s.id = id;
   s.arrival = now;

@@ -10,7 +10,8 @@ EdgeServer::EdgeServer(sim::Simulator& sim, EdgeServerConfig cfg)
     : sim_(sim),
       cfg_(std::move(cfg)),
       profile_(mar::device_profile(kServerClass)),
-      lanes_(static_cast<std::size_t>(std::max(1, cfg_.batch.executors))) {
+      lanes_(static_cast<std::size_t>(std::max(1, cfg_.batch.executors))),
+      batch_timer_(sim, [this] { try_dispatch(); }) {
   trace_ = trace::Emitter(cfg_.telemetry.tracer, cfg_.entity);
   for (std::uint32_t i = 0; i < lanes_.size(); ++i) free_lanes_.push_back(i);
 }
@@ -73,12 +74,7 @@ void EdgeServer::try_dispatch() {
     if (!full && !timed_out) {
       // Wait for the head's formation window; a stale timer from an earlier
       // head may fire early, in which case this re-arms for the new head.
-      if (!timeout_timer_.valid()) {
-        timeout_timer_ = sim_.at(head_deadline, [this] {
-          timeout_timer_ = sim::EventHandle{};
-          try_dispatch();
-        });
-      }
+      if (!batch_timer_.armed()) batch_timer_.arm(head_deadline - sim_.now());
       return;
     }
     const std::uint32_t lane = free_lanes_.back();

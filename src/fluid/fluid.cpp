@@ -7,7 +7,6 @@
 #include "arnet/check/assert.hpp"
 #include "arnet/mar/cost_model.hpp"
 #include "arnet/obs/registry.hpp"
-#include "arnet/runner/experiment.hpp"
 #include "arnet/slo/slo.hpp"
 
 namespace arnet::fluid {
@@ -54,11 +53,7 @@ constexpr double kServerWorkMs = sim::to_milliseconds(fleet::kApp.server_cost);
 
 FluidCell::FluidCell(FluidConfig cfg)
     : cfg_(std::move(cfg)),
-      // Same stream convention as the packet-level PopulationModel: the
-      // arrival/MMPP point process draws from derive_seed(seed, 0), so a
-      // sharded city's per-cell streams are exactly the audited
-      // derive_seed(root, cell) chain.
-      arrivals_(runner::derive_seed(cfg_.seed, 0)),
+      arrivals_(fleet::arrival_stream(cfg_.seed)),
       admission_(cfg_.admission) {
   ARNET_CHECK(cfg_.servers >= 1, "fluid cell needs at least one server");
   ARNET_CHECK(cfg_.tick > 0, "fluid tick must be positive");

@@ -119,7 +119,7 @@ class FluidCell {
   void record_mass(double latency_ms, double mass);
 
   FluidConfig cfg_;
-  sim::Rng arrivals_;  ///< MMPP dwell stream, derive_seed(seed, 0) like the packet model
+  sim::Rng arrivals_;  ///< MMPP dwell draws, fleet::arrival_stream(seed)
   fleet::AdmissionController admission_;
 
   // Precomputed aggregates.

@@ -16,16 +16,6 @@
 
 namespace arnet::runner {
 
-std::uint64_t derive_seed(std::uint64_t root_seed, std::uint64_t run_index) {
-  // SplitMix64 (Steele/Lea/Flood): advance the state by the golden-gamma
-  // once per index, then finalize. run_index + 1 keeps run 0 from collapsing
-  // onto the raw root.
-  std::uint64_t z = root_seed + 0x9E3779B97F4A7C15ULL * (run_index + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 int ExperimentRunner::hardware_jobs() {
   unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);

@@ -9,14 +9,13 @@
 #include <vector>
 
 #include "arnet/obs/registry.hpp"
+#include "arnet/sim/rng.hpp"
 
 namespace arnet::runner {
 
-/// SplitMix64 finalizer over (root_seed, run_index): every run of a sweep
-/// gets a statistically independent seed, and run k's seed depends only on
-/// the root and k — never on how many workers executed the sweep or in what
-/// order. This is what makes `--jobs N` output bit-identical to serial runs.
-std::uint64_t derive_seed(std::uint64_t root_seed, std::uint64_t run_index);
+/// Run k of a sweep is seeded derive_seed(root, k); the rule lives beside
+/// sim::Rng so model libraries split their streams without this module.
+using sim::derive_seed;
 
 /// Per-run environment handed to each Run closure. The closure builds its
 /// own Simulator/Network world from `seed`, publishes results into
@@ -100,7 +99,6 @@ inline constexpr Flag kJobs{"--jobs", "1", "worker threads, a non-negative decim
 inline constexpr Flag kSeed{"--seed", "1", "root of the per-run seed chain, a decimal uint64"};
 inline constexpr Flag kSmoke{"--smoke", "no", "yes|no: the small CI grid instead of the full one"};
 inline constexpr Flag kSlo{"--slo", "no", "yes|no: attach tracers, tail samplers and SLO trackers"};
-inline constexpr Flag kReport{"--report", "no", "yes|no: render the HTML report (needs SLO logs)"};
 inline constexpr Flag kTrace{"--trace", "", "write a Perfetto JSON trace of the traced run here"};
 inline constexpr Flag kPcap{"--pcap", "", "write a pcap-ng capture of the traced run here"};
 

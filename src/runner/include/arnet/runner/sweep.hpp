@@ -101,20 +101,17 @@ class SweepTelemetry {
 ///   BENCH_<suite>.json     arnet-bench-v1 summary of `rows`
 ///   <suite>_slo.jsonl      arnet-slo-v1 burn/alert log      (when `telemetry`)
 ///   <suite>_samples.jsonl  arnet-sample-v1 retained traces  (when `telemetry`)
-///   <suite>_report.html    tools/arnet_report.py over the files above
-///                          (when `report`; needs `telemetry`)
+/// tools/arnet_report.py renders these files as one HTML report.
 struct SweepArtifacts {
   std::string suite;
   std::string out_dir;
   std::vector<BenchRow> rows = {};
   const obs::MetricsRegistry* metrics = nullptr;
   const SweepTelemetry* telemetry = nullptr;
-  bool report = false;
 };
 
 /// Write the artifacts, announcing each path on stdout. Returns 0, or 1
-/// after naming on stderr the first file it could not write. The report is
-/// best effort (it rides an external interpreter): a failure only warns.
+/// after naming on stderr the first file it could not write.
 int write_sweep(const SweepArtifacts& a);
 
 }  // namespace arnet::runner

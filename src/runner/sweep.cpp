@@ -1,6 +1,5 @@
 #include "arnet/runner/sweep.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -94,56 +93,35 @@ void SweepTelemetry::write_samples(std::ostream& os) const {
 }
 
 int write_sweep(const SweepArtifacts& a) {
-  // Writes one artifact and returns its path, or "" after reporting the
-  // failure. The first announcement of a sweep follows a blank line.
+  // Writes one artifact, or names it on stderr and returns false. The first
+  // announcement of a sweep follows a blank line.
   bool announced = false;
-  auto write = [&](const std::string& file, auto emit) -> std::string {
+  auto write = [&](const std::string& file, auto emit) {
     const std::string path = out_path(a.out_dir, file);
     std::ofstream os(path);
     if (os) emit(os);
     if (!os) {
       std::cerr << "cannot write " << path << "\n";
-      return "";
+      return false;
     }
     std::cout << (announced ? "wrote " : "\nwrote ") << path << "\n";
     announced = true;
-    return path;
+    return true;
   };
 
-  std::string metrics_path;
-  if (a.metrics) {
-    metrics_path = write(a.suite + "_metrics.jsonl",
-                         [&](std::ostream& os) { obs::write_jsonl(*a.metrics, os); });
-    if (metrics_path.empty()) return 1;
+  if (a.metrics && !write(a.suite + "_metrics.jsonl",
+                          [&](std::ostream& os) { obs::write_jsonl(*a.metrics, os); })) {
+    return 1;
   }
-  const std::string summary_path = write(
-      "BENCH_" + a.suite + ".json",
-      [&](std::ostream& os) { write_bench_json(os, a.suite, a.rows); });
-  if (summary_path.empty()) return 1;
-  std::string slo_path, samples_path;
-  if (a.telemetry) {
-    slo_path = write(a.suite + "_slo.jsonl",
-                     [&](std::ostream& os) { a.telemetry->write_slo(os); });
-    if (slo_path.empty()) return 1;
-    samples_path = write(a.suite + "_samples.jsonl",
-                         [&](std::ostream& os) { a.telemetry->write_samples(os); });
-    if (samples_path.empty()) return 1;
+  if (!write("BENCH_" + a.suite + ".json",
+             [&](std::ostream& os) { write_bench_json(os, a.suite, a.rows); })) {
+    return 1;
   }
-
-  if (!a.report) return 0;
-  if (!a.telemetry) {
-    std::cerr << "warning: --report requires --slo yes; skipping report\n";
-    return 0;
-  }
-  const std::string report_path = out_path(a.out_dir, a.suite + "_report.html");
-  std::string cmd = "python3 tools/arnet_report.py --title " + a.suite + " --bench " +
-                    summary_path;
-  if (a.metrics) cmd += " --metrics " + metrics_path;
-  cmd += " --slo " + slo_path + " --samples " + samples_path + " --out " + report_path;
-  if (std::system(cmd.c_str()) != 0) {
-    std::cerr << "warning: report generation failed: " << cmd << "\n";
-  } else {
-    std::cout << "wrote " << report_path << "\n";
+  if (a.telemetry &&
+      !(write(a.suite + "_slo.jsonl", [&](std::ostream& os) { a.telemetry->write_slo(os); }) &&
+        write(a.suite + "_samples.jsonl",
+              [&](std::ostream& os) { a.telemetry->write_samples(os); }))) {
+    return 1;
   }
   return 0;
 }

@@ -8,6 +8,21 @@
 
 namespace arnet::sim {
 
+/// SplitMix64 finalizer over (root_seed, run_index): every run of a sweep
+/// gets a statistically independent seed, and run k's seed depends only on
+/// the root and k — never on how many workers executed the sweep or in what
+/// order. This is what makes `--jobs N` output bit-identical to serial runs,
+/// and it is how a model splits one seed into independent streams.
+inline std::uint64_t derive_seed(std::uint64_t root_seed, std::uint64_t run_index) {
+  // SplitMix64 (Steele/Lea/Flood): advance the state by the golden-gamma
+  // once per index, then finalize. run_index + 1 keeps run 0 from collapsing
+  // onto the raw root.
+  std::uint64_t z = root_seed + 0x9E3779B97F4A7C15ULL * (run_index + 1);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 /// Deterministic random stream.
 ///
 /// Every stochastic component takes an `Rng` (or forks a substream from one)

@@ -14,7 +14,7 @@ namespace arnet::trace {
 
 /// Tail-based sampling policy knobs. The seed feeds only the healthy-frame
 /// reservoir (callers derive it from their run seed, e.g. via
-/// runner::derive_seed) — anomaly retention is rule-based and needs no
+/// sim::derive_seed) — anomaly retention is rule-based and needs no
 /// randomness.
 struct SamplerConfig {
   std::uint64_t seed = 1;

@@ -333,7 +333,6 @@ void ArtpSender::pace_tick() {
       if (band != 0 && path->budget_bytes <= 0) {
         // Try any other up path with budget under aggregate policy.
         if (cfg_.policy == MultipathPolicy::kAggregate) {
-          bool ignored = false;
           path = nullptr;
           for (std::size_t i = 0; i < paths_.size(); ++i) {
             if (path_up(i) && paths_[i].budget_bytes > 0) {
@@ -341,7 +340,6 @@ void ArtpSender::pace_tick() {
               break;
             }
           }
-          (void)ignored;
         } else {
           path = nullptr;
         }
